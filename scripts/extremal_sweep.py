@@ -7,36 +7,12 @@ and the streamed-executor gap on a random state.
 """
 
 import argparse
-import itertools
 
 import numpy as np
 
-from equichan.channels import (
-    ExtremalSpec,
-    ExtremalTriple,
-    check_symmetries,
-    enumerate_extremal_triples,
-    extremal_choi,
-    factored_channel,
-)
-from equichan.staircases import partitions_of
+from equichan.channels import check_symmetries, extremal_choi, factored_channel
 from equichan.streaming import streamed_apply
-
-SHAPES = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3)]
-
-
-def all_specs(m, n, d):
-    by_lam = {}
-    for lam, mu, gamma, c in enumerate_extremal_triples(m, n, d):
-        by_lam.setdefault(lam, []).append((mu, gamma, c))
-    labels = partitions_of(m, d)
-    for choice in itertools.product(*(by_lam[l] for l in labels)):
-        assignments = {}
-        for lam, (mu, gamma, c) in zip(labels, choice):
-            e = np.zeros(c)
-            e[0] = 1.0
-            assignments[lam] = ExtremalTriple(mu, gamma, e)
-        yield ExtremalSpec(m, n, d, assignments)
+from equichan.suites import SWEEP_SHAPES, all_specs
 
 
 def main():
@@ -47,7 +23,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     print(f"{'shape':<12}{'spec':>5}{'factored-gap':>14}{'sym-resid':>12}{'stream-gap':>12}")
     worst = 0.0
-    for m, n, d in SHAPES:
+    for m, n, d in SWEEP_SHAPES:
         for idx, spec in enumerate(all_specs(m, n, d)):
             E = extremal_choi(spec)
             F = factored_channel(spec)

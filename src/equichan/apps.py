@@ -173,14 +173,7 @@ def purity_amplify(
     """
     from equichan.streaming import streamed_apply
 
-    if m == 1:
-        ledger = ResourceLedger()
-        ledger.bump(d)
-        ledger.r = ledger.r_prime = 1
-        out = rho.astype(complex)
-    else:
-        spec = purity_spec(m, d)
-        out, ledger = streamed_apply(spec, rho)
+    out, ledger = streamed_apply(purity_spec(m, d), rho)
     fidelity = None
     if reference is not None:
         psi = np.asarray(reference, dtype=complex).reshape(-1)

@@ -396,10 +396,10 @@ def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     Maps the Choi space (conj C^d)^(x m) (x) (C^d)^(x n) onto
     sum_(lam,mu,gamma) P_lam (x) P_mu (x) C^mult (x) Q_gamma coordinates.
     """
+    check_dense(d ** (m + n))
     key = (m, n, d)
     if key in _CLASS_ISO_CACHE:
         return _CLASS_ISO_CACHE[key]
-    check_dense(d ** (m + n))
     Sm = schur_transform(m, 0, d)
     Sn = schur_transform(n, 0, d)
     A = np.kron(np.conj(Sm.matrix), Sn.matrix)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 ENV_VAR = "EQUICHAN_MAX_DENSE"
 DEFAULT_MAX_DENSE = 4096
@@ -11,11 +10,6 @@ DEFAULT_MAX_DENSE = 4096
 
 class ResourceError(RuntimeError):
     """Raised when a dense construction would exceed the configured cap."""
-
-
-@dataclass
-class DenseLimits:
-    max_dense_dim: int = DEFAULT_MAX_DENSE
 
 
 def max_dense_dim() -> int:

@@ -10,6 +10,13 @@ checks this on the recorded schedule.  The ledger reports register
 capacities and transform counts of the algorithm being emulated, not the
 memory of the emulator itself (which holds the full state).
 
+Emission is the adjoint of Schur sampling: the isometry along a GT path
+into mu is the adjoint of that path's rows in the Schur transform on n
+sites.  The emulator therefore reads every emission isometry from the
+cached ``schur_transform(n, 0, d)`` (so emission is subject to the dense
+cap), while the schedule and ledger still count the algorithm's n - 1
+one-site inverse CG steps.
+
 Costs that the streaming model leaves symbolic (gate synthesis accuracy and
 its log-power overhead) stay symbolic here: reports carry the factor
 ``log2^p(...)`` as a string and never evaluate it.
@@ -28,16 +35,13 @@ from equichan.staircases import (
     Staircase,
     box_label,
     dim_gl_irrep,
-    dim_perm_irrep,
-    empty_staircase,
     partitions_of,
 )
-from equichan.transforms import iterated_cg, simple_cg
+from equichan.transforms import iterated_cg, schur_transform, simple_cg
 
-# The gate-synthesis exponent appearing in every polylog cost factor.  It is
-# a literature constant quoted only for context; nothing here evaluates it.
+# The gate-synthesis exponent appearing in every polylog cost factor; it is
+# kept as a symbol and nothing here evaluates it.
 SYNTHESIS_EXPONENT_SYMBOL = "p"
-SYNTHESIS_EXPONENT_APPROX = 1.44
 
 
 # ---------------------------------------------------------------------------
@@ -225,35 +229,6 @@ def _emit_steps(path: GtPath) -> list[tuple[Staircase, Staircase, bool]]:
     return steps
 
 
-_EMBED_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _path_embedding_operator(path: GtPath) -> np.ndarray:
-    """The isometry Q_end -> Q_start (x) sites along one path, built stepwise."""
-    key = (path.steps[0].entries, tuple(s.entries for s in path.steps[1:]))
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
-    d = path.d
-    iota = np.eye(dim_gl_irrep(path.end))
-    emitted = 1
-    for prev, nxt, dual in _emit_steps(path):
-        cg = simple_cg(canonical_realization(prev), dual)
-        R = cg.block_rows(nxt)  # (q_next, q_prev * d)
-        step = np.kron(R.conj().T, np.eye(d ** (emitted - 1)))
-        iota = step @ iota
-        emitted += 1
-    _EMBED_CACHE[key] = iota
-    return iota
-
-
-def _emission_operator(mu: Staircase, path: GtPath) -> np.ndarray:
-    """Isometry Q_mu -> (C^d)^(x n) along an addition path from empty to mu."""
-    assert path.end == mu and path.start.is_empty and path.l == 0
-    # drop the empty staircase: the first site register is the first label
-    trimmed = GtPath(path.steps[1:], path.k - 1, 0)
-    return _path_embedding_operator(trimmed)
-
-
 def streamed_apply(
     spec: ExtremalSpec,
     rho: np.ndarray,
@@ -274,6 +249,8 @@ def streamed_apply(
         raise ValueError(f"input shape {rho.shape}, expected {(d**m,) * 2}")
     if mode not in ("exact", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sample" and trajectories < 1:
+        raise ValueError(f"need at least one trajectory, got {trajectories}")
     ledger = ResourceLedger()
     schedule: list[ScheduleStep] = []
 
@@ -398,9 +375,12 @@ def _emission_phase(
     seed: int,
     trajectories: int,
 ) -> np.ndarray:
-    """Uniform (or sampled) mixture over GT paths of the inverse transforms."""
-    from equichan.gtpaths import enumerate_paths
+    """Uniform (or sampled) mixture over GT paths of the inverse transforms.
 
+    The isometry along a path into mu is the adjoint of that path's rows in
+    the Schur transform on n sites, so every emission operator is read from
+    the cached ``schur_transform(n, 0, d)``.
+    """
     out_dim = d**n
     out = np.zeros((out_dim, out_dim), dtype=complex)
     for j in range(n, 1, -1):
@@ -410,34 +390,25 @@ def _emission_phase(
         ledger.num_inverse_cg += 1
     if n >= 1:
         ledger.bump(d)
+    S = schur_transform(n, 0, d)
     if mode == "exact":
+        # sum_p iota_p tau iota_p^dag / p_mu = R^dag (I_p (x) tau) R / p_mu
         for mu, blk in tau.items():
             if np.linalg.norm(blk) < 1e-15:
                 continue
-            if mu.size == 0:
-                out += blk
-                continue
-            paths = enumerate_paths(empty_staircase(d), n, 0).get(mu, [])
-            p_dim = dim_perm_irrep(mu)
-            assert len(paths) == p_dim
-            for p in paths:
-                iota = _emission_operator(mu, p)
-                out += (iota @ blk @ iota.conj().T) / p_dim
+            sector = S.sector(mu)
+            R = S.sector_rows(mu)
+            moved = np.matmul(blk, R.reshape(sector.p_dim, sector.q_dim, out_dim))
+            out += R.conj().T @ moved.reshape(R.shape) / sector.p_dim
         return out
     rng = CountingRng(np.random.default_rng(seed))
-    acc = np.zeros_like(out)
     for _ in range(trajectories):
-        contrib = np.zeros_like(out)
         for mu, blk in tau.items():
-            if mu.size == 0:
-                contrib += blk
-                continue
             sampled = sample_gt_path(mu, rng)  # type: ignore[arg-type]
-            iota = _emission_operator(mu, sampled)
-            contrib += iota @ blk @ iota.conj().T
-        acc += contrib
+            R = S.path_rows(mu, S.sector(mu).paths.index(sampled))
+            out += R.conj().T @ blk @ R
     ledger.classical_samples = rng.count
-    return acc / trajectories
+    return out / trajectories
 
 
 # ---------------------------------------------------------------------------

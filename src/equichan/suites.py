@@ -12,7 +12,13 @@ import itertools
 
 import numpy as np
 
-from equichan.apps import clone, cloning_fidelity, depolarized_copies, purity_amplify
+from equichan.apps import (
+    clone,
+    cloning_fidelity,
+    depolarized_copies,
+    purity_amplify,
+    symmetric_projector,
+)
 from equichan.channels import (
     ChoiMatrix,
     ExtremalSpec,
@@ -59,7 +65,7 @@ def _haar_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _all_specs(m: int, n: int, d: int) -> list[ExtremalSpec]:
+def all_specs(m: int, n: int, d: int) -> list[ExtremalSpec]:
     """Every extremal spec over (m, n, d) with first-basis multiplicity vectors."""
     by_lam: dict[Staircase, list] = {}
     for lam, mu, gamma, c in enumerate_extremal_triples(m, n, d):
@@ -80,7 +86,7 @@ def suite_classification(seed: int = 1) -> VerificationReport:
     """Criterion 1: factored channel equals the direct extremal Choi."""
     report = VerificationReport("classification-factorization", seed)
     for m, n, d in SWEEP_SHAPES:
-        for idx, spec in enumerate(_all_specs(m, n, d)):
+        for idx, spec in enumerate(all_specs(m, n, d)):
             resid = float(
                 np.linalg.norm(factored_channel(spec).matrix - extremal_choi(spec).matrix)
             )
@@ -91,7 +97,7 @@ def suite_classification(seed: int = 1) -> VerificationReport:
 def _certification_channels() -> list[tuple[str, ChoiMatrix]]:
     out = []
     for m, n, d in SWEEP_SHAPES:
-        for idx, spec in enumerate(_all_specs(m, n, d)):
+        for idx, spec in enumerate(all_specs(m, n, d)):
             out.append((f"extremal({m},{n},{d})#{idx}", extremal_choi(spec)))
     for m, d in [(2, 2), (3, 2), (2, 3)]:
         out.append((f"symmetrize(m={m},d={d})", extremal_choi(symmetrization_spec(m, d))))
@@ -187,19 +193,8 @@ def suite_state_symmetrization(seed: int = 1) -> VerificationReport:
 
 def suite_cloning(seed: int = 1) -> VerificationReport:
     """Criterion 5: cloner equals the projector oracle; fidelity is exact."""
-    from math import factorial
-
-    from equichan.transforms import permutation_operator
-
     report = VerificationReport("symmetric-cloning", seed)
     rng = np.random.default_rng(seed)
-
-    def sym_proj(n, d):
-        acc = np.zeros((d**n, d**n))
-        for perm in itertools.permutations(range(n)):
-            acc += permutation_operator(perm, n, d)
-        return acc / factorial(n)
-
     for m, n in [(1, 2), (1, 3), (2, 3), (2, 4)]:
         for d in (2, 3):
             psi = _haar_vector(d, rng)
@@ -208,7 +203,7 @@ def suite_cloning(seed: int = 1) -> VerificationReport:
                 rho_in = np.kron(rho_in, np.outer(psi, psi.conj()))
             rho_in = rho_in.reshape(d**m, d**m)
             res = clone(psi, m, n, d)
-            P = sym_proj(n, d)
+            P = symmetric_projector(n, d)
             expected = (sym_dim(m, d) / sym_dim(n, d)) * (
                 P @ np.kron(rho_in, np.eye(d ** (n - m))) @ P
             )

@@ -255,12 +255,12 @@ def iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
     Q_mu (x) C^d^(x k) (x) conj C^d^(x l) whose rows are grouped by final
     label, path-major within each sector.
     """
-    key = (mu.entries, flags)
-    if key in _ITERATED_CACHE:
-        return _ITERATED_CACHE[key]
     d = mu.d
     q0 = dim_gl_irrep(mu)
     check_dense(q0 * d ** len(flags))
+    key = (mu.entries, flags)
+    if key in _ITERATED_CACHE:
+        return _ITERATED_CACHE[key]
     # running blocks: (path steps, current label, row offset, q)
     U = np.eye(q0)
     running: list[tuple[tuple[Staircase, ...], Staircase, int, int]] = [

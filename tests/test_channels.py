@@ -21,6 +21,7 @@ from equichan.channels import (
     symmetrization_spec,
     uss_channel,
 )
+from equichan.limits import ResourceError
 from equichan.staircases import (
     dim_gl_irrep,
     dim_perm_irrep,
@@ -147,6 +148,14 @@ class TestEnumerateTriples:
             assert c >= 1
         mus = {t[1] for t in got}
         assert mus == set(partitions_of(2, 2))
+
+
+class TestClassificationIsometryCap:
+    def test_dense_cap_holds_for_cached_isometry(self, monkeypatch):
+        assert classification_isometry(2, 2, 2).matrix.shape == (16, 16)
+        monkeypatch.setenv("EQUICHAN_MAX_DENSE", "8")
+        with pytest.raises(ResourceError):
+            classification_isometry(2, 2, 2)
 
 
 class TestExtremalChoi:

@@ -11,7 +11,7 @@ from equichan.channels import (
     purity_spec,
     symmetrization_spec,
 )
-from equichan.gtpaths import GtPath, enumerate_paths
+from equichan.gtpaths import CountingRng, GtPath, enumerate_paths, sample_gt_path
 from equichan.realize import canonical_realization
 from equichan.staircases import (
     dim_gl_irrep,
@@ -23,6 +23,8 @@ from equichan.streaming import (
     PathState,
     ResourceLedger,
     ScheduleStep,
+    _absorb_phase,
+    _middle_phase,
     application_estimate,
     path_embedding,
     resource_estimate,
@@ -214,6 +216,37 @@ class TestStreamedApply:
         sampled, ledger = streamed_apply(spec, rho, mode="sample", trajectories=3)
         assert np.linalg.norm(exact - sampled) < 1e-10
         assert ledger.classical_samples > 0
+
+    def test_bad_trajectories_rejected(self, rng):
+        spec = symmetrization_spec(3, 2)
+        rho = random_state(8, rng)
+        for trajectories in (0, -5):
+            with pytest.raises(ValueError, match="trajectory"):
+                streamed_apply(spec, rho, mode="sample", trajectories=trajectories)
+
+    def test_single_trajectory_emits_along_drawn_path(self, rng):
+        # one trajectory emits each label along exactly the path the hook
+        # walk drew; a permuted path-to-rows lookup would leave the
+        # Monte Carlo mixture unchanged but fails here
+        m, d = 4, 2
+        spec = symmetrization_spec(m, d)
+        rho = random_state(d**m, rng)
+        ledger = ResourceLedger()
+        tau = _middle_phase(spec, _absorb_phase(rho, m, d, ledger, []), ledger, [])
+        drawn_later_paths = False
+        for seed in range(6):
+            out, ledger = streamed_apply(spec, rho, seed=seed, mode="sample", trajectories=1)
+            redraw = CountingRng(np.random.default_rng(seed))
+            expected = np.zeros_like(out)
+            for mu, blk in tau.items():
+                path = sample_gt_path(mu, redraw)
+                all_paths = enumerate_paths(empty_staircase(d), m, 0)[mu]
+                drawn_later_paths |= all_paths.index(path) > 0
+                state = PathState(empty_staircase(d), {path: 1.0}, m, 0)
+                expected += path_embedding(state, blk)
+            assert ledger.classical_samples == redraw.count
+            assert np.linalg.norm(out - expected) < 1e-12, seed
+        assert drawn_later_paths
 
     def test_monte_carlo_scaling(self, rng):
         # RMS Frobenius error over independent repetitions scales as N^(-1/2)

@@ -213,6 +213,30 @@ class TestSchurTransform:
         with pytest.raises(ResourceError):
             schur_transform(4, 0, 2)
 
+    def test_dense_cap_holds_for_cached_transforms(self, monkeypatch):
+        flags = (False,) * 4
+        assert iterated_cg(empty_staircase(2), flags).dim == 16
+        monkeypatch.setenv("EQUICHAN_MAX_DENSE", "8")
+        with pytest.raises(ResourceError):
+            iterated_cg(empty_staircase(2), flags)
+
+    def test_path_rows_follow_their_path(self):
+        # the rows of path p on n sites restrict, on the first j sites, to
+        # the isotypic component of the path's j-th label; this pins the
+        # order of sector.paths to the row blocks without using that order
+        for n, d in [(4, 2), (5, 2), (3, 3)]:
+            S = schur_transform(n, 0, d)
+            for sector in S.sectors:
+                for idx, path in enumerate(sector.paths):
+                    rows = S.path_rows(sector.label, idx)
+                    for j in range(1, n):
+                        Sj = schur_transform(j, 0, d)
+                        Rj = Sj.sector_rows(path.steps[j])
+                        P = Rj.conj().T @ Rj
+                        heads = rows.reshape(-1, d**j, d ** (n - j))
+                        moved = np.einsum("ab,rbc->rac", P, heads)
+                        assert np.linalg.norm(moved - heads) < 1e-10, (n, d, path, j)
+
 
 class TestIteratedCg:
     def test_base_identity(self):
