@@ -45,9 +45,11 @@ class AppResult:
 
     def __post_init__(self):
         tr = np.trace(self.output)
-        assert abs(tr - 1.0) < 1e-10, f"output trace {tr}"
+        if abs(tr - 1.0) >= 1e-10:
+            raise ValueError(f"output trace {tr}, expected 1")
         evals = np.linalg.eigvalsh((self.output + self.output.conj().T) / 2)
-        assert evals.min() > -1e-9, "output not positive semidefinite"
+        if evals.min() <= -1e-9:
+            raise ValueError(f"output not positive semidefinite: {evals.min():.2e}")
 
 
 def symmetrize(
@@ -109,8 +111,15 @@ def clone(
         rho = rho.reshape(d**m, d**m)
     else:
         rho = state
-        if rho.shape != (d**m, d**m):
-            raise ValueError(f"input shape {rho.shape}, expected {(d**m,) * 2}")
+    if reference is not None:
+        psi = np.asarray(reference, dtype=complex).reshape(-1)
+        psi = psi / np.linalg.norm(psi)
+
+    ledger = ResourceLedger()
+    schedule: list[ScheduleStep] = []
+    # absorption checks the shape, trace and Hermiticity of rho
+    sigma = _absorb_phase(rho, m, d, ledger, schedule)
+    if state.ndim != 1:
         P = symmetric_projector(m, d)
         off = np.linalg.norm(rho - P @ rho @ P)
         if off > SYMMETRIC_SUPPORT_TOL:
@@ -118,13 +127,6 @@ def clone(
                 f"input has mass {off:.2e} outside the symmetric subspace; "
                 "the cloning map is only trace preserving on it"
             )
-    if reference is not None:
-        psi = np.asarray(reference, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-
-    ledger = ResourceLedger()
-    schedule: list[ScheduleStep] = []
-    sigma = _absorb_phase(rho, m, d, ledger, schedule)
     lam = staircase(*((m,) + (0,) * (d - 1)))
     mu = staircase(*((n,) + (0,) * (d - 1)))
     # all symmetric-subspace weight sits in the single-row block

@@ -17,12 +17,13 @@ of the dual label with the dual_structure intertwiners.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from equichan.limits import check_dense
-from equichan.realize import canonical_realization, dual_structure
+from equichan.realize import dual_structure
 from equichan.staircases import (
     Staircase,
     dim_gl_irrep,
@@ -177,10 +178,6 @@ class ChoiMatrix:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return apply_choi(self.matrix, rho, self.in_dim, self.out_dim)
-
-    @classmethod
-    def from_channel(cls, ch: Channel, m: int, n: int, d: int) -> "ChoiMatrix":
-        return cls(ch.choi(), m, n, d)
 
 
 def apply_channel(choi: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
@@ -387,19 +384,20 @@ class ClassificationIsometry:
         return self.matrix[b.offset : b.offset + b.size, :]
 
 
-_CLASS_ISO_CACHE: dict[tuple[int, int, int], ClassificationIsometry] = {}
-
-
 def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     """Conjugated Schur transforms on both legs followed by a CG transform.
 
     Maps the Choi space (conj C^d)^(x m) (x) (C^d)^(x n) onto
     sum_(lam,mu,gamma) P_lam (x) P_mu (x) C^mult (x) Q_gamma coordinates.
+    The dense cap is checked on every call, the isometry itself is memoised
+    per (m, n, d).
     """
     check_dense(d ** (m + n))
-    key = (m, n, d)
-    if key in _CLASS_ISO_CACHE:
-        return _CLASS_ISO_CACHE[key]
+    return _classification_isometry(m, n, d)
+
+
+@functools.cache
+def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     Sm = schur_transform(m, 0, d)
     Sn = schur_transform(n, 0, d)
     A = np.kron(np.conj(Sm.matrix), Sn.matrix)
@@ -415,9 +413,7 @@ def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
         for sn_ in Sn.sectors:
             mu = sn_.label
             q_mu = sn_.q_dim
-            cg = general_cg(
-                canonical_realization(lam.dual()), canonical_realization(mu)
-            )
+            cg = general_cg(lam.dual(), mu)
             # convert the conjugate-lambda coordinates to canonical dual-lambda
             G = cg.matrix @ np.kron(Zl.conj().T, np.eye(q_mu))
             gammas = cg.labels()
@@ -459,7 +455,6 @@ def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     iso = ClassificationIsometry(m, n, d, out, blocks)
     resid = np.linalg.norm(out @ out.conj().T - np.eye(D))
     assert resid < 1e-9, f"classification isometry not unitary: {resid:.2e}"
-    _CLASS_ISO_CACHE[key] = iso
     return iso
 
 
@@ -567,13 +562,6 @@ class UssChannel(KrausChannel):
         self.transform = S
         self.layout = layout
 
-    def adjoint_apply(self, A: np.ndarray) -> np.ndarray:
-        """True adjoint with respect to the trace inner product."""
-        acc = np.zeros((self.in_dim, self.in_dim), dtype=complex)
-        for K in self.ops:
-            acc += K.conj().T @ A @ K
-        return acc
-
 
 class DualUssChannel(KrausChannel):
     """Append the maximally mixed path register and undo the Schur transform.
@@ -626,18 +614,17 @@ def _cg_restriction_tensor(lam: Staircase, mu: Staircase, gamma: Staircase):
     Returns K0 with K0[x, y, g, a] the matrix element of the restriction of
     the inverse CG transform on Q_duallam (x) Q_mu at (x, y; g, mult a).
     """
-    A = canonical_realization(lam.dual())
-    B = canonical_realization(mu)
-    cg = general_cg(A, B)
+    cg = general_cg(lam.dual(), mu)
     c = cg.multiplicity(gamma)
     if c == 0:
         raise ValueError(f"gamma {gamma} does not occur in {lam.dual()} (x) {mu}")
     qg = dim_gl_irrep(gamma)
-    K0 = np.zeros((A.dim, B.dim, qg, c), dtype=complex)
+    q_lam, q_mu = dim_gl_irrep(lam), dim_gl_irrep(mu)
+    K0 = np.zeros((q_lam, q_mu, qg, c), dtype=complex)
     for a in range(c):
         rows = cg.block_rows(gamma, a)  # (qg, qlam*qmu)
-        K0[:, :, :, a] = rows.conj().T.reshape(A.dim, B.dim, qg)
-    return K0, c, qg, A.dim, B.dim
+        K0[:, :, :, a] = rows.conj().T.reshape(q_lam, q_mu, qg)
+    return K0, c, qg, q_lam, q_mu
 
 
 def irrep_channel(

@@ -15,6 +15,7 @@ in this module are real; complex numbers appear only downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,6 @@ class IrrepRealization:
     @property
     def dim(self) -> int:
         return self.embedding.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.embedding.shape[0]
 
     def generator(self, i: int, j: int) -> np.ndarray:
         return self.generators[i, j]
@@ -255,21 +252,14 @@ def _canonicalize_basis(
     return Vnew
 
 
-_REALIZATION_CACHE: dict[tuple[tuple[int, ...],], IrrepRealization] = {}
-
-
-def canonical_realization(gamma: Staircase, d: int | None = None) -> IrrepRealization:
+@functools.cache
+def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
     """Deterministic realization of the irrep labelled by gamma.
 
     Grown along canonical_path(gamma) by split-Casimir projection, then the
     basis is canonicalized to be real, weight-diagonal and weight-ordered.
-    Results are cached per label.
+    Results are memoised per label.
     """
-    if d is not None and d != gamma.d:
-        raise ValueError("row count mismatch")
-    key = (gamma.entries,)
-    if key in _REALIZATION_CACHE:
-        return _REALIZATION_CACHE[key]
     d = gamma.d
     path = canonical_path(gamma)
     V = np.ones((1, 1))
@@ -304,7 +294,6 @@ def canonical_realization(gamma: Staircase, d: int | None = None) -> IrrepRealiz
         weights=weights,
     )
     real.validate()
-    _REALIZATION_CACHE[key] = real
     return real
 
 
@@ -451,21 +440,14 @@ def dual_generators(gens: np.ndarray) -> np.ndarray:
     return out
 
 
-_DUAL_CACHE: dict[tuple[int, ...], np.ndarray] = {}
-
-
-def dual_structure(nu: Staircase) -> np.ndarray:
+@functools.cache
+def dual_structure(nu: Staircase, /) -> np.ndarray:
     """Real orthogonal Z with Z E_ij^(dual(nu)) = -(E_ji^(nu))^T Z.
 
     Z identifies the canonical realization of the dual label with the dual
     of the canonical realization of nu; it converts conjugate-transforming
     coordinates into canonical ones and is unique up to sign.
     """
-    key = nu.entries
-    if key in _DUAL_CACHE:
-        return _DUAL_CACHE[key]
     a = canonical_realization(nu.dual())
     b_gens = dual_generators(canonical_realization(nu).generators)
-    Z = intertwiner(a.generators, b_gens, nu.d)
-    _DUAL_CACHE[key] = Z
-    return Z
+    return intertwiner(a.generators, b_gens, nu.d)

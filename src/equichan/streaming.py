@@ -30,7 +30,6 @@ import numpy as np
 
 from equichan.channels import ExtremalSpec, irrep_channel
 from equichan.gtpaths import CountingRng, GtPath, sample_gt_path
-from equichan.realize import canonical_realization
 from equichan.staircases import (
     Staircase,
     box_label,
@@ -42,6 +41,9 @@ from equichan.transforms import iterated_cg, schur_transform, simple_cg
 # The gate-synthesis exponent appearing in every polylog cost factor; it is
 # kept as a symbol and nothing here evaluates it.
 SYNTHESIS_EXPONENT_SYMBOL = "p"
+
+# Tolerance on the unit trace and the Hermiticity of a streamed input.
+STATE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +187,22 @@ def _absorb_phase(
 ) -> dict[Staircase, np.ndarray]:
     """Feed input sites through simple CG transforms, decohering the labels.
 
-    Returns subnormalized block states per final label.  The emulator array
-    for label nu at step t has shape (q_nu * d^(m-t))^2 and carries the not
-    yet consumed sites; the algorithm's own live registers are only
+    Every streamed run enters here, so this is where the input is checked:
+    a matrix of the wrong shape, without unit trace or not Hermitian raises
+    ValueError (an O(d^2m) check; positivity is not checked).  Returns
+    subnormalized block states per final label.  The emulator array for
+    label nu at step t has shape (q_nu * d^(m-t))^2 and carries the not yet
+    consumed sites; the algorithm's own live registers are only
     Q (x) one site.
     """
+    dim = d**m
+    if rho.shape != (dim, dim):
+        raise ValueError(f"input shape {rho.shape}, expected {(dim, dim)}")
+    trace = np.trace(rho)
+    if abs(trace - 1.0) > STATE_TOL:
+        raise ValueError(f"input trace {trace:.6g}, expected 1")
+    if np.linalg.norm(rho - rho.conj().T) > STATE_TOL:
+        raise ValueError("input is not Hermitian")
     box = box_label(d)
     sigma: dict[Staircase, np.ndarray] = {box: rho.astype(complex)}
     schedule.append(ScheduleStep("absorb", ("Q", "in:1"), d))
@@ -204,7 +217,7 @@ def _absorb_phase(
         nxt: dict[Staircase, np.ndarray] = {}
         for nu, blk in sigma.items():
             q = dim_gl_irrep(nu)
-            cg = simple_cg(canonical_realization(nu), dual=False)
+            cg = simple_cg(nu, False)
             big = np.kron(cg.matrix, np.eye(rest))
             moved = big @ blk @ big.conj().T
             for b in cg.blocks:
@@ -241,12 +254,11 @@ def streamed_apply(
 
     mode="exact" sums the uniform path mixture of the emission phase
     exactly; mode="sample" draws GT paths with the hook-walk sampler and
-    averages the given number of trajectories.  Returns (output, ledger),
-    plus the recorded schedule when requested.
+    averages the given number of trajectories.  ``rho`` must be a Hermitian
+    unit-trace matrix on d^m dimensions, else ValueError.  Returns
+    (output, ledger), plus the recorded schedule when requested.
     """
     m, n, d = spec.m, spec.n, spec.d
-    if rho.shape != (d**m, d**m):
-        raise ValueError(f"input shape {rho.shape}, expected {(d**m,) * 2}")
     if mode not in ("exact", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sample" and trajectories < 1:
@@ -334,7 +346,7 @@ def _stream_embed_trace_sites(
             ledger.num_simple_dual_cg += 1
         else:
             ledger.num_inverse_cg += 1
-        cg = simple_cg(canonical_realization(prev), dual)
+        cg = simple_cg(prev, dual)
         R = cg.block_rows(nxt)
         moved = R.conj().T @ cur @ R
         cur = np.einsum(
@@ -359,7 +371,7 @@ def _stream_embed_trace_base(
     schedule.append(ScheduleStep("embed", ("Q", "path"), live))
     ledger.bump(live)
     ledger.num_inverse_cg += 1
-    cg = simple_cg(canonical_realization(prev), dual)
+    cg = simple_cg(prev, dual)
     R = cg.block_rows(nxt)
     moved = R.conj().T @ blk @ R
     return np.einsum("iaib->ab", moved.reshape(q_prev, d, q_prev, d))

@@ -394,6 +394,3 @@ def run_suite(name: str, seed: int = 1, **kwargs) -> VerificationReport:
         raise KeyError(f"unknown suite {name!r}; have {sorted(SUITES)}")
     return SUITES[name](seed=seed, **kwargs)
 
-
-def run_all(seed: int = 1) -> list[VerificationReport]:
-    return [fn(seed=seed) for fn in SUITES.values()]

@@ -15,6 +15,8 @@ convention.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,27 +156,26 @@ def _sign_fix(block_map: np.ndarray) -> np.ndarray:
     return block_map * (abs(pivot) / pivot)
 
 
-_SIMPLE_CG_CACHE: dict[tuple[tuple[int, ...], bool], BlockIsometry] = {}
+@functools.cache
+def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
+    """Decompose Q_label (x) C^d (or (x) conj C^d) into single-box blocks.
 
-
-def simple_cg(nu: IrrepRealization, dual: bool = False) -> BlockIsometry:
-    """Decompose Q_nu (x) C^d (or (x) conj C^d) into single-box blocks.
-
+    ``label`` is a staircase; the source irrep is its canonical realization.
     Blocks are separated by the split Casimir, whose eigenvalues for
     single-box moves are distinct integers, and each block is rotated onto
     the canonical realization of its label by the unique intertwiner.
-    Block order follows add_boxes/remove_boxes order.
+    Block order follows add_boxes/remove_boxes order.  Memoised per
+    (label, dual); both arguments are positional so every call shares one
+    cache entry.
     """
-    key = (nu.label.entries, dual)
-    if key in _SIMPLE_CG_CACHE:
-        return _SIMPLE_CG_CACHE[key]
+    nu = canonical_realization(label)
     d = nu.d
     q = nu.dim
     _, evals, evecs = _extend_step(nu.generators, d, dual)
     rows = []
     blocks = []
     offset = 0
-    for s, eig in _step_targets(nu.label, dual):
+    for s, eig in _step_targets(label, dual):
         C = _block_columns(evals, evecs, eig)
         qs = dim_gl_irrep(s)
         if C.shape[1] != qs:
@@ -189,7 +190,6 @@ def simple_cg(nu: IrrepRealization, dual: bool = False) -> BlockIsometry:
     iso = BlockIsometry(np.concatenate(rows, axis=0), blocks)
     assert iso.target_dim == q * d
     iso.validate()
-    _SIMPLE_CG_CACHE[key] = iso
     return iso
 
 
@@ -244,23 +244,23 @@ class PathTransform:
         return self.matrix[start : start + s.q_dim, :]
 
 
-_ITERATED_CACHE: dict[tuple[tuple[int, ...], tuple[bool, ...]], PathTransform] = {}
-
-
-def iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
+def iterated_cg(mu: Staircase, flags: Sequence[bool]) -> PathTransform:
     """Iterate simple (dual) CG transforms over every GT path from mu.
 
     ``flags`` lists the site kinds in order (False = defining factor,
     True = conjugate factor).  The result is a unitary on
     Q_mu (x) C^d^(x k) (x) conj C^d^(x l) whose rows are grouped by final
-    label, path-major within each sector.
+    label, path-major within each sector.  The dense cap is checked on
+    every call, the transform itself is memoised per (mu, tuple(flags)).
     """
+    check_dense(dim_gl_irrep(mu) * mu.d ** len(flags))
+    return _iterated_cg(mu, tuple(flags))
+
+
+@functools.cache
+def _iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
     d = mu.d
     q0 = dim_gl_irrep(mu)
-    check_dense(q0 * d ** len(flags))
-    key = (mu.entries, flags)
-    if key in _ITERATED_CACHE:
-        return _ITERATED_CACHE[key]
     # running blocks: (path steps, current label, row offset, q)
     U = np.eye(q0)
     running: list[tuple[tuple[Staircase, ...], Staircase, int, int]] = [
@@ -273,7 +273,7 @@ def iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
         new_running = []
         offset = 0
         for steps, label, off, q in running:
-            cg = simple_cg(canonical_realization(label), dual)
+            cg = simple_cg(label, dual)
             chunk = cg.matrix @ Uex[off * d : off * d + q * d, :]
             newU[offset : offset + q * d, :] = chunk
             for b in cg.blocks:
@@ -302,9 +302,7 @@ def iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
             paths.append(GtPath(steps, k, l))
             offset += q
         sectors.append(PathSector(label, sector_offset, qdim, tuple(paths)))
-    out = PathTransform(mu, flags, final, sectors)
-    _ITERATED_CACHE[key] = out
-    return out
+    return PathTransform(mu, flags, final, sectors)
 
 
 def schur_transform(m: int, n: int, d: int) -> PathTransform:
@@ -377,23 +375,22 @@ def _highest_weight_space(
     return out
 
 
-_GENERAL_CG_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], BlockIsometry] = {}
-
-
-def general_cg(a: IrrepRealization, b: IrrepRealization) -> BlockIsometry:
+@functools.cache
+def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
     """Decompose Q_a (x) Q_b into irreps with multiplicity.
 
-    Each isotypic component is located through its highest-weight space;
-    copy j of label gamma is spanned by applying one shared lowering recipe
+    ``a_label`` and ``b_label`` are staircases over the same d; the factors
+    are their canonical realizations, and the result is memoised per label
+    pair.  Each isotypic component is located through its highest-weight
+    space; copy j of label gamma is spanned by applying one shared lowering recipe
     to the j-th canonical highest-weight vector, so the multiplicity slots
     of all copies correspond exactly.  Block dimensions are checked against
     the Littlewood-Richardson coefficients.
     """
-    if a.d != b.d:
-        raise ValueError("realizations live over different d")
-    key = (a.label.entries, b.label.entries)
-    if key in _GENERAL_CG_CACHE:
-        return _GENERAL_CG_CACHE[key]
+    if a_label.d != b_label.d:
+        raise ValueError(f"labels live over different d: {a_label}, {b_label}")
+    a = canonical_realization(a_label)
+    b = canonical_realization(b_label)
     d = a.d
     Q = a.dim * b.dim
     gens = _product_generators(a, b)
@@ -411,7 +408,7 @@ def general_cg(a: IrrepRealization, b: IrrepRealization) -> BlockIsometry:
         hw = _highest_weight_space(gens, weight_index, wt, d)
         c = hw.shape[1]
         label = Staircase(wt)
-        expected = lr_coeff(a.label, b.label, label)
+        expected = lr_coeff(a_label, b_label, label)
         if c != expected:
             raise RuntimeError(
                 f"multiplicity mismatch for {label}: highest-weight space has "
@@ -442,5 +439,4 @@ def general_cg(a: IrrepRealization, b: IrrepRealization) -> BlockIsometry:
     if iso.target_dim != Q:
         raise RuntimeError("isotypic blocks do not exhaust the product space")
     iso.validate()
-    _GENERAL_CG_CACHE[key] = iso
     return iso

@@ -28,13 +28,6 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return Q / det ** (1.0 / d)
 
 
-def frob(A: np.ndarray, B: np.ndarray | None = None) -> float:
-    """Frobenius norm of A, or of A - B."""
-    if B is None:
-        return float(np.linalg.norm(A))
-    return float(np.linalg.norm(A - B))
-
-
 def tv_distance(empirical: dict[Staircase, float], exact: RemovalDistribution) -> float:
     """Total variation distance between an empirical histogram and an exact
     distribution; empirical counts are normalized first."""

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import equichan
 from equichan.apps import (
     AppResult,
     clone,
@@ -106,6 +112,11 @@ class TestClone:
         with pytest.raises(ValueError, match="symmetric subspace"):
             clone(rho, 2, 3, 2)
 
+    def test_rejects_non_unit_trace_input(self):
+        P = symmetric_projector(2, 2)
+        with pytest.raises(ValueError, match="trace"):
+            clone(P, 2, 3, 2)
+
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):
             clone(np.array([1.0, 0.0]), 2, 2, 2)
@@ -174,5 +185,26 @@ class TestPurityAmplify:
 
 class TestAppResult:
     def test_rejects_bad_output(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="trace"):
             AppResult(np.eye(2), None)  # trace 2
+        with pytest.raises(ValueError, match="positive"):
+            AppResult(np.diag([1.5, -0.5]), None)
+
+    def test_rejects_bad_output_under_optimize(self):
+        # the checks are exceptions, not asserts, so python -O keeps them
+        src = Path(equichan.__file__).resolve().parents[1]
+        code = (
+            "import numpy as np\n"
+            "from equichan.apps import AppResult\n"
+            "from equichan.streaming import ResourceLedger\n"
+            "try:\n"
+            "    AppResult(10 * np.eye(2) / 2, ResourceLedger())\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('accepted an output of trace 10')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -199,6 +199,6 @@ def test_four_row_realizations():
         r = canonical_realization(staircase(*entries))
         r.validate()
         assert r.dim == dim_gl_irrep(staircase(*entries))
-    cg = simple_cg(canonical_realization(staircase(1, 1, 0, 0)), dual=False)
+    cg = simple_cg(staircase(1, 1, 0, 0), False)
     assert [str(b.label) for b in cg.blocks] == ["(2,1,0,0)", "(1,1,1,0)"]
     cg.validate()

@@ -12,7 +12,6 @@ from equichan.channels import (
     symmetrization_spec,
 )
 from equichan.gtpaths import CountingRng, GtPath, enumerate_paths, sample_gt_path
-from equichan.realize import canonical_realization
 from equichan.staircases import (
     dim_gl_irrep,
     empty_staircase,
@@ -223,6 +222,15 @@ class TestStreamedApply:
         for trajectories in (0, -5):
             with pytest.raises(ValueError, match="trajectory"):
                 streamed_apply(spec, rho, mode="sample", trajectories=trajectories)
+
+    def test_non_unit_trace_input_rejected(self):
+        with pytest.raises(ValueError, match="trace"):
+            streamed_apply(symmetrization_spec(2, 2), 20 * np.eye(4) / 4)
+
+    def test_non_hermitian_input_rejected(self):
+        rho = np.array([[0.5, 1.0], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            streamed_apply(symmetrization_spec(1, 2), rho)
 
     def test_single_trajectory_emits_along_drawn_path(self, rng):
         # one trajectory emits each label along exactly the path the hook

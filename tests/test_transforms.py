@@ -93,7 +93,7 @@ class TestPermutationOperator:
 
 class TestSimpleCg:
     def test_box_blocks(self):
-        cg = simple_cg(canonical_realization(staircase(1, 0)), dual=False)
+        cg = simple_cg(staircase(1, 0), False)
         assert [(str(b.label), b.size) for b in cg.blocks] == [("(2,0)", 3), ("(1,1)", 1)]
         # the (1,1) row is the singlet
         row = cg.block_rows(staircase(1, 1))[0]
@@ -101,7 +101,7 @@ class TestSimpleCg:
         assert min(np.linalg.norm(row - expected), np.linalg.norm(row + expected)) < 1e-10
 
     def test_dual_box_blocks(self):
-        cg = simple_cg(canonical_realization(staircase(1, 0)), dual=True)
+        cg = simple_cg(staircase(1, 0), True)
         assert [(str(b.label), b.size) for b in cg.blocks] == [("(0,0)", 1), ("(1,-1)", 3)]
         row = cg.block_rows(staircase(0, 0))[0]
         expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
@@ -109,14 +109,14 @@ class TestSimpleCg:
 
     def test_single_row_dims(self):
         for m in (1, 2, 3):
-            cg = simple_cg(canonical_realization(staircase(m, 0)), dual=False)
+            cg = simple_cg(staircase(m, 0), False)
             sizes = {str(b.label): b.size for b in cg.blocks}
             assert sizes == {f"({m+1},0)": m + 2, f"({m},1)": m}
 
     def test_real_entries(self):
         for label in [staircase(2, 1), staircase(1, -1), staircase(2, 1, 0)]:
             for dual in (False, True):
-                cg = simple_cg(canonical_realization(label), dual)
+                cg = simple_cg(label, dual)
                 assert np.isrealobj(cg.matrix) or np.linalg.norm(cg.matrix.imag) < 1e-10
 
 
@@ -254,20 +254,18 @@ class TestIteratedCg:
 
 class TestGeneralCg:
     def test_reproduces_simple(self):
-        a = canonical_realization(staircase(1, 0))
+        a = staircase(1, 0)
         g = general_cg(a, a)
-        s = simple_cg(a, dual=False)
+        s = simple_cg(a, False)
         assert np.linalg.norm(g.matrix - s.matrix) < 1e-10
 
     def test_multiplicity_two(self):
-        a = canonical_realization(staircase(2, 1, 0))
+        a = staircase(2, 1, 0)
         g = general_cg(a, a)
         assert g.multiplicity(staircase(3, 2, 1)) == 2
 
     def test_negative_labels(self):
-        a = canonical_realization(staircase(1, -1))
-        b = canonical_realization(staircase(1, 0))
-        g = general_cg(a, b)
+        g = general_cg(staircase(1, -1), staircase(1, 0))
         sizes = {(str(bl.label)): bl.size for bl in g.blocks}
         assert sizes == {"(2,-1)": 4, "(1,0)": 2}
         assert g.target_dim == 6
@@ -276,7 +274,7 @@ class TestGeneralCg:
         # each block intertwines the product action with the canonical one
         a = canonical_realization(staircase(2, 0))
         b = canonical_realization(staircase(1, 1))
-        g = general_cg(a, b)
+        g = general_cg(a.label, b.label)
         for _ in range(3):
             U = haar_unitary(2, rng)
             prod = np.kron(a.group_element(U), b.group_element(U))
@@ -295,21 +293,69 @@ class TestGeneralCg:
                 for b in range(0, 6 - a):
                     for lam in partitions_of(a, d):
                         for mu in partitions_of(b, d):
-                            g = general_cg(
-                                canonical_realization(lam), canonical_realization(mu)
-                            )
+                            g = general_cg(lam, mu)
                             for label in g.labels():
                                 assert g.multiplicity(label) == lr_coeff(lam, mu, label)
+
+
+class TestBuilderCache:
+    def test_builders_are_memoised_by_functools(self):
+        import equichan.channels as channels
+        import equichan.transforms as transforms
+
+        for builder in (
+            canonical_realization,
+            dual_structure,
+            simple_cg,
+            general_cg,
+            transforms._iterated_cg,
+            channels._classification_isometry,
+        ):
+            assert callable(builder.cache_info) and callable(builder.cache_clear)
+
+    def test_simple_cg_has_one_call_form(self):
+        label = staircase(2, 1)
+        first = simple_cg(label, False)
+        size = simple_cg.cache_info().currsize
+        assert simple_cg(label, False) is first
+        assert simple_cg(staircase(2, 1), False) is first
+        assert simple_cg.cache_info().currsize == size
+        # no keyword or defaulted form can open a second cache entry
+        with pytest.raises(TypeError):
+            simple_cg(label, dual=False)
+        with pytest.raises(TypeError):
+            simple_cg(label)
+
+    def test_builders_take_labels_not_realizations(self):
+        label = staircase(1, 0)
+        real = canonical_realization(label)
+        with pytest.raises(TypeError):
+            simple_cg(real, False)
+        with pytest.raises(TypeError):
+            general_cg(real, real)
+        with pytest.raises(TypeError):
+            canonical_realization(label, 2)
+
+    def test_iterated_cg_accepts_any_flag_sequence(self):
+        mu = staircase(1, 0)
+        assert iterated_cg(mu, [False, True]) is iterated_cg(mu, (False, True))
+
+    def test_classification_isometry_call_forms_share_an_entry(self):
+        from equichan.channels import classification_isometry
+
+        assert classification_isometry(2, 1, 2) is classification_isometry(m=2, n=1, d=2)
+
+    def test_general_cg_rejects_mixed_d(self):
+        with pytest.raises(ValueError, match="different d"):
+            general_cg(staircase(1, 0), staircase(1, 0, 0))
 
 
 def _invariant_triple_vec(lam, mu, nu):
     """vec of the CG restriction to Q_nu, with the conjugate slot rotated to
     canonical dual coordinates; an invariant vector in Q_lam (x) Q_mu (x) Q_nubar."""
-    a = canonical_realization(lam)
-    b = canonical_realization(mu)
-    g = general_cg(a, b)
+    g = general_cg(lam, mu)
     rows = g.block_rows(nu, 0)  # (q_nu, q_lam*q_mu)
-    T = rows.conj().T.reshape(a.dim, b.dim, dim_gl_irrep(nu))
+    T = rows.conj().T.reshape(dim_gl_irrep(lam), dim_gl_irrep(mu), dim_gl_irrep(nu))
     Z = dual_structure(nu)
     return np.einsum("abg,hg->abh", T, Z.conj().T)
 
