@@ -7,7 +7,10 @@ positive multiplicity-space matrix per admissible label triple
 pin a single triple and a rank-one multiplicity state per input label, and
 factor as Schur sampling, an irrep-level channel, and the reverse Schur
 sampling.  This module builds all of these as dense objects and checks them
-against each other.
+against each other.  Each stage of the factorization is a Kraus map; the
+factored channel's Kraus operators are the products of one operator per
+stage, and its Choi matrix is V V^dag with one vectorized operator per
+column of V.
 
 Conventions: the Choi matrix of Phi is sum_ij |i><j| (x) Phi(|i><j|), so
 its first tensor slot carries the conjugate action on the input space.
@@ -50,7 +53,7 @@ TP_TOL = 1e-8
 
 
 class Channel:
-    """A completely positive map given by whatever lets us apply it."""
+    """A completely positive map from in_dim to out_dim dimensions."""
 
     in_dim: int
     out_dim: int
@@ -60,18 +63,7 @@ class Channel:
 
     def choi(self) -> np.ndarray:
         """C = sum_ij |i><j| (x) apply(|i><j|)."""
-        D = self.in_dim
-        C = np.zeros((D * self.out_dim, D * self.out_dim), dtype=complex)
-        for i in range(D):
-            for j in range(D):
-                E = np.zeros((D, D), dtype=complex)
-                E[i, j] = 1.0
-                out = self.apply(E)
-                C[
-                    i * self.out_dim : (i + 1) * self.out_dim,
-                    j * self.out_dim : (j + 1) * self.out_dim,
-                ] = out
-        return C
+        raise NotImplementedError
 
 
 class KrausChannel(Channel):
@@ -86,6 +78,11 @@ class KrausChannel(Channel):
             acc += K @ rho @ K.conj().T
         return acc
 
+    def choi(self) -> np.ndarray:
+        """C = V V^dag, column k of V being vec(K_k) indexed (in, out)."""
+        V = np.stack([K.T.reshape(-1) for K in self.ops], axis=1)
+        return V @ V.conj().T
+
 
 class ChoiChannel(Channel):
     def __init__(self, choi: np.ndarray, in_dim: int, out_dim: int):
@@ -98,36 +95,6 @@ class ChoiChannel(Channel):
 
     def choi(self) -> np.ndarray:
         return self.choi_matrix
-
-
-class SandwichChannel(Channel):
-    """Phi(A) = scale * V^dag (A (x) 1_aux) V."""
-
-    def __init__(self, V: np.ndarray, aux_dim: int, scale: float):
-        self.V = V
-        self.aux_dim = aux_dim
-        self.scale = scale
-        self.in_dim = V.shape[0] // aux_dim
-        self.out_dim = V.shape[1]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        big = np.kron(rho, np.eye(self.aux_dim))
-        return self.scale * (self.V.conj().T @ big @ self.V)
-
-
-class CompositeChannel(Channel):
-    def __init__(self, stages: list[Channel]):
-        for a, b in zip(stages, stages[1:]):
-            if a.out_dim != b.in_dim:
-                raise ValueError("stage dimensions do not chain")
-        self.stages = stages
-        self.in_dim = stages[0].in_dim
-        self.out_dim = stages[-1].out_dim
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        for stage in self.stages:
-            rho = stage.apply(rho)
-        return rho
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +133,17 @@ class ChoiMatrix:
         return self.d**self.n
 
     def validate(self, psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> None:
+        """Raise ValueError unless Hermitian, PSD and trace preserving."""
         M = self.matrix
-        assert np.linalg.norm(M - M.conj().T) < HERMITIAN_TOL, "not Hermitian"
+        if not np.linalg.norm(M - M.conj().T) < HERMITIAN_TOL:
+            raise ValueError("not Hermitian")
         evals = np.linalg.eigvalsh((M + M.conj().T) / 2)
-        assert evals.min() > -psd_tol, f"not PSD: min eigenvalue {evals.min():.2e}"
+        if not evals.min() > -psd_tol:
+            raise ValueError(f"not PSD: min eigenvalue {evals.min():.2e}")
         C4 = M.reshape(self.in_dim, self.out_dim, self.in_dim, self.out_dim)
         red = np.einsum("iaja->ij", C4)
-        assert (
-            np.linalg.norm(red - np.eye(self.in_dim)) < tp_tol
-        ), "not trace preserving"
+        if not np.linalg.norm(red - np.eye(self.in_dim)) < tp_tol:
+            raise ValueError("not trace preserving")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return apply_choi(self.matrix, rho, self.in_dim, self.out_dim)
@@ -455,6 +424,7 @@ def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     iso = ClassificationIsometry(m, n, d, out, blocks)
     resid = np.linalg.norm(out @ out.conj().T - np.eye(D))
     assert resid < 1e-9, f"classification isometry not unitary: {resid:.2e}"
+    out.flags.writeable = False
     return iso
 
 
@@ -675,7 +645,8 @@ def irrep_channel(
             q_mu * qg, q_lam
         )
         resid = np.linalg.norm(iota.conj().T @ iota - np.eye(q_lam))
-        assert resid < 1e-8, f"embedding not isometric: {resid:.2e}"
+        if resid >= 1e-8:
+            raise RuntimeError(f"embedding not isometric: {resid:.2e}")
         ops = [iota.reshape(q_mu, qg, q_lam)[:, h, :] for h in range(qg)]
         return KrausChannel(ops, q_lam, q_mu)
 
@@ -686,8 +657,13 @@ def irrep_channel(
             q_lam * qg, q_mu
         )
         resid = np.linalg.norm(iota3.conj().T @ iota3 - np.eye(q_mu))
-        assert resid < 1e-8, f"sandwich embedding not isometric: {resid:.2e}"
-        return SandwichChannel(iota3, qg, dim_gl_irrep(lam) / dim_gl_irrep(mu))
+        if resid >= 1e-8:
+            raise RuntimeError(f"sandwich embedding not isometric: {resid:.2e}")
+        # Phi(A) = (q_lam / q_mu) iota3^dag (A (x) 1_gamma) iota3, one operator per h
+        scale = np.sqrt(q_lam / q_mu)
+        V3 = iota3.reshape(q_lam, qg, q_mu)
+        ops = [scale * V3[:, h, :].conj().T for h in range(qg)]
+        return KrausChannel(ops, q_lam, q_mu)
 
     raise ValueError(f"unknown form {form!r}")
 
@@ -697,44 +673,29 @@ def irrep_channel(
 # ---------------------------------------------------------------------------
 
 
-class BlockDiagonalChannel(Channel):
-    """Apply a per-label channel between two direct-sum layouts."""
-
-    def __init__(
-        self,
-        in_layout: list[SumBlock],
-        out_layout: list[SumBlock],
-        routes: list[tuple[SumBlock, SumBlock, Channel]],
-    ):
-        self.in_dim = sum(b.size for b in in_layout)
-        self.out_dim = sum(b.size for b in out_layout)
-        self.routes = routes
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for src, dst, ch in self.routes:
-            blk = rho[src.offset : src.offset + src.size, src.offset : src.offset + src.size]
-            res = ch.apply(blk)
-            out[dst.offset : dst.offset + dst.size, dst.offset : dst.offset + dst.size] += res
-        return out
-
-
 def factored_channel(spec: ExtremalSpec) -> ChoiMatrix:
-    """Compose reverse sampling, irrep channels and sampling; return the Choi.
+    """Compose sampling, irrep channels and reverse sampling; return the Choi.
 
-    This is the executable form of the factorization theorem: the result
-    agrees with extremal_choi(spec) to numerical precision.
+    This is the executable form of the factorization theorem.  Every stage
+    is a Kraus map: Schur sampling on the m inputs, one embed-trace irrep
+    channel per input label placed between the two direct-sum layouts, and
+    mixed reverse sampling on the n outputs.  The composite's Kraus
+    operators are the products of one operator per stage, and its Choi
+    matrix is KrausChannel.choi(), one GEMM.  The result agrees with
+    extremal_choi(spec) to numerical precision.
     """
     uss = uss_channel(spec.m, 0, spec.d)
     dual = dual_uss_channel(spec.n, 0, spec.d)
-    in_layout = uss.layout
-    out_layout = dual.layout
-    routes = []
-    for blk in in_layout:
-        t = spec.triple(blk.label)
-        dst = next(b for b in out_layout if b.label == t.mu)
-        ch = irrep_channel(blk.label, t.mu, t.gamma, t.psi, form="embed-trace")
-        routes.append((blk, dst, ch))
-    middle = BlockDiagonalChannel(in_layout, out_layout, routes)
-    composite = CompositeChannel([uss, middle, dual])
+    middle = []
+    for src in uss.layout:
+        t = spec.triple(src.label)
+        dst = next(b for b in dual.layout if b.label == t.mu)
+        ch = irrep_channel(src.label, t.mu, t.gamma, t.psi, form="embed-trace")
+        for K in ch.ops:
+            B = np.zeros((dual.in_dim, uss.out_dim), dtype=complex)
+            B[dst.offset : dst.offset + dst.size, src.offset : src.offset + src.size] = K
+            middle.append(B)
+    # products across disjoint blocks are exactly zero and add nothing
+    ops = [C @ B @ A for A in uss.ops for B in middle for C in dual.ops]
+    composite = KrausChannel([K for K in ops if K.any()], uss.in_dim, dual.out_dim)
     return ChoiMatrix(composite.choi(), spec.m, spec.n, spec.d)

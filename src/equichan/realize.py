@@ -113,19 +113,22 @@ class IrrepRealization:
     def validate(self, tol: float = CONSTRUCTION_TOL) -> None:
         V = self.embedding
         q = self.dim
-        assert np.linalg.norm(V.conj().T @ V - np.eye(q)) < tol, "not an isometry"
+        if not np.linalg.norm(V.conj().T @ V - np.eye(q)) < tol:
+            raise ValueError("not an isometry")
         d = self.d
         G = self.generators
         for i in range(d):
             offdiag = G[i, i] - np.diag(np.diag(G[i, i]))
-            assert np.linalg.norm(offdiag) < tol, "Cartan not diagonal"
+            if not np.linalg.norm(offdiag) < tol:
+                raise ValueError("Cartan not diagonal")
         for i in range(d):
             for j in range(d):
                 for k in range(d):
                     for l in range(d):
                         comm = G[i, j] @ G[k, l] - G[k, l] @ G[i, j]
                         expect = (k == j) * G[i, l] - (i == l) * G[k, j]
-                        assert np.linalg.norm(comm - expect) < tol, "bad commutator"
+                        if not np.linalg.norm(comm - expect) < tol:
+                            raise ValueError("bad commutator")
 
 
 def _restricted_casimir(gens: np.ndarray, d: int, dual: bool) -> np.ndarray:
@@ -294,6 +297,8 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
         weights=weights,
     )
     real.validate()
+    for arr in (Vc, gens_c, weights):
+        arr.flags.writeable = False
     return real
 
 
@@ -450,4 +455,6 @@ def dual_structure(nu: Staircase, /) -> np.ndarray:
     """
     a = canonical_realization(nu.dual())
     b_gens = dual_generators(canonical_realization(nu).generators)
-    return intertwiner(a.generators, b_gens, nu.d)
+    Z = intertwiner(a.generators, b_gens, nu.d)
+    Z.flags.writeable = False
+    return Z

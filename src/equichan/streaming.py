@@ -117,7 +117,8 @@ def validate_schedule(steps: list[ScheduleStep]) -> None:
 
     Every step touches at most the irrep register, the path register and a
     single site; input sites are consumed in increasing order, output sites
-    emitted in decreasing order, and no site is touched twice.
+    emitted in decreasing order, and no site is touched twice.  Raises
+    ValueError at the first violation.
     """
     last_in = 0
     next_out = None
@@ -125,22 +126,26 @@ def validate_schedule(steps: list[ScheduleStep]) -> None:
     for s in steps:
         sites = [r for r in s.registers if ":" in r]
         others = [r for r in s.registers if ":" not in r]
-        assert set(others) <= {"Q", "path", "label"}, f"bad registers in {s}"
-        assert len(sites) <= 1, f"step touches several sites: {s}"
+        if not set(others) <= {"Q", "path", "label"}:
+            raise ValueError(f"bad registers in {s}")
+        if len(sites) > 1:
+            raise ValueError(f"step touches several sites: {s}")
         for site in sites:
             kind, num = site.split(":")
             num = int(num)
-            assert site not in seen_sites, f"site touched twice: {s}"
+            if site in seen_sites:
+                raise ValueError(f"site touched twice: {s}")
             seen_sites.add(site)
             if kind == "in":
-                assert num == last_in + 1, f"input consumed out of order: {s}"
+                if num != last_in + 1:
+                    raise ValueError(f"input consumed out of order: {s}")
                 last_in = num
             elif kind == "out":
-                if next_out is not None:
-                    assert num == next_out, f"output emitted out of order: {s}"
+                if next_out is not None and num != next_out:
+                    raise ValueError(f"output emitted out of order: {s}")
                 next_out = num - 1
             elif kind != "aux":
-                raise AssertionError(f"unknown site kind in {s}")
+                raise ValueError(f"unknown site kind in {s}")
 
 
 @dataclass

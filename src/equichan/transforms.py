@@ -137,13 +137,16 @@ class BlockIsometry:
 
     def validate(self, tol: float = CONSTRUCTION_TOL) -> None:
         got = self.matrix.conj().T @ self.matrix
-        assert np.linalg.norm(got - np.eye(self.source_dim)) < tol, "not an isometry"
+        if not np.linalg.norm(got - np.eye(self.source_dim)) < tol:
+            raise ValueError("not an isometry")
         covered = sorted((b.offset, b.size) for b in self.blocks)
         pos = 0
         for off, size in covered:
-            assert off == pos, "blocks do not tile the rows"
+            if off != pos:
+                raise ValueError("blocks do not tile the rows")
             pos += size
-        assert pos == self.target_dim
+        if pos != self.target_dim:
+            raise ValueError("blocks do not cover the rows")
 
 
 def _sign_fix(block_map: np.ndarray) -> np.ndarray:
@@ -190,6 +193,7 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     iso = BlockIsometry(np.concatenate(rows, axis=0), blocks)
     assert iso.target_dim == q * d
     iso.validate()
+    iso.matrix.flags.writeable = False
     return iso
 
 
@@ -302,6 +306,7 @@ def _iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
             paths.append(GtPath(steps, k, l))
             offset += q
         sectors.append(PathSector(label, sector_offset, qdim, tuple(paths)))
+    final.flags.writeable = False
     return PathTransform(mu, flags, final, sectors)
 
 
@@ -439,4 +444,5 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
     if iso.target_dim != Q:
         raise RuntimeError("isotypic blocks do not exhaust the product space")
     iso.validate()
+    iso.matrix.flags.writeable = False
     return iso

@@ -1,13 +1,21 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import equichan
 from equichan.channels import (
     ChoiMatrix,
     ExtremalSpec,
     ExtremalTriple,
+    KrausChannel,
     NotSymmetricError,
     apply_channel,
+    apply_choi,
     block_decompose_choi,
     check_symmetries,
     classification_isometry,
@@ -123,6 +131,27 @@ class TestCheckSymmetries:
         rep = check_symmetries(choi, trials=5, rng=rng)
         assert rep.max_permutation_residual > 0.1
         assert not rep.passed(1e-8)
+
+
+class TestChoiValidate:
+    def test_rejects_non_trace_preserving_under_optimize(self):
+        # the checks are exceptions, not asserts, so python -O keeps them
+        src = Path(equichan.__file__).resolve().parents[1]
+        code = (
+            "import numpy as np\n"
+            "from equichan.channels import ChoiMatrix\n"
+            "v = np.eye(2).reshape(-1)\n"
+            "try:\n"
+            "    ChoiMatrix(2 * np.outer(v, v), 1, 1, 2).validate()\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('accepted a Choi matrix of trace 4')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEnumerateTriples:
@@ -368,6 +397,33 @@ class TestUssChannels:
         assert back.shape == (4, 4)
 
 
+THREE_FORM_CASES = [
+    (staircase(2, 0), staircase(2, 0), staircase(1, -1)),
+    (staircase(1, 0), staircase(2, 0), staircase(1, 0)),
+    (staircase(2, 1), staircase(1, 0), staircase(0, -2)),
+    (staircase(2, 1, 0), staircase(1, 1, 1), staircase(1, 1, -2)),
+]
+
+
+class TestKrausChoi:
+    def test_matches_definition(self, rng):
+        in_dim, out_dim = 3, 5
+        ops = [
+            rng.normal(size=(out_dim, in_dim)) + 1j * rng.normal(size=(out_dim, in_dim))
+            for _ in range(4)
+        ]
+        ch = KrausChannel(ops, in_dim, out_dim)
+        C = np.zeros((in_dim * out_dim,) * 2, dtype=complex)
+        for i in range(in_dim):
+            for j in range(in_dim):
+                E = np.zeros((in_dim, in_dim))
+                E[i, j] = 1.0
+                C += np.kron(E, sum(K @ E @ K.conj().T for K in ops))
+        assert np.linalg.norm(ch.choi() - C) < 1e-12
+        rho = random_state(in_dim, rng)
+        assert np.linalg.norm(apply_choi(C, rho, in_dim, out_dim) - ch.apply(rho)) < 1e-12
+
+
 class TestIrrepChannel:
     def test_identity_when_gamma_trivial(self, rng):
         from equichan.staircases import empty_staircase
@@ -396,13 +452,7 @@ class TestIrrepChannel:
             assert np.linalg.norm(left - right) < 1e-8
 
     def test_three_forms_agree(self, rng):
-        cases = [
-            (staircase(2, 0), staircase(2, 0), staircase(1, -1)),
-            (staircase(1, 0), staircase(2, 0), staircase(1, 0)),
-            (staircase(2, 1), staircase(1, 0), staircase(0, -2)),
-            (staircase(2, 1, 0), staircase(1, 1, 1), staircase(1, 1, -2)),
-        ]
-        for lam, mu, gamma in cases:
+        for lam, mu, gamma in THREE_FORM_CASES:
             c = lr_coeff(lam.dual(), mu, gamma)
             if c < 1:
                 continue
@@ -417,6 +467,18 @@ class TestIrrepChannel:
                 outs.append(ch.apply(X))
             assert np.linalg.norm(outs[0] - outs[1]) < 1e-8
             assert np.linalg.norm(outs[0] - outs[2]) < 1e-8
+
+    def test_sandwich_kraus_operators_trace_preserving(self, rng):
+        for lam, mu, gamma in THREE_FORM_CASES:
+            c = lr_coeff(lam.dual(), mu, gamma)
+            if c < 1:
+                continue
+            psi = rng.normal(size=c) + 1j * rng.normal(size=c)
+            psi /= np.linalg.norm(psi)
+            ch = irrep_channel(lam, mu, gamma, psi, form="sandwich")
+            assert isinstance(ch, KrausChannel)
+            total = sum(K.conj().T @ K for K in ch.ops)
+            assert np.linalg.norm(total - np.eye(ch.in_dim)) < 1e-10
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -195,16 +195,16 @@ class TestStreamedApply:
 
     def test_schedule_validator_catches_violations(self):
         bad = [ScheduleStep("absorb", ("Q", "in:2"), 4)]
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             validate_schedule(bad)
         bad = [ScheduleStep("absorb", ("Q", "in:1", "in:2"), 4)]
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             validate_schedule(bad)
         bad = [
             ScheduleStep("absorb", ("Q", "in:1"), 2),
             ScheduleStep("absorb", ("Q", "in:1"), 2),
         ]
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             validate_schedule(bad)
 
     def test_sampled_mode_deterministic_when_paths_unique(self, rng):

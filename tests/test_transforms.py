@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equichan.apps import symmetrize
 from equichan.limits import ResourceError
 from equichan.realize import canonical_realization, dual_structure
 from equichan.staircases import (
@@ -24,7 +25,7 @@ from equichan.transforms import (
 )
 from equichan.verify import haar_unitary
 
-from oracles import permutation_matrix
+from oracles import permutation_matrix, symmetrize_brute
 
 
 class TestVec:
@@ -348,6 +349,36 @@ class TestBuilderCache:
     def test_general_cg_rejects_mixed_d(self):
         with pytest.raises(ValueError, match="different d"):
             general_cg(staircase(1, 0), staircase(1, 0, 0))
+
+    def test_cached_arrays_are_read_only(self):
+        from equichan.channels import classification_isometry
+
+        lam = staircase(2, 1, 0)
+        real = canonical_realization(lam)
+        arrays = {
+            "simple_cg": simple_cg(lam, True).matrix,
+            "general_cg": general_cg(lam, staircase(1, 0, 0)).matrix,
+            "iterated_cg": iterated_cg(lam, (False, True)).matrix,
+            "schur_transform": schur_transform(2, 1, 2).matrix,
+            "path_rows": schur_transform(2, 0, 2).path_rows(staircase(1, 1), 0),
+            "embedding": real.embedding,
+            "generators": real.generators,
+            "weights": real.weights,
+            "dual_structure": dual_structure(lam),
+            "classification_isometry": classification_isometry(1, 1, 2).matrix,
+        }
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+            idx = (0,) * arr.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                arr[idx] = arr[idx]  # a no-op, were the write allowed
+
+    def test_cache_edit_fails_at_the_write(self):
+        with pytest.raises(ValueError, match="read-only"):
+            simple_cg(staircase(1, 0), False).matrix[:] = 0
+        rho = np.eye(4) / 4
+        out = symmetrize(rho, 2, 2).output
+        assert np.linalg.norm(out - symmetrize_brute(rho, 2, 2)) < 1e-10
 
 
 def _invariant_triple_vec(lam, mu, nu):
