@@ -23,6 +23,7 @@ from equichan.gtpaths import (
     exact_removal_distribution,
     next_step_distribution,
     sample_gt_path,
+    sample_gt_rows,
     sample_remove_box,
 )
 from equichan.realize import IrrepRealization, canonical_realization
@@ -104,6 +105,7 @@ __all__ = [
     "remove_boxes",
     "resource_estimate",
     "sample_gt_path",
+    "sample_gt_rows",
     "sample_remove_box",
     "schur_transform",
     "simple_cg",

@@ -136,7 +136,8 @@ def clone(
     if stray > SYMMETRIC_SUPPORT_TOL:
         raise ValueError(f"non-symmetric weight {stray:.2e} after absorption")
     path = _unique_path(mu, lam, 0, n - m)
-    assert path is not None, "single-row removal path must be unique"
+    if path is None:
+        raise RuntimeError("single-row removal path must be unique")
     ledger.r_prime = max(ledger.r_prime, 1)
     aux_counter = itertools.count(1)
     out_mu = _stream_embed_trace_sites(

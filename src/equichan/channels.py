@@ -420,10 +420,12 @@ def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
                     ClassBlock(lam, mu, g, offset, sl.p_dim, sn_.p_dim, mult, qg)
                 )
                 offset += size
-    assert offset == D
+    if offset != D:
+        raise RuntimeError(f"classification blocks fill {offset} of {D} rows")
     iso = ClassificationIsometry(m, n, d, out, blocks)
     resid = np.linalg.norm(out @ out.conj().T - np.eye(D))
-    assert resid < 1e-9, f"classification isometry not unitary: {resid:.2e}"
+    if resid >= 1e-9:
+        raise RuntimeError(f"classification isometry not unitary: {resid:.2e}")
     out.flags.writeable = False
     return iso
 

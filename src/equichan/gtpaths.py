@@ -23,8 +23,12 @@ final inverse-CDF draw.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,16 +97,6 @@ class RemovalDistribution:
 
     def __getitem__(self, mu: Staircase) -> Fraction:
         return self.probs[mu]
-
-    def sample(self, rng: np.random.Generator) -> Staircase:
-        u = rng.random()
-        acc = 0.0
-        items = [(mu, self.probs[mu]) for mu in self.support()]
-        for mu, p in items:
-            acc += float(p)
-            if u < acc:
-                return mu
-        return items[-1][0]
 
 
 def enumerate_paths(mu: Staircase, k: int, l: int) -> dict[Staircase, list[GtPath]]:
@@ -216,27 +210,74 @@ def _squash(rows: list[int]) -> tuple[list[int], list[int], list[int], list[int]
     return nu, v, w, corner_rows
 
 
-def _walk_squashed(rows: list[int], draws) -> int:
-    """Weighted walk on the squashed diagram; returns the removable row index.
+class _WalkTable(NamedTuple):
+    """The squashed walk on one diagram, as immutable tuples.
+
+    ``cells`` lists the squashed cells (k, l); ``start`` holds the
+    cumulative start weights v(k)w(l) over them; ``moves[c]`` holds the
+    indices of the cells cell c can move to (right, then down) with their
+    cumulative weights, and is empty on the anti-diagonal; ``corner[c]``
+    is the 0-based original row the walk removes a box from when it stops
+    on cell c.
+    """
+
+    cells: tuple[tuple[int, int], ...]
+    start: tuple[int, ...]
+    moves: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    corner: tuple[int, ...]
+
+
+@functools.cache
+def _walk_table(rows: tuple[int, ...]) -> _WalkTable:
+    """Squashed-walk table of the Young diagram with the given row lengths.
 
     Cell (k, l) of the squashed diagram stands for a v(k) x w(l) rectangle
     of original boxes.  The start cell is drawn with probability
     proportional to v(k)w(l); subsequent moves go right with weight w(l')
     or down with weight v(k'), and the walk stops on the anti-diagonal.
+    Memoised per row tuple.
     """
-    nu, v, w, corner_rows = _squash(rows)
+    nu, v, w, corner_rows = _squash(list(rows))
     K = len(nu)
-    cells = [(k, l) for k in range(K) for l in range(K - k)]
-    weights = [v[k] * w[l] for k, l in cells]
-    k, l = cells[_pick(weights, next(draws))]
-    while True:
+    cells = tuple((k, l) for k in range(K) for l in range(K - k))
+    index = {cell: c for c, cell in enumerate(cells)}
+    moves = []
+    for k, l in cells:
         right = [(k, ll) for ll in range(l + 1, K - k)]
         below = [(kk, l) for kk in range(k + 1, K - l)]
-        options = right + below
-        if not options:
-            return corner_rows[k]
-        opt_weights = [w[ll] for _, ll in right] + [v[kk] for kk, _ in below]
-        k, l = options[_pick(opt_weights, next(draws))]
+        weights = [w[ll] for _, ll in right] + [v[kk] for kk, _ in below]
+        targets = tuple(index[cell] for cell in right + below)
+        moves.append((targets, tuple(accumulate(weights))))
+    return _WalkTable(
+        cells=cells,
+        start=tuple(accumulate(v[k] * w[l] for k, l in cells)),
+        moves=tuple(moves),
+        corner=tuple(corner_rows[k] for k, _ in cells),
+    )
+
+
+def _pick_cumulative(cum: tuple[int, ...], u: float) -> int:
+    """``_pick`` on cumulative weights: the same comparisons, by bisection."""
+    return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
+
+
+def _remove_row(rows: tuple[int, ...], rng, mode: str) -> int:
+    """Row the hook walk of the given mode removes a box from.
+
+    alg3 walks the memoised squashed-walk table of ``rows``, drawing one
+    uniform number per decision exactly as the box walk does.
+    """
+    if mode == "alg1":
+        return _walk_boxes(list(rows), iter(rng.random, None))
+    if mode != "alg3":
+        raise ValueError(f"unknown mode {mode!r}")
+    table = _walk_table(rows)
+    c = _pick_cumulative(table.start, rng.random())
+    targets, cum = table.moves[c]
+    while targets:
+        c = targets[_pick_cumulative(cum, rng.random())]
+        targets, cum = table.moves[c]
+    return table.corner[c]
 
 
 def sample_remove_box(
@@ -250,19 +291,8 @@ def sample_remove_box(
     """
     if not lam.is_partition or lam.size == 0:
         raise ValueError("need a nonempty partition")
-    rows = [e for e in lam.entries if e > 0]
-
-    def draws():
-        while True:
-            yield rng.random()
-
-    if mode == "alg1":
-        row = _walk_boxes(rows, draws())
-    elif mode == "alg3":
-        row = _walk_squashed(rows, draws())
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return lam.bump(row, -1)
+    rows = tuple(e for e in lam.entries if e > 0)
+    return lam.bump(_remove_row(rows, rng, mode), -1)
 
 
 def next_step_distribution(lam: Staircase, mode: str = "alg1") -> RemovalDistribution:
@@ -343,22 +373,43 @@ def _dp_squashed(rows: list[int]) -> dict[int, Fraction]:
     return out
 
 
+def sample_gt_rows(
+    lam: Staircase, rng: np.random.Generator, mode: str = "alg3"
+) -> tuple[int, ...]:
+    """Row sequence of a uniformly random GT path from the empty staircase to lam.
+
+    Repeatedly removes a hook-walk-sampled box from the partition lam down
+    to the empty shape, walking on row-length tuples, and returns the rows
+    in the order the path adds them (``GtPath.row_sequence``).  The alg3
+    walk reads the squashed-walk tables, memoised per row tuple with
+    ``functools.cache``.
+    """
+    if not lam.is_partition:
+        raise ValueError("need a partition")
+    rows = tuple(e for e in lam.entries if e > 0)
+    removed = []
+    while rows:
+        i = _remove_row(rows, rng, mode)
+        removed.append(i)
+        rows = rows[:i] + (rows[i] - 1,) + rows[i + 1 :] if rows[i] > 1 else rows[:i]
+    return tuple(reversed(removed))
+
+
 def sample_gt_path(
     lam: Staircase, rng: np.random.Generator, mode: str = "alg3"
 ) -> GtPath:
     """Uniformly random GT path from the empty staircase up to the partition lam.
 
     Repeatedly removes a hook-walk-sampled box down to the empty shape and
-    reverses; uniform over all dim_perm_irrep(lam) paths.
+    reverses; uniform over all dim_perm_irrep(lam) paths.  The walk runs on
+    row-length tuples through ``sample_gt_rows`` (alg3 reads the hook-walk
+    tables memoised per row tuple with ``functools.cache``, immutable
+    tuples), and one GtPath is built at the end.
     """
-    if not lam.is_partition:
-        raise ValueError("need a partition")
-    down = [lam]
-    cur = lam
-    while cur.size > 0:
-        cur = sample_remove_box(cur, rng, mode=mode)
-        down.append(cur)
-    return GtPath(tuple(reversed(down)), k=lam.size, l=0)
+    steps = [empty_staircase(lam.d)]
+    for i in sample_gt_rows(lam, rng, mode=mode):
+        steps.append(steps[-1].bump(i, 1))
+    return GtPath(tuple(steps), k=lam.size, l=0)
 
 
 class CountingRng:

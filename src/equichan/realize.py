@@ -157,8 +157,10 @@ def _step_targets(nu: Staircase, dual: bool) -> list[tuple[Staircase, int]]:
             r = next(i for i in range(nu.d) if s.entries[i] != nu.entries[i])
             out.append((s, -(nu.entries[r] - 1 - r) - nu.d))
     eigs = [e for _, e in out]
-    assert len(set(eigs)) == len(eigs)
-    assert all(abs(a - b) >= 1 for a in eigs for b in eigs if a != b)
+    if len(set(eigs)) != len(eigs):
+        raise RuntimeError(f"split-Casimir eigenvalues of {nu} are not distinct: {eigs}")
+    if any(abs(a - b) < 1 for a in eigs for b in eigs if a != b):
+        raise RuntimeError(f"split-Casimir eigenvalues of {nu} are not separated: {eigs}")
     return out
 
 
@@ -243,7 +245,8 @@ def _canonicalize_basis(
                 break
         if len(cols) == q:
             break
-    assert len(cols) == q, "weight sweep did not exhaust the subspace"
+    if len(cols) != q:
+        raise RuntimeError("weight sweep did not exhaust the subspace")
     R = np.stack(cols, axis=1)
     Vnew = V @ R
     for c in range(q):
@@ -275,7 +278,8 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
             targets[s] = eig
         _, evals, evecs = _extend_step(gens, d, dual)
         C = _block_columns(evals, evecs, targets[nxt])
-        assert C.shape[1] == dim_gl_irrep(nxt), (prev, nxt, C.shape)
+        if C.shape[1] != dim_gl_irrep(nxt):
+            raise RuntimeError(f"Casimir block {prev} -> {nxt} has shape {C.shape}")
         V = np.kron(V, np.eye(d)) @ C
         gens = _step_generators(gens, d, dual, C)
         factors = factors + (dual,)
@@ -288,7 +292,8 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
     for i in range(d):
         diag = np.diag(gens_c[i, i])
         weights[:, i] = np.round(diag.real)
-        assert np.max(np.abs(diag - weights[:, i])) < CONSTRUCTION_TOL
+        if np.max(np.abs(diag - weights[:, i])) >= CONSTRUCTION_TOL:
+            raise RuntimeError(f"weights of {gamma} are not integral")
     real = IrrepRealization(
         label=gamma,
         factors=factors,
@@ -397,7 +402,7 @@ def intertwiner(gens_a: np.ndarray, gens_b: np.ndarray, d: int) -> np.ndarray:
     The highest-weight vectors are matched and extended along a shared
     lowering recipe, giving mirrored orthonormal bases B_a, B_b in the two
     copies; T = B_b B_a^dag.  The residual of the intertwining relation is
-    asserted, and a non-unique highest weight raises.
+    checked, and a non-unique highest weight raises.
     """
     qa = gens_a.shape[2]
     qb = gens_b.shape[2]

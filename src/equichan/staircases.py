@@ -150,7 +150,8 @@ def dim_perm_irrep(lam: Staircase) -> int:
         for j in range(r):
             hook = (r - j) + (cols[j] - i) - 1
             value /= hook
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RuntimeError(f"hook length formula gave {value} for {lam}")
     return int(value)
 
 
@@ -166,7 +167,8 @@ def dim_gl_irrep(gamma: Staircase, d: int | None = None) -> int:
     for i in range(gamma.d):
         for j in range(i + 1, gamma.d):
             value *= Fraction(g[i] - g[j] + j - i, j - i)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RuntimeError(f"Weyl dimension formula gave {value} for {gamma}")
     return int(value)
 
 

@@ -24,19 +24,20 @@ its log-power overhead) stay symbolic here: reports carry the factor
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from equichan.channels import ExtremalSpec, irrep_channel
-from equichan.gtpaths import CountingRng, GtPath, sample_gt_path
+from equichan.gtpaths import CountingRng, GtPath, sample_gt_rows
 from equichan.staircases import (
     Staircase,
     box_label,
     dim_gl_irrep,
     partitions_of,
 )
-from equichan.transforms import iterated_cg, schur_transform, simple_cg
+from equichan.transforms import PathTransform, iterated_cg, schur_transform, simple_cg
 
 # The gate-synthesis exponent appearing in every polylog cost factor; it is
 # kept as a symbol and nothing here evaluates it.
@@ -370,7 +371,8 @@ def _stream_embed_trace_base(
     """Single-addition route: embed into Q_base (x) C^d and trace the base."""
     d = lam.d
     (prev, nxt, dual) = _emit_steps(path)[0]
-    assert not dual and nxt == lam
+    if dual or nxt != lam:
+        raise RuntimeError(f"base-trace route needs one addition ending at {lam}")
     q_prev = dim_gl_irrep(prev)
     live = q_prev * d
     schedule.append(ScheduleStep("embed", ("Q", "path"), live))
@@ -396,7 +398,13 @@ def _emission_phase(
 
     The isometry along a path into mu is the adjoint of that path's rows in
     the Schur transform on n sites, so every emission operator is read from
-    the cached ``schur_transform(n, 0, d)``.
+    the cached ``schur_transform(n, 0, d)``.  Exact mode weights every path
+    of a sector by 1/p_mu.  Sample mode draws one path per label and
+    trajectory with the hook walk (the draws of ``sample_gt_path``, draw
+    for draw), counts the draws per path and weights each drawn path by
+    count/trajectories.  Either way a sector is emitted at once: its
+    weighted rows R give R^dag (I (x) tau_mu) R as one batched matmul and
+    one GEMM.
     """
     out_dim = d**n
     out = np.zeros((out_dim, out_dim), dtype=complex)
@@ -408,24 +416,48 @@ def _emission_phase(
     if n >= 1:
         ledger.bump(d)
     S = schur_transform(n, 0, d)
-    if mode == "exact":
-        # sum_p iota_p tau iota_p^dag / p_mu = R^dag (I_p (x) tau) R / p_mu
-        for mu, blk in tau.items():
-            if np.linalg.norm(blk) < 1e-15:
-                continue
-            sector = S.sector(mu)
-            R = S.sector_rows(mu)
-            moved = np.matmul(blk, R.reshape(sector.p_dim, sector.q_dim, out_dim))
-            out += R.conj().T @ moved.reshape(R.shape) / sector.p_dim
-        return out
+    if mode == "sample":
+        drawn = _draw_paths(tau, S, seed, trajectories, ledger)
+    for mu, blk in tau.items():
+        if np.linalg.norm(blk) < 1e-15:
+            continue
+        sector = S.sector(mu)
+        rows = S.sector_rows(mu).reshape(sector.p_dim, sector.q_dim, out_dim)
+        if mode == "exact":
+            weights = np.full(sector.p_dim, 1 / sector.p_dim)
+        else:
+            drawn_paths, weights = drawn[mu]
+            rows = rows[drawn_paths]
+        R = rows * np.sqrt(weights)[:, None, None]
+        moved = np.matmul(blk, R)
+        out += R.reshape(-1, out_dim).conj().T @ moved.reshape(-1, out_dim)
+    return out
+
+
+def _draw_paths(
+    tau: dict[Staircase, np.ndarray],
+    S: PathTransform,
+    seed: int,
+    trajectories: int,
+    ledger: ResourceLedger,
+) -> dict[Staircase, tuple[list[int], np.ndarray]]:
+    """Hook-walk paths per label: drawn path indices and their frequencies.
+
+    Each trajectory draws one path per label of tau, in tau's order, from
+    one counted random stream; the ledger records the number of draws.
+    """
     rng = CountingRng(np.random.default_rng(seed))
+    tallies: dict[Staircase, Counter] = {mu: Counter() for mu in tau}
     for _ in range(trajectories):
-        for mu, blk in tau.items():
-            sampled = sample_gt_path(mu, rng)  # type: ignore[arg-type]
-            R = S.path_rows(mu, S.sector(mu).paths.index(sampled))
-            out += R.conj().T @ blk @ R
+        for mu, tally in tallies.items():
+            tally[sample_gt_rows(mu, rng)] += 1  # type: ignore[arg-type]
     ledger.classical_samples = rng.count
-    return out / trajectories
+    drawn = {}
+    for mu, tally in tallies.items():
+        index = S.sector(mu).row_index
+        paths = [index[rows] for rows in tally]
+        drawn[mu] = (paths, np.fromiter(tally.values(), float) / trajectories)
+    return drawn
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ convention.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -191,7 +192,8 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
         blocks.append(Block(s, 0, offset, qs))
         offset += qs
     iso = BlockIsometry(np.concatenate(rows, axis=0), blocks)
-    assert iso.target_dim == q * d
+    if iso.target_dim != q * d:
+        raise RuntimeError("CG blocks do not exhaust Q (x) C^d")
     iso.validate()
     iso.matrix.flags.writeable = False
     return iso
@@ -217,6 +219,11 @@ class PathSector:
     @property
     def size(self) -> int:
         return self.p_dim * self.q_dim
+
+    @functools.cached_property
+    def row_index(self) -> Mapping[tuple[int, ...], int]:
+        """Index in ``paths`` of the path with each row sequence (read-only)."""
+        return MappingProxyType({p.row_sequence(): i for i, p in enumerate(self.paths)})
 
 
 @dataclass
@@ -373,7 +380,8 @@ def _highest_weight_space(
             cols.append(u_vec / nrm)
         if len(cols) == c:
             break
-    assert len(cols) == c
+    if len(cols) != c:
+        raise RuntimeError(f"found {len(cols)} of {c} highest-weight vectors")
     out = np.zeros((gens.shape[2], c))
     block = np.stack(cols, axis=1)
     out[S, :] = block
@@ -434,9 +442,8 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
         T = T * (abs(pivot) / pivot)
         for j in range(c):
             Bj = B0 if j == 0 else apply_recipe(gens, hw[:, j], recipe) @ W
-            assert (
-                np.linalg.norm(Bj.conj().T @ Bj - np.eye(qdim)) < 1e-9
-            ), "copy basis failed to mirror"
+            if np.linalg.norm(Bj.conj().T @ Bj - np.eye(qdim)) >= 1e-9:
+                raise RuntimeError("copy basis failed to mirror")
             rows.append(T @ Bj.conj().T)
             blocks.append(Block(label, j, offset, qdim))
             offset += qdim

@@ -137,3 +137,48 @@ def werner_cloner(rho: np.ndarray, m: int, n: int, d: int) -> np.ndarray:
     P = symmetric_projector(n, d)
     big = np.kron(rho, np.eye(d ** (n - m)))
     return (dm / dn) * (P @ big @ P)
+
+
+def squashed_walk_row(rows: list[int], draws) -> int:
+    """Row the squashed hook walk removes a box from, by explicit loops.
+
+    Equal rows and equal columns of the diagram are contracted into cells
+    (k, l) standing for v(k) x w(l) rectangles.  The start cell is drawn
+    with weight v(k)w(l); each move goes right with weight w(l') or down
+    with weight v(k'), right options first, until a cell on the
+    anti-diagonal; ``draws`` yields one uniform number per decision, each
+    turned into an index by a linear inverse-CDF scan over the weights.
+    Returns the 0-based index of the last original row of the final
+    cell's row group.
+    """
+
+    def pick(weights, u):
+        target = u * sum(weights)
+        acc = 0
+        for idx, w in enumerate(weights):
+            acc += w
+            if target < acc:
+                return idx
+        return len(weights) - 1
+
+    nu, v, last_row = [], [], []
+    for i, r in enumerate(rows):
+        if nu and r == nu[-1]:
+            v[-1] += 1
+            last_row[-1] = i
+        else:
+            nu.append(r)
+            v.append(1)
+            last_row.append(i)
+    widths = sorted(set(nu))
+    w = [widths[0]] + [b - a for a, b in zip(widths, widths[1:])]
+    K = len(nu)
+    cells = [(k, l) for k in range(K) for l in range(K - k)]
+    k, l = cells[pick([v[k] * w[l] for k, l in cells], next(draws))]
+    while True:
+        right = [(k, ll) for ll in range(l + 1, K - k)]
+        below = [(kk, l) for kk in range(k + 1, K - l)]
+        if not right and not below:
+            return last_row[k]
+        weights = [w[ll] for _, ll in right] + [v[kk] for kk, _ in below]
+        k, l = (right + below)[pick(weights, next(draws))]

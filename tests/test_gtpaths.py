@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import squashed_walk_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from equichan.gtpaths import (
     next_step_distribution,
     path_space_dim,
     sample_gt_path,
+    sample_gt_rows,
     sample_remove_box,
 )
 from equichan.staircases import (
@@ -187,6 +189,51 @@ class TestSampleRemoveBox:
         )
         assert tv < 0.01
 
+    def test_alg3_matches_reference_walk_draw_for_draw(self):
+        # the table-driven walk removes the same row as the loop walk of
+        # tests/oracles.py and consumes the same number of uniform draws,
+        # on every partition of size 1..10 with at most 5 rows
+        walks = 0
+        for m in range(1, 11):
+            for lam in partitions_of(m, min(m, 5)):
+                rows = [e for e in lam.entries if e > 0]
+                for seed in range(40):
+                    rng = CountingRng(np.random.default_rng(seed))
+                    got = sample_remove_box(lam, rng, mode="alg3")  # type: ignore[arg-type]
+                    ref_rng = CountingRng(np.random.default_rng(seed))
+                    row = squashed_walk_row(rows, iter(ref_rng.random, None))
+                    assert got == lam.bump(row, -1), (lam, seed)
+                    assert rng.count == ref_rng.count, (lam, seed)
+                    walks += 1
+        assert walks == 4480
+
+    def test_alg3_ties_break_like_reference_walk(self):
+        # dyadic draws land exactly on cumulative weights (e.g. 0.25 * 4 == 1
+        # for lam = (3,1)); the pick must then take the next index, as the
+        # reference's strict comparison does
+        for m in range(1, 9):
+            for lam in partitions_of(m, min(m, 5)):
+                rows = [e for e in lam.entries if e > 0]
+                for shift in range(4):
+                    values = [((shift + t) % 4) / 4 for t in range(4 * m + 4)]
+                    rng = FakeRng(values)
+                    got = sample_remove_box(lam, rng, mode="alg3")
+                    ref = FakeRng(values)
+                    row = squashed_walk_row(rows, iter(ref.random, None))
+                    assert got == lam.bump(row, -1), (lam, shift)
+                    assert len(rng.values) == len(ref.values), (lam, shift)
+
+    def test_walk_tables_are_memoised_tuples(self):
+        from equichan.gtpaths import _walk_table
+
+        table = _walk_table((5, 3, 3, 2))
+        assert _walk_table((5, 3, 3, 2)) is table
+        assert table.start == (2, 3, 5, 9, 11, 13)  # cumulative v*w of the worked walk
+        for part in (table.cells, table.start, table.moves, table.corner):
+            assert isinstance(part, tuple)
+        for targets, cum in table.moves:
+            assert isinstance(targets, tuple) and isinstance(cum, tuple)
+
     def test_alg1_empirical(self, rng):
         lam = staircase(2, 1)
         counts = {}
@@ -249,6 +296,26 @@ class TestSampleGtPath:
                 continue
             pvalue = chi2.sf(stat, dof)
             assert pvalue > 1e-3
+
+    @pytest.mark.parametrize("mode", ["alg1", "alg3"])
+    def test_rows_are_the_path_draw_for_draw(self, mode):
+        # sample_gt_rows walks on row tuples with the draws sample_gt_path uses
+        for lam in partitions_of(6, 3) + [staircase(4, 2, 1)]:
+            for seed in range(5):
+                a = CountingRng(np.random.default_rng(seed))
+                b = CountingRng(np.random.default_rng(seed))
+                path = sample_gt_path(lam, a, mode=mode)  # type: ignore[arg-type]
+                rows = sample_gt_rows(lam, b, mode=mode)  # type: ignore[arg-type]
+                assert path.end == lam and rows == path.row_sequence()
+                assert a.count == b.count
+
+    def test_bad_arguments(self, rng):
+        with pytest.raises(ValueError, match="partition"):
+            sample_gt_rows(staircase(1, -1), rng)
+        with pytest.raises(ValueError, match="mode"):
+            sample_gt_rows(staircase(2, 1), rng, mode="alg2")
+        with pytest.raises(ValueError, match="mode"):
+            sample_gt_path(staircase(2, 1), rng, mode="alg2")
 
     def test_draw_budget(self):
         # O(m * rows) uniform draws per sampled path

@@ -14,6 +14,7 @@ from equichan.channels import (
 from equichan.gtpaths import CountingRng, GtPath, enumerate_paths, sample_gt_path
 from equichan.staircases import (
     dim_gl_irrep,
+    dim_perm_irrep,
     empty_staircase,
     partitions_of,
     staircase,
@@ -232,29 +233,41 @@ class TestStreamedApply:
         with pytest.raises(ValueError, match="Hermitian"):
             streamed_apply(symmetrization_spec(1, 2), rho)
 
-    def test_single_trajectory_emits_along_drawn_path(self, rng):
-        # one trajectory emits each label along exactly the path the hook
-        # walk drew; a permuted path-to-rows lookup would leave the
-        # Monte Carlo mixture unchanged but fails here
+    @pytest.mark.parametrize("trajectories", [1, 7])
+    def test_single_trajectory_emits_along_drawn_path(self, rng, trajectories):
+        # every trajectory emits each label along exactly the path the hook
+        # walk drew, and the output is the mean over trajectories; a permuted
+        # path-to-rows lookup would leave the Monte Carlo mixture unchanged
+        # but fails here, and at T = 7 some path is drawn more than once, so
+        # a wrong per-path weight or draw count fails too
         m, d = 4, 2
         spec = symmetrization_spec(m, d)
         rho = random_state(d**m, rng)
         ledger = ResourceLedger()
         tau = _middle_phase(spec, _absorb_phase(rho, m, d, ledger, []), ledger, [])
-        drawn_later_paths = False
+        all_paths = enumerate_paths(empty_staircase(d), m, 0)
+        drawn_later_paths = drawn_twice = False
         for seed in range(6):
-            out, ledger = streamed_apply(spec, rho, seed=seed, mode="sample", trajectories=1)
+            out, ledger = streamed_apply(
+                spec, rho, seed=seed, mode="sample", trajectories=trajectories
+            )
             redraw = CountingRng(np.random.default_rng(seed))
             expected = np.zeros_like(out)
-            for mu, blk in tau.items():
-                path = sample_gt_path(mu, redraw)
-                all_paths = enumerate_paths(empty_staircase(d), m, 0)[mu]
-                drawn_later_paths |= all_paths.index(path) > 0
-                state = PathState(empty_staircase(d), {path: 1.0}, m, 0)
-                expected += path_embedding(state, blk)
+            drawn = []
+            for _ in range(trajectories):
+                for mu, blk in tau.items():
+                    path = sample_gt_path(mu, redraw)
+                    drawn_later_paths |= all_paths[mu].index(path) > 0
+                    drawn.append(path)
+                    state = PathState(empty_staircase(d), {path: 1.0}, m, 0)
+                    expected += path_embedding(state, blk) / trajectories
+            drawn_twice |= any(
+                drawn.count(p) > 1 for p in drawn if dim_perm_irrep(p.end) > 1
+            )
             assert ledger.classical_samples == redraw.count
             assert np.linalg.norm(out - expected) < 1e-12, seed
         assert drawn_later_paths
+        assert drawn_twice == (trajectories > 1)
 
     def test_monte_carlo_scaling(self, rng):
         # RMS Frobenius error over independent repetitions scales as N^(-1/2)

@@ -238,6 +238,20 @@ class TestSchurTransform:
                         moved = np.einsum("ab,rbc->rac", P, heads)
                         assert np.linalg.norm(moved - heads) < 1e-10, (n, d, path, j)
 
+    def test_row_index_inverts_paths(self):
+        # sample-mode emission maps a drawn row sequence to its row block
+        # through sector.row_index, a read-only view shared by every caller
+        for m, n, d in [(5, 0, 2), (3, 0, 3), (2, 1, 2)]:
+            S = schur_transform(m, n, d)
+            for sector in S.sectors:
+                index = sector.row_index
+                assert len(index) == sector.p_dim
+                for idx, path in enumerate(sector.paths):
+                    assert index[path.row_sequence()] == idx
+                assert sector.row_index is index
+                with pytest.raises(TypeError):
+                    index[()] = 0  # type: ignore[index]
+
 
 class TestIteratedCg:
     def test_base_identity(self):
