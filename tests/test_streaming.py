@@ -233,13 +233,10 @@ class TestStreamedApply:
         with pytest.raises(ValueError, match="Hermitian"):
             streamed_apply(symmetrization_spec(1, 2), rho)
 
-    @pytest.mark.parametrize("trajectories", [1, 7])
-    def test_single_trajectory_emits_along_drawn_path(self, rng, trajectories):
+    @staticmethod
+    def _check_emits_along_drawn_paths(rng, trajectories):
         # every trajectory emits each label along exactly the path the hook
-        # walk drew, and the output is the mean over trajectories; a permuted
-        # path-to-rows lookup would leave the Monte Carlo mixture unchanged
-        # but fails here, and at T = 7 some path is drawn more than once, so
-        # a wrong per-path weight or draw count fails too
+        # walk drew, and the output is the mean over trajectories
         m, d = 4, 2
         spec = symmetrization_spec(m, d)
         rho = random_state(d**m, rng)
@@ -268,6 +265,16 @@ class TestStreamedApply:
             assert np.linalg.norm(out - expected) < 1e-12, seed
         assert drawn_later_paths
         assert drawn_twice == (trajectories > 1)
+
+    def test_single_trajectory_emits_along_drawn_path(self, rng):
+        # a permuted path-to-rows lookup would leave the Monte Carlo mixture
+        # unchanged but fails here
+        self._check_emits_along_drawn_paths(rng, 1)
+
+    def test_repeated_draws_weighted_per_path(self, rng):
+        # at T = 7 some path is drawn more than once, so a wrong per-path
+        # weight or draw count fails here
+        self._check_emits_along_drawn_paths(rng, 7)
 
     def test_monte_carlo_scaling(self, rng):
         # RMS Frobenius error over independent repetitions scales as N^(-1/2)
