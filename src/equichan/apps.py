@@ -15,6 +15,7 @@ from math import factorial
 import numpy as np
 
 from equichan.channels import (
+    PSD_TOL,
     ExtremalSpec,
     ExtremalTriple,
     purity_spec,
@@ -37,19 +38,35 @@ SYMMETRIC_SUPPORT_TOL = 1e-8
 
 @dataclass
 class AppResult:
-    """Output state, resource ledger and (where defined) a fidelity."""
+    """Output state, resource ledger and (where defined) a fidelity.
+
+    The output must be a state, else ValueError: every entry finite, trace
+    1 within 1e-10, and the smallest eigenvalue of its Hermitian part
+    H = (X + X^dag)/2 above -PSD_TOL.  Positivity is tested by a Cholesky
+    factorization of H + PSD_TOL * 1, which exists exactly when that
+    eigenvalue is above -PSD_TOL; the eigenvalues are computed only when the
+    factorization fails, to confirm the rejection and report the minimum.
+    """
 
     output: np.ndarray
     ledger: ResourceLedger
     fidelity: float | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.output).all():
+            raise ValueError("output has non-finite entries")
         tr = np.trace(self.output)
         if abs(tr - 1.0) >= 1e-10:
             raise ValueError(f"output trace {tr}, expected 1")
-        evals = np.linalg.eigvalsh((self.output + self.output.conj().T) / 2)
-        if evals.min() <= -1e-9:
-            raise ValueError(f"output not positive semidefinite: {evals.min():.2e}")
+        herm = (self.output + self.output.conj().T) / 2
+        try:
+            np.linalg.cholesky(herm + PSD_TOL * np.eye(len(herm)))
+        except np.linalg.LinAlgError:
+            lowest = np.linalg.eigvalsh(herm).min()
+            if lowest <= -PSD_TOL:
+                raise ValueError(
+                    f"output not positive semidefinite: {lowest:.2e}"
+                ) from None
 
 
 def symmetrize(

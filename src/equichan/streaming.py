@@ -200,6 +200,13 @@ def _absorb_phase(
     label nu at step t has shape (q_nu * d^(m-t))^2 and carries the not yet
     consumed sites; the algorithm's own live registers are only
     Q (x) one site.
+
+    Each step contracts the CG matrix C on the (q_nu * d) tensor legs of
+    the block and never forms C (x) 1 on the unconsumed sites: one GEMM
+    applies C to the row leg, then each output block's rows C_b apply
+    conj(C_b) to the column leg of that block's rows alone, so the
+    off-diagonal blocks, which the label measurement discards, are never
+    computed.
     """
     dim = d**m
     if rho.shape != (dim, dim):
@@ -222,18 +229,20 @@ def _absorb_phase(
         ledger.num_simple_cg += 1
         nxt: dict[Staircase, np.ndarray] = {}
         for nu, blk in sigma.items():
-            q = dim_gl_irrep(nu)
+            qd = dim_gl_irrep(nu) * d
             cg = simple_cg(nu, False)
-            big = np.kron(cg.matrix, np.eye(rest))
-            moved = big @ blk @ big.conj().T
+            # C on the row (q.d) leg: one GEMM over the rows of blk
+            left = (cg.matrix @ blk.reshape(qd, -1)).reshape(qd * rest, qd, rest)
             for b in cg.blocks:
                 ledger.r = max(ledger.r, b.label.length)
-                sl = slice(b.offset * rest, (b.offset + b.size) * rest)
-                piece = moved[sl, sl]
+                rows = left[b.offset * rest : (b.offset + b.size) * rest]
+                # conj(C_b) on the column (q.d) leg of this block's rows only
+                c_b = cg.matrix[b.offset : b.offset + b.size]
+                piece = np.matmul(c_b.conj(), rows).reshape(b.size * rest, -1)
                 if b.label in nxt:
                     nxt[b.label] += piece
                 else:
-                    nxt[b.label] = piece.copy()
+                    nxt[b.label] = piece
         sigma = nxt
     return sigma
 

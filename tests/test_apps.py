@@ -208,3 +208,54 @@ class TestAppResult:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+
+    # Run by a fresh interpreter, with and without -O, so that the checks are
+    # seen to be exceptions that python -O keeps.
+    BOUNDARY_CASES = (
+        "import numpy as np\n"
+        "from equichan.apps import AppResult\n"
+        "from equichan.streaming import ResourceLedger\n"
+        "def rejected(x):\n"
+        "    try:\n"
+        "        AppResult(x, ResourceLedger())\n"
+        "    except ValueError as exc:\n"
+        "        return str(exc)\n"
+        "    return None\n"
+        "def check(ok, what):\n"  # not assert, which -O strips from this script
+        "    if not ok:\n"
+        "        raise SystemExit(what)\n"
+        "nan = np.full((2, 2), np.nan) + 0j\n"
+        "check(rejected(nan) == 'output has non-finite entries', 'NaN accepted')\n"
+        "check(rejected(np.array([[1.0, np.inf], [0.0, 0.0]])), 'inf accepted')\n"
+        "rng = np.random.default_rng(3)\n"
+        "Z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))\n"
+        "Q = np.linalg.qr(Z)[0]\n"
+        "def mixed_in(neg):\n"
+        "    return (Q * np.array([0.5, 0.3, 0.2 - neg, neg])) @ Q.conj().T\n"
+        "msg = rejected(mixed_in(-2e-9))\n"
+        "check(msg == 'output not positive semidefinite: -2.00e-09', repr(msg))\n"
+        "check(rejected(mixed_in(-5e-10)) is None, '-5e-10 rejected')\n"
+    )
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_non_finite_and_positivity_boundary(self, flags):
+        src = Path(equichan.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", self.BOUNDARY_CASES],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_accepted_output_runs_no_eigendecomposition(self, monkeypatch, rng):
+        A = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        rho = A @ A.conj().T
+        rho /= np.trace(rho)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on an accepted output")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        AppResult(rho, None)

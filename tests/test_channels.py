@@ -37,9 +37,10 @@ from equichan.staircases import (
     partitions_of,
     staircase,
 )
+from equichan.suites import all_specs
 from equichan.verify import haar_unitary
 
-from oracles import symmetrize_brute
+from oracles import symmetrize_brute, symmetry_residuals_kron
 
 
 def random_state(dim, rng):
@@ -131,6 +132,42 @@ class TestCheckSymmetries:
         rep = check_symmetries(choi, trials=5, rng=rng)
         assert rep.max_permutation_residual > 0.1
         assert not rep.passed(1e-8)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, trials):
+        C = extremal_choi(symmetrization_spec(2, 2))
+        with pytest.raises(ValueError, match="at least one Haar trial"):
+            check_symmetries(C, trials=trials)
+
+    @staticmethod
+    def _check_against_kron(choi, seed):
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        rep = check_symmetries(choi, trials=4, rng=rng)
+        ref_u, ref_p = symmetry_residuals_kron(
+            choi.matrix, choi.m, choi.n, choi.d, 4, ref_rng
+        )
+        np.testing.assert_allclose(rep.unitary_residuals, ref_u, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            rep.permutation_residuals, ref_p, rtol=1e-12, atol=1e-12
+        )
+        # the same Haar draws: the generator ends in the reference's state
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return rep
+
+    @pytest.mark.parametrize("m,n,d", [(2, 2, 2), (3, 1, 2), (1, 3, 2), (2, 2, 3)])
+    def test_symmetric_matches_kron_reference(self, m, n, d):
+        for idx, spec in enumerate(all_specs(m, n, d)):
+            rep = self._check_against_kron(extremal_choi(spec), seed=idx)
+            assert rep.passed(1e-10)
+
+    @pytest.mark.parametrize("m,n,d", [(1, 1, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 1, 3)])
+    def test_non_symmetric_matches_kron_reference(self, m, n, d, rng):
+        D = d ** (m + n)
+        M = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        rep = self._check_against_kron(ChoiMatrix(M, m, n, d), seed=m + n + d)
+        assert min(rep.unitary_residuals) > 1.0
+        assert min(rep.permutation_residuals, default=2.0) > 1.0
 
 
 class TestChoiValidate:

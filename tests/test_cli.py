@@ -90,6 +90,14 @@ class TestVerify:
     def test_requires_selection(self, capsys):
         assert run(["verify"]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_symmetry_certification_needs_a_trial(self, trials, capsys):
+        argv = ["verify", "--suite", "symmetry-certification", "--trials", trials]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "at least one Haar trial" in captured.err
+        assert "ALL SUITES PASSED" not in captured.out
+
     def test_failure_exit_code(self, capsys):
         # the purity suite carries the documented impossible m=2 strictness case
         assert run(["verify", "--suite", "purity"]) == 1

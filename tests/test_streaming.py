@@ -13,6 +13,7 @@ from equichan.channels import (
 )
 from equichan.gtpaths import CountingRng, GtPath, enumerate_paths, sample_gt_path
 from equichan.staircases import (
+    box_label,
     dim_gl_irrep,
     dim_perm_irrep,
     empty_staircase,
@@ -31,9 +32,9 @@ from equichan.streaming import (
     streamed_apply,
     validate_schedule,
 )
-from equichan.transforms import iterated_cg, schur_transform
+from equichan.transforms import BlockIsometry, iterated_cg, schur_transform, simple_cg
 
-from oracles import symmetrize_brute
+from oracles import absorb_kron, symmetrize_brute
 
 
 def random_state(dim, rng):
@@ -293,6 +294,54 @@ class TestStreamedApply:
             errs.append(np.sqrt(np.mean(sq)))
         slope = np.polyfit(np.log(Ns), np.log(errs), 1)[0]
         assert abs(slope + 0.5) < 0.1, (slope, errs)
+
+
+ABSORB_SHAPES = [(m, 2) for m in range(2, 9)] + [(m, 3) for m in range(3, 7)] + [(4, 4)]
+
+
+def _check_absorb_against_kron(m, d, rng, cg_of):
+    rho = random_state(d**m, rng)
+    ledger = ResourceLedger()
+    schedule = []
+    sigma = _absorb_phase(rho, m, d, ledger, schedule)
+    ref, ref_steps, ref_counts = absorb_kron(rho, m, d, box_label(d), cg_of)
+    assert list(sigma) == list(ref)
+    for label, blk in ref.items():
+        assert sigma[label].shape == blk.shape
+        assert np.abs(sigma[label] - blk).max() < 1e-12, label
+    assert [(s.op, s.registers, s.live_dim) for s in schedule] == ref_steps
+    assert ledger.as_dict() == ResourceLedger(**ref_counts).as_dict()
+
+
+class TestAbsorbPhase:
+    @pytest.mark.parametrize("m,d", ABSORB_SHAPES)
+    def test_matches_dense_kron_reference(self, m, d, rng):
+        _check_absorb_against_kron(m, d, rng, lambda nu: simple_cg(nu, False))
+
+    @pytest.mark.parametrize("m,d", [(4, 2), (6, 2), (4, 3)])
+    def test_complex_cg_matches_dense_kron_reference(self, m, d, rng, monkeypatch):
+        # The CG matrices of the canonical realizations are real, where
+        # conj(C_b) = C_b.  Rotating every block by a complex unitary keeps
+        # each a valid isometry onto its label, and the leg-wise contraction
+        # must then still match C (x) 1 applied on both sides.
+        gauged = {}
+
+        def complex_cg(nu, dual):
+            if nu not in gauged:
+                cg = simple_cg(nu, dual)
+                M = cg.matrix.astype(complex)
+                for b in cg.blocks:
+                    Z = rng.normal(size=(b.size, b.size)) + 1j * rng.normal(
+                        size=(b.size, b.size)
+                    )
+                    W = np.linalg.qr(Z)[0]
+                    rows = slice(b.offset, b.offset + b.size)
+                    M[rows] = W @ M[rows]
+                gauged[nu] = BlockIsometry(M, cg.blocks)
+            return gauged[nu]
+
+        monkeypatch.setattr("equichan.streaming.simple_cg", complex_cg)
+        _check_absorb_against_kron(m, d, rng, lambda nu: complex_cg(nu, False))
 
 
 class TestResourceEstimate:
