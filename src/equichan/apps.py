@@ -44,8 +44,9 @@ class AppResult:
     1 within 1e-10, and the smallest eigenvalue of its Hermitian part
     H = (X + X^dag)/2 above -PSD_TOL.  Positivity is tested by a Cholesky
     factorization of H + PSD_TOL * 1, which exists exactly when that
-    eigenvalue is above -PSD_TOL; the eigenvalues are computed only when the
-    factorization fails, to confirm the rejection and report the minimum.
+    eigenvalue is above -PSD_TOL; H + PSD_TOL * 1 is built in one C-ordered
+    buffer.  The eigenvalues of H are computed only when the factorization
+    fails, to confirm the rejection and report the minimum.
     """
 
     output: np.ndarray
@@ -58,11 +59,16 @@ class AppResult:
         tr = np.trace(self.output)
         if abs(tr - 1.0) >= 1e-10:
             raise ValueError(f"output trace {tr}, expected 1")
-        herm = (self.output + self.output.conj().T) / 2
+        X = self.output
+        shifted = np.empty_like(X, dtype=np.result_type(X, np.float64), order="C")
+        np.conjugate(X.T, out=shifted)
+        shifted += X
+        shifted *= 0.5
+        np.einsum("ii->i", shifted)[:] += PSD_TOL
         try:
-            np.linalg.cholesky(herm + PSD_TOL * np.eye(len(herm)))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            lowest = np.linalg.eigvalsh(herm).min()
+            lowest = np.linalg.eigvalsh((X + X.conj().T) / 2).min()
             if lowest <= -PSD_TOL:
                 raise ValueError(
                     f"output not positive semidefinite: {lowest:.2e}"

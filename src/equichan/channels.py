@@ -181,7 +181,6 @@ class SymmetryReport:
 def check_symmetries(
     choi: ChoiMatrix,
     trials: int = 20,
-    tol: float = 1e-8,
     rng: np.random.Generator | None = None,
 ) -> SymmetryReport:
     """Residuals of the Choi commuting with conj U^(x m) (x) U^(x n) for Haar
@@ -196,7 +195,8 @@ def check_symmetries(
     never formed.  A transposition P of two adjacent sites is an involutive
     permutation of tensor legs, so its residual |P C - C P| = |P C P - C|
     is a leg transpose of the 2(m+n)-leg tensor C minus C, with no
-    arithmetic beyond the norm.
+    arithmetic beyond the norm.  The report holds residuals only; the
+    caller picks the threshold with ``SymmetryReport.passed(tol)``.
     """
     if trials < 1:
         raise ValueError(f"need at least one Haar trial, got {trials}")

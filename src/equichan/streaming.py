@@ -14,8 +14,9 @@ Emission is the adjoint of Schur sampling: the isometry along a GT path
 into mu is the adjoint of that path's rows in the Schur transform on n
 sites.  The emulator therefore reads every emission isometry from the
 cached ``schur_transform(n, 0, d)`` (so emission is subject to the dense
-cap), while the schedule and ledger still count the algorithm's n - 1
-one-site inverse CG steps.
+cap) and applies the transform block by block over its torus-weight
+classes, as every row is a weight vector; the schedule and ledger still
+count the algorithm's n - 1 one-site inverse CG steps.
 
 Costs that the streaming model leaves symbolic (gate synthesis accuracy and
 its log-power overhead) stay symbolic here: reports carry the factor
@@ -194,8 +195,10 @@ def _absorb_phase(
     """Feed input sites through simple CG transforms, decohering the labels.
 
     Every streamed run enters here, so this is where the input is checked:
-    a matrix of the wrong shape, without unit trace or not Hermitian raises
-    ValueError (an O(d^2m) check; positivity is not checked).  Returns
+    a matrix with a non-finite entry, of the wrong shape, without unit
+    trace or not Hermitian raises ValueError (an O(d^2m) check; positivity
+    is not checked).  Finiteness comes first, as every comparison with a
+    NaN is False and would pass the other two tests.  Returns
     subnormalized block states per final label.  The emulator array for
     label nu at step t has shape (q_nu * d^(m-t))^2 and carries the not yet
     consumed sites; the algorithm's own live registers are only
@@ -208,6 +211,8 @@ def _absorb_phase(
     off-diagonal blocks, which the label measurement discards, are never
     computed.
     """
+    if not np.isfinite(rho).all():
+        raise ValueError("input has non-finite entries")
     dim = d**m
     if rho.shape != (dim, dim):
         raise ValueError(f"input shape {rho.shape}, expected {(dim, dim)}")
@@ -405,18 +410,21 @@ def _emission_phase(
 ) -> np.ndarray:
     """Uniform (or sampled) mixture over GT paths of the inverse transforms.
 
-    The isometry along a path into mu is the adjoint of that path's rows in
-    the Schur transform on n sites, so every emission operator is read from
-    the cached ``schur_transform(n, 0, d)``.  Exact mode weights every path
-    of a sector by 1/p_mu.  Sample mode draws one path per label and
-    trajectory with the hook walk (the draws of ``sample_gt_path``, draw
-    for draw), counts the draws per path and weights each drawn path by
-    count/trajectories.  Either way a sector is emitted at once: its
-    weighted rows R give R^dag (I (x) tau_mu) R as one batched matmul and
-    one GEMM.
+    The isometry along path a into mu is the adjoint of that path's rows
+    R_a in the Schur transform S on n sites, so every emission operator is
+    read from the cached ``schur_transform(n, 0, d)``.  Exact mode weights
+    every path of a sector by w_a = 1/p_mu.  Sample mode draws one path per
+    label and trajectory with the hook walk (the draws of
+    ``sample_gt_path``, draw for draw), counts the draws per path and
+    weights each drawn path by w_a = count/trajectories.  The output is
+    sum_a w_a R_a^dag tau_mu R_a = S^T T, with T holding w_a tau_mu R_a in
+    the rows of path a: one batched matmul per sector fills T.  S is real
+    and block diagonal by torus weight (``PathTransform.weight_blocks``),
+    so the output rows of each weight class are U_c^T T[rows_c], one real
+    GEMM over the class's filled rows; S is never applied as a dense
+    d^n x d^n product.
     """
     out_dim = d**n
-    out = np.zeros((out_dim, out_dim), dtype=complex)
     for j in range(n, 1, -1):
         live = _capacity(j - 1, d) * d
         schedule.append(ScheduleStep("emit", ("Q", f"out:{j}", "path"), live))
@@ -427,19 +435,34 @@ def _emission_phase(
     S = schur_transform(n, 0, d)
     if mode == "sample":
         drawn = _draw_paths(tau, S, seed, trajectories, ledger)
+    # T is indexed by the rows of S; only the rows marked filled are written
+    T = np.empty((out_dim, out_dim), dtype=complex)
+    filled = np.zeros(out_dim, dtype=bool)
     for mu, blk in tau.items():
         if np.linalg.norm(blk) < 1e-15:
             continue
         sector = S.sector(mu)
-        rows = S.sector_rows(mu).reshape(sector.p_dim, sector.q_dim, out_dim)
+        p, q = sector.p_dim, sector.q_dim
         if mode == "exact":
-            weights = np.full(sector.p_dim, 1 / sector.p_dim)
+            paths, weights = slice(None), np.full(p, 1 / p)
         else:
-            drawn_paths, weights = drawn[mu]
-            rows = rows[drawn_paths]
-        R = rows * np.sqrt(weights)[:, None, None]
-        moved = np.matmul(blk, R)
-        out += R.reshape(-1, out_dim).conj().T @ moved.reshape(-1, out_dim)
+            paths, weights = drawn[mu]
+        span = slice(sector.offset, sector.offset + sector.size)
+        rows = S.matrix[span].reshape(p, q, out_dim)[paths]
+        # w_a tau_mu on the q leg of each path, real and imaginary parts
+        # stacked, so that the batched matmul is real
+        scaled = np.concatenate([blk.real, blk.imag]) * weights[:, None, None]
+        X = np.matmul(scaled, rows)
+        slab = T[span].reshape(p, q, out_dim)
+        slab.real[paths] = X[:, :q]
+        slab.imag[paths] = X[:, q:]
+        filled[span].reshape(p, q)[paths] = True
+    out = np.zeros((out_dim, out_dim), dtype=complex)
+    T_re, out_re = T.view(float), out.view(float)
+    for wb in S.weight_blocks:
+        live = filled[wb.rows]
+        if live.any():
+            out_re[wb.cols] = wb.matrix[live].T @ T_re[wb.rows[live]]
     return out
 
 

@@ -33,6 +33,7 @@ from equichan.realize import (
     _simple_generators,
     _step_generators,
     _step_targets,
+    ambient_weights,
     apply_recipe,
     canonical_realization,
     intertwiner,
@@ -226,9 +227,29 @@ class PathSector:
         return MappingProxyType({p.row_sequence(): i for i, p in enumerate(self.paths)})
 
 
+@dataclass(frozen=True)
+class WeightBlock:
+    """The rows and columns of a path transform that carry one torus weight.
+
+    ``matrix`` is the square block ``transform.matrix[rows][:, cols]``;
+    all three arrays are read-only.
+    """
+
+    weight: tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    matrix: np.ndarray
+
+
 @dataclass
 class PathTransform:
-    """Unitary decomposing Q_mu (x) sites into path (x) irrep sectors."""
+    """Unitary decomposing Q_mu (x) sites into path (x) irrep sectors.
+
+    Every row is a GT basis vector and so a weight vector of the torus: it
+    is supported on the columns of its own weight, and the matrix is block
+    diagonal by weight up to a permutation of rows and columns
+    (``weight_blocks``).
+    """
 
     base: Staircase
     flags: tuple[bool, ...]
@@ -253,6 +274,44 @@ class PathTransform:
         s = self.sector(label)
         start = s.offset + path_index * s.q_dim
         return self.matrix[start : start + s.q_dim, :]
+
+    @functools.cached_property
+    def weight_blocks(self) -> tuple[WeightBlock, ...]:
+        """The square diagonal blocks of the matrix per torus weight (read-only).
+
+        A row of sector gamma carries the weight of its basis vector in
+        ``canonical_realization(gamma)``; a column carries the weight of its
+        base basis vector plus ``ambient_weights`` of its sites.  Classes
+        are in ascending lexicographic order of weight.  Raises RuntimeError
+        if the entries outside the blocks have norm above CONSTRUCTION_TOL;
+        the transform being unitary, every block is then square.
+        """
+        d = self.base.d
+        row_w = np.concatenate(
+            [
+                np.tile(canonical_realization(s.label).weights, (s.p_dim, 1))
+                for s in self.sectors
+            ]
+        )
+        base_w = canonical_realization(self.base).weights
+        site_w = ambient_weights(d, self.flags)
+        col_w = (base_w[:, None, :] + site_w[None, :, :]).reshape(-1, d)
+        weights, cls = np.unique(
+            np.concatenate([row_w, col_w]), axis=0, return_inverse=True
+        )
+        row_class, col_class = cls[: self.dim], cls[self.dim :]
+        leak = np.linalg.norm(self.matrix[row_class[:, None] != col_class[None, :]])
+        if leak > CONSTRUCTION_TOL:
+            raise RuntimeError(f"transform has mass {leak:.2e} outside its weight blocks")
+        blocks = []
+        for c, wt in enumerate(weights):
+            rows = np.flatnonzero(row_class == c)
+            cols = np.flatnonzero(col_class == c)
+            block = self.matrix[np.ix_(rows, cols)]
+            for arr in (rows, cols, block):
+                arr.flags.writeable = False
+            blocks.append(WeightBlock(tuple(int(x) for x in wt), rows, cols, block))
+        return tuple(blocks)
 
 
 def iterated_cg(mu: Staircase, flags: Sequence[bool]) -> PathTransform:

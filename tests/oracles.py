@@ -259,3 +259,20 @@ def symmetry_residuals_kron(C: np.ndarray, m: int, n: int, d: int, trials: int, 
         P = np.kron(np.eye(d**m), permutation_matrix(tuple(swap), d))
         perm.append(float(np.linalg.norm(P @ C - C @ P)))
     return unitary, perm
+
+
+def emit_dense(sectors, out_dim: int) -> np.ndarray:
+    """Emission as the dense mixture sum_a w_a R_a^dag tau R_a, sector by sector.
+
+    ``sectors`` lists (tau, rows, weights): tau the q x q block state of a
+    label, rows the (k, q, out_dim) array of the k emitted paths' rows of
+    the Schur transform and weights their k weights.  Each sector is one
+    product R^dag (W (x) tau) R with R the k*q stacked rows and W the
+    diagonal weight matrix, every factor out_dim wide.
+    """
+    out = np.zeros((out_dim, out_dim), dtype=complex)
+    for tau, rows, weights in sectors:
+        R = np.asarray(rows).reshape(-1, out_dim)
+        middle = np.kron(np.diag(weights), tau)
+        out += R.conj().T @ middle @ R
+    return out

@@ -249,6 +249,30 @@ class TestAppResult:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_real_and_transposed_outputs(self, rng):
+        # the Hermitian part is built in a C-ordered buffer of the output's
+        # float type; a real or a transposed (F-ordered) output is judged
+        # exactly as its C-ordered complex copy
+        Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+
+        def mixed_in(neg):
+            return (Q * np.array([0.5, 0.3, 0.2 - neg, neg])) @ Q.T
+
+        Z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        U = np.linalg.qr(Z)[0]
+        skew = (U * np.array([0.5, 0.3, 0.2 + 2e-9, -2e-9])) @ U.conj().T
+        for neg, accepted in ((0.1, True), (-5e-10, True), (-2e-9, False)):
+            for x in (mixed_in(neg), mixed_in(neg).T, np.asfortranarray(mixed_in(neg))):
+                for out in (x, x.astype(complex)):
+                    if accepted:
+                        AppResult(out, None)
+                    else:
+                        with pytest.raises(ValueError, match="-2.00e-09"):
+                            AppResult(out, None)
+        for out in (skew, skew.T, skew.conj().T, np.asfortranarray(skew)):
+            with pytest.raises(ValueError, match="-2.00e-09"):
+                AppResult(out, None)
+
     def test_accepted_output_runs_no_eigendecomposition(self, monkeypatch, rng):
         A = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         rho = A @ A.conj().T

@@ -139,6 +139,12 @@ class TestCheckSymmetries:
         with pytest.raises(ValueError, match="at least one Haar trial"):
             check_symmetries(C, trials=trials)
 
+    def test_tol_argument_removed(self):
+        # the residuals are returned; the threshold is SymmetryReport.passed's
+        C = extremal_choi(symmetrization_spec(2, 2))
+        with pytest.raises(TypeError, match="tol"):
+            check_symmetries(C, trials=2, tol=1e-30)
+
     @staticmethod
     def _check_against_kron(choi, seed):
         rng = np.random.default_rng(seed)

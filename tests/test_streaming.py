@@ -1,5 +1,15 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import equichan
 
 from equichan.channels import (
     ExtremalSpec,
@@ -25,6 +35,7 @@ from equichan.streaming import (
     ResourceLedger,
     ScheduleStep,
     _absorb_phase,
+    _emission_phase,
     _middle_phase,
     application_estimate,
     path_embedding,
@@ -34,7 +45,7 @@ from equichan.streaming import (
 )
 from equichan.transforms import BlockIsometry, iterated_cg, schur_transform, simple_cg
 
-from oracles import absorb_kron, symmetrize_brute
+from oracles import absorb_kron, emit_dense, symmetrize_brute
 
 
 def random_state(dim, rng):
@@ -342,6 +353,163 @@ class TestAbsorbPhase:
 
         monkeypatch.setattr("equichan.streaming.simple_cg", complex_cg)
         _check_absorb_against_kron(m, d, rng, lambda nu: complex_cg(nu, False))
+
+
+EMIT_SHAPES = [(n, 2) for n in range(2, 9)] + [(n, 3) for n in range(3, 7)] + [(4, 4)]
+
+
+def _symmetrization_tau(n, d, rng):
+    ledger = ResourceLedger()
+    sigma = _absorb_phase(random_state(d**n, rng), n, d, ledger, [])
+    return _middle_phase(symmetrization_spec(n, d), sigma, ledger, [])
+
+
+def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0):
+    """_emission_phase against emit_dense, with the drawn paths redrawn
+    independently by sample_gt_path on the same seed."""
+    S = schur_transform(n, 0, d)
+    ledger = ResourceLedger()
+    schedule = []
+    out = _emission_phase(
+        tau, n, d, ledger, schedule, mode=mode, seed=seed, trajectories=trajectories
+    )
+    sectors = []
+    samples = 0
+    if mode == "exact":
+        for mu, blk in tau.items():
+            sec = S.sector(mu)
+            rows = S.sector_rows(mu).reshape(sec.p_dim, sec.q_dim, -1)
+            sectors.append((blk, rows, np.full(sec.p_dim, 1 / sec.p_dim)))
+    else:
+        redraw = CountingRng(np.random.default_rng(seed))
+        counts = {mu: Counter() for mu in tau}
+        for _ in range(trajectories):
+            for mu in tau:
+                counts[mu][sample_gt_path(mu, redraw)] += 1
+        samples = redraw.count
+        for mu, blk in tau.items():
+            paths = S.sector(mu).paths
+            rows = np.stack([S.path_rows(mu, paths.index(p)) for p in counts[mu]])
+            weights = np.array(list(counts[mu].values())) / trajectories
+            sectors.append((blk, rows, weights))
+    expected = emit_dense(sectors, d**n)
+    assert np.abs(out - expected).max() < 1e-12
+    live = [
+        d * max(dim_gl_irrep(p) for p in partitions_of(j - 1, d)) for j in range(n, 1, -1)
+    ]
+    assert [(s.op, s.registers, s.live_dim) for s in schedule] == [
+        ("emit", ("Q", f"out:{j}", "path"), lv) for j, lv in zip(range(n, 1, -1), live)
+    ]
+    assert ledger.as_dict() == ResourceLedger(
+        num_inverse_cg=n - 1, peak_live_dim=max([d] + live), classical_samples=samples
+    ).as_dict()
+    return out
+
+
+class TestEmissionPhase:
+    @pytest.mark.parametrize("n,d", EMIT_SHAPES)
+    def test_exact_matches_dense_reference(self, n, d, rng):
+        _check_emission_against_dense(_symmetrization_tau(n, d, rng), n, d, "exact")
+
+    @pytest.mark.parametrize("n,d", EMIT_SHAPES)
+    def test_sample_matches_dense_reference(self, n, d, rng):
+        tau = _symmetrization_tau(n, d, rng)
+        _check_emission_against_dense(tau, n, d, "sample", seed=n + d, trajectories=40)
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_empty_label_is_skipped(self, mode, rng):
+        # a label without weight fills no rows; the classes it shares with
+        # other labels are applied to the remaining rows only
+        n, d = 5, 2
+        tau = _symmetrization_tau(n, d, rng)
+        tau[staircase(3, 2)] = np.zeros_like(tau[staircase(3, 2)])
+        out = _check_emission_against_dense(tau, n, d, mode, seed=3, trajectories=25)
+        S = schur_transform(n, 0, d)
+        assert np.linalg.norm(out @ S.sector_rows(staircase(3, 2)).T) < 1e-12
+
+    def test_clone_tau_matches_dense_reference(self, monkeypatch, rng):
+        import equichan.apps as apps
+
+        seen = []
+
+        def spy(tau, n, d, *args, **kwargs):
+            seen.append((tau, n, d))
+            return _emission_phase(tau, n, d, *args, **kwargs)
+
+        monkeypatch.setattr(apps, "_emission_phase", spy)
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        apps.clone(psi / np.linalg.norm(psi), 2, 6, 3)
+        [(tau, n, d)] = seen
+        assert list(tau) == [staircase(6, 0, 0)]
+        _check_emission_against_dense(tau, n, d, "exact")
+
+
+# Run by a fresh interpreter, with and without -O: the finiteness check is
+# an exception, which python -O keeps.
+NON_FINITE_CASES = (
+    "import numpy as np\n"
+    "from equichan.apps import clone\n"
+    "from equichan.channels import symmetrization_spec\n"
+    "from equichan.streaming import streamed_apply\n"
+    "def rejected(call):\n"
+    "    try:\n"
+    "        call()\n"
+    "    except ValueError as exc:\n"
+    "        return str(exc)\n"
+    "    return None\n"
+    "bad = {'nan': np.full((4, 4), np.nan) + 0j, 'inf': np.eye(4) / 4 + 0j}\n"
+    "bad['inf'][0, 1] = np.inf\n"
+    "spec = symmetrization_spec(2, 2)\n"
+    "for name, rho in bad.items():\n"
+    "    for mode in ('exact', 'sample'):\n"
+    "        msg = rejected(lambda: streamed_apply(spec, rho, mode=mode, trajectories=5))\n"
+    "        if msg != 'input has non-finite entries':\n"
+    "            raise SystemExit(f'{name} {mode}: {msg!r}')\n"
+    "    msg = rejected(lambda: clone(rho, 2, 3, 2))\n"
+    "    if msg != 'input has non-finite entries':\n"
+    "        raise SystemExit(f'{name} clone: {msg!r}')\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_non_finite_input_rejected(flags):
+    src = Path(equichan.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", NON_FINITE_CASES],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+PROPERTY_SHAPES = [(m, n, d) for m in (1, 2, 3) for n in (1, 2, 3) for d in (2, 3)]
+
+
+@given(
+    shape=st.sampled_from(PROPERTY_SHAPES),
+    pick=st.integers(min_value=0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rank=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=30, deadline=None)
+def test_streamed_equals_choi_on_random_specs(shape, pick, seed, rank):
+    from equichan.channels import extremal_choi
+    from equichan.suites import all_specs
+
+    m, n, d = shape
+    specs = all_specs(m, n, d)
+    spec = specs[pick % len(specs)]
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d**m, rank)) + 1j * rng.normal(size=(d**m, rank))
+    rho = A @ A.conj().T
+    rho /= np.trace(rho)
+    out, _ = streamed_apply(spec, rho)
+    assert np.abs(out - extremal_choi(spec).apply(rho)).max() < 1e-10
+    assert abs(np.trace(out) - 1) < 1e-10
+    assert np.abs(out - out.conj().T).max() < 1e-10
+    assert np.linalg.eigvalsh(out).min() > -1e-10
 
 
 class TestResourceEstimate:

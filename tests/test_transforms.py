@@ -253,6 +253,68 @@ class TestSchurTransform:
                     index[()] = 0  # type: ignore[index]
 
 
+WEIGHT_BLOCK_TRANSFORMS = [
+    ("schur(6,0,3)", lambda: schur_transform(6, 0, 3)),
+    ("schur(8,0,2)", lambda: schur_transform(8, 0, 2)),
+    ("schur(4,0,4)", lambda: schur_transform(4, 0, 4)),
+    ("schur(2,2,3)", lambda: schur_transform(2, 2, 3)),
+    ("iterated((2,1,0),(F,T))", lambda: iterated_cg(staircase(2, 1, 0), (False, True))),
+]
+
+
+class TestWeightBlocks:
+    @pytest.mark.parametrize(
+        "build", [b for _, b in WEIGHT_BLOCK_TRANSFORMS], ids=[n for n, _ in WEIGHT_BLOCK_TRANSFORMS]
+    )
+    def test_square_orthogonal_partition(self, build):
+        t = build()
+        blocks = t.weight_blocks
+        assert t.weight_blocks is blocks
+        rows = np.concatenate([wb.rows for wb in blocks])
+        cols = np.concatenate([wb.cols for wb in blocks])
+        assert np.array_equal(np.sort(rows), np.arange(t.dim))
+        assert np.array_equal(np.sort(cols), np.arange(t.dim))
+        assert len({wb.weight for wb in blocks}) == len(blocks)
+        rebuilt = np.zeros_like(t.matrix)
+        for wb in blocks:
+            assert wb.matrix.shape == (len(wb.rows), len(wb.cols))
+            assert np.abs(wb.matrix.T @ wb.matrix - np.eye(len(wb.rows))).max() < 1e-12
+            assert np.array_equal(wb.matrix, t.matrix[np.ix_(wb.rows, wb.cols)])
+            rebuilt[np.ix_(wb.rows, wb.cols)] = wb.matrix
+        # the blocks carry the whole matrix: nothing sizable lies outside
+        assert np.abs(rebuilt - t.matrix).max() < 1e-12
+
+    def test_rows_carry_their_block_weight(self):
+        # the weight of a block is that of every computational basis state
+        # in its columns: sum over sites of e_(digit)
+        d, n = 3, 4
+        for wb in schur_transform(n, 0, d).weight_blocks:
+            for col in wb.cols:
+                digits = [(col // d ** (n - 1 - k)) % d for k in range(n)]
+                assert tuple(np.bincount(digits, minlength=d)) == wb.weight
+
+    def test_arrays_reject_writes(self):
+        for wb in schur_transform(4, 0, 3).weight_blocks:
+            for arr in (wb.rows, wb.cols, wb.matrix):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
+            with pytest.raises(AttributeError):
+                wb.rows = np.arange(len(wb.rows))  # type: ignore[misc]
+
+    def test_leak_outside_blocks_raises(self):
+        from equichan.transforms import PathTransform
+
+        S = schur_transform(3, 0, 2)
+        wb = S.weight_blocks[0]
+        other = S.weight_blocks[1]
+        M = S.matrix.copy()
+        M[wb.rows[0], other.cols[0]] = 1e-6
+        leaky = PathTransform(S.base, S.flags, M, S.sectors)
+        with pytest.raises(RuntimeError, match="outside its weight blocks"):
+            leaky.weight_blocks
+
+
 class TestIteratedCg:
     def test_base_identity(self):
         t = iterated_cg(staircase(4, 2, 1), ())
