@@ -52,10 +52,13 @@ class GtPath:
     def __post_init__(self):
         if len(self.steps) != self.k + self.l + 1:
             raise ValueError("path must have k + l + 1 staircases")
+        # every step is a validated Staircase, so a single-box addition
+        # (removal) is exactly a step that raises (lowers) one entry by one
         for t in range(self.k + self.l):
             cur, nxt = self.steps[t], self.steps[t + 1]
-            moves = add_boxes(cur) if t < self.k else remove_boxes(cur)
-            if nxt not in moves:
+            delta = 1 if t < self.k else -1
+            diff = [b - a for a, b in zip(cur.entries, nxt.entries) if a != b]
+            if cur.d != nxt.d or diff != [delta]:
                 kind = "addition" if t < self.k else "removal"
                 raise ValueError(f"step {t} is not a single-box {kind}: {cur} -> {nxt}")
 
@@ -210,6 +213,11 @@ def _squash(rows: list[int]) -> tuple[list[int], list[int], list[int], list[int]
     return nu, v, w, corner_rows
 
 
+def _shrink(rows: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Row lengths left when the corner box of row i is removed."""
+    return rows[:i] + (rows[i] - 1,) + rows[i + 1 :] if rows[i] > 1 else rows[:i]
+
+
 class _WalkTable(NamedTuple):
     """The squashed walk on one diagram, as immutable tuples.
 
@@ -218,66 +226,135 @@ class _WalkTable(NamedTuple):
     indices of the cells cell c can move to (right, then down) with their
     cumulative weights, and is empty on the anti-diagonal; ``corner[c]``
     is the 0-based original row the walk removes a box from when it stops
-    on cell c.
+    on cell c, and ``after[c]`` the table of the diagram left by that
+    removal (None at the empty shape).
     """
 
     cells: tuple[tuple[int, int], ...]
     start: tuple[int, ...]
     moves: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     corner: tuple[int, ...]
+    after: tuple[_WalkTable | None, ...]
 
 
 @functools.cache
-def _walk_table(rows: tuple[int, ...]) -> _WalkTable:
+def _walk_table(rows: tuple[int, ...]) -> _WalkTable | None:
     """Squashed-walk table of the Young diagram with the given row lengths.
 
     Cell (k, l) of the squashed diagram stands for a v(k) x w(l) rectangle
     of original boxes.  The start cell is drawn with probability
     proportional to v(k)w(l); subsequent moves go right with weight w(l')
     or down with weight v(k'), and the walk stops on the anti-diagonal.
-    Memoised per row tuple.
+    Each stopping cell links to the table of the diagram its corner
+    removal leaves, so the tables of every diagram inside ``rows`` are
+    built with it (recursively, one level per box; ``_linked_table``
+    builds diagrams deeper than the recursion limit).  Memoised per row
+    tuple, so each table is one immutable object shared by all the links
+    to it; the empty shape has no table (None).
     """
+    if not rows:
+        return None
     nu, v, w, corner_rows = _squash(list(rows))
     K = len(nu)
     cells = tuple((k, l) for k in range(K) for l in range(K - k))
     index = {cell: c for c, cell in enumerate(cells)}
     moves = []
+    after = []
     for k, l in cells:
         right = [(k, ll) for ll in range(l + 1, K - k)]
         below = [(kk, l) for kk in range(k + 1, K - l)]
         weights = [w[ll] for _, ll in right] + [v[kk] for kk, _ in below]
         targets = tuple(index[cell] for cell in right + below)
         moves.append((targets, tuple(accumulate(weights))))
+        after.append(_walk_table(_shrink(rows, corner_rows[k])))
     return _WalkTable(
         cells=cells,
         start=tuple(accumulate(v[k] * w[l] for k, l in cells)),
         moves=tuple(moves),
         corner=tuple(corner_rows[k] for k, _ in cells),
+        after=tuple(after),
     )
 
 
-def _pick_cumulative(cum: tuple[int, ...], u: float) -> int:
-    """``_pick`` on cumulative weights: the same comparisons, by bisection."""
-    return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
+def _linked_table(lam: Staircase) -> _WalkTable | None:
+    """``_walk_table`` of the row lengths of the partition lam.
 
-
-def _remove_row(rows: tuple[int, ...], rng, mode: str) -> int:
-    """Row the hook walk of the given mode removes a box from.
-
-    alg3 walks the memoised squashed-walk table of ``rows``, drawing one
-    uniform number per decision exactly as the box walk does.
+    A cold table builds its links recursively, one level per box.  When
+    that exceeds the interpreter's recursion limit, the tables of the
+    diagrams inside lam are built level by level, smallest first, so that
+    every build finds its links in the cache.
     """
-    if mode == "alg1":
-        return _walk_boxes(list(rows), iter(rng.random, None))
-    if mode != "alg3":
+    rows = tuple(e for e in lam.entries if e > 0)
+    try:
+        return _walk_table(rows)
+    except RecursionError:
+        levels = [{rows}]
+        while levels[-1]:
+            levels.append(
+                {
+                    _shrink(r, i)
+                    for r in levels[-1]
+                    for i in range(len(r))
+                    if i == len(r) - 1 or r[i] > r[i + 1]
+                }
+            )
+        for level in reversed(levels):
+            for sub in level:
+                _walk_table(sub)
+        return _walk_table(rows)
+
+
+def _walk(
+    table: _WalkTable | None, draws, limit: int | None = None
+) -> tuple[tuple[int, ...], int]:
+    """Squashed hook walks from ``table`` down to the empty shape.
+
+    Makes ``limit`` removals, or all of them when ``limit`` is None, taking
+    one uniform number per decision from the iterator ``draws``.  Every
+    pick is the strict inverse-CDF comparison of the box walk, by
+    bisection on the cumulative weights.  Returns the removed rows in path
+    order (the last removal first) and the number of draws used.
+    """
+    removed: list[int] = []
+    used = 0
+    while table is not None and len(removed) != limit:
+        _, cum, moves, corner, after = table
+        c = min(bisect_right(cum, next(draws) * cum[-1]), len(cum) - 1)
+        used += 1
+        targets, cum = moves[c]
+        while targets:
+            c = targets[min(bisect_right(cum, next(draws) * cum[-1]), len(cum) - 1)]
+            used += 1
+            targets, cum = moves[c]
+        removed.append(corner[c])
+        table = after[c]
+    removed.reverse()
+    return tuple(removed), used
+
+
+def _remove_rows(
+    lam: Staircase, rng, mode: str, limit: int | None = None
+) -> tuple[int, ...]:
+    """Rows the hook walks of the given mode remove boxes from, in path order.
+
+    Walks from the partition lam down to the empty shape, or for ``limit``
+    removals, drawing from ``rng.random`` one uniform number per decision:
+    alg3 in one ``_walk`` over the linked tables, alg1 one box walk per
+    removal.
+    """
+    draws = iter(rng.random, None)
+    if mode == "alg3":
+        return _walk(_linked_table(lam), draws, limit)[0]
+    if mode != "alg1":
         raise ValueError(f"unknown mode {mode!r}")
-    table = _walk_table(rows)
-    c = _pick_cumulative(table.start, rng.random())
-    targets, cum = table.moves[c]
-    while targets:
-        c = targets[_pick_cumulative(cum, rng.random())]
-        targets, cum = table.moves[c]
-    return table.corner[c]
+    rows = tuple(e for e in lam.entries if e > 0)
+    removed: list[int] = []
+    while rows and len(removed) != limit:
+        i = _walk_boxes(list(rows), draws)
+        removed.append(i)
+        rows = _shrink(rows, i)
+    removed.reverse()
+    return tuple(removed)
 
 
 def sample_remove_box(
@@ -291,8 +368,8 @@ def sample_remove_box(
     """
     if not lam.is_partition or lam.size == 0:
         raise ValueError("need a nonempty partition")
-    rows = tuple(e for e in lam.entries if e > 0)
-    return lam.bump(_remove_row(rows, rng, mode), -1)
+    (row,) = _remove_rows(lam, rng, mode, limit=1)
+    return lam.bump(row, -1)
 
 
 def next_step_distribution(lam: Staircase, mode: str = "alg1") -> RemovalDistribution:
@@ -379,20 +456,15 @@ def sample_gt_rows(
     """Row sequence of a uniformly random GT path from the empty staircase to lam.
 
     Repeatedly removes a hook-walk-sampled box from the partition lam down
-    to the empty shape, walking on row-length tuples, and returns the rows
-    in the order the path adds them (``GtPath.row_sequence``).  The alg3
-    walk reads the squashed-walk tables, memoised per row tuple with
-    ``functools.cache``.
+    to the empty shape and returns the rows in the order the path adds
+    them (``GtPath.row_sequence``).  alg3 walks the whole path in one loop
+    over the linked squashed-walk tables of ``_walk_table`` (memoised per
+    row tuple), drawing one ``rng.random()`` per decision, so the draws
+    and their number are those of one walk per removal.
     """
     if not lam.is_partition:
         raise ValueError("need a partition")
-    rows = tuple(e for e in lam.entries if e > 0)
-    removed = []
-    while rows:
-        i = _remove_row(rows, rng, mode)
-        removed.append(i)
-        rows = rows[:i] + (rows[i] - 1,) + rows[i + 1 :] if rows[i] > 1 else rows[:i]
-    return tuple(reversed(removed))
+    return _remove_rows(lam, rng, mode)
 
 
 def sample_gt_path(
@@ -402,9 +474,8 @@ def sample_gt_path(
 
     Repeatedly removes a hook-walk-sampled box down to the empty shape and
     reverses; uniform over all dim_perm_irrep(lam) paths.  The walk runs on
-    row-length tuples through ``sample_gt_rows`` (alg3 reads the hook-walk
-    tables memoised per row tuple with ``functools.cache``, immutable
-    tuples), and one GtPath is built at the end.
+    row-length tuples through ``sample_gt_rows``, and one GtPath is built
+    at the end.
     """
     steps = [empty_staircase(lam.d)]
     for i in sample_gt_rows(lam, rng, mode=mode):

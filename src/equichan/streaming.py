@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from equichan.channels import ExtremalSpec, irrep_channel
-from equichan.gtpaths import CountingRng, GtPath, sample_gt_rows
+from equichan.gtpaths import GtPath, _linked_table, _walk
 from equichan.staircases import (
     Staircase,
     box_label,
@@ -46,6 +47,11 @@ SYNTHESIS_EXPONENT_SYMBOL = "p"
 
 # Tolerance on the unit trace and the Hermiticity of a streamed input.
 STATE_TOL = 1e-8
+
+# Sample mode takes its uniform draws from the generator in blocks of this
+# many; numpy's Generator returns the same doubles in blocks as one at a
+# time, and memory stays O(CHUNK) for any number of trajectories.
+CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +225,13 @@ def _absorb_phase(
     trace = np.trace(rho)
     if abs(trace - 1.0) > STATE_TOL:
         raise ValueError(f"input trace {trace:.6g}, expected 1")
-    if np.linalg.norm(rho - rho.conj().T) > STATE_TOL:
+    # rho^dag - rho in one C-ordered buffer, freed before absorption
+    defect = np.empty_like(rho, order="C")
+    np.conjugate(rho.T, out=defect)
+    defect -= rho
+    if np.linalg.norm(defect) > STATE_TOL:
         raise ValueError("input is not Hermitian")
+    del defect
     box = box_label(d)
     sigma: dict[Staircase, np.ndarray] = {box: rho.astype(complex)}
     schedule.append(ScheduleStep("absorb", ("Q", "in:1"), d))
@@ -414,15 +425,16 @@ def _emission_phase(
     R_a in the Schur transform S on n sites, so every emission operator is
     read from the cached ``schur_transform(n, 0, d)``.  Exact mode weights
     every path of a sector by w_a = 1/p_mu.  Sample mode draws one path per
-    label and trajectory with the hook walk (the draws of
-    ``sample_gt_path``, draw for draw), counts the draws per path and
-    weights each drawn path by w_a = count/trajectories.  The output is
-    sum_a w_a R_a^dag tau_mu R_a = S^T T, with T holding w_a tau_mu R_a in
-    the rows of path a: one batched matmul per sector fills T.  S is real
-    and block diagonal by torus weight (``PathTransform.weight_blocks``),
-    so the output rows of each weight class are U_c^T T[rows_c], one real
-    GEMM over the class's filled rows; S is never applied as a dense
-    d^n x d^n product.
+    label and trajectory with one whole-path hook walk over uniforms drawn
+    in blocks of CHUNK (``_draw_paths``; the draws of ``sample_gt_path``
+    on a generator of the same seed, draw for draw), counts the draws per
+    path and weights each drawn path by w_a = count/trajectories.  The
+    output is sum_a w_a R_a^dag tau_mu R_a = S^T T, with T holding
+    w_a tau_mu R_a in the rows of path a: one batched matmul per sector
+    fills T.  S is real and block diagonal by torus weight
+    (``PathTransform.weight_blocks``), so the output rows of each weight
+    class are U_c^T T[rows_c], one real GEMM over the class's filled rows;
+    S is never applied as a dense d^n x d^n product.
     """
     out_dim = d**n
     for j in range(n, 1, -1):
@@ -475,15 +487,24 @@ def _draw_paths(
 ) -> dict[Staircase, tuple[list[int], np.ndarray]]:
     """Hook-walk paths per label: drawn path indices and their frequencies.
 
-    Each trajectory draws one path per label of tau, in tau's order, from
-    one counted random stream; the ledger records the number of draws.
+    Each trajectory draws one path per label of tau, in tau's order, with
+    one ``_walk`` over the label's linked hook-walk tables.  The uniforms
+    come from one ``np.random.default_rng(seed)`` in blocks of CHUNK,
+    chained into one stream, so the paths and draws are those of
+    ``sample_gt_rows`` on a generator of the same seed; the ledger records
+    the number of draws the walks used.
     """
-    rng = CountingRng(np.random.default_rng(seed))
+    gen = np.random.default_rng(seed)
+    draws = chain.from_iterable(iter(lambda: gen.random(CHUNK).tolist(), None))
     tallies: dict[Staircase, Counter] = {mu: Counter() for mu in tau}
+    walks = [(_linked_table(mu), tally) for mu, tally in tallies.items()]
+    used = 0
     for _ in range(trajectories):
-        for mu, tally in tallies.items():
-            tally[sample_gt_rows(mu, rng)] += 1  # type: ignore[arg-type]
-    ledger.classical_samples = rng.count
+        for table, tally in walks:
+            rows, n = _walk(table, draws)
+            tally[rows] += 1
+            used += n
+    ledger.classical_samples = used
     drawn = {}
     for mu, tally in tallies.items():
         index = S.sector(mu).row_index

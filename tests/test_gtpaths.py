@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,27 @@ class TestGtPath:
         p = GtPath((staircase(0, 0), staircase(1, 0), staircase(1, 1)), k=2, l=0)
         assert p.end == staircase(1, 1)
         assert p.row_sequence() == (0, 1)
+
+    @pytest.mark.parametrize(
+        "steps,k,l,t",
+        [
+            ((staircase(0, 0), staircase(2, 0)), 1, 0, 0),
+            ((staircase(0, 0), staircase(1, 1)), 1, 0, 0),
+            ((staircase(1, 0), staircase(0, 0)), 1, 0, 0),
+            ((staircase(0, 0), staircase(1, 0, 0)), 1, 0, 0),
+            ((staircase(3, 1), staircase(1, 1)), 0, 1, 0),
+            ((staircase(1, 1), staircase(0, 0)), 0, 1, 0),
+            ((staircase(1, 0), staircase(2, 0)), 0, 1, 0),
+            ((staircase(1, 0, 0), staircase(0, 0)), 0, 1, 0),
+            ((staircase(0, 0), staircase(1, 0), staircase(1, -2)), 1, 1, 1),
+        ],
+    )
+    def test_rejects_steps_that_are_not_one_box(self, steps, k, l, t):
+        # a +-2 step, two changed entries, the wrong direction or another d
+        kind = "addition" if t < k else "removal"
+        msg = f"step {t} is not a single-box {kind}: {steps[t]} -> {steps[t + 1]}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            GtPath(steps, k=k, l=l)
 
     def test_mixed_path(self):
         p = GtPath(
@@ -223,6 +245,41 @@ class TestSampleRemoveBox:
                     assert got == lam.bump(row, -1), (lam, shift)
                     assert len(rng.values) == len(ref.values), (lam, shift)
 
+    def test_whole_path_walk_matches_reference_removals(self):
+        # sample_gt_rows walks a whole path in one loop over the linked
+        # tables; it must remove the rows that repeated reference walks
+        # remove, draw for draw, on every partition of size 1..10 with at
+        # most 5 rows
+        from equichan.gtpaths import _walk_table
+
+        walks = 0
+        for m in range(1, 11):
+            for lam in partitions_of(m, min(m, 5)):
+                rows = tuple(e for e in lam.entries if e > 0)
+                for seed in range(40):
+                    rng = CountingRng(np.random.default_rng(seed))
+                    got = sample_gt_rows(lam, rng)  # type: ignore[arg-type]
+                    assert (rng.count, got) == _reference_rows(rows, seed), (lam, seed)
+                    walks += 1
+                table = _walk_table(rows)
+                for i, link in zip(table.corner, table.after):
+                    assert link is _walk_table(_left(rows, i)), (rows, i)
+        assert walks == 4480
+
+    def test_diagrams_deeper_than_the_recursion_limit(self):
+        # a cold table links recursively, one level per box; a diagram of
+        # more boxes than that allows is linked smallest diagram first
+        from equichan.gtpaths import _walk_table
+
+        for rows in [(1200,), (600, 3, 1)]:
+            _walk_table.cache_clear()
+            rng = CountingRng(np.random.default_rng(5))
+            got = sample_gt_rows(Staircase(rows), rng)  # type: ignore[arg-type]
+            assert (rng.count, got) == _reference_rows(rows, 5), rows
+            table = _walk_table(rows)
+            for i, link in zip(table.corner, table.after):
+                assert link is _walk_table(_left(rows, i)), (rows, i)
+
     def test_walk_tables_are_memoised_tuples(self):
         from equichan.gtpaths import _walk_table
 
@@ -241,6 +298,26 @@ class TestSampleRemoveBox:
             mu = sample_remove_box(lam, rng, mode="alg1")
             counts[mu] = counts.get(mu, 0) + 1
         assert abs(counts[staircase(2, 0)] / 20_000 - 0.5) < 0.02
+
+
+def _left(rows, i):
+    """Row lengths left when a box is removed from row i."""
+    left = rows[:i] + (rows[i] - 1,) + rows[i + 1 :]
+    return tuple(r for r in left if r > 0)
+
+
+def _reference_rows(rows, seed):
+    """Draw count and row sequence of repeated squashed_walk_row removals."""
+    ref = CountingRng(np.random.default_rng(seed))
+    draws = iter(ref.random, None)
+    rows = list(rows)
+    removed = []
+    while rows:
+        i = squashed_walk_row(rows, draws)
+        removed.append(i)
+        rows[i] -= 1
+        rows = [r for r in rows if r > 0]
+    return ref.count, tuple(reversed(removed))
 
 
 class TestSampleGtPath:

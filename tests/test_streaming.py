@@ -31,6 +31,8 @@ from equichan.staircases import (
     staircase,
 )
 from equichan.streaming import (
+    CHUNK,
+    STATE_TOL,
     PathState,
     ResourceLedger,
     ScheduleStep,
@@ -427,6 +429,18 @@ class TestEmissionPhase:
         S = schur_transform(n, 0, d)
         assert np.linalg.norm(out @ S.sector_rows(staircase(3, 2)).T) < 1e-12
 
+    @pytest.mark.parametrize("n,d", [(4, 2), (3, 3), (7, 2)])
+    def test_sample_draws_span_several_blocks(self, n, d, rng):
+        # sample mode takes its uniforms from the generator CHUNK at a time;
+        # a walk takes at least one draw per box, so these trajectories use
+        # three blocks or more, and the stream across the refills must be
+        # the one a sequential redraw on one generator sees
+        tau = _symmetrization_tau(n, d, rng)
+        trajectories = -(-3 * CHUNK // (n * len(tau)))
+        _check_emission_against_dense(
+            tau, n, d, "sample", seed=10 * n + d, trajectories=trajectories
+        )
+
     def test_clone_tau_matches_dense_reference(self, monkeypatch, rng):
         import equichan.apps as apps
 
@@ -482,6 +496,25 @@ def test_non_finite_input_rejected(flags):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _anti_hermitian(dim, defect, rng):
+    """A traceless anti-Hermitian A with ||A - A^dag|| = defect."""
+    B = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    A = B - B.conj().T
+    np.fill_diagonal(A, 0)
+    return A * (defect / np.linalg.norm(A - A.conj().T))
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (6, 3)])
+def test_hermiticity_check_boundary(m, d, rng):
+    # the check measures ||rho - rho^dag|| against STATE_TOL = 1e-8: a
+    # defect of 2e-8 is rejected and one of 5e-9 accepted, at D = 729 too
+    assert STATE_TOL == 1e-8
+    rho = random_state(d**m, rng)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _absorb_phase(rho + _anti_hermitian(d**m, 2e-8, rng), m, d, ResourceLedger(), [])
+    _absorb_phase(rho + _anti_hermitian(d**m, 5e-9, rng), m, d, ResourceLedger(), [])
 
 
 PROPERTY_SHAPES = [(m, n, d) for m in (1, 2, 3) for n in (1, 2, 3) for d in (2, 3)]
