@@ -226,99 +226,66 @@ class _WalkTable(NamedTuple):
     indices of the cells cell c can move to (right, then down) with their
     cumulative weights, and is empty on the anti-diagonal; ``corner[c]``
     is the 0-based original row the walk removes a box from when it stops
-    on cell c, and ``after[c]`` the table of the diagram left by that
-    removal (None at the empty shape).
+    on cell c, and ``after[c]`` the row lengths that removal leaves.
     """
 
     cells: tuple[tuple[int, int], ...]
     start: tuple[int, ...]
     moves: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     corner: tuple[int, ...]
-    after: tuple[_WalkTable | None, ...]
+    after: tuple[tuple[int, ...], ...]
 
 
 @functools.cache
-def _walk_table(rows: tuple[int, ...]) -> _WalkTable | None:
-    """Squashed-walk table of the Young diagram with the given row lengths.
+def _walk_table(rows: tuple[int, ...]) -> _WalkTable:
+    """Squashed-walk table of the nonempty Young diagram with these row lengths.
 
     Cell (k, l) of the squashed diagram stands for a v(k) x w(l) rectangle
     of original boxes.  The start cell is drawn with probability
     proportional to v(k)w(l); subsequent moves go right with weight w(l')
     or down with weight v(k'), and the walk stops on the anti-diagonal.
-    Each stopping cell links to the table of the diagram its corner
-    removal leaves, so the tables of every diagram inside ``rows`` are
-    built with it (recursively, one level per box; ``_linked_table``
-    builds diagrams deeper than the recursion limit).  Memoised per row
-    tuple, so each table is one immutable object shared by all the links
-    to it; the empty shape has no table (None).
+    Each stopping cell carries the row tuple its corner removal leaves, so
+    a walk looks up the next table by that key and only the tables of the
+    diagrams it visits are built.  Memoised per row tuple, so each table
+    is one immutable object.
     """
-    if not rows:
-        return None
     nu, v, w, corner_rows = _squash(list(rows))
     K = len(nu)
     cells = tuple((k, l) for k in range(K) for l in range(K - k))
     index = {cell: c for c, cell in enumerate(cells)}
     moves = []
-    after = []
     for k, l in cells:
         right = [(k, ll) for ll in range(l + 1, K - k)]
         below = [(kk, l) for kk in range(k + 1, K - l)]
         weights = [w[ll] for _, ll in right] + [v[kk] for kk, _ in below]
         targets = tuple(index[cell] for cell in right + below)
         moves.append((targets, tuple(accumulate(weights))))
-        after.append(_walk_table(_shrink(rows, corner_rows[k])))
     return _WalkTable(
         cells=cells,
         start=tuple(accumulate(v[k] * w[l] for k, l in cells)),
         moves=tuple(moves),
         corner=tuple(corner_rows[k] for k, _ in cells),
-        after=tuple(after),
+        after=tuple(_shrink(rows, corner_rows[k]) for k, _ in cells),
     )
 
 
-def _linked_table(lam: Staircase) -> _WalkTable | None:
-    """``_walk_table`` of the row lengths of the partition lam.
-
-    A cold table builds its links recursively, one level per box.  When
-    that exceeds the interpreter's recursion limit, the tables of the
-    diagrams inside lam are built level by level, smallest first, so that
-    every build finds its links in the cache.
-    """
-    rows = tuple(e for e in lam.entries if e > 0)
-    try:
-        return _walk_table(rows)
-    except RecursionError:
-        levels = [{rows}]
-        while levels[-1]:
-            levels.append(
-                {
-                    _shrink(r, i)
-                    for r in levels[-1]
-                    for i in range(len(r))
-                    if i == len(r) - 1 or r[i] > r[i + 1]
-                }
-            )
-        for level in reversed(levels):
-            for sub in level:
-                _walk_table(sub)
-        return _walk_table(rows)
-
-
 def _walk(
-    table: _WalkTable | None, draws, limit: int | None = None
+    rows: tuple[int, ...], draws, limit: int | None = None
 ) -> tuple[tuple[int, ...], int]:
-    """Squashed hook walks from ``table`` down to the empty shape.
+    """Squashed hook walks from the diagram with row lengths ``rows`` down.
 
-    Makes ``limit`` removals, or all of them when ``limit`` is None, taking
-    one uniform number per decision from the iterator ``draws``.  Every
-    pick is the strict inverse-CDF comparison of the box walk, by
-    bisection on the cumulative weights.  Returns the removed rows in path
-    order (the last removal first) and the number of draws used.
+    ``rows`` holds the positive row lengths of a partition.  Makes
+    ``limit`` removals, or all of them down to the empty shape when
+    ``limit`` is None, taking one uniform number per decision from the
+    iterator ``draws``.  Every pick is the strict inverse-CDF comparison of
+    the box walk, by bisection on the cumulative weights of the memoised
+    ``_walk_table`` of the current diagram.  Returns the removed rows in
+    path order (the last removal first) and the number of draws used.
     """
     removed: list[int] = []
     used = 0
-    while table is not None and len(removed) != limit:
-        _, cum, moves, corner, after = table
+    while rows and len(removed) != limit:
+        _, cum, moves, corner, after = _walk_table(rows)
         c = min(bisect_right(cum, next(draws) * cum[-1]), len(cum) - 1)
         used += 1
         targets, cum = moves[c]
@@ -327,7 +294,7 @@ def _walk(
             used += 1
             targets, cum = moves[c]
         removed.append(corner[c])
-        table = after[c]
+        rows = after[c]
     removed.reverse()
     return tuple(removed), used
 
@@ -339,15 +306,15 @@ def _remove_rows(
 
     Walks from the partition lam down to the empty shape, or for ``limit``
     removals, drawing from ``rng.random`` one uniform number per decision:
-    alg3 in one ``_walk`` over the linked tables, alg1 one box walk per
+    alg3 in one ``_walk`` over the memoised tables, alg1 one box walk per
     removal.
     """
     draws = iter(rng.random, None)
+    rows = tuple(e for e in lam.entries if e > 0)
     if mode == "alg3":
-        return _walk(_linked_table(lam), draws, limit)[0]
+        return _walk(rows, draws, limit)[0]
     if mode != "alg1":
         raise ValueError(f"unknown mode {mode!r}")
-    rows = tuple(e for e in lam.entries if e > 0)
     removed: list[int] = []
     while rows and len(removed) != limit:
         i = _walk_boxes(list(rows), draws)
@@ -458,9 +425,10 @@ def sample_gt_rows(
     Repeatedly removes a hook-walk-sampled box from the partition lam down
     to the empty shape and returns the rows in the order the path adds
     them (``GtPath.row_sequence``).  alg3 walks the whole path in one loop
-    over the linked squashed-walk tables of ``_walk_table`` (memoised per
-    row tuple), drawing one ``rng.random()`` per decision, so the draws
-    and their number are those of one walk per removal.
+    over the squashed-walk tables of ``_walk_table`` (memoised per row
+    tuple, each naming the row tuple its removals leave), drawing one
+    ``rng.random()`` per decision, so the draws and their number are those
+    of one walk per removal.
     """
     if not lam.is_partition:
         raise ValueError("need a partition")
@@ -482,14 +450,3 @@ def sample_gt_path(
         steps.append(steps[-1].bump(i, 1))
     return GtPath(tuple(steps), k=lam.size, l=0)
 
-
-class CountingRng:
-    """Wrapper around a numpy Generator that counts uniform draws."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self.count = 0
-
-    def random(self):
-        self.count += 1
-        return self._rng.random()

@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from equichan.channels import ExtremalSpec, irrep_channel
-from equichan.gtpaths import GtPath, _linked_table, _walk
+from equichan.gtpaths import GtPath, _walk
 from equichan.staircases import (
     Staircase,
     box_label,
@@ -488,7 +488,7 @@ def _draw_paths(
     """Hook-walk paths per label: drawn path indices and their frequencies.
 
     Each trajectory draws one path per label of tau, in tau's order, with
-    one ``_walk`` over the label's linked hook-walk tables.  The uniforms
+    one ``gtpaths._walk`` from the label's row lengths.  The uniforms
     come from one ``np.random.default_rng(seed)`` in blocks of CHUNK,
     chained into one stream, so the paths and draws are those of
     ``sample_gt_rows`` on a generator of the same seed; the ledger records
@@ -497,12 +497,14 @@ def _draw_paths(
     gen = np.random.default_rng(seed)
     draws = chain.from_iterable(iter(lambda: gen.random(CHUNK).tolist(), None))
     tallies: dict[Staircase, Counter] = {mu: Counter() for mu in tau}
-    walks = [(_linked_table(mu), tally) for mu, tally in tallies.items()]
+    walks = [
+        (tuple(e for e in mu.entries if e > 0), tally) for mu, tally in tallies.items()
+    ]
     used = 0
     for _ in range(trajectories):
-        for table, tally in walks:
-            rows, n = _walk(table, draws)
-            tally[rows] += 1
+        for rows, tally in walks:
+            path, n = _walk(rows, draws)
+            tally[path] += 1
             used += n
     ledger.classical_samples = used
     drawn = {}

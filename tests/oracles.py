@@ -139,6 +139,18 @@ def werner_cloner(rho: np.ndarray, m: int, n: int, d: int) -> np.ndarray:
     return (dm / dn) * (P @ big @ P)
 
 
+class CountingRng:
+    """Wrapper around a numpy Generator that counts uniform draws."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.count = 0
+
+    def random(self):
+        self.count += 1
+        return self._rng.random()
+
+
 def squashed_walk_row(rows: list[int], draws) -> int:
     """Row the squashed hook walk removes a box from, by explicit loops.
 

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import squashed_walk_row
+from oracles import CountingRng, squashed_walk_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichan.gtpaths import (
-    CountingRng,
     GtPath,
     RemovalDistribution,
     enumerate_paths,
@@ -246,10 +245,10 @@ class TestSampleRemoveBox:
                     assert len(rng.values) == len(ref.values), (lam, shift)
 
     def test_whole_path_walk_matches_reference_removals(self):
-        # sample_gt_rows walks a whole path in one loop over the linked
+        # sample_gt_rows walks a whole path in one loop over the memoised
         # tables; it must remove the rows that repeated reference walks
         # remove, draw for draw, on every partition of size 1..10 with at
-        # most 5 rows
+        # most 5 rows, and each table must name the rows its removals leave
         from equichan.gtpaths import _walk_table
 
         walks = 0
@@ -262,23 +261,31 @@ class TestSampleRemoveBox:
                     assert (rng.count, got) == _reference_rows(rows, seed), (lam, seed)
                     walks += 1
                 table = _walk_table(rows)
-                for i, link in zip(table.corner, table.after):
-                    assert link is _walk_table(_left(rows, i)), (rows, i)
+                for i, after in zip(table.corner, table.after):
+                    assert after == _left(rows, i), (rows, i)
         assert walks == 4480
 
-    def test_diagrams_deeper_than_the_recursion_limit(self):
-        # a cold table links recursively, one level per box; a diagram of
-        # more boxes than that allows is linked smallest diagram first
+    def test_walks_build_only_the_tables_they_visit(self):
+        # a table names the row tuples its removals leave and builds no
+        # other table, so one removal builds one table and a whole path at
+        # most one per box, even where the diagrams inside the shape number
+        # C(28, 8) (the 8 x 20 rectangle)
         from equichan.gtpaths import _walk_table
 
+        lam = Staircase((20,) * 8)
+        _walk_table.cache_clear()
+        sample_remove_box(lam, np.random.default_rng(2))
+        assert _walk_table.cache_info().currsize == 1
+        _walk_table.cache_clear()
+        sample_gt_rows(lam, np.random.default_rng(2))
+        assert _walk_table.cache_info().currsize <= lam.size
+
+    def test_deep_diagrams_walk(self):
+        # the walk iterates over removals, so no depth limit applies
         for rows in [(1200,), (600, 3, 1)]:
-            _walk_table.cache_clear()
             rng = CountingRng(np.random.default_rng(5))
             got = sample_gt_rows(Staircase(rows), rng)  # type: ignore[arg-type]
             assert (rng.count, got) == _reference_rows(rows, 5), rows
-            table = _walk_table(rows)
-            for i, link in zip(table.corner, table.after):
-                assert link is _walk_table(_left(rows, i)), (rows, i)
 
     def test_walk_tables_are_memoised_tuples(self):
         from equichan.gtpaths import _walk_table
@@ -286,7 +293,7 @@ class TestSampleRemoveBox:
         table = _walk_table((5, 3, 3, 2))
         assert _walk_table((5, 3, 3, 2)) is table
         assert table.start == (2, 3, 5, 9, 11, 13)  # cumulative v*w of the worked walk
-        for part in (table.cells, table.start, table.moves, table.corner):
+        for part in (table.cells, table.start, table.moves, table.corner, table.after):
             assert isinstance(part, tuple)
         for targets, cum in table.moves:
             assert isinstance(targets, tuple) and isinstance(cum, tuple)

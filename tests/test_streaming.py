@@ -21,7 +21,7 @@ from equichan.channels import (
     purity_spec,
     symmetrization_spec,
 )
-from equichan.gtpaths import CountingRng, GtPath, enumerate_paths, sample_gt_path
+from equichan.gtpaths import GtPath, enumerate_paths, sample_gt_path
 from equichan.staircases import (
     box_label,
     dim_gl_irrep,
@@ -47,7 +47,7 @@ from equichan.streaming import (
 )
 from equichan.transforms import BlockIsometry, iterated_cg, schur_transform, simple_cg
 
-from oracles import absorb_kron, emit_dense, symmetrize_brute
+from oracles import CountingRng, absorb_kron, emit_dense, symmetrize_brute
 
 
 def random_state(dim, rng):
