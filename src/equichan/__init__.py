@@ -43,6 +43,7 @@ from equichan.channels import (
     apply_channel,
     block_decompose_choi,
     check_symmetries,
+    cloning_spec,
     dual_uss_channel,
     enumerate_extremal_triples,
     extremal_choi,
@@ -84,6 +85,7 @@ __all__ = [
     "canonical_realization",
     "check_symmetries",
     "clone",
+    "cloning_spec",
     "dim_gl_irrep",
     "dim_perm_irrep",
     "dual_uss_channel",

@@ -1,9 +1,10 @@
 """Worked applications: state symmetrization, symmetric cloning, purity
 amplification.
 
-Each runs through the streamed executor and returns the output state with
-the resource ledger; independent dense oracles for all three live in the
-test suite.
+Each is one extremal spec (``symmetrization_spec``, ``cloning_spec``,
+``purity_spec``) run by the streamed executor ``streamed_apply``, and
+returns the output state with the resource ledger; independent dense
+oracles for all three live in the test suite.
 """
 
 from __future__ import annotations
@@ -16,21 +17,15 @@ import numpy as np
 
 from equichan.channels import (
     PSD_TOL,
-    ExtremalSpec,
-    ExtremalTriple,
+    cloning_spec,
     purity_spec,
     symmetrization_spec,
 )
-from equichan.staircases import staircase, sym_dim
-from equichan.streaming import (
-    ResourceLedger,
-    ScheduleStep,
-    _absorb_phase,
-    _emission_phase,
-    _stream_embed_trace_sites,
-    _unique_path,
-    validate_schedule,
-)
+from equichan.staircases import sym_dim
+from equichan.streaming import ResourceLedger, streamed_apply
+
+# bound only because perfbench/tracer.py's REQUIRED_ALIASES demands them
+from equichan.streaming import _absorb_phase, _emission_phase  # noqa: F401
 from equichan.transforms import permutation_operator
 
 SYMMETRIC_SUPPORT_TOL = 1e-8
@@ -88,8 +83,6 @@ def symmetrize(
     Runs the streaming schedule of the spec assigning the identity channel
     to every label; equals the average over all m! permutations.
     """
-    from equichan.streaming import streamed_apply
-
     spec = symmetrization_spec(m, d)
     out, ledger = streamed_apply(
         spec, rho, seed=seed, mode=mode, trajectories=trajectories
@@ -113,15 +106,15 @@ def clone(
 ) -> AppResult:
     """Optimal symmetric cloning of m copies into n > m approximate copies.
 
-    ``state`` is either a single-qudit pure vector psi (cloned from
-    psi^(x m)) or a density matrix on the m-qudit symmetric subspace.
-    Inputs with mass outside the symmetric subspace are rejected, because
-    the cloning map only preserves trace there.  The fidelity field holds
+    Runs ``cloning_spec(m, n, d)`` through ``streamed_apply``.  ``state`` is
+    either a single-qudit pure vector psi (cloned from psi^(x m)) or a
+    density matrix on the m-qudit symmetric subspace.  A matrix input with
+    off-mass |rho - P rho P| or weight tr((1 - P) rho) above 1e-8 outside
+    it (P the symmetric projector) is rejected.  The fidelity field holds
     tr[(psi psi)^(x n) output] when a pure state is given or passed as
     ``reference``.
     """
-    if not 0 < m < n:
-        raise ValueError("need 0 < m < n")
+    spec = cloning_spec(m, n, d)
     psi = None
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
@@ -138,10 +131,7 @@ def clone(
         psi = np.asarray(reference, dtype=complex).reshape(-1)
         psi = psi / np.linalg.norm(psi)
 
-    ledger = ResourceLedger()
-    schedule: list[ScheduleStep] = []
-    # absorption checks the shape, trace and Hermiticity of rho
-    sigma = _absorb_phase(rho, m, d, ledger, schedule)
+    out, ledger = streamed_apply(spec, rho)
     if state.ndim != 1:
         P = symmetric_projector(m, d)
         off = np.linalg.norm(rho - P @ rho @ P)
@@ -150,27 +140,10 @@ def clone(
                 f"input has mass {off:.2e} outside the symmetric subspace; "
                 "the cloning map is only trace preserving on it"
             )
-    lam = staircase(*((m,) + (0,) * (d - 1)))
-    mu = staircase(*((n,) + (0,) * (d - 1)))
-    # all symmetric-subspace weight sits in the single-row block
-    stray = sum(
-        float(np.trace(blk).real) for label, blk in sigma.items() if label != lam
-    )
-    if stray > SYMMETRIC_SUPPORT_TOL:
-        raise ValueError(f"non-symmetric weight {stray:.2e} after absorption")
-    path = _unique_path(mu, lam, 0, n - m)
-    if path is None:
-        raise RuntimeError("single-row removal path must be unique")
-    ledger.r_prime = max(ledger.r_prime, 1)
-    aux_counter = itertools.count(1)
-    out_mu = _stream_embed_trace_sites(
-        lam, path, sigma[lam], ledger, schedule, aux_counter
-    )
-    tau = {mu: out_mu}
-    out = _emission_phase(
-        tau, n, d, ledger, schedule, mode="exact", seed=0, trajectories=0
-    )
-    validate_schedule(schedule)
+        # the weight absorption puts on labels other than (m)
+        stray = float(np.trace(rho - P @ rho).real)
+        if stray > SYMMETRIC_SUPPORT_TOL:
+            raise ValueError(f"non-symmetric weight {stray:.2e} after absorption")
     fidelity = None
     if psi is not None:
         target = np.array([1.0 + 0j])
@@ -197,8 +170,6 @@ def purity_amplify(
     references the depolarization strength.  When ``reference`` is given the
     fidelity field holds <ref| output |ref>.
     """
-    from equichan.streaming import streamed_apply
-
     out, ledger = streamed_apply(purity_spec(m, d), rho)
     fidelity = None
     if reference is not None:

@@ -273,22 +273,26 @@ class ExtremalSpec:
         return self.assignments[lam]
 
 
+def _admissible_gammas(lam: Staircase, mu: Staircase):
+    """Each admissible gamma of lam -> mu with its multiplicity, in order."""
+    shift = lam.entries[0]
+    lam_v = lam.dual().shift(shift)  # partition with the same label
+    for gp in partitions_of(lam_v.size + mu.size, lam.d):
+        c = lr_coeff(lam_v, mu, gp)
+        if c >= 1:
+            yield gp.shift(-shift), c
+
+
 def enumerate_extremal_triples(
     m: int, n: int, d: int
 ) -> list[tuple[Staircase, Staircase, Staircase, int]]:
     """All admissible (lambda, mu, gamma) with the multiplicity dimension."""
-    out = []
-    for lam in partitions_of(m, d):
-        lam_dual = lam.dual()
-        for mu in partitions_of(n, d):
-            shift = lam.entries[0]
-            lam_v = lam_dual.shift(shift)  # partition with the same label
-            total = lam_v.size + mu.size
-            for gp in partitions_of(total, d):
-                c = lr_coeff(lam_v, mu, gp)
-                if c >= 1:
-                    out.append((lam, mu, gp.shift(-shift), c))
-    return out
+    return [
+        (lam, mu, gamma, c)
+        for lam in partitions_of(m, d)
+        for mu in partitions_of(n, d)
+        for gamma, c in _admissible_gammas(lam, mu)
+    ]
 
 
 def symmetrization_spec(m: int, d: int) -> ExtremalSpec:
@@ -298,6 +302,27 @@ def symmetrization_spec(m: int, d: int) -> ExtremalSpec:
         lam: ExtremalTriple(lam, zero, np.ones(1)) for lam in partitions_of(m, d)
     }
     return ExtremalSpec(m, m, d, assignments)
+
+
+def cloning_spec(m: int, n: int, d: int) -> ExtremalSpec:
+    """Optimal symmetric cloning of m copies into n (Werner, PRA 58, 1827).
+
+    Label (m), the symmetric subspace, goes to (n) through gamma = (n - m);
+    every other label takes its first admissible triple in
+    ``enumerate_extremal_triples`` order, which has mu = (n).
+    """
+    if not 0 < m < n:
+        raise ValueError("need 0 < m < n")
+    pad = (0,) * (d - 1)
+    row_m, row_n = Staircase((m,) + pad), Staircase((n,) + pad)
+    assignments = {}
+    for lam in partitions_of(m, d):
+        if lam == row_m:
+            gamma, c = Staircase((n - m,) + pad), 1
+        else:
+            gamma, c = next(_admissible_gammas(lam, row_n))
+        assignments[lam] = ExtremalTriple(row_n, gamma, np.eye(c)[0])
+    return ExtremalSpec(m, n, d, assignments)
 
 
 def gamma_min(lam: Staircase) -> Staircase:

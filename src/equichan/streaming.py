@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
 from equichan.channels import ExtremalSpec, irrep_channel
-from equichan.gtpaths import GtPath, _walk
+from equichan.gtpaths import GtPath, _walk, enumerate_paths
 from equichan.staircases import (
     Staircase,
     box_label,
@@ -47,6 +47,9 @@ SYNTHESIS_EXPONENT_SYMBOL = "p"
 
 # Tolerance on the unit trace and the Hermiticity of a streamed input.
 STATE_TOL = 1e-8
+
+# A block of Frobenius norm below this carries no weight: middle and emission skip it.
+WEIGHTLESS_NORM = 1e-15
 
 # Sample mode takes its uniform draws from the generator in blocks of this
 # many; numpy's Generator returns the same doubles in blocks as one at a
@@ -314,27 +317,29 @@ def _middle_phase(
     ledger: ResourceLedger,
     schedule: list,
 ) -> dict[Staircase, np.ndarray]:
-    """Apply the per-label irrep channel, streamed along a unique path when
-    one exists and densely otherwise."""
-    import itertools
+    """Apply the per-label irrep channel of each triple lam -> mu.
 
+    A label whose block norm is below WEIGHTLESS_NORM is skipped: no step,
+    no r_prime.  Routes, first that applies: the identity (gamma empty); the
+    one addition gamma_bar -> lam when mu is one box, tracing the base; the
+    unique path mu -> lam, tracing each site; else the dense irrep channel.
+    """
     d = spec.d
     tau: dict[Staircase, np.ndarray] = {}
-    aux_counter = itertools.count(1)
+    aux_counter = count(1)
     for lam, blk in sigma.items():
+        if np.linalg.norm(blk) < WEIGHTLESS_NORM:
+            continue
         t = spec.triple(lam)
         ledger.r_prime = max(ledger.r_prime, t.mu.length)
         gamma_bar = t.gamma.dual()
         k0, l0 = gamma_bar.pos_size, gamma_bar.neg_size
-        path_b = (
-            _unique_path(gamma_bar, lam, 1, 0) if t.mu == box_label(d) else None
-        )
         if k0 == 0 and l0 == 0:
             # identity channel on the label; nothing moves
             out = blk
-        elif path_b is not None:
+        elif t.mu == box_label(d):
             # single-box output: embed over the added box and trace the base
-            out = _stream_embed_trace_base(lam, path_b, blk, ledger, schedule)
+            out = _stream_embed_trace_base(lam, gamma_bar, blk, ledger, schedule)
         elif (path_a := _unique_path(t.mu, lam, k0, l0)) is not None:
             out = _stream_embed_trace_sites(lam, path_a, blk, ledger, schedule, aux_counter)
         else:
@@ -348,8 +353,6 @@ def _middle_phase(
 
 
 def _unique_path(base: Staircase, end: Staircase, k: int, l: int) -> GtPath | None:
-    from equichan.gtpaths import enumerate_paths
-
     paths = enumerate_paths(base, k, l).get(end, [])
     if len(paths) == 1:
         return paths[0]
@@ -388,23 +391,19 @@ def _stream_embed_trace_sites(
 
 def _stream_embed_trace_base(
     lam: Staircase,
-    path: GtPath,
+    prev: Staircase,
     blk: np.ndarray,
     ledger: ResourceLedger,
     schedule: list,
 ) -> np.ndarray:
-    """Single-addition route: embed into Q_base (x) C^d and trace the base."""
+    """Single-addition route: embed Q_lam into Q_prev (x) C^d, trace Q_prev."""
     d = lam.d
-    (prev, nxt, dual) = _emit_steps(path)[0]
-    if dual or nxt != lam:
-        raise RuntimeError(f"base-trace route needs one addition ending at {lam}")
     q_prev = dim_gl_irrep(prev)
     live = q_prev * d
     schedule.append(ScheduleStep("embed", ("Q", "path"), live))
     ledger.bump(live)
     ledger.num_inverse_cg += 1
-    cg = simple_cg(prev, dual)
-    R = cg.block_rows(nxt)
+    R = simple_cg(prev, False).block_rows(lam)
     moved = R.conj().T @ blk @ R
     return np.einsum("iaib->ab", moved.reshape(q_prev, d, q_prev, d))
 
@@ -451,7 +450,7 @@ def _emission_phase(
     T = np.empty((out_dim, out_dim), dtype=complex)
     filled = np.zeros(out_dim, dtype=bool)
     for mu, blk in tau.items():
-        if np.linalg.norm(blk) < 1e-15:
+        if np.linalg.norm(blk) < WEIGHTLESS_NORM:
             continue
         sector = S.sector(mu)
         p, q = sector.p_dim, sector.q_dim

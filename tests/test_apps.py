@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import equichan
+import equichan.apps as apps
+import equichan.streaming as streaming
 from equichan.apps import (
     AppResult,
     clone,
@@ -18,6 +20,7 @@ from equichan.apps import (
 from equichan.channels import (
     ChoiMatrix,
     check_symmetries,
+    cloning_spec,
     extremal_choi,
     gamma_min,
     purity_spec,
@@ -121,6 +124,35 @@ class TestClone:
         with pytest.raises(ValueError):
             clone(np.array([1.0, 0.0]), 2, 2, 2)
 
+    @staticmethod
+    def _mixture(eps, m, d):
+        # (1 - eps) s + eps a: s and a the normalized projectors onto the
+        # symmetric subspace and its complement
+        P = symmetric_projector(m, d)
+        Q = np.eye(d**m) - P
+        return (1 - eps) * P / np.trace(P) + eps * Q / np.trace(Q)
+
+    def test_keeps_weight_below_support_tolerance(self):
+        # weight 5e-9 outside the symmetric subspace passes both support
+        # checks; the other labels are cloned by their cloning_spec triples,
+        # so the output keeps unit trace
+        m, n, d = 2, 3, 3
+        rho = self._mixture(5e-9, m, d)
+        res = clone(rho, m, n, d)
+        expected = extremal_choi(cloning_spec(m, n, d)).apply(rho)
+        assert np.abs(res.output - expected).max() < 1e-10
+        assert abs(np.trace(res.output) - 1) < 1e-12
+        assert np.linalg.eigvalsh(res.output).min() > -1e-12
+
+    def test_rejects_non_symmetric_weight(self):
+        # off-mass 8.7e-9 passes the first check, weight 1.5e-8 fails the second
+        with pytest.raises(ValueError, match="non-symmetric weight 1.50e-08"):
+            clone(self._mixture(1.5e-8, 2, 3), 2, 3, 3)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"input shape \(3, 3\), expected \(4, 4\)"):
+            clone(np.eye(3) / 3, 2, 3, 2)
+
     def test_ledger_cloning_1_to_3(self, rng):
         psi = haar_vector(2, rng)
         res = clone(psi, 1, 3, 2)
@@ -128,6 +160,107 @@ class TestClone:
         assert res.ledger.num_inverse_cg == 2
         # the middle removes n-m boxes through inverse dual transforms
         assert res.ledger.num_simple_dual_cg == 2
+
+
+def _steps(*lines):
+    """Schedule steps written as "op register register ... live_dim"."""
+    out = []
+    for line in lines:
+        op, *registers, live = line.split()
+        out.append((op, tuple(registers), int(live)))
+    return out
+
+
+def _ledger(simple, dual, inverse, peak, r, r_prime):
+    return {
+        "num_simple_cg": simple,
+        "num_simple_dual_cg": dual,
+        "num_inverse_cg": inverse,
+        "peak_live_dim": peak,
+        "classical_samples": 0,
+        "r": r,
+        "r_prime": r_prime,
+    }
+
+
+# clone's values are those of the hand-built run that streamed_apply
+# replaced; running it as cloning_spec must not change them.
+PINNED_RUNS = {
+    ("clone", 2, 6, 3): (
+        _ledger(1, 4, 5, 84, 2, 1),
+        _steps(
+            "absorb Q in:1 3", "absorb Q in:2 label 9",
+            "embed Q aux:1 path 30", "embed Q aux:2 path 45",
+            "embed Q aux:3 path 63", "embed Q aux:4 path 84",
+            "emit Q out:6 path 72", "emit Q out:5 path 45", "emit Q out:4 path 30",
+            "emit Q out:3 path 18", "emit Q out:2 path 9",
+        ),
+    ),
+    ("clone", 1, 8, 2): (
+        _ledger(0, 7, 7, 18, 1, 1),
+        _steps(
+            "absorb Q in:1 2",
+            *("embed Q aux:%d path %d" % (j, 4 + 2 * j) for j in range(1, 8)),
+            *("emit Q out:%d path %d" % (j, 2 * j) for j in range(8, 1, -1)),
+        ),
+    ),
+    ("clone", 2, 3, 2): (
+        _ledger(1, 1, 2, 8, 2, 1),
+        _steps(
+            "absorb Q in:1 2", "absorb Q in:2 label 4", "embed Q aux:1 path 8",
+            "emit Q out:3 path 6", "emit Q out:2 path 4",
+        ),
+    ),
+    ("purity", 8, 2): (
+        _ledger(7, 0, 5, 16, 2, 1),
+        _steps(
+            "absorb Q in:1 2",
+            *("absorb Q in:%d label %d" % (t, 2 * t) for t in range(2, 9)),
+            "embed Q path 16", "embed Q path 12", "embed Q path 8",
+            "embed Q path 4", "embed Q path 4",
+        ),
+    ),
+    ("purity", 5, 3): (
+        _ledger(4, 0, 5, 45, 3, 1),
+        _steps(
+            "absorb Q in:1 3", "absorb Q in:2 label 9", "absorb Q in:3 label 18",
+            "absorb Q in:4 label 30", "absorb Q in:5 label 45",
+            "embed Q path 45", "embed Q path 45", "embed Q path 18",
+            "embed Q path 9", "embed Q path 9",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_RUNS), ids=lambda c: "-".join(map(str, c)))
+def test_ledger_and_schedule_pinned(case, monkeypatch, rng):
+    # each app makes exactly one streamed_apply call; the schedule is read
+    # where streamed_apply validates it
+    calls, schedules = [], []
+    run = streaming.streamed_apply
+    check = streaming.validate_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    def recorded(steps):
+        schedules.append([(s.op, s.registers, s.live_dim) for s in steps])
+        return check(steps)
+
+    monkeypatch.setattr(apps, "streamed_apply", counted)
+    monkeypatch.setattr(streaming, "validate_schedule", recorded)
+    app, *shape = case
+    if app == "clone":
+        m, n, d = shape
+        res = clone(haar_vector(d, rng), m, n, d)
+    else:
+        m, d = shape
+        res = purity_amplify(random_state(d**m, rng), m, d)
+    ledger, schedule = PINNED_RUNS[case]
+    assert len(calls) == 1
+    assert res.ledger.as_dict() == ledger
+    assert schedules == [schedule]
 
 
 class TestPurityAmplify:

@@ -36,6 +36,7 @@ from equichan.streaming import (
     PathState,
     ResourceLedger,
     ScheduleStep,
+    WEIGHTLESS_NORM,
     _absorb_phase,
     _emission_phase,
     _middle_phase,
@@ -207,6 +208,32 @@ class TestStreamedApply:
         ops = [s.op for s in schedule]
         assert ops.count("absorb") == 3
         assert ops.count("emit") == 2
+
+    def test_weightless_labels_are_skipped(self):
+        # on |0...0> only the single-row label carries weight; the others
+        # get no middle step, do not count towards r_prime, and the output
+        # is still the channel's
+        from equichan.suites import all_specs
+
+        ledgers = {}
+        for spec in [purity_spec(3, 2), symmetrization_spec(3, 2), *all_specs(2, 2, 3)]:
+            m, d = spec.m, spec.d
+            rho = np.zeros((d**m, d**m), dtype=complex)
+            rho[0, 0] = 1.0
+            sigma = _absorb_phase(rho, m, d, ResourceLedger(), [])
+            row = staircase(m, *(0,) * (d - 1))
+            others = [lam for lam in sigma if lam != row]
+            assert others
+            assert all(np.linalg.norm(sigma[lam]) < WEIGHTLESS_NORM for lam in others)
+            out, ledger, schedule = streamed_apply(spec, rho, return_schedule=True)
+            assert np.abs(out - extremal_choi(spec).apply(rho)).max() < 1e-10
+            alone = []
+            _middle_phase(spec, {row: sigma[row]}, ResourceLedger(), alone)
+            assert [s for s in schedule if s.op not in ("absorb", "emit")] == alone
+            assert ledger.r_prime == spec.triple(row).mu.length
+            ledgers.setdefault((spec.m, spec.n), ledger)
+        assert ledgers[(3, 1)].num_inverse_cg == 1
+        assert ledgers[(3, 3)].r_prime == 1
 
     def test_schedule_validator_catches_violations(self):
         bad = [ScheduleStep("absorb", ("Q", "in:2"), 4)]
@@ -443,6 +470,7 @@ class TestEmissionPhase:
 
     def test_clone_tau_matches_dense_reference(self, monkeypatch, rng):
         import equichan.apps as apps
+        import equichan.streaming as streaming
 
         seen = []
 
@@ -450,7 +478,7 @@ class TestEmissionPhase:
             seen.append((tau, n, d))
             return _emission_phase(tau, n, d, *args, **kwargs)
 
-        monkeypatch.setattr(apps, "_emission_phase", spy)
+        monkeypatch.setattr(streaming, "_emission_phase", spy)
         psi = rng.normal(size=3) + 1j * rng.normal(size=3)
         apps.clone(psi / np.linalg.norm(psi), 2, 6, 3)
         [(tau, n, d)] = seen
