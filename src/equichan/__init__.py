@@ -40,7 +40,6 @@ from equichan.channels import (
     ChoiMatrix,
     ExtremalSpec,
     ExtremalTriple,
-    apply_channel,
     block_decompose_choi,
     check_symmetries,
     cloning_spec,
@@ -80,7 +79,6 @@ __all__ = [
     "Staircase",
     "VerificationReport",
     "add_boxes",
-    "apply_channel",
     "block_decompose_choi",
     "canonical_realization",
     "check_symmetries",

@@ -9,8 +9,8 @@ factor as Schur sampling, an irrep-level channel, and the reverse Schur
 sampling.  This module builds all of these as dense objects and checks them
 against each other.  Each stage of the factorization is a Kraus map; the
 factored channel's Kraus operators are the products of one operator per
-stage, and its Choi matrix is V V^dag with one vectorized operator per
-column of V.
+stage over matching sectors, and its Choi matrix is V V^dag with one
+vectorized operator per column of V.
 
 Conventions: the Choi matrix of Phi is sum_ij |i><j| (x) Phi(|i><j|), so
 its first tensor slot carries the conjugate action on the input space.
@@ -146,11 +146,6 @@ class ChoiMatrix:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return apply_choi(self.matrix, rho, self.in_dim, self.out_dim)
-
-
-def apply_channel(choi: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
-    """Apply a channel given by its Choi matrix to a state."""
-    return choi.apply(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +393,11 @@ def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
 
     Maps the Choi space (conj C^d)^(x m) (x) (C^d)^(x n) onto
     sum_(lam,mu,gamma) P_lam (x) P_mu (x) C^mult (x) Q_gamma coordinates.
-    The dense cap is checked on every call, the isometry itself is memoised
-    per (m, n, d).
+    Block (lam, mu, gamma) is one contraction of the gamma rows of
+    general_cg(dual lam, mu) with the conjugated lam rows of the m-site
+    Schur transform, rotated by dual_structure(lam)^dag, and the mu rows of
+    the n-site one.  The dense cap is checked on every call, the isometry
+    itself is memoised per (m, n, d).
     """
     check_dense(d ** (m + n))
     return _classification_isometry(m, n, d)
@@ -409,53 +407,29 @@ def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
 def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     Sm = schur_transform(m, 0, d)
     Sn = schur_transform(n, 0, d)
-    A = np.kron(np.conj(Sm.matrix), Sn.matrix)
     D = d ** (m + n)
-    dn = d**n
     out = np.zeros((D, D), dtype=complex)
     blocks: list[ClassBlock] = []
     offset = 0
     for sl in Sm.sectors:
         lam = sl.label
-        q_lam = sl.q_dim
+        # conjugate-lambda rows rotated to canonical dual-lambda coordinates
         Zl = dual_structure(lam)  # canonical(dual lam) -> conj-of-canonical(lam)
+        L = Zl.conj().T @ Sm.sector_rows(lam).conj().reshape(sl.p_dim, sl.q_dim, -1)
         for sn_ in Sn.sectors:
             mu = sn_.label
-            q_mu = sn_.q_dim
+            N = Sn.sector_rows(mu).reshape(sn_.p_dim, sn_.q_dim, -1)
             cg = general_cg(lam.dual(), mu)
-            # convert the conjugate-lambda coordinates to canonical dual-lambda
-            G = cg.matrix @ np.kron(Zl.conj().T, np.eye(q_mu))
-            gammas = cg.labels()
-            sector_rows: dict[Staircase, list[np.ndarray]] = {g: [] for g in gammas}
-            for pl in range(sl.p_dim):
-                for pm in range(sn_.p_dim):
-                    rows_idx = []
-                    for a in range(q_lam):
-                        base = (sl.offset + pl * q_lam + a) * dn
-                        rows_idx.extend(
-                            base + sn_.offset + pm * q_mu + b for b in range(q_mu)
-                        )
-                    sub = A[rows_idx, :]
-                    transformed = G @ sub
-                    for g in gammas:
-                        qg = dim_gl_irrep(g)
-                        mult = cg.multiplicity(g)
-                        chunk = np.concatenate(
-                            [
-                                transformed[
-                                    cg.block(g, j).offset : cg.block(g, j).offset + qg, :
-                                ]
-                                for j in range(mult)
-                            ],
-                            axis=0,
-                        )
-                        sector_rows[g].append(chunk)
-            for g in gammas:
+            for g in cg.labels():
                 qg = dim_gl_irrep(g)
                 mult = cg.multiplicity(g)
+                G = np.stack([cg.block_rows(g, j) for j in range(mult)])
+                G = G.reshape(mult, qg, sl.q_dim, sn_.q_dim)
                 size = sl.p_dim * sn_.p_dim * mult * qg
-                stacked = np.concatenate(sector_rows[g], axis=0)
-                out[offset : offset + size, :] = stacked
+                # rows nest as (p_lam, p_mu, mult, q_gamma), columns as (in, out)
+                out[offset : offset + size, :] = np.einsum(
+                    "jgab,pax,qby->pqjgxy", G, L, N, optimize=True
+                ).reshape(size, D)
                 blocks.append(
                     ClassBlock(lam, mu, g, offset, sl.p_dim, sn_.p_dim, mult, qg)
                 )
@@ -471,21 +445,22 @@ def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
 
 
 def extremal_choi(spec: ExtremalSpec) -> ChoiMatrix:
-    """Choi matrix of the extremal channel selected by the spec."""
+    """Choi matrix of the extremal channel selected by the spec.
+
+    In the classification basis each label's block is
+    scale * 1 (x) psi psi^dag (x) 1, so the Choi matrix is V^dag V with V
+    the block rows contracted with conj(psi), stacked over the labels.
+    """
     iso = classification_isometry(spec.m, spec.n, spec.d)
     D = spec.d ** (spec.m + spec.n)
-    C = np.zeros((D, D), dtype=complex)
+    rows = []
     for lam, t in spec.assignments.items():
         b = iso.block(lam, t.mu, t.gamma)
-        R = iso.block_rows(b)
-        p_mu = dim_perm_irrep(t.mu)
-        scale = (dim_gl_irrep(lam) / dim_gl_irrep(t.gamma)) / p_mu
-        psi_proj = np.outer(t.psi, t.psi.conj())
-        W = scale * np.kron(
-            np.eye(b.p_lam * b.p_mu), np.kron(psi_proj, np.eye(b.q_gamma))
-        )
-        C += R.conj().T @ W @ R
-    return ChoiMatrix(C, spec.m, spec.n, spec.d)
+        R = iso.block_rows(b).reshape(b.p_lam * b.p_mu, b.mult, b.q_gamma * D)
+        scale = (dim_gl_irrep(lam) / dim_gl_irrep(t.gamma)) / dim_perm_irrep(t.mu)
+        rows.append(np.sqrt(scale) * (t.psi.conj() @ R).reshape(-1, D))
+    V = np.concatenate(rows)
+    return ChoiMatrix(V.conj().T @ V, spec.m, spec.n, spec.d)
 
 
 class NotSymmetricError(ValueError):
@@ -719,25 +694,26 @@ def factored_channel(spec: ExtremalSpec) -> ChoiMatrix:
     """Compose sampling, irrep channels and reverse sampling; return the Choi.
 
     This is the executable form of the factorization theorem.  Every stage
-    is a Kraus map: Schur sampling on the m inputs, one embed-trace irrep
-    channel per input label placed between the two direct-sum layouts, and
-    mixed reverse sampling on the n outputs.  The composite's Kraus
-    operators are the products of one operator per stage, and its Choi
-    matrix is KrausChannel.choi(), one GEMM.  The result agrees with
-    extremal_choi(spec) to numerical precision.
+    is a Kraus map: Schur sampling on the m inputs (A_i, path i's rows of
+    sector lam of ``schur_transform(m, 0, d)``), the embed-trace irrep
+    channel lam -> mu (K_h) and mixed reverse sampling on the n outputs
+    (C_j = R_(mu,j)^dag / sqrt(p_mu)).  Stages of different sectors compose
+    to zero, so only the products C_j K_h A_i of matching sectors are
+    formed.  The Choi matrix is V V^dag with one vectorized product per
+    column of V, one GEMM.  The result agrees with extremal_choi(spec) to
+    numerical precision.
     """
-    uss = uss_channel(spec.m, 0, spec.d)
-    dual = dual_uss_channel(spec.n, 0, spec.d)
-    middle = []
-    for src in uss.layout:
-        t = spec.triple(src.label)
-        dst = next(b for b in dual.layout if b.label == t.mu)
-        ch = irrep_channel(src.label, t.mu, t.gamma, t.psi, form="embed-trace")
-        for K in ch.ops:
-            B = np.zeros((dual.in_dim, uss.out_dim), dtype=complex)
-            B[dst.offset : dst.offset + dst.size, src.offset : src.offset + src.size] = K
-            middle.append(B)
-    # products across disjoint blocks are exactly zero and add nothing
-    ops = [C @ B @ A for A in uss.ops for B in middle for C in dual.ops]
-    composite = KrausChannel([K for K in ops if K.any()], uss.in_dim, dual.out_dim)
-    return ChoiMatrix(composite.choi(), spec.m, spec.n, spec.d)
+    Sm = schur_transform(spec.m, 0, spec.d)
+    Sn = schur_transform(spec.n, 0, spec.d)
+    ops = []
+    for s in Sm.sectors:
+        t = spec.triple(s.label)
+        A = Sm.sector_rows(s.label).reshape(s.p_dim, s.q_dim, Sm.dim)
+        K = irrep_channel(s.label, t.mu, t.gamma, t.psi, form="embed-trace").ops
+        p_mu = Sn.sector(t.mu).p_dim
+        C = Sn.sector_rows(t.mu).conj().reshape(p_mu, -1, Sn.dim) / np.sqrt(p_mu)
+        KA = np.matmul(np.stack(K)[:, None], A)  # (h, i, q_mu, in)
+        # row (j, h, i) is (C_j K_h A_i)^T flattened, indexed (in, out)
+        ops.append(np.einsum("jby,hibx->jhixy", C, KA).reshape(-1, Sm.dim * Sn.dim))
+    W = np.concatenate(ops)  # V^T
+    return ChoiMatrix(W.T @ W.conj(), spec.m, spec.n, spec.d)

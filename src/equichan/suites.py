@@ -158,15 +158,15 @@ def suite_irrep_forms(seed: int = 1) -> VerificationReport:
 
 
 def _symmetrize_brute(rho: np.ndarray, m: int, d: int) -> np.ndarray:
-    from math import factorial
+    """The m!-term average of P rho P^T over site permutations P.
 
-    from equichan.transforms import permutation_operator
-
-    acc = np.zeros_like(rho)
-    for perm in itertools.permutations(range(m)):
-        P = permutation_operator(perm, m, d)
-        acc += P @ rho @ P.T
-    return acc / factorial(m)
+    Each term permutes the row legs and the column legs of rho alike, a
+    leg transpose of rho viewed as a 2m-leg tensor.
+    """
+    T = rho.reshape((d,) * (2 * m))
+    perms = list(itertools.permutations(range(m)))
+    acc = sum(T.transpose(list(p) + [m + k for k in p]) for p in perms)
+    return acc.reshape(rho.shape) / len(perms)
 
 
 def suite_state_symmetrization(seed: int = 1) -> VerificationReport:

@@ -293,6 +293,24 @@ class TestPurityAmplify:
             res = purity_amplify(rho, m, d, reference=psi)
             assert res.fidelity > base + 1e-3, (m, res.fidelity)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7])
+    def test_two_copy_optimum_is_one_copy_fidelity(self, alpha, rng):
+        # README, Known limitations: fidelity is linear in the channel, so
+        # its maximum over the symmetric (2,1,2) channels is attained at an
+        # extremal one; every multiplicity there is one, so all_specs lists
+        # every extremal channel, and none beats one copy
+        from equichan.suites import all_specs
+
+        d = 2
+        psi = haar_vector(d, rng)
+        rho = depolarized_copies(psi, alpha, 2, d)
+        specs = all_specs(2, 1, d)
+        assert all(t.psi.size == 1 for s in specs for t in s.assignments.values())
+        best = max(
+            (psi.conj() @ extremal_choi(s).apply(rho) @ psi).real for s in specs
+        )
+        assert abs(best - (1 - alpha + alpha / d)) < 1e-12
+
     def test_fidelity_monotone_in_copies(self, rng):
         alpha, d = 0.3, 2
         psi = haar_vector(d, rng)

@@ -14,7 +14,6 @@ from equichan.channels import (
     ExtremalTriple,
     KrausChannel,
     NotSymmetricError,
-    apply_channel,
     apply_choi,
     block_decompose_choi,
     check_symmetries,
@@ -75,18 +74,18 @@ class TestApplyChannel:
     def test_identity_choi(self, rng):
         C = ChoiMatrix(np.outer(VEC_I, VEC_I), 1, 1, 2)
         rho = random_state(2, rng)
-        assert np.linalg.norm(apply_channel(C, rho) - rho) < 1e-12
+        assert np.linalg.norm(C.apply(rho) - rho) < 1e-12
 
     def test_universal_not_by_hand(self):
         C = ChoiMatrix((2 / 3) * (np.eye(4) - OMEGA), 1, 1, 2)
         rho = np.diag([1.0, 0.0])
-        out = apply_channel(C, rho)
+        out = C.apply(rho)
         assert np.linalg.norm(out - np.diag([1 / 3, 2 / 3])) < 1e-12
 
     def test_depolarizing(self, rng):
         C = ChoiMatrix(np.kron(np.eye(2), np.eye(2) / 2), 1, 1, 2)
         rho = random_state(2, rng)
-        assert np.linalg.norm(apply_channel(C, rho) - np.eye(2) / 2) < 1e-12
+        assert np.linalg.norm(C.apply(rho) - np.eye(2) / 2) < 1e-12
 
     def test_trace_preserved(self, rng):
         spec = symmetrization_spec(2, 2)
@@ -566,6 +565,38 @@ class TestFactoredChannel:
             )
             worst = max(worst, resid)
         assert worst < 1e-8
+
+
+@pytest.mark.parametrize(
+    "shape, pick", [((2, 2, 2), 3), ((3, 3, 3), 21), ((3, 3, 3), 52)], ids=str
+)
+def test_factored_equals_composed_stage_objects(shape, pick, rng):
+    # factored_channel composes the stages itself; here the public stage
+    # objects run one after the other: Schur sampling, each label's irrep
+    # channel from its uss layout block into the matching dual layout
+    # block, then reverse sampling
+    m, n, d = shape
+    assignments = {}
+    for lam, t in all_specs(m, n, d)[pick].assignments.items():
+        psi = rng.normal(size=t.psi.size) + 1j * rng.normal(size=t.psi.size)
+        assignments[lam] = ExtremalTriple(t.mu, t.gamma, psi / np.linalg.norm(psi))
+    spec = ExtremalSpec(m, n, d, assignments)
+    if shape == (3, 3, 3):
+        assert any(t.psi.size > 1 for t in spec.assignments.values())
+    uss = uss_channel(m, 0, d)
+    dual = dual_uss_channel(n, 0, d)
+    rho = random_state(d**m, rng)
+    sampled = uss.apply(rho)
+    middle = np.zeros((dual.in_dim,) * 2, dtype=complex)
+    for src in uss.layout:
+        t = spec.triple(src.label)
+        dst = next(b for b in dual.layout if b.label == t.mu)
+        ch = irrep_channel(src.label, t.mu, t.gamma, t.psi)
+        i = slice(src.offset, src.offset + src.size)
+        o = slice(dst.offset, dst.offset + dst.size)
+        middle[o, o] += ch.apply(sampled[i, i])
+    out = dual.apply(middle)
+    assert np.abs(out - factored_channel(spec).apply(rho)).max() < 1e-10
 
 
 class TestMultiplicityTwoSpec:

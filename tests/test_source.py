@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import equichan
@@ -49,3 +50,25 @@ def test_no_private_streaming_imports():
                     if alias.name.startswith("_")
                 ]
     assert set(found) <= TRACER_ALIASES, sorted(set(found) - TRACER_ALIASES)
+
+
+def _tracer_table(name):
+    """A module-level literal of perfbench/tracer.py, read without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"tracer.py defines no {name}")
+
+
+def test_tracer_names_exist():
+    # the benchmark's tracer raises on a name the library no longer has;
+    # a refactor that drops one should fail here, not in the traced run
+    missing = []
+    for table in ("TARGETS", "REQUIRED_ALIASES"):
+        for module, names in _tracer_table(table).items():
+            lib = importlib.import_module(f"equichan.{module}")
+            missing += [f"{module}.{n}" for n in names if not callable(getattr(lib, n, None))]
+    assert not missing, missing

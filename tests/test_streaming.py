@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import equichan
@@ -555,19 +555,31 @@ PROPERTY_SHAPES = [(m, n, d) for m in (1, 2, 3) for n in (1, 2, 3) for d in (2, 
     rank=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=30, deadline=None)
+# spec 21 of all_specs(3, 3, 3) is the first with a multiplicity-two label
+@example(shape=(3, 3, 3), pick=21, seed=0, rank=2)
 def test_streamed_equals_choi_on_random_specs(shape, pick, seed, rank):
-    from equichan.channels import extremal_choi
     from equichan.suites import all_specs
 
     m, n, d = shape
     specs = all_specs(m, n, d)
-    spec = specs[pick % len(specs)]
     rng = np.random.default_rng(seed)
+    # a random complex psi on every multiplicity space of dimension > 1
+    # (among PROPERTY_SHAPES, at (3,3,3)), so a dropped conjugation shows
+    assignments = {}
+    for lam, t in specs[pick % len(specs)].assignments.items():
+        psi = t.psi
+        if psi.size > 1:
+            psi = rng.normal(size=psi.size) + 1j * rng.normal(size=psi.size)
+            psi /= np.linalg.norm(psi)
+        assignments[lam] = ExtremalTriple(t.mu, t.gamma, psi)
+    spec = ExtremalSpec(m, n, d, assignments)
+    choi = extremal_choi(spec)
+    assert np.abs(factored_channel(spec).matrix - choi.matrix).max() < 1e-10
     A = rng.normal(size=(d**m, rank)) + 1j * rng.normal(size=(d**m, rank))
     rho = A @ A.conj().T
     rho /= np.trace(rho)
     out, _ = streamed_apply(spec, rho)
-    assert np.abs(out - extremal_choi(spec).apply(rho)).max() < 1e-10
+    assert np.abs(out - choi.apply(rho)).max() < 1e-10
     assert abs(np.trace(out) - 1) < 1e-10
     assert np.abs(out - out.conj().T).max() < 1e-10
     assert np.linalg.eigvalsh(out).min() > -1e-10
