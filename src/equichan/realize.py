@@ -45,18 +45,6 @@ def site_generator(d: int, i: int, j: int, dual: bool) -> np.ndarray:
     return matrix_unit(d, i, j)
 
 
-def ambient_generator(d: int, i: int, j: int, factors: tuple[bool, ...]) -> np.ndarray:
-    """E_ij on the full tensor space with the given dual flags, by Leibniz."""
-    dim = d ** len(factors)
-    out = np.zeros((dim, dim))
-    for pos, dual in enumerate(factors):
-        left = d**pos
-        right = d ** (len(factors) - pos - 1)
-        op = site_generator(d, i, j, dual)
-        out += np.kron(np.kron(np.eye(left), op), np.eye(right))
-    return out
-
-
 def ambient_weights(d: int, factors: tuple[bool, ...]) -> np.ndarray:
     """Integer weight vector of every product-basis index, shape (d^#factors, d)."""
     nfac = len(factors)
@@ -132,13 +120,16 @@ class IrrepRealization:
 
 
 def _restricted_casimir(gens: np.ndarray, d: int, dual: bool) -> np.ndarray:
-    """Split Casimir on (current irrep) (x) C^d in restricted coordinates."""
+    """Split Casimir on (current irrep) (x) C^d in restricted coordinates.
+
+    sum_ij G_ij (x) s_ji is a transpose of the legs of the generator stack:
+    entry ((a, x), (b, y)) is G_yx[a, b] on a defining site and -G_xy[a, b]
+    on a conjugate one, each a single term.
+    """
     q = gens.shape[2]
-    omega = np.zeros((q * d, q * d))
-    for i in range(d):
-        for j in range(d):
-            omega += np.kron(gens[i, j], site_generator(d, j, i, dual))
-    return omega
+    if dual:
+        return -gens.transpose(2, 0, 3, 1).reshape(q * d, q * d)
+    return gens.transpose(2, 1, 3, 0).reshape(q * d, q * d)
 
 
 def _step_targets(nu: Staircase, dual: bool) -> list[tuple[Staircase, int]]:
@@ -178,18 +169,32 @@ def _block_columns(evals: np.ndarray, evecs: np.ndarray, target: int) -> np.ndar
     return evecs[:, cols]
 
 
+def _residual(B: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u less its projection on the orthonormal columns of B, in two passes.
+
+    One pass u - B (B^dag u) leaves about eps / |residual| of u along B; the
+    second brings that down to rounding.
+    """
+    u = u - B @ (B.conj().T @ u)
+    return u - B @ (B.conj().T @ u)
+
+
 def _step_generators(gens: np.ndarray, d: int, dual: bool, C: np.ndarray) -> np.ndarray:
-    """Generators restricted to the selected block of (irrep) (x) C^d."""
+    """Generators restricted to the selected block of (irrep) (x) C^d.
+
+    C^T (G_ij (x) 1 + 1 (x) s_ij) C in two parts: one GEMM applies all d^2
+    generators to the irrep leg of C, and the site leg gives the products
+    C_i^T C_j of the row slices C_i = C[(., i), :], negated and with i, j
+    swapped on a conjugate site.
+    """
     q = gens.shape[2]
     qnew = C.shape[1]
-    out = np.zeros((d, d, qnew, qnew))
-    for i in range(d):
-        for j in range(d):
-            big = np.kron(gens[i, j], np.eye(d)) + np.kron(
-                np.eye(q), site_generator(d, i, j, dual)
-            )
-            out[i, j] = C.T @ big @ C
-    return out
+    irrep = (gens.reshape(d * d * q, q) @ C.reshape(q, d * qnew)).reshape(d, d, q * d, qnew)
+    rows = C.reshape(q, d, qnew).transpose(1, 2, 0).reshape(d * qnew, q)
+    site = (rows @ C.reshape(q, d * qnew)).reshape(d, qnew, d, qnew).transpose(0, 2, 1, 3)
+    if dual:
+        site = -site.transpose(1, 0, 2, 3)
+    return C.T @ irrep + site
 
 
 def canonical_path(gamma: Staircase) -> list[Staircase]:
@@ -226,35 +231,33 @@ def _canonicalize_basis(
     Within each ambient weight block (taken in lexicographically descending
     weight order) the basis is the Gram-Schmidt orthonormalization of the
     projections of the standard basis vectors, in index order, with the
-    leading ambient coordinate made positive.  Returns the rotated V.
+    leading ambient coordinate made positive.  Each candidate is projected
+    against all accepted columns at once (_residual).  A block is left once
+    it has as many columns as its weight space has dimensions, the squared
+    norm of V's rows in it: every later candidate lies in their span.
+    Returns the rotated V.
     """
     q = V.shape[1]
-    weight_of = [tuple(w) for w in amb_weights]
-    order = sorted(set(weight_of), reverse=True)
-    cols: list[np.ndarray] = []
-    for wt in order:
-        idxs = [k for k, w in enumerate(weight_of) if w == wt]
-        for k in idxs:
-            u = V[k, :].conj().copy()  # V^dag e_k, coordinates in the subspace
-            for c in cols:
-                u -= c * (c.conj() @ u)
+    _, cls = np.unique(amb_weights, axis=0, return_inverse=True)
+    weight_dims = np.rint(np.bincount(cls, weights=np.sum(np.abs(V) ** 2, axis=1)))
+    R = np.zeros((q, q), dtype=V.dtype)
+    found = 0
+    for c in np.flatnonzero(weight_dims)[::-1]:
+        full = found + int(weight_dims[c])
+        for k in np.flatnonzero(cls == c):
+            # V^dag e_k (coordinates in the subspace) off the accepted columns
+            u = _residual(R[:, :found], V[k, :].conj())
             nrm = np.linalg.norm(u)
             if nrm > RANK_TOL:
-                cols.append(u / nrm)
-            if len(cols) == q:
-                break
-        if len(cols) == q:
-            break
-    if len(cols) != q:
+                R[:, found] = u / nrm
+                found += 1
+                if found == full:
+                    break
+    if found != q:
         raise RuntimeError("weight sweep did not exhaust the subspace")
-    R = np.stack(cols, axis=1)
     Vnew = V @ R
-    for c in range(q):
-        col = Vnew[:, c]
-        lead = np.argmax(np.abs(col) > RANK_TOL)
-        if col[lead].real < 0:
-            Vnew[:, c] = -col
-            R[:, c] = -R[:, c]
+    lead = np.argmax(np.abs(Vnew) > RANK_TOL, axis=0)
+    Vnew[:, Vnew[lead, np.arange(q)].real < 0] *= -1
     return Vnew
 
 
@@ -280,14 +283,15 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
         C = _block_columns(evals, evecs, targets[nxt])
         if C.shape[1] != dim_gl_irrep(nxt):
             raise RuntimeError(f"Casimir block {prev} -> {nxt} has shape {C.shape}")
-        V = np.kron(V, np.eye(d)) @ C
+        # kron(V, 1) C: V acts on the leg of C that the new site leaves
+        V = (V @ C.reshape(-1, d * C.shape[1])).reshape(-1, C.shape[1])
         gens = _step_generators(gens, d, dual, C)
         factors = factors + (dual,)
     amb_w = ambient_weights(d, factors)
     q = V.shape[1]
     Vc = _canonicalize_basis(V, amb_w)
     R = V.conj().T @ Vc  # rotation in abstract coordinates
-    gens_c = np.einsum("ab,ijbc,cd->ijad", R.conj().T, gens, R)
+    gens_c = R.conj().T @ gens @ R
     weights = np.zeros((q, d), dtype=int)
     for i in range(d):
         diag = np.diag(gens_c[i, i])
@@ -354,10 +358,11 @@ def krylov_recipe(
     replaying the recipe in any other copy yields the mirrored basis.
     """
     raw = [seed / np.linalg.norm(seed)]
-    ortho = [raw[0]]
+    ortho = np.zeros((len(seed), qdim), dtype=np.result_type(seed, gens))
+    ortho[:, 0] = raw[0]
     recipe: list[tuple[int, int]] = []
     src = 0
-    while len(ortho) < qdim:
+    while len(raw) < qdim:
         if src >= len(raw):
             raise RuntimeError("Krylov sweep exhausted before reaching irrep dim")
         for i in range(d - 1):
@@ -366,14 +371,12 @@ def krylov_recipe(
             if nrm < RANK_TOL:
                 continue
             cand = cand / nrm
-            resid = cand.copy()
-            for col in ortho:
-                resid -= col * (col.conj() @ resid)
+            resid = _residual(ortho[:, : len(raw)], cand)
             if np.linalg.norm(resid) > RANK_TOL:
+                ortho[:, len(raw)] = resid / np.linalg.norm(resid)
                 raw.append(cand)
                 recipe.append((src, i))
-                ortho.append(resid / np.linalg.norm(resid))
-                if len(ortho) == qdim:
+                if len(raw) == qdim:
                     break
         src += 1
     K = np.stack(raw, axis=1)

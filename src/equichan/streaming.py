@@ -25,6 +25,7 @@ its log-power overhead) stay symbolic here: reports carry the factor
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
@@ -352,7 +353,12 @@ def _middle_phase(
     return tau
 
 
+@functools.cache
 def _unique_path(base: Staircase, end: Staircase, k: int, l: int) -> GtPath | None:
+    """The one GT path base -> end over k additions and l removals, else None.
+
+    Memoised: the path is frozen, so every block of a label shares it.
+    """
     paths = enumerate_paths(base, k, l).get(end, [])
     if len(paths) == 1:
         return paths[0]

@@ -30,6 +30,7 @@ from equichan.realize import (
     RANK_TOL,
     _block_columns,
     _extend_step,
+    _residual,
     _simple_generators,
     _step_generators,
     _step_targets,
@@ -38,7 +39,6 @@ from equichan.realize import (
     canonical_realization,
     intertwiner,
     krylov_recipe,
-    site_generator,
 )
 from equichan.staircases import (
     Staircase,
@@ -337,15 +337,18 @@ def _iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
         ((mu,), mu, 0, q0)
     ]
     for t, dual in enumerate(flags):
-        dim_new = U.shape[0] * d
-        Uex = np.kron(U, np.eye(d))
-        newU = np.zeros((dim_new, dim_new))
+        # the simple CG of each block acts on the (q*d) leg of its rows
+        # U_b (x) 1: column (b, y) of the CG matrix meets row b of U_b on
+        # site value y
+        D = U.shape[1]
+        newU = np.zeros((U.shape[0] * d, D * d))
         new_running = []
         offset = 0
         for steps, label, off, q in running:
             cg = simple_cg(label, dual)
-            chunk = cg.matrix @ Uex[off * d : off * d + q * d, :]
-            newU[offset : offset + q * d, :] = chunk
+            cg_rows = cg.matrix.reshape(q * d, q, d).transpose(0, 2, 1).reshape(q * d * d, q)
+            chunk = (cg_rows @ U[off : off + q, :]).reshape(q * d, d, D)
+            newU[offset : offset + q * d, :] = chunk.transpose(0, 2, 1).reshape(q * d, D * d)
             for b in cg.blocks:
                 new_running.append(
                     (steps + (b.label,), b.label, offset + b.offset, b.size)
@@ -395,15 +398,15 @@ def schur_transform(m: int, n: int, d: int) -> PathTransform:
 
 
 def _product_generators(a: IrrepRealization, b: IrrepRealization) -> np.ndarray:
+    """E_ij on Q_a (x) Q_b by Leibniz, each term broadcast onto its own leg."""
     d = a.d
     qa, qb = a.dim, b.dim
-    out = np.zeros((d, d, qa * qb, qa * qb))
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = np.kron(a.generators[i, j], np.eye(qb)) + np.kron(
-                np.eye(qa), b.generators[i, j]
-            )
-    return out
+    out = np.zeros((d, d, qa, qb, qa, qb))
+    for v in range(qb):
+        out[:, :, :, v, :, v] += a.generators
+    for u in range(qa):
+        out[:, :, u, :, u, :] += b.generators
+    return out.reshape(d, d, qa * qb, qa * qb)
 
 
 def _highest_weight_space(
@@ -412,7 +415,8 @@ def _highest_weight_space(
     """Orthonormal basis (columns) of the highest-weight space of weight wt.
 
     Deterministic: Gram-Schmidt of the null-space projections of the weight
-    block's standard basis vectors, in index order.
+    block's standard basis vectors, in index order, each projected against
+    all accepted columns at once.
     """
     S = np.nonzero([tuple(w) == wt for w in weight_index])[0]
     if len(S) == 0:
@@ -429,20 +433,19 @@ def _highest_weight_space(
     if c == 0:
         return np.zeros((gens.shape[2], 0))
     P = null @ null.conj().T
-    cols = []
+    block = np.zeros((len(S), c), dtype=P.dtype)
+    found = 0
     for kpos in range(len(S)):
-        u_vec = P[:, kpos].copy()
-        for col in cols:
-            u_vec -= col * (col.conj() @ u_vec)
+        u_vec = _residual(block[:, :found], P[:, kpos])
         nrm = np.linalg.norm(u_vec)
         if nrm > RANK_TOL:
-            cols.append(u_vec / nrm)
-        if len(cols) == c:
-            break
-    if len(cols) != c:
-        raise RuntimeError(f"found {len(cols)} of {c} highest-weight vectors")
+            block[:, found] = u_vec / nrm
+            found += 1
+            if found == c:
+                break
+    if found != c:
+        raise RuntimeError(f"found {found} of {c} highest-weight vectors")
     out = np.zeros((gens.shape[2], c))
-    block = np.stack(cols, axis=1)
     out[S, :] = block
     return out
 
@@ -492,7 +495,7 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
         target = canonical_realization(label)
         recipe, W = krylov_recipe(gens, hw[:, 0], qdim, d)
         B0 = apply_recipe(gens, hw[:, 0], recipe) @ W
-        H = np.einsum("ab,ijbc,cd->ijad", B0.conj().T, gens, B0)
+        H = B0.conj().T @ gens @ B0
         T = intertwiner(H, target.generators, d)
         first_map = T @ B0.conj().T
         flat = first_map.reshape(-1)

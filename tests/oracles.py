@@ -288,3 +288,104 @@ def emit_dense(sectors, out_dim: int) -> np.ndarray:
         middle = np.kron(np.diag(weights), tau)
         out += R.conj().T @ middle @ R
     return out
+
+
+def site_generator(d: int, i: int, j: int, dual: bool) -> np.ndarray:
+    """E_ij on one defining factor (the matrix unit e_ij) or one conjugate
+    factor (-e_ji)."""
+    out = np.zeros((d, d))
+    if dual:
+        out[j, i] = -1.0
+    else:
+        out[i, j] = 1.0
+    return out
+
+
+def ambient_generator(d: int, i: int, j: int, factors: tuple[bool, ...]) -> np.ndarray:
+    """E_ij on the full tensor space with the given dual flags, by Leibniz:
+    the sum over sites of 1 (x) s_ij (x) 1 by dense kron calls."""
+    dim = d ** len(factors)
+    out = np.zeros((dim, dim))
+    for pos, dual in enumerate(factors):
+        left = np.eye(d**pos)
+        right = np.eye(d ** (len(factors) - pos - 1))
+        out += np.kron(np.kron(left, site_generator(d, i, j, dual)), right)
+    return out
+
+
+def restricted_casimir_kron(gens: np.ndarray, d: int, dual: bool) -> np.ndarray:
+    """Split Casimir sum_ij G_ij (x) s_ji on (irrep) (x) C^d by kron calls."""
+    q = gens.shape[2]
+    omega = np.zeros((q * d, q * d))
+    for i in range(d):
+        for j in range(d):
+            omega += np.kron(gens[i, j], site_generator(d, j, i, dual))
+    return omega
+
+
+def step_generators_kron(gens: np.ndarray, d: int, dual: bool, C: np.ndarray) -> np.ndarray:
+    """C^T (G_ij (x) 1 + 1 (x) s_ij) C with both terms formed densely."""
+    q = gens.shape[2]
+    out = np.zeros((d, d, C.shape[1], C.shape[1]))
+    for i in range(d):
+        for j in range(d):
+            big = np.kron(gens[i, j], np.eye(d)) + np.kron(
+                np.eye(q), site_generator(d, i, j, dual)
+            )
+            out[i, j] = C.T @ big @ C
+    return out
+
+
+def product_generators_kron(gens_a: np.ndarray, gens_b: np.ndarray) -> np.ndarray:
+    """A_ij (x) 1 + 1 (x) B_ij for two generator stacks, by kron calls."""
+    d, qa, qb = gens_a.shape[0], gens_a.shape[2], gens_b.shape[2]
+    out = np.zeros((d, d, qa * qb, qa * qb))
+    for i in range(d):
+        for j in range(d):
+            out[i, j] = np.kron(gens_a[i, j], np.eye(qb)) + np.kron(np.eye(qa), gens_b[i, j])
+    return out
+
+
+def canonical_basis_loop(V: np.ndarray, amb_weights: np.ndarray) -> np.ndarray:
+    """The canonical weight-ordered basis of span(V), one vector at a time.
+
+    Weight blocks in lexicographically descending order; within a block the
+    projections V^dag e_k in index order, each orthogonalized against every
+    accepted vector in turn and kept if its norm exceeds 1e-8; then each
+    column of V R is signed so that its first entry above 1e-8 is positive.
+    """
+    q = V.shape[1]
+    weight_of = [tuple(w) for w in amb_weights]
+    cols: list[np.ndarray] = []
+    for wt in sorted(set(weight_of), reverse=True):
+        for k in [k for k, w in enumerate(weight_of) if w == wt]:
+            if len(cols) == q:
+                break
+            u = V[k, :].conj().copy()
+            for c in cols:
+                u -= c * (c.conj() @ u)
+            if np.linalg.norm(u) > 1e-8:
+                cols.append(u / np.linalg.norm(u))
+    if len(cols) != q:
+        raise ValueError("weight sweep did not exhaust the subspace")
+    Vnew = V @ np.stack(cols, axis=1)
+    for c in range(q):
+        lead = np.argmax(np.abs(Vnew[:, c]) > 1e-8)
+        if Vnew[lead, c].real < 0:
+            Vnew[:, c] = -Vnew[:, c]
+    return Vnew
+
+
+def choi_channel_defects(C: np.ndarray, din: int, dout: int) -> tuple[float, float, float]:
+    """How far a Choi matrix on in (x) out is from a channel's.
+
+    Returns |Tr_out C - 1_in| (trace preservation), |C - C^dag| and the most
+    negative eigenvalue of the Hermitian part, clipped at 0 (positivity).
+    """
+    red = np.trace(C.reshape(din, dout, din, dout), axis1=1, axis2=3)
+    herm = (C + C.conj().T) / 2
+    return (
+        float(np.linalg.norm(red - np.eye(din))),
+        float(np.linalg.norm(C - C.conj().T)),
+        max(0.0, -float(np.linalg.eigvalsh(herm).min())),
+    )

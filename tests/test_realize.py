@@ -3,7 +3,9 @@ import pytest
 
 from equichan.realize import (
     IrrepRealization,
-    ambient_generator,
+    _canonicalize_basis,
+    _restricted_casimir,
+    _step_generators,
     ambient_weights,
     canonical_path,
     canonical_realization,
@@ -20,6 +22,12 @@ from equichan.staircases import (
     staircase,
 )
 from equichan.verify import haar_unitary
+from oracles import (
+    ambient_generator,
+    canonical_basis_loop,
+    restricted_casimir_kron,
+    step_generators_kron,
+)
 
 
 ALL_LABELS = [
@@ -202,3 +210,64 @@ def test_four_row_realizations():
     cg = simple_cg(staircase(1, 1, 0, 0), False)
     assert [str(b.label) for b in cg.blocks] == ["(2,1,0,0)", "(1,1,1,0)"]
     cg.validate()
+
+
+def _orthonormal_columns(rows, cols, rng):
+    Q, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
+    return Q[:, :cols]
+
+
+class TestLegwiseBuilders:
+    """The tensor-leg builders against their dense kron references."""
+
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("d,q", [(2, 3), (3, 4)])
+    def test_restricted_casimir(self, d, q, dual, rng):
+        gens = rng.normal(size=(d, d, q, q))
+        got = _restricted_casimir(gens, d, dual)
+        assert np.abs(got - restricted_casimir_kron(gens, d, dual)).max() < 1e-12
+
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("d,q,qnew", [(2, 3, 2), (3, 4, 5)])
+    def test_step_generators(self, d, q, qnew, dual, rng):
+        gens = rng.normal(size=(d, d, q, q))
+        C = _orthonormal_columns(q * d, qnew, rng)
+        got = _step_generators(gens, d, dual, C)
+        assert np.abs(got - step_generators_kron(gens, d, dual, C)).max() < 1e-12
+
+    @pytest.mark.parametrize("label", ALL_LABELS, ids=str)
+    def test_canonical_basis_is_the_loop_basis(self, label, rng):
+        # the canonical basis depends only on the subspace: the one-vector
+        # Gram-Schmidt reproduces the embedding from itself, and the block
+        # projections reproduce it from any rotated basis of the subspace
+        r = canonical_realization(label)
+        weights = ambient_weights(label.d, r.factors)
+        assert np.abs(canonical_basis_loop(r.embedding, weights) - r.embedding).max() < 1e-12
+        rotated = r.embedding @ _orthonormal_columns(r.dim, r.dim, rng)
+        assert np.abs(_canonicalize_basis(rotated, weights) - r.embedding).max() < 1e-12
+
+    def test_canonical_basis_of_near_parallel_candidates(self, rng):
+        # rows 0 and 1 of V share a weight and differ by eps = 1e-7 in
+        # direction, so one projection pass leaves a component of about
+        # 1e-16 / eps along the first column; the second pass removes it
+        eps = 1e-7
+        c2 = np.sqrt(1 - eps**2)
+        a = 1 / np.sqrt(2 + (eps / c2) ** 2)
+        V = np.array([[a, 0.0], [a, eps], [-a * eps / c2, c2]])
+        V = V @ _orthonormal_columns(2, 2, rng)
+        out = _canonicalize_basis(V, np.zeros((3, 2), dtype=int))
+        assert np.abs(out.T @ out - np.eye(2)).max() < 1e-12
+        assert np.abs(out @ out.T - V @ V.T).max() < 1e-12
+
+    def test_canonical_basis_sign_fix(self, rng):
+        # on a weight-invariant subspace the Gram-Schmidt column grown from
+        # candidate k leads with a positive entry at k, so the sign fix only
+        # acts on a subspace that is not weight-invariant: here column 0
+        # grows from index 1 (weight 2) and leads with -1/sqrt(6) at index 0
+        x = np.array([-1.0, 2.0, 1.0]) / np.sqrt(6)
+        y = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
+        weights = np.array([[0], [2], [1]])
+        expected = np.stack([-x, y], axis=1)
+        V = np.stack([x, y], axis=1) @ _orthonormal_columns(2, 2, rng)
+        assert np.abs(_canonicalize_basis(V, weights) - expected).max() < 1e-12
+        assert np.abs(canonical_basis_loop(V, weights) - expected).max() < 1e-12

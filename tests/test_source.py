@@ -72,3 +72,31 @@ def test_tracer_names_exist():
             lib = importlib.import_module(f"equichan.{module}")
             missing += [f"{module}.{n}" for n in names if not callable(getattr(lib, n, None))]
     assert not missing, missing
+
+
+def _called_name(node):
+    """'kron' for np.kron(...) or kron(...), 'eye' for np.eye(...), else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
+def test_builders_form_no_kron_with_identity():
+    # the transform builders apply each operator to the tensor leg it acts
+    # on; a Kronecker product with an identity is the dense detour
+    found = []
+    for path in SOURCES:
+        if path.name not in ("realize.py", "transforms.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if _called_name(node) == "kron" and any(
+                _called_name(arg) in ("eye", "identity") for arg in node.args
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"kron with an identity in the builders: {found}"

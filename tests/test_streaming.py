@@ -48,7 +48,14 @@ from equichan.streaming import (
 )
 from equichan.transforms import BlockIsometry, iterated_cg, schur_transform, simple_cg
 
-from oracles import CountingRng, absorb_kron, emit_dense, symmetrize_brute
+from oracles import (
+    CountingRng,
+    absorb_kron,
+    choi_channel_defects,
+    emit_dense,
+    symmetrize_brute,
+    symmetry_residuals_kron,
+)
 
 
 def random_state(dim, rng):
@@ -574,6 +581,12 @@ def test_streamed_equals_choi_on_random_specs(shape, pick, seed, rank):
         assignments[lam] = ExtremalTriple(t.mu, t.gamma, psi)
     spec = ExtremalSpec(m, n, d, assignments)
     choi = extremal_choi(spec)
+    # the Choi matrix is a channel's (CPTP) and covariant, by dense oracles
+    assert max(choi_channel_defects(choi.matrix, d**m, d**n)) <= 1e-10
+    unitary, perm = symmetry_residuals_kron(
+        choi.matrix, m, n, d, 2, np.random.default_rng([seed, 1])
+    )
+    assert max(unitary + perm) <= 1e-10
     assert np.abs(factored_channel(spec).matrix - choi.matrix).max() < 1e-10
     A = rng.normal(size=(d**m, rank)) + 1j * rng.normal(size=(d**m, rank))
     rho = A @ A.conj().T

@@ -25,7 +25,7 @@ from equichan.transforms import (
 )
 from equichan.verify import haar_unitary
 
-from oracles import permutation_matrix, symmetrize_brute
+from oracles import permutation_matrix, product_generators_kron, symmetrize_brute
 
 
 class TestVec:
@@ -373,6 +373,19 @@ class TestGeneralCg:
                             g = general_cg(lam, mu)
                             for label in g.labels():
                                 assert g.multiplicity(label) == lr_coeff(lam, mu, label)
+
+    @pytest.mark.parametrize("d,qa,qb", [(2, 3, 2), (3, 2, 4)])
+    def test_product_generators(self, d, qa, qb, rng):
+        from types import SimpleNamespace
+
+        from equichan.transforms import _product_generators
+
+        gens_a = rng.normal(size=(d, d, qa, qa))
+        gens_b = rng.normal(size=(d, d, qb, qb))
+        a = SimpleNamespace(d=d, dim=qa, generators=gens_a)
+        b = SimpleNamespace(d=d, dim=qb, generators=gens_b)
+        got = _product_generators(a, b)
+        assert np.abs(got - product_generators_kron(gens_a, gens_b)).max() < 1e-12
 
 
 class TestBuilderCache:
