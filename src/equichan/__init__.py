@@ -53,9 +53,7 @@ from equichan.channels import (
     uss_channel,
 )
 from equichan.streaming import (
-    PathState,
     ResourceLedger,
-    path_embedding,
     resource_estimate,
     streamed_apply,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "GtPath",
     "IrrepRealization",
     "LrQuery",
-    "PathState",
     "RemovalDistribution",
     "ResourceLedger",
     "Staircase",
@@ -98,7 +95,6 @@ __all__ = [
     "irrep_channel",
     "lr_coeff",
     "next_step_distribution",
-    "path_embedding",
     "permutation_operator",
     "purity_amplify",
     "purity_spec",

@@ -18,7 +18,6 @@ import numpy as np
 from equichan import fileio
 from equichan.apps import clone, purity_amplify, symmetrize
 from equichan.channels import (
-    check_symmetries,
     enumerate_extremal_triples,
     extremal_choi,
 )

@@ -64,14 +64,6 @@ def choi_from_obj(obj: dict) -> ChoiMatrix:
     return ChoiMatrix(matrix_from_obj(obj), int(obj["m"]), int(obj["n"]), int(obj["d"]))
 
 
-def vector_to_obj(v: np.ndarray) -> list[list[float]]:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex).reshape(-1)]
-
-
-def vector_from_obj(obj: list[list[float]]) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj])
-
-
 def spec_to_obj(spec: ExtremalSpec) -> dict:
     return {
         "m": spec.m,
@@ -82,7 +74,7 @@ def spec_to_obj(spec: ExtremalSpec) -> dict:
                 "lambda": staircase_to_obj(lam),
                 "mu": staircase_to_obj(t.mu),
                 "gamma": staircase_to_obj(t.gamma),
-                "psi": vector_to_obj(t.psi),
+                "psi": [[float(x.real), float(x.imag)] for x in t.psi],
             }
             for lam, t in spec.assignments.items()
         ],
@@ -96,7 +88,7 @@ def spec_from_obj(obj: dict) -> ExtremalSpec:
         assignments[lam] = ExtremalTriple(
             staircase_from_obj(a["mu"]),
             staircase_from_obj(a["gamma"]),
-            vector_from_obj(a["psi"]),
+            [complex(re, im) for re, im in a["psi"]],
         )
     return ExtremalSpec(int(obj["m"]), int(obj["n"]), int(obj["d"]), assignments)
 

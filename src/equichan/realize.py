@@ -32,19 +32,6 @@ CONSTRUCTION_TOL = 1e-10
 RANK_TOL = 1e-8
 
 
-def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    out = np.zeros((d, d))
-    out[i, j] = 1.0
-    return out
-
-
-def site_generator(d: int, i: int, j: int, dual: bool) -> np.ndarray:
-    """Action of E_ij on a single defining (or conjugate defining) factor."""
-    if dual:
-        return -matrix_unit(d, j, i)
-    return matrix_unit(d, i, j)
-
-
 def ambient_weights(d: int, factors: tuple[bool, ...]) -> np.ndarray:
     """Integer weight vector of every product-basis index, shape (d^#factors, d)."""
     nfac = len(factors)
@@ -83,9 +70,6 @@ class IrrepRealization:
     @property
     def dim(self) -> int:
         return self.embedding.shape[1]
-
-    def generator(self, i: int, j: int) -> np.ndarray:
-        return self.generators[i, j]
 
     def group_element(self, U: np.ndarray) -> np.ndarray:
         """Image of U in SU(d) under the realized representation."""
@@ -155,13 +139,9 @@ def _step_targets(nu: Staircase, dual: bool) -> list[tuple[Staircase, int]]:
     return out
 
 
-def _extend_step(
-    gens: np.ndarray, d: int, dual: bool
-) -> tuple[np.ndarray, np.ndarray, list[tuple[Staircase, np.ndarray]]]:
+def _extend_step(gens: np.ndarray, d: int, dual: bool) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose the split Casimir once; callers slice out blocks."""
-    omega = _restricted_casimir(gens, d, dual)
-    evals, evecs = np.linalg.eigh(omega)
-    return omega, evals, evecs
+    return np.linalg.eigh(_restricted_casimir(gens, d, dual))
 
 
 def _block_columns(evals: np.ndarray, evecs: np.ndarray, target: int) -> np.ndarray:
@@ -279,7 +259,7 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
         targets = dict()
         for s, eig in _step_targets(prev, dual):
             targets[s] = eig
-        _, evals, evecs = _extend_step(gens, d, dual)
+        evals, evecs = _extend_step(gens, d, dual)
         C = _block_columns(evals, evecs, targets[nxt])
         if C.shape[1] != dim_gl_irrep(nxt):
             raise RuntimeError(f"Casimir block {prev} -> {nxt} has shape {C.shape}")
@@ -348,14 +328,15 @@ def highest_weight_vector(gens: np.ndarray, d: int) -> np.ndarray:
 def krylov_recipe(
     gens: np.ndarray, seed: np.ndarray, qdim: int, d: int
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Lowering words spanning the irrep generated by seed, plus the
-    orthonormalizing column transform.
+    """Lowering words spanning the irrep generated by seed, and their basis.
 
-    Returns (recipe, W): recipe[t] = (source index, lowering row i) meaning
-    raw[t+1] = E_{i+1,i} raw[source] normalized; the columns of
-    (raw matrix) @ W are orthonormal with the first equal to the seed.  The
+    recipe[t] = (source index, lowering row i) means
+    raw[t+1] = E_{i+1,i} raw[source] normalized, and a raw vector is kept
+    only if it leaves a residual off the ones before it.  Returns
+    (recipe, basis), basis being ``apply_recipe(gens, seed, recipe)``.  The
     raw-vector norms and Gram matrix depend only on the abstract irrep, so
-    replaying the recipe in any other copy yields the mirrored basis.
+    replaying the recipe in any other copy yields the mirrored orthonormal
+    basis.
     """
     raw = [seed / np.linalg.norm(seed)]
     ortho = np.zeros((len(seed), qdim), dtype=np.result_type(seed, gens))
@@ -379,23 +360,27 @@ def krylov_recipe(
                 if len(raw) == qdim:
                     break
         src += 1
-    K = np.stack(raw, axis=1)
-    Q, R = np.linalg.qr(K)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    W = np.linalg.inv(R) * signs[None, :]
-    return recipe, W
+    return recipe, ortho
 
 
 def apply_recipe(
     gens: np.ndarray, seed: np.ndarray, recipe: list[tuple[int, int]]
 ) -> np.ndarray:
-    """Replay a lowering recipe from a new seed; returns the raw-vector matrix."""
+    """Replay a lowering recipe from a new seed; returns the orthonormal basis.
+
+    Column t is the two-pass Gram-Schmidt residual (_residual) of raw
+    vector t off the columns before it, normalized, so its component along
+    raw vector t is positive.  The first column is the normalized seed.
+    """
     raw = [seed / np.linalg.norm(seed)]
-    for src, i in recipe:
+    basis = np.zeros((len(seed), len(recipe) + 1), dtype=np.result_type(seed, gens))
+    basis[:, 0] = raw[0]
+    for t, (src, i) in enumerate(recipe, start=1):
         cand = gens[i + 1, i] @ raw[src]
         raw.append(cand / np.linalg.norm(cand))
-    return np.stack(raw, axis=1)
+        resid = _residual(basis[:, :t], raw[t])
+        basis[:, t] = resid / np.linalg.norm(resid)
+    return basis
 
 
 def intertwiner(gens_a: np.ndarray, gens_b: np.ndarray, d: int) -> np.ndarray:
@@ -413,9 +398,8 @@ def intertwiner(gens_a: np.ndarray, gens_b: np.ndarray, d: int) -> np.ndarray:
         raise ValueError("dimension mismatch: not the same irrep")
     va = highest_weight_vector(gens_a, d)
     vb = highest_weight_vector(gens_b, d)
-    recipe, W = krylov_recipe(gens_a, va, qa, d)
-    Ba = apply_recipe(gens_a, va, recipe) @ W
-    Bb = apply_recipe(gens_b, vb, recipe) @ W
+    recipe, Ba = krylov_recipe(gens_a, va, qa, d)
+    Bb = apply_recipe(gens_b, vb, recipe)
     if np.linalg.norm(Bb.conj().T @ Bb - np.eye(qb)) > 1e-8:
         raise ValueError("second copy failed to mirror: not the same irrep?")
     T = Bb @ Ba.conj().T

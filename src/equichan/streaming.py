@@ -4,11 +4,20 @@ The executor emulates the streaming schedule: input sites are absorbed one
 at a time through simple CG transforms with the label register measured and
 forgotten, the irrep-level channel runs conditioned on the surviving label,
 and output sites are emitted one at a time by inverse CG transforms along a
-classically sampled GT path.  No operation ever touches more than the
-irrep register, one site and the path register; a structural validator
-checks this on the recorded schedule.  The ledger reports register
-capacities and transform counts of the algorithm being emulated, not the
-memory of the emulator itself (which holds the full state).
+classically sampled GT path.  The irrep-level channel is the paper's
+resource-state primitive: a coherent superposition of GT paths mu -> lam
+drives one inverse CG step per auxiliary site, and the sites are traced.
+No operation ever touches more than the irrep register, one site and the
+path register; a structural validator checks this on the recorded
+schedule.  The ledger reports register capacities and transform counts of
+the algorithm being emulated, not the memory of the emulator itself (which
+holds the full state).
+
+The emulator applies the middle phase of a block as one isometry
+Q_lam -> Q_mu (x) sites, the superposition sum_p a_p iota_p of the chains
+iota_p of per-site inverse CG blocks along the paths p, memoised per
+(lam, mu, gamma) for each basis vector of the multiplicity space; the
+schedule and ledger count its one-site steps.
 
 Emission is the adjoint of Schur sampling: the isometry along a GT path
 into mu is the adjoint of that path's rows in the Schur transform on n
@@ -29,18 +38,21 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
+from typing import NamedTuple
 
 import numpy as np
 
 from equichan.channels import ExtremalSpec, irrep_channel
 from equichan.gtpaths import GtPath, _walk, enumerate_paths
+from equichan.realize import canonical_realization
 from equichan.staircases import (
     Staircase,
     box_label,
     dim_gl_irrep,
+    lr_coeff,
     partitions_of,
 )
-from equichan.transforms import PathTransform, iterated_cg, schur_transform, simple_cg
+from equichan.transforms import PathTransform, schur_transform, simple_cg
 
 # The gate-synthesis exponent appearing in every polylog cost factor; it is
 # kept as a symbol and nothing here evaluates it.
@@ -52,64 +64,14 @@ STATE_TOL = 1e-8
 # A block of Frobenius norm below this carries no weight: middle and emission skip it.
 WEIGHTLESS_NORM = 1e-15
 
+# Largest Frobenius distance between a middle-phase path superposition and the
+# irrep channel's embedding that it reconstructs.
+SUPERPOSITION_TOL = 1e-9
+
 # Sample mode takes its uniform draws from the generator in blocks of this
 # many; numpy's Generator returns the same doubles in blocks as one at a
 # time, and memory stays O(CHUNK) for any number of trajectories.
 CHUNK = 8192
-
-
-# ---------------------------------------------------------------------------
-# path states and embeddings
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PathState:
-    """A normalized superposition of GT paths sharing base and endpoint."""
-
-    base: Staircase
-    amplitudes: dict[GtPath, complex]
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if not self.amplitudes:
-            raise ValueError("need at least one path")
-        ends = set()
-        for p in self.amplitudes:
-            if p.start != self.base or (p.k, p.l) != (self.k, self.l):
-                raise ValueError(f"path {p} does not match base/(k,l)")
-            ends.add(p.end)
-        if len(ends) != 1:
-            raise ValueError(f"paths end at different labels: {ends}")
-        norm = np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError("amplitudes must be normalized")
-
-    @property
-    def end(self) -> Staircase:
-        return next(iter(self.amplitudes)).end
-
-
-def path_embedding(state: PathState, rho: np.ndarray) -> np.ndarray:
-    """Embed a state on Q_end into Q_base (x) sites along a path superposition.
-
-    Applies the inverse of the iterated CG transform to (path state) (x) rho,
-    i.e. the isometry picking out the given paths.  The output lives on
-    Q_base (x) (C^d)^(x k) (x) (conj C^d)^(x l).
-    """
-    lam = state.end
-    q_lam = dim_gl_irrep(lam)
-    if rho.shape != (q_lam, q_lam):
-        raise ValueError(f"state shape {rho.shape} does not match Q_{lam}")
-    flags = (False,) * state.k + (True,) * state.l
-    t = iterated_cg(state.base, flags)
-    sector = t.sector(lam)
-    iota = np.zeros((t.dim, q_lam), dtype=complex)
-    for p, amp in state.amplitudes.items():
-        idx = sector.paths.index(p)
-        iota += amp * t.path_rows(lam, idx).conj().T
-    return iota @ rho @ iota.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +89,17 @@ class ScheduleStep:
 def validate_schedule(steps: list[ScheduleStep]) -> None:
     """Structural streaming constraints.
 
-    Every step touches at most the irrep register, the path register and a
-    single site; input sites are consumed in increasing order, output sites
-    emitted in decreasing order, and no site is touched twice.  Raises
-    ValueError at the first violation.
+    Every step is an absorb, embed or emit step and touches at most the
+    irrep register, the path register and a single site; input sites are
+    consumed in increasing order, output sites emitted in decreasing order,
+    and no site is touched twice.  Raises ValueError at the first violation.
     """
     last_in = 0
     next_out = None
     seen_sites = set()
     for s in steps:
+        if s.op not in ("absorb", "embed", "emit"):
+            raise ValueError(f"unknown op in {s}")
         sites = [r for r in s.registers if ":" in r]
         others = [r for r in s.registers if ":" not in r]
         if not set(others) <= {"Q", "path", "label"}:
@@ -321,9 +285,14 @@ def _middle_phase(
     """Apply the per-label irrep channel of each triple lam -> mu.
 
     A label whose block norm is below WEIGHTLESS_NORM is skipped: no step,
-    no r_prime.  Routes, first that applies: the identity (gamma empty); the
-    one addition gamma_bar -> lam when mu is one box, tracing the base; the
-    unique path mu -> lam, tracing each site; else the dense irrep channel.
+    no r_prime.  Two routes.  When mu is one box and gamma is not empty,
+    Q_lam is embedded along the one addition gamma_bar -> lam and the base
+    is traced (``_stream_embed_trace_base``).  Every other block is
+    embedded into Q_mu (x) sites along the coherent superposition of its GT
+    paths mu -> lam with k additions and l removals, where gamma_bar has k
+    positive and l negative boxes (``_path_superposition``), with one embed
+    step per site, and the sites are traced.  With gamma empty the one path
+    has no step and the block passes unchanged.
     """
     d = spec.d
     tau: dict[Staircase, np.ndarray] = {}
@@ -333,66 +302,107 @@ def _middle_phase(
             continue
         t = spec.triple(lam)
         ledger.r_prime = max(ledger.r_prime, t.mu.length)
-        gamma_bar = t.gamma.dual()
-        k0, l0 = gamma_bar.pos_size, gamma_bar.neg_size
-        if k0 == 0 and l0 == 0:
-            # identity channel on the label; nothing moves
-            out = blk
-        elif t.mu == box_label(d):
-            # single-box output: embed over the added box and trace the base
-            out = _stream_embed_trace_base(lam, gamma_bar, blk, ledger, schedule)
-        elif (path_a := _unique_path(t.mu, lam, k0, l0)) is not None:
-            out = _stream_embed_trace_sites(lam, path_a, blk, ledger, schedule, aux_counter)
+        if t.mu == box_label(d) and not t.gamma.is_empty:
+            out = _stream_embed_trace_base(lam, t.gamma.dual(), blk, ledger, schedule)
         else:
-            ch = irrep_channel(lam, t.mu, t.gamma, t.psi, form="embed-trace")
-            live = max(ch.in_dim, ch.out_dim)
-            schedule.append(ScheduleStep("apply_block", ("Q", "label"), live))
-            ledger.bump(live)
-            out = ch.apply(blk)
+            sup = _path_superposition(lam, t.mu, t.gamma)
+            for dual, live in sup.steps:
+                aux = next(aux_counter)
+                schedule.append(ScheduleStep("embed", ("Q", f"aux:{aux}", "path"), live))
+                ledger.bump(live)
+                if dual:
+                    ledger.num_simple_dual_cg += 1
+                else:
+                    ledger.num_inverse_cg += 1
+            # iota' = sum_a psi_a E_a; tr_sites(iota' blk iota'^dag) in two GEMMs
+            emb = np.tensordot(t.psi, sup.embeddings, 1)
+            q_mu = dim_gl_irrep(t.mu)
+            out = (emb @ blk).reshape(q_mu, -1) @ emb.reshape(q_mu, -1).conj().T
         tau[t.mu] = tau.get(t.mu, 0) + out
     return tau
 
 
-@functools.cache
-def _unique_path(base: Staircase, end: Staircase, k: int, l: int) -> GtPath | None:
-    """The one GT path base -> end over k additions and l removals, else None.
+class _PathSuperposition(NamedTuple):
+    """The middle-phase embeddings of one triple (lam, mu, gamma).
 
-    Memoised: the path is frozen, so every block of a label shares it.
+    ``embeddings[a]`` is the isometry Q_lam -> Q_mu (x) sites of the
+    multiplicity basis vector e_a, shape (c, q_mu * d^(k+l), q_lam),
+    read-only; ``steps`` holds (dual flag, live dimension) per emitted
+    site, in emission order.
     """
-    paths = enumerate_paths(base, k, l).get(end, [])
-    if len(paths) == 1:
-        return paths[0]
-    return None
+
+    embeddings: np.ndarray
+    steps: tuple[tuple[bool, int], ...]
 
 
-def _stream_embed_trace_sites(
-    lam: Staircase,
-    path: GtPath,
-    blk: np.ndarray,
-    ledger: ResourceLedger,
-    schedule: list,
-    aux_counter,
-) -> np.ndarray:
-    """Embed along the reversed path, tracing each emitted site immediately."""
-    d = lam.d
-    cur = blk
+def _path_isometry(path: GtPath) -> np.ndarray:
+    """iota_p: Q_end -> Q_start (x) sites, the chain of the path's inverse CG blocks.
+
+    Each reversed step prev -> nxt applies the adjoint of the rows of nxt in
+    ``simple_cg(prev, dual)`` to the irrep leg; the new site is the leg
+    just after the irrep, so the sites come out in path order.
+    """
+    q_end = dim_gl_irrep(path.end)
+    iso = np.eye(q_end)
     for prev, nxt, dual in _emit_steps(path):
-        q_prev = dim_gl_irrep(prev)
-        live = q_prev * d
-        aux = next(aux_counter)
-        schedule.append(ScheduleStep("embed", ("Q", f"aux:{aux}", "path"), live))
-        ledger.bump(live)
-        if dual:
-            ledger.num_simple_dual_cg += 1
-        else:
-            ledger.num_inverse_cg += 1
-        cg = simple_cg(prev, dual)
-        R = cg.block_rows(nxt)
-        moved = R.conj().T @ cur @ R
-        cur = np.einsum(
-            "aibi->ab", moved.reshape(q_prev, d, q_prev, d)
-        )  # trace the site
-    return cur
+        R = simple_cg(prev, dual).block_rows(nxt)
+        iso = (R.conj().T @ iso.reshape(R.shape[0], -1)).reshape(-1, q_end)
+    return iso
+
+
+def _path_amplitudes(iso: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """a_p = tr(iota_p^dag target) / q_lam for one path and a stack of targets."""
+    return np.tensordot(targets, iso.conj(), 2) / iso.shape[1]
+
+
+@functools.cache
+def _path_superposition(
+    lam: Staircase, mu: Staircase, gamma: Staircase
+) -> _PathSuperposition:
+    """The coherent GT-path superpositions that realize the irrep channel lam -> mu.
+
+    The channel of (lam, mu, gamma, psi) traces the sites of
+    iota' = (1 (x) J) iota, where iota is the embed-trace isometry of
+    ``irrep_channel`` and J the embedding of the canonical realization of
+    gamma_bar, whose sites are those of the paths mu -> lam.  By Schur's
+    lemma iota' = sum_p a_p iota_p over those paths, with
+    a_p = tr(iota_p^dag iota') / q_lam; iota is linear in psi, so the
+    superposition is stored for each multiplicity basis vector e_a.  The
+    paths are taken one at a time, so only one iota_p is held.  A sector
+    with one path (every block with gamma empty, whose path has no step) is
+    that path: its phase leaves the channel unchanged and no overlap is
+    taken.  Raises RuntimeError if a superposition is farther than
+    SUPERPOSITION_TOL from iota'.  Memoised per label triple.
+    """
+    gamma_bar = gamma.dual()
+    paths = enumerate_paths(mu, gamma_bar.pos_size, gamma_bar.neg_size)[lam]
+    if len(paths) == 1:
+        embeddings = _path_isometry(paths[0])[None]
+    else:
+        c = lr_coeff(lam.dual(), mu, gamma)
+        J = canonical_realization(gamma_bar).embedding
+        q_lam = dim_gl_irrep(lam)
+        targets = np.stack(
+            [
+                np.matmul(J, np.stack(irrep_channel(lam, mu, gamma, e).ops, axis=1))
+                for e in np.eye(c)
+            ]
+        ).reshape(c, -1, q_lam)
+        embeddings = np.zeros_like(targets)
+        for p in paths:
+            iso = _path_isometry(p)
+            embeddings += _path_amplitudes(iso, targets)[:, None, None] * iso
+        resid = max(np.linalg.norm(e - t) for e, t in zip(embeddings, targets))
+        if resid > SUPERPOSITION_TOL:
+            raise RuntimeError(
+                f"path superposition {lam} -> {mu} misses the irrep channel by {resid:.2e}"
+            )
+    embeddings.flags.writeable = False
+    steps = tuple(
+        (col[0][2], lam.d * max(dim_gl_irrep(prev) for prev, _, _ in col))
+        for col in zip(*(_emit_steps(p) for p in paths))
+    )
+    return _PathSuperposition(embeddings, steps)
 
 
 def _stream_embed_trace_base(

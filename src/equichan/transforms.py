@@ -31,7 +31,6 @@ from equichan.realize import (
     _block_columns,
     _extend_step,
     _residual,
-    _simple_generators,
     _step_generators,
     _step_targets,
     ambient_weights,
@@ -176,7 +175,7 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     nu = canonical_realization(label)
     d = nu.d
     q = nu.dim
-    _, evals, evecs = _extend_step(nu.generators, d, dual)
+    evals, evecs = _extend_step(nu.generators, d, dual)
     rows = []
     blocks = []
     offset = 0
@@ -493,8 +492,7 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
             continue
         qdim = dim_gl_irrep(label)
         target = canonical_realization(label)
-        recipe, W = krylov_recipe(gens, hw[:, 0], qdim, d)
-        B0 = apply_recipe(gens, hw[:, 0], recipe) @ W
+        recipe, B0 = krylov_recipe(gens, hw[:, 0], qdim, d)
         H = B0.conj().T @ gens @ B0
         T = intertwiner(H, target.generators, d)
         first_map = T @ B0.conj().T
@@ -503,7 +501,7 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
         pivot = flat[lead]
         T = T * (abs(pivot) / pivot)
         for j in range(c):
-            Bj = B0 if j == 0 else apply_recipe(gens, hw[:, j], recipe) @ W
+            Bj = B0 if j == 0 else apply_recipe(gens, hw[:, j], recipe)
             if np.linalg.norm(Bj.conj().T @ Bj - np.eye(qdim)) >= 1e-9:
                 raise RuntimeError("copy basis failed to mirror")
             rows.append(T @ Bj.conj().T)

@@ -475,6 +475,16 @@ class TestIrrepChannel:
             X = rng.normal(size=(ch.in_dim,) * 2)
             assert np.linalg.norm(ch.apply(X) - X) < 1e-10
 
+    @pytest.mark.parametrize("form", ["choi", "embed-trace", "sandwich"])
+    def test_identity_through_ill_conditioned_lowering(self, form, rng):
+        # general_cg((0,0,-4), (4,0,0)) lowers a highest-weight vector into
+        # the 125-dimensional block (4,0,-4) along raw vectors of condition
+        # number about 2e4; the copy bases must still be orthonormal
+        lam = staircase(4, 0, 0)
+        ch = irrep_channel(lam, lam, staircase(0, 0, 0), form=form)
+        X = rng.normal(size=(ch.in_dim,) * 2) + 1j * rng.normal(size=(ch.in_dim,) * 2)
+        assert np.linalg.norm(ch.apply(X) - X) < 1e-10
+
     def test_cptp_and_equivariant(self, rng):
         from equichan.realize import canonical_realization
 

@@ -26,26 +26,26 @@ from equichan.staircases import (
     box_label,
     dim_gl_irrep,
     dim_perm_irrep,
-    empty_staircase,
     partitions_of,
     staircase,
 )
 from equichan.streaming import (
     CHUNK,
     STATE_TOL,
-    PathState,
     ResourceLedger,
     ScheduleStep,
     WEIGHTLESS_NORM,
     _absorb_phase,
     _emission_phase,
     _middle_phase,
+    _path_isometry,
+    _path_superposition,
     application_estimate,
-    path_embedding,
     resource_estimate,
     streamed_apply,
     validate_schedule,
 )
+from equichan.suites import all_specs
 from equichan.transforms import BlockIsometry, iterated_cg, schur_transform, simple_cg
 
 from oracles import (
@@ -64,50 +64,52 @@ def random_state(dim, rng):
     return rho / np.trace(rho)
 
 
-class TestPathState:
-    def test_validation(self):
-        p = GtPath((staircase(2, 0), staircase(2, 1)), k=1, l=0)
-        PathState(staircase(2, 0), {p: 1.0}, 1, 0)
-        with pytest.raises(ValueError):
-            PathState(staircase(2, 0), {p: 0.5}, 1, 0)  # not normalized
-        with pytest.raises(ValueError):
-            PathState(staircase(1, 0), {p: 1.0}, 1, 0)  # wrong base
+# the shapes of the benchmark's cold crosscheck: 192 extremal specs
+CROSSCHECK_SHAPES = [(2, 2, 3), (3, 3, 2), (4, 2, 2), (2, 3, 3), (4, 3, 2), (5, 1, 2)]
 
-    def test_mixed_endpoint_rejected(self):
-        paths = enumerate_paths(staircase(1, 0), 1, 0)
-        p1 = paths[staircase(2, 0)][0]
-        p2 = paths[staircase(1, 1)][0]
-        with pytest.raises(ValueError):
-            PathState(staircase(1, 0), {p1: 1 / np.sqrt(2), p2: 1 / np.sqrt(2)}, 1, 0)
+
+def _multi_path_triples(shapes):
+    """Distinct (lam, mu, gamma, c) of the shapes with more than one GT path mu -> lam."""
+    out = {}
+    for shape in shapes:
+        for lam, mu, gamma, c in enumerate_extremal_triples(*shape):
+            gamma_bar = gamma.dual()
+            paths = enumerate_paths(mu, gamma_bar.pos_size, gamma_bar.neg_size)[lam]
+            if len(paths) > 1:
+                out[(lam, mu, gamma)] = (shape, c)
+    return out
 
 
 class TestPathEmbedding:
-    def test_trivial_path_is_identity(self, rng):
+    def test_trivial_path_is_identity(self):
         lam = staircase(2, 1)
-        p = GtPath((lam,), 0, 0)
-        state = PathState(lam, {p: 1.0}, 0, 0)
-        rho = random_state(dim_gl_irrep(lam), rng)
-        out = path_embedding(state, rho)
-        assert np.linalg.norm(out - rho) < 1e-12
+        iso = _path_isometry(GtPath((lam,), 0, 0))
+        assert np.array_equal(iso, np.eye(dim_gl_irrep(lam)))
 
     def test_single_removal_matches_irrep_channel(self, rng):
         # embed Q_(1,0) into Q_(2,0) (x) dual site, trace the site
         mu, lam = staircase(2, 0), staircase(1, 0)
         p = enumerate_paths(mu, 0, 1)[lam][0]
-        state = PathState(mu, {p: 1.0}, 0, 1)
+        iso = _path_isometry(p)
         rho = random_state(2, rng)
-        big = path_embedding(state, rho)
-        big4 = big.reshape(3, 2, 3, 2)
+        big4 = (iso @ rho @ iso.conj().T).reshape(3, 2, 3, 2)
         traced = np.einsum("aibi->ab", big4)
         ch = irrep_channel(lam, mu, staircase(1, 0), form="embed-trace")
         assert np.linalg.norm(traced - ch.apply(rho)) < 1e-10
 
-    def test_endpoint_mismatch(self, rng):
-        mu, lam = staircase(2, 0), staircase(1, 0)
-        p = enumerate_paths(mu, 0, 1)[lam][0]
-        state = PathState(mu, {p: 1.0}, 0, 1)
-        with pytest.raises(ValueError):
-            path_embedding(state, np.eye(3))
+    @pytest.mark.parametrize(
+        "mu,k,l",
+        [(staircase(1, 0), 2, 0), (staircase(2, 1), 1, 2), (staircase(2, 0, 0), 2, 1)],
+    )
+    def test_path_isometries_are_rows_of_iterated_cg(self, mu, k, l):
+        # iota_p is the adjoint of path p's rows in the iterated CG transform
+        t = iterated_cg(mu, (False,) * k + (True,) * l)
+        for end, paths in enumerate_paths(mu, k, l).items():
+            sector = t.sector(end)
+            assert sector.paths == tuple(paths)
+            for idx, p in enumerate(paths):
+                ref = t.path_rows(end, idx).conj().T
+                assert np.abs(_path_isometry(p) - ref).max() < 1e-12, p
 
     def test_superposition_is_isometric(self, rng):
         # dim P = 2 sector: any unit superposition embeds isometrically
@@ -116,9 +118,9 @@ class TestPathEmbedding:
         assert len(paths) == 2
         amp = rng.normal(size=2) + 1j * rng.normal(size=2)
         amp /= np.linalg.norm(amp)
-        state = PathState(mu, {paths[0]: amp[0], paths[1]: amp[1]}, 2, 0)
+        iso = amp[0] * _path_isometry(paths[0]) + amp[1] * _path_isometry(paths[1])
         rho = random_state(2, rng)
-        out = path_embedding(state, rho)
+        out = iso @ rho @ iso.conj().T
         assert abs(np.trace(out) - 1.0) < 1e-10
 
     def test_multiplicity_free_factorization(self, rng):
@@ -127,9 +129,7 @@ class TestPathEmbedding:
         mu, lam = staircase(3, 0), staircase(1, 0)
         q_mu = dim_gl_irrep(mu)
         p = enumerate_paths(mu, 0, 2)[lam][0]
-        state = PathState(mu, {p: 1.0}, 0, 2)
-        t = iterated_cg(mu, (True, True))
-        iota = t.path_rows(lam, 0).conj().T  # q_mu * d^2 x q_lam
+        iota = _path_isometry(p)  # q_mu * d^2 x q_lam
         S = schur_transform(0, 2, 2)
         big = np.kron(np.eye(q_mu), S.matrix) @ iota
         # the transformed embedding is supported on a single sector and
@@ -141,6 +141,53 @@ class TestPathEmbedding:
         assert np.linalg.norm(cube) - np.linalg.norm(sub) < 1e-10
         ch_rows = sub.reshape(q_mu * sec.size, 2)
         assert np.linalg.norm(ch_rows.conj().T @ ch_rows - np.eye(2)) < 1e-8
+
+
+class TestMiddlePhase:
+    # every multi-path triple of the crosscheck shapes, and the
+    # multiplicity-two triple of (3,3,3), where psi is more than a phase
+    TRIPLES = _multi_path_triples(CROSSCHECK_SHAPES + [(3, 3, 3)])
+
+    def test_multi_path_blocks_match_irrep_channel(self, rng):
+        assert max(c for _, c in self.TRIPLES.values()) == 2
+        for (lam, mu, gamma), ((m, n, d), c) in self.TRIPLES.items():
+            if (m, n, d) == (3, 3, 3) and c == 1:
+                continue
+            psi = rng.normal(size=c) + 1j * rng.normal(size=c)
+            psi /= np.linalg.norm(psi)
+            base = all_specs(m, n, d)[0].assignments
+            spec = ExtremalSpec(m, n, d, {**base, lam: ExtremalTriple(mu, gamma, psi)})
+            q = dim_gl_irrep(lam)
+            blk = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            ledger, schedule = ResourceLedger(), []
+            tau = _middle_phase(spec, {lam: blk}, ledger, schedule)
+            expected = irrep_channel(lam, mu, gamma, psi).apply(blk)
+            assert np.abs(tau[mu] - expected).max() < 1e-10, (lam, mu, gamma)
+            # one embed step per site of gamma_bar, each on its own aux site
+            sites = gamma.pos_size + gamma.neg_size
+            if mu != box_label(d):
+                assert [s.op for s in schedule] == ["embed"] * sites
+                assert len({s.registers for s in schedule}) == sites
+                counts = ledger.num_inverse_cg, ledger.num_simple_dual_cg
+                assert counts == (gamma.neg_size, gamma.pos_size)
+
+    def test_mutated_coefficient_raises(self, monkeypatch):
+        import equichan.streaming as streaming
+
+        exact = streaming._path_amplitudes
+
+        def mutated(iso, targets):
+            amps = exact(iso, targets)
+            return amps + 1e-6
+
+        lam, mu, gamma = staircase(2, 0), staircase(2, 0), staircase(1, -1)
+        assert len(enumerate_paths(mu, 1, 1)[lam]) == 2
+        _path_superposition.cache_clear()
+        monkeypatch.setattr(streaming, "_path_amplitudes", mutated)
+        with pytest.raises(RuntimeError, match="misses the irrep channel"):
+            _path_superposition(lam, mu, gamma)
+        monkeypatch.undo()
+        _path_superposition(lam, mu, gamma)
 
 
 class TestStreamedApply:
@@ -220,8 +267,6 @@ class TestStreamedApply:
         # on |0...0> only the single-row label carries weight; the others
         # get no middle step, do not count towards r_prime, and the output
         # is still the channel's
-        from equichan.suites import all_specs
-
         ledgers = {}
         for spec in [purity_spec(3, 2), symmetrization_spec(3, 2), *all_specs(2, 2, 3)]:
             m, d = spec.m, spec.d
@@ -255,6 +300,28 @@ class TestStreamedApply:
         ]
         with pytest.raises(ValueError):
             validate_schedule(bad)
+        # a dense irrep-channel step touches no site; only absorb, embed
+        # and emit steps are part of the streaming schedule
+        bad = [
+            ScheduleStep("absorb", ("Q", "in:1"), 2),
+            ScheduleStep("apply_block", ("Q", "label"), 6),
+        ]
+        validate_schedule(bad[:1])
+        with pytest.raises(ValueError, match="unknown op"):
+            validate_schedule(bad)
+
+    def test_crosscheck_shapes_stream_every_block(self, rng):
+        # every middle block of the 192 specs is embedded site by site: no
+        # schedule has another op, and the output is the Choi matrix's
+        nspecs = 0
+        for m, n, d in CROSSCHECK_SHAPES:
+            for spec in all_specs(m, n, d):
+                rho = random_state(d**m, rng)
+                out, _, schedule = streamed_apply(spec, rho, return_schedule=True)
+                assert {s.op for s in schedule} <= {"absorb", "embed", "emit"}
+                assert np.abs(out - extremal_choi(spec).apply(rho)).max() < 1e-10
+                nspecs += 1
+        assert nspecs == 192
 
     def test_sampled_mode_deterministic_when_paths_unique(self, rng):
         # m = 2: both labels have one-dimensional path spaces
@@ -290,7 +357,7 @@ class TestStreamedApply:
         rho = random_state(d**m, rng)
         ledger = ResourceLedger()
         tau = _middle_phase(spec, _absorb_phase(rho, m, d, ledger, []), ledger, [])
-        all_paths = enumerate_paths(empty_staircase(d), m, 0)
+        S = schur_transform(m, 0, d)
         drawn_later_paths = drawn_twice = False
         for seed in range(6):
             out, ledger = streamed_apply(
@@ -302,10 +369,11 @@ class TestStreamedApply:
             for _ in range(trajectories):
                 for mu, blk in tau.items():
                     path = sample_gt_path(mu, redraw)
-                    drawn_later_paths |= all_paths[mu].index(path) > 0
+                    idx = S.sector(mu).paths.index(path)
+                    drawn_later_paths |= idx > 0
                     drawn.append(path)
-                    state = PathState(empty_staircase(d), {path: 1.0}, m, 0)
-                    expected += path_embedding(state, blk) / trajectories
+                    rows = S.path_rows(mu, idx)
+                    expected += rows.conj().T @ blk @ rows / trajectories
             drawn_twice |= any(
                 drawn.count(p) > 1 for p in drawn if dim_perm_irrep(p.end) > 1
             )
@@ -565,8 +633,6 @@ PROPERTY_SHAPES = [(m, n, d) for m in (1, 2, 3) for n in (1, 2, 3) for d in (2, 
 # spec 21 of all_specs(3, 3, 3) is the first with a multiplicity-two label
 @example(shape=(3, 3, 3), pick=21, seed=0, rank=2)
 def test_streamed_equals_choi_on_random_specs(shape, pick, seed, rank):
-    from equichan.suites import all_specs
-
     m, n, d = shape
     specs = all_specs(m, n, d)
     rng = np.random.default_rng(seed)
