@@ -110,40 +110,28 @@ def clone(
     either a single-qudit pure vector psi (cloned from psi^(x m)) or a
     density matrix on the m-qudit symmetric subspace.  A matrix input with
     off-mass |rho - P rho P| or weight tr((1 - P) rho) above 1e-8 outside
-    it (P the symmetric projector) is rejected.  The fidelity field holds
-    tr[(psi psi)^(x n) output] when a pure state is given or passed as
-    ``reference``.
+    it (P the symmetric projector) is rejected before anything is streamed.
+    A pure ``state`` or a ``reference`` must be a length-d vector with
+    finite entries and nonzero norm, else ValueError.  The fidelity field
+    holds tr[(psi psi)^(x n) output] when a pure state is given or passed
+    as ``reference``.
     """
     spec = cloning_spec(m, n, d)
     psi = None
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        if state.shape != (d,):
-            raise ValueError(f"pure input must be a length-{d} vector")
-        psi = state / np.linalg.norm(state)
+        psi = _unit_vector(state, d, "state")
         rho = np.array([1.0 + 0j])
         for _ in range(m):
             rho = np.kron(rho, np.outer(psi, psi.conj()))
         rho = rho.reshape(d**m, d**m)
     else:
         rho = state
+        _check_symmetric_support(rho, m, d)
     if reference is not None:
-        psi = np.asarray(reference, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
+        psi = _unit_vector(np.reshape(reference, -1), d, "reference")
 
     out, ledger = streamed_apply(spec, rho)
-    if state.ndim != 1:
-        P = symmetric_projector(m, d)
-        off = np.linalg.norm(rho - P @ rho @ P)
-        if off > SYMMETRIC_SUPPORT_TOL:
-            raise ValueError(
-                f"input has mass {off:.2e} outside the symmetric subspace; "
-                "the cloning map is only trace preserving on it"
-            )
-        # the weight absorption puts on labels other than (m)
-        stray = float(np.trace(rho - P @ rho).real)
-        if stray > SYMMETRIC_SUPPORT_TOL:
-            raise ValueError(f"non-symmetric weight {stray:.2e} after absorption")
     fidelity = None
     if psi is not None:
         target = np.array([1.0 + 0j])
@@ -151,6 +139,43 @@ def clone(
             target = np.kron(target, psi)
         fidelity = float(np.real(target.conj() @ out @ target))
     return AppResult(out, ledger, fidelity)
+
+
+def _check_symmetric_support(rho: np.ndarray, m: int, d: int) -> None:
+    """ValueError unless rho lies on the m-qudit symmetric subspace.
+
+    Runs before any streaming: the off-mass |rho - P rho P| and the weight
+    tr((1 - P) rho), which absorption would put on labels other than (m),
+    must each be at most SYMMETRIC_SUPPORT_TOL.  A matrix of the wrong
+    shape is rejected first, with streamed_apply's message.
+    """
+    dim = d**m
+    if rho.shape != (dim, dim):
+        raise ValueError(f"input shape {rho.shape}, expected {(dim, dim)}")
+    P = symmetric_projector(m, d)
+    off = np.linalg.norm(rho - P @ rho @ P)
+    if off > SYMMETRIC_SUPPORT_TOL:
+        raise ValueError(
+            f"input has mass {off:.2e} outside the symmetric subspace; "
+            "the cloning map is only trace preserving on it"
+        )
+    stray = float(np.trace(rho - P @ rho).real)
+    if stray > SYMMETRIC_SUPPORT_TOL:
+        raise ValueError(f"non-symmetric weight {stray:.2e} after absorption")
+
+
+def _unit_vector(vec: np.ndarray, d: int, name: str) -> np.ndarray:
+    """``vec`` normalized, or ValueError naming the argument ``name``: it
+    must hold d finite entries and have nonzero norm."""
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (d,):
+        raise ValueError(f"{name} must be a length-{d} vector, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} has non-finite entries")
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise ValueError(f"{name} has zero norm")
+    return vec / norm
 
 
 def cloning_fidelity(m: int, n: int, d: int) -> float:
@@ -168,13 +193,15 @@ def purity_amplify(
 
     Implements the first-descent box-removal rule; the channel never
     references the depolarization strength.  When ``reference`` is given the
-    fidelity field holds <ref| output |ref>.
+    fidelity field holds <ref| output |ref>; it must be a length-d vector
+    with finite entries and nonzero norm, else ValueError.
     """
+    psi = None
+    if reference is not None:
+        psi = _unit_vector(np.reshape(reference, -1), d, "reference")
     out, ledger = streamed_apply(purity_spec(m, d), rho)
     fidelity = None
-    if reference is not None:
-        psi = np.asarray(reference, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
+    if psi is not None:
         fidelity = float(np.real(psi.conj() @ out @ psi))
     return AppResult(out, ledger, fidelity)
 

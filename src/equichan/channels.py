@@ -187,10 +187,11 @@ def check_symmetries(
     W = A (x) B, with A = conj U^(x m) and B = U^(x n), is applied leg group
     by leg group to the Choi matrix C viewed as a (d^m, d^n, d^m, d^n)
     tensor: W C and C W cost O(D^2 (d^m + d^n)) for D = d^(m+n), and W is
-    never formed.  A transposition P of two adjacent sites is an involutive
-    permutation of tensor legs, so its residual |P C - C P| = |P C P - C|
-    is a leg transpose of the 2(m+n)-leg tensor C minus C, with no
-    arithmetic beyond the norm.  The report holds residuals only; the
+    never formed; A and B are grown by broadcasting, one factor at a time.
+    A transposition P of two adjacent sites is an involutive permutation of
+    tensor legs, so its residual |P C - C P| = |P C P - C| is a leg
+    transpose of the 2(m+n)-leg tensor C minus C, with no arithmetic beyond
+    the norm.  The report holds residuals only; the
     caller picks the threshold with ``SymmetryReport.passed(tol)``.
     """
     if trials < 1:
@@ -202,12 +203,8 @@ def check_symmetries(
     unitary = []
     for _ in range(trials):
         U = haar_unitary(d, rng)
-        A = np.eye(1, dtype=complex)
-        for _ in range(m):
-            A = np.kron(A, U.conj())
-        B = np.eye(1, dtype=complex)
-        for _ in range(n):
-            B = np.kron(B, U)
+        A = _tensor_power(U.conj(), m)
+        B = _tensor_power(U, n)
         # W C: A on the row input leg, then B on the row output leg
         WC = np.matmul(B, (A @ C.reshape(dm, -1)).reshape(dm, dn, -1))
         # C W: B on the column output leg, then A on the column input leg
@@ -221,6 +218,16 @@ def check_symmetries(
             legs[row], legs[row + 1] = legs[row + 1], legs[row]
         perm.append(float(np.linalg.norm(T.transpose(legs) - T)))
     return SymmetryReport(unitary, perm)
+
+
+def _tensor_power(U: np.ndarray, k: int) -> np.ndarray:
+    """U^(x k), each factor broadcast onto the legs: the entries of kron."""
+    out = np.eye(1, dtype=complex)
+    for _ in range(k):
+        out = (out[:, None, :, None] * U[None, :, None, :]).reshape(
+            out.shape[0] * U.shape[0], out.shape[1] * U.shape[1]
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +621,25 @@ def _cg_restriction_tensor(lam: Staircase, mu: Staircase, gamma: Staircase):
     return K0, c, qg, q_lam, q_mu
 
 
+@functools.cache
+def _embed_trace_tensor(lam: Staircase, mu: Staircase, gamma: Staircase) -> np.ndarray:
+    """The psi-free embed-trace isometry of lam -> mu through gamma.
+
+    Entry ((y, h), z, a) is sqrt(q_lam / q_gamma) times the restricted
+    inverse CG tensor with its dual-lam slot rotated to a conjugate-lam slot
+    (dual_structure(lam)) and its conjugate-gamma slot to a canonical
+    dual-gamma ket (dual_structure(gamma)^dag): contracting the last leg with
+    psi gives the embedding Q_lam -> Q_mu (x) Q_dualgamma.  Shape
+    (q_mu * q_gamma, q_lam, mult), read-only; memoised per label triple.
+    """
+    K0, c, qg, q_lam, q_mu = _cg_restriction_tensor(lam, mu, gamma)
+    Zl, Zg = dual_structure(lam), dual_structure(gamma)
+    T = np.einsum("zx,xyga,hg->yhza", Zl, K0, Zg.conj().T, optimize=True)
+    T = np.ascontiguousarray(np.sqrt(q_lam / qg) * T.reshape(q_mu * qg, q_lam, c))
+    T.flags.writeable = False
+    return T
+
+
 def irrep_channel(
     lam: Staircase,
     mu: Staircase,
@@ -628,6 +654,8 @@ def irrep_channel(
     Q_mu (x) Q_dualgamma and traces out the second factor; "sandwich"
     conjugates by the embedding of Q_mu into Q_lam (x) Q_gamma with the
     conjugated multiplicity vector.  All agree to numerical precision.
+    "embed-trace" contracts psi into the memoised psi-free isometry of the
+    label triple; the other two forms are built afresh on every call.
     """
     c = lr_coeff(lam.dual(), mu, gamma)
     if c < 1:
@@ -640,6 +668,15 @@ def irrep_channel(
         raise ValueError(f"psi must have length {c}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("psi must be normalized")
+    if form == "embed-trace":
+        iota = np.tensordot(_embed_trace_tensor(lam, mu, gamma), psi, 1)
+        q_lam, q_mu = iota.shape[1], dim_gl_irrep(mu)
+        resid = np.linalg.norm(iota.conj().T @ iota - np.eye(q_lam))
+        if resid >= 1e-8:
+            raise RuntimeError(f"embedding not isometric: {resid:.2e}")
+        V = iota.reshape(q_mu, -1, q_lam)
+        return KrausChannel([V[:, h, :] for h in range(V.shape[1])], q_lam, q_mu)
+
     K0, c, qg, q_lam, q_mu = _cg_restriction_tensor(lam, mu, gamma)
     scale_lg = dim_gl_irrep(lam) / dim_gl_irrep(gamma)
 
@@ -651,21 +688,6 @@ def irrep_channel(
         conv = np.kron(Zl.conj().T, np.eye(q_mu))
         C = conv.conj().T @ Ccg @ conv
         return ChoiChannel(C, q_lam, q_mu)
-
-    if form == "embed-trace":
-        Zl = dual_structure(lam)
-        Zg = dual_structure(gamma)
-        # K0 slots: (dual-lam ket, mu ket, conj gamma, mult); rotate slot 1
-        # to a conjugate-lam slot and slot 3 to a canonical dual-gamma ket.
-        Kp = np.einsum("zx,xyga,hg->zyha", Zl, K0, Zg.conj().T)
-        iota = np.sqrt(scale_lg) * np.einsum("zyha,a->yhz", Kp, psi).reshape(
-            q_mu * qg, q_lam
-        )
-        resid = np.linalg.norm(iota.conj().T @ iota - np.eye(q_lam))
-        if resid >= 1e-8:
-            raise RuntimeError(f"embedding not isometric: {resid:.2e}")
-        ops = [iota.reshape(q_mu, qg, q_lam)[:, h, :] for h in range(qg)]
-        return KrausChannel(ops, q_lam, q_mu)
 
     if form == "sandwich":
         Zlbar = dual_structure(lam.dual())

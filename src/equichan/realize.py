@@ -93,14 +93,16 @@ class IrrepRealization:
             offdiag = G[i, i] - np.diag(np.diag(G[i, i]))
             if not np.linalg.norm(offdiag) < tol:
                 raise ValueError("Cartan not diagonal")
+        # [E_ij, E_kl] = delta_jk E_il - delta_il E_kj, one broadcast
+        # matmul per (i, j) over the whole (k, l) stack
         for i in range(d):
             for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        comm = G[i, j] @ G[k, l] - G[k, l] @ G[i, j]
-                        expect = (k == j) * G[i, l] - (i == l) * G[k, j]
-                        if not np.linalg.norm(comm - expect) < tol:
-                            raise ValueError("bad commutator")
+                defect = G[i, j] @ G - G @ G[i, j]
+                defect[j] -= G[i]
+                defect[:, i] += G[:, j]
+                norms = np.linalg.norm(defect.reshape(d * d, -1), axis=1)
+                if not (norms < tol).all():
+                    raise ValueError("bad commutator")
 
 
 def _restricted_casimir(gens: np.ndarray, d: int, dual: bool) -> np.ndarray:

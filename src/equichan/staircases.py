@@ -5,11 +5,15 @@ SU(d) irreps and the irreps of the algebra of partially transposed
 permutations acting on m upper and n lower tensor factors.  A partition is
 the special case with nonnegative entries.  All arithmetic here is exact:
 hook lengths, Weyl dimensions and Littlewood-Richardson coefficients are
-computed with integers and rationals, never floats.
+computed with integers and rationals, never floats.  The dimensions, the
+LR coefficients and the partition lists are memoised with
+``functools.cache``: each cached value is an int or a tuple, and
+``partitions_of`` copies its tuple into a fresh list on every call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -132,6 +136,7 @@ def remove_boxes(nu: Staircase, d: int | None = None) -> list[Staircase]:
     return out
 
 
+@functools.cache
 def dim_perm_irrep(lam: Staircase) -> int:
     """Dimension of the symmetric-group irrep labelled by the partition lam.
 
@@ -155,6 +160,7 @@ def dim_perm_irrep(lam: Staircase) -> int:
     return int(value)
 
 
+@functools.cache
 def dim_gl_irrep(gamma: Staircase, d: int | None = None) -> int:
     """Weyl dimension of the SU(d) irrep labelled by the staircase gamma.
 
@@ -199,6 +205,7 @@ class LrQuery:
         return lr_coeff(self.lam, self.mu, self.gamma)
 
 
+@functools.cache
 def lr_coeff(lam: Staircase, mu: Staircase, gamma: Staircase) -> int:
     """Littlewood-Richardson coefficient c_{lam,mu}^gamma for SU(d) labels.
 
@@ -286,9 +293,17 @@ def _partitions(total: int, max_rows: int, max_first: int | None = None) -> list
 
 
 def partitions_of(m: int, d: int) -> list[Staircase]:
-    """All partitions of m with at most d rows, padded to length d, lex descending."""
+    """All partitions of m with at most d rows, padded to length d, lex descending.
+
+    A fresh list on every call, so a caller may change it freely.
+    """
+    return list(_partitions_of(m, d))
+
+
+@functools.cache
+def _partitions_of(m: int, d: int) -> tuple[Staircase, ...]:
     out = [Staircase(p + (0,) * (d - len(p))) for p in _partitions(m, d)]
-    return sorted(out, key=lambda s: s.entries, reverse=True)
+    return tuple(sorted(out, key=lambda s: s.entries, reverse=True))
 
 
 def enumerate_staircases(m: int, n: int, d: int) -> list[Staircase]:

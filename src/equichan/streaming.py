@@ -151,6 +151,7 @@ class ResourceLedger:
         }
 
 
+@functools.cache
 def _capacity(t: int, d: int) -> int:
     """Largest irrep dimension the label register can hold after t sites."""
     if t <= 0:

@@ -389,3 +389,40 @@ def choi_channel_defects(C: np.ndarray, din: int, dout: int) -> tuple[float, flo
         float(np.linalg.norm(C - C.conj().T)),
         max(0.0, -float(np.linalg.eigvalsh(herm).min())),
     )
+
+
+def embed_trace_ops(Zl: np.ndarray, K0: np.ndarray, Zg: np.ndarray, psi, scale: float):
+    """Kraus operators of the embed-trace irrep channel, by two einsums.
+
+    K0[x, y, g, a] is the inverse CG transform restricted to the gamma
+    blocks, Zl and Zg the dual-structure intertwiners of lambda and gamma,
+    scale = q_lam / q_gamma.  The dual-lambda slot of K0 is rotated to a
+    conjugate-lambda slot and its conjugate-gamma slot to a dual-gamma ket,
+    psi is contracted into the multiplicity slot, and operator h is the
+    slice of the embedding at dual-gamma index h.
+    """
+    Kp = np.einsum("zx,xyga,hg->zyha", Zl, K0, Zg.conj().T)
+    iota = np.sqrt(scale) * np.einsum("zyha,a->yhz", Kp, np.asarray(psi, dtype=complex))
+    return [iota[:, h, :] for h in range(iota.shape[1])]
+
+
+def tensor_power_kron(U: np.ndarray, k: int) -> np.ndarray:
+    """U^(x k) by a chain of k np.kron calls."""
+    out = np.eye(1, dtype=complex)
+    for _ in range(k):
+        out = np.kron(out, U)
+    return out
+
+
+def bad_commutators(G: np.ndarray, tol: float) -> list[tuple[int, int, int, int]]:
+    """Every (i, j, k, l) whose generator commutator [G_ij, G_kl] is not
+    within tol (Frobenius norm) of delta_jk G_il - delta_il G_kj, one
+    product pair at a time."""
+    d = G.shape[0]
+    bad = []
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        comm = G[i, j] @ G[k, l] - G[k, l] @ G[i, j]
+        expect = (k == j) * G[i, l] - (i == l) * G[k, j]
+        if not np.linalg.norm(comm - expect) < tol:
+            bad.append((i, j, k, l))
+    return bad

@@ -153,6 +153,18 @@ class TestClone:
         with pytest.raises(ValueError, match=r"input shape \(3, 3\), expected \(4, 4\)"):
             clone(np.eye(3) / 3, 2, 3, 2)
 
+    def test_support_checked_before_streaming(self, monkeypatch, rng):
+        # an input outside the symmetric subspace is rejected before the
+        # executor runs, with the same messages
+        def never(*args, **kwargs):
+            pytest.fail("streamed_apply ran on an input outside the symmetric subspace")
+
+        monkeypatch.setattr(apps, "streamed_apply", never)
+        with pytest.raises(ValueError, match="symmetric subspace"):
+            clone(random_state(4, rng), 2, 3, 2)
+        with pytest.raises(ValueError, match="non-symmetric weight 1.50e-08"):
+            clone(self._mixture(1.5e-8, 2, 3), 2, 3, 3)
+
     def test_ledger_cloning_1_to_3(self, rng):
         psi = haar_vector(2, rng)
         res = clone(psi, 1, 3, 2)
@@ -261,6 +273,38 @@ def test_ledger_and_schedule_pinned(case, monkeypatch, rng):
     assert len(calls) == 1
     assert res.ledger.as_dict() == ledger
     assert schedules == [schedule]
+
+
+_PSI = np.array([1.0, 1.0j]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("state", lambda v: clone(v, 1, 2, 2)),
+        ("reference", lambda v: clone(_PSI, 1, 2, 2, reference=v)),
+        (
+            "reference",
+            lambda v: purity_amplify(depolarized_copies(_PSI, 0.3, 3, 2), 3, 2, reference=v),
+        ),
+    ],
+    ids=["clone-state", "clone-reference", "purity-reference"],
+)
+@pytest.mark.parametrize(
+    "vec,problem",
+    [
+        (np.zeros(2), "zero norm"),
+        (np.array([np.nan, 1.0]), "non-finite entries"),
+        (np.array([1.0, np.inf]), "non-finite entries"),
+        (np.ones(3), r"length-2 vector, got shape \(3,\)"),
+    ],
+    ids=["zero", "nan", "inf", "length"],
+)
+def test_rejects_bad_pure_vector(name, call, vec, problem):
+    # a zero, non-finite or wrong-length pure state or reference is
+    # rejected by name, instead of a NaN fidelity or a later input error
+    with pytest.raises(ValueError, match=f"^{name} (has|must be a) {problem}"):
+        call(vec)
 
 
 class TestPurityAmplify:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import equichan
+import equichan.channels as channels
 from equichan.channels import (
     ChoiMatrix,
     ExtremalSpec,
@@ -29,6 +30,7 @@ from equichan.channels import (
     uss_channel,
 )
 from equichan.limits import ResourceError
+from equichan.realize import dual_structure
 from equichan.staircases import (
     dim_gl_irrep,
     dim_perm_irrep,
@@ -39,7 +41,15 @@ from equichan.staircases import (
 from equichan.suites import all_specs
 from equichan.verify import haar_unitary
 
-from oracles import symmetrize_brute, symmetry_residuals_kron
+from oracles import (
+    embed_trace_ops,
+    symmetrize_brute,
+    symmetry_residuals_kron,
+    tensor_power_kron,
+)
+
+# the six (m, n, d) shapes of the benchmark's cold three-way check
+CROSSCHECK_SHAPES = [(2, 2, 3), (3, 3, 2), (4, 2, 2), (2, 3, 3), (4, 3, 2), (5, 1, 2)]
 
 
 def random_state(dim, rng):
@@ -173,6 +183,29 @@ class TestCheckSymmetries:
         rep = self._check_against_kron(ChoiMatrix(M, m, n, d), seed=m + n + d)
         assert min(rep.unitary_residuals) > 1.0
         assert min(rep.permutation_residuals, default=2.0) > 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tensor_power_is_kron_chain(self, d, rng):
+        U = haar_unitary(d, rng)
+        for k in range(4):
+            assert np.array_equal(channels._tensor_power(U, k), tensor_power_kron(U, k))
+
+    def test_residuals_equal_with_kron_tensor_powers(self, monkeypatch):
+        # the broadcast tensor powers hold the entries of the kron chain, so
+        # every residual is the same float
+        chois = [extremal_choi(all_specs(*shape)[0]) for shape in CROSSCHECK_SHAPES]
+
+        def reports():
+            return [
+                check_symmetries(c, trials=3, rng=np.random.default_rng(seed))
+                for seed, c in enumerate(chois)
+            ]
+
+        got = reports()
+        monkeypatch.setattr(channels, "_tensor_power", tensor_power_kron)
+        for rep, ref in zip(got, reports(), strict=True):
+            assert rep.unitary_residuals == ref.unitary_residuals
+            assert rep.permutation_residuals == ref.permutation_residuals
 
 
 class TestChoiValidate:
@@ -539,6 +572,47 @@ class TestIrrepChannel:
             irrep_channel(
                 staircase(1, 0), staircase(1, 0), staircase(0, 0), psi=np.array([2.0])
             )
+
+
+class TestEmbedTraceTensor:
+    """The memoised psi-free tensor behind the embed-trace irrep channel."""
+
+    @staticmethod
+    def _oracle_ops(lam, mu, gamma, psi):
+        K0 = channels._cg_restriction_tensor(lam, mu, gamma)[0]
+        scale = dim_gl_irrep(lam) / dim_gl_irrep(gamma)
+        return embed_trace_ops(dual_structure(lam), K0, dual_structure(gamma), psi, scale)
+
+    def _assert_matches_oracle(self, lam, mu, gamma, psi):
+        got = irrep_channel(lam, mu, gamma, psi, form="embed-trace").ops
+        want = self._oracle_ops(lam, mu, gamma, psi)
+        assert len(got) == len(want) == dim_gl_irrep(gamma)
+        for K, R in zip(got, want):
+            assert np.abs(K - R).max() < 1e-12, (lam, mu, gamma)
+
+    def test_matches_two_einsum_oracle_on_crosscheck_triples(self):
+        triples = {
+            (lam, mu, gamma, c)
+            for shape in CROSSCHECK_SHAPES
+            for lam, mu, gamma, c in enumerate_extremal_triples(*shape)
+        }
+        for lam, mu, gamma, c in sorted(triples, key=str):
+            for psi in np.eye(c):
+                self._assert_matches_oracle(lam, mu, gamma, psi)
+
+    def test_matches_oracle_with_random_psi_at_multiplicity_two(self, rng):
+        lam, mu, gamma, c = next(t for t in enumerate_extremal_triples(3, 3, 3) if t[3] == 2)
+        for _ in range(5):
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            self._assert_matches_oracle(lam, mu, gamma, psi / np.linalg.norm(psi))
+
+    def test_cached_tensor_is_read_only(self):
+        adjoint, lam = staircase(1, 0, -1), staircase(2, 1, 0)
+        T = channels._embed_trace_tensor(lam, lam, adjoint)
+        assert T.shape == (8 * 8, 8, 2)
+        assert not T.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            T[0, 0, 0] = 1.0
 
 
 class TestFactoredChannel:

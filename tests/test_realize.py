@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from equichan.realize import (
+    CONSTRUCTION_TOL,
     IrrepRealization,
     _canonicalize_basis,
     _restricted_casimir,
@@ -24,6 +27,7 @@ from equichan.staircases import (
 from equichan.verify import haar_unitary
 from oracles import (
     ambient_generator,
+    bad_commutators,
     canonical_basis_loop,
     restricted_casimir_kron,
     step_generators_kron,
@@ -271,3 +275,21 @@ class TestLegwiseBuilders:
         V = np.stack([x, y], axis=1) @ _orthonormal_columns(2, 2, rng)
         assert np.abs(_canonicalize_basis(V, weights) - expected).max() < 1e-12
         assert np.abs(canonical_basis_loop(V, weights) - expected).max() < 1e-12
+
+
+class TestValidate:
+    @pytest.mark.parametrize("label", ALL_LABELS, ids=str)
+    def test_passes_on_canonical_realizations(self, label):
+        r = canonical_realization(label)
+        r.validate()
+        assert bad_commutators(r.generators, CONSTRUCTION_TOL) == []
+
+    @pytest.mark.parametrize("label", ALL_LABELS, ids=str)
+    def test_rejects_one_perturbed_generator_entry(self, label):
+        r = canonical_realization(label)
+        G = r.generators.copy()
+        G[-1, 0, -1, 0] += 1e-6  # a lowering operator, so the Cartan check passes
+        bad = dataclasses.replace(r, generators=G)
+        assert bad_commutators(G, CONSTRUCTION_TOL)
+        with pytest.raises(ValueError, match="bad commutator"):
+            bad.validate()

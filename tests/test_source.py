@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import equichan
@@ -100,3 +103,37 @@ def test_builders_form_no_kron_with_identity():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"kron with an identity in the builders: {found}"
+
+
+OP_PATHS = """
+import sys
+import numpy as np
+import equichan
+from equichan import channels, streaming
+from equichan.apps import clone, depolarized_copies, purity_amplify, symmetrize
+
+psi = np.array([1.0, 1.0j]) / np.sqrt(2)
+symmetrize(np.eye(4) / 4, 2, 2)
+clone(psi, 1, 2, 2)
+purity_amplify(depolarized_copies(psi, 0.3, 3, 2), 3, 2, reference=psi)
+spec = channels.cloning_spec(1, 2, 2)
+choi = channels.extremal_choi(spec)
+channels.factored_channel(spec)
+streaming.streamed_apply(spec, np.eye(2) / 2)
+streaming.streamed_apply(spec, np.eye(2) / 2, mode="sample", trajectories=5)
+channels.check_symmetries(choi, trials=2)
+print(sorted(m for m in sys.modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")))
+"""
+
+
+def test_op_paths_load_no_scipy_linalg():
+    # scipy.linalg brings its own OpenBLAS thread pool next to numpy's, and
+    # interleaving calls to the two slows numpy's BLAS work; only
+    # IrrepRealization.group_element may import it, lazily
+    src = Path(equichan.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", OP_PATHS], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout

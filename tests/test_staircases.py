@@ -224,3 +224,17 @@ class TestEnumerateStaircases:
     def test_lex_descending(self):
         got = enumerate_staircases(3, 2, 3)
         assert got == sorted(got, key=lambda s: s.entries, reverse=True)
+
+
+class TestMemoised:
+    def test_partitions_of_returns_a_fresh_list(self):
+        first = partitions_of(3, 2)
+        assert first == [staircase(3, 0), staircase(2, 1)]
+        first.clear()
+        first.append(staircase(1, 1))
+        assert partitions_of(3, 2) == [staircase(3, 0), staircase(2, 1)]
+        assert partitions_of(3, 2) is not partitions_of(3, 2)
+
+    def test_label_functions_are_cached(self):
+        for fn in (dim_gl_irrep, dim_perm_irrep, lr_coeff):
+            assert callable(fn.cache_info) and callable(fn.cache_clear)
