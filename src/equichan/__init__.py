@@ -6,7 +6,6 @@ rotations and with independent permutations of inputs and outputs.
 """
 
 from equichan.staircases import (
-    LrQuery,
     Staircase,
     add_boxes,
     dim_gl_irrep,
@@ -70,7 +69,6 @@ __all__ = [
     "ExtremalTriple",
     "GtPath",
     "IrrepRealization",
-    "LrQuery",
     "RemovalDistribution",
     "ResourceLedger",
     "Staircase",

@@ -51,21 +51,10 @@ TP_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-class Channel:
-    """A completely positive map from in_dim to out_dim dimensions."""
+class KrausChannel:
+    """A completely positive map from in_dim to out_dim dimensions, given by
+    its Kraus operators, each of shape (out_dim, in_dim)."""
 
-    in_dim: int
-    out_dim: int
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def choi(self) -> np.ndarray:
-        """C = sum_ij |i><j| (x) apply(|i><j|)."""
-        raise NotImplementedError
-
-
-class KrausChannel(Channel):
     def __init__(self, ops: list[np.ndarray], in_dim: int, out_dim: int):
         self.ops = ops
         self.in_dim = in_dim
@@ -83,69 +72,45 @@ class KrausChannel(Channel):
         return V @ V.conj().T
 
 
-class ChoiChannel(Channel):
-    def __init__(self, choi: np.ndarray, in_dim: int, out_dim: int):
-        self.choi_matrix = choi
+class ChoiChannel:
+    """A linear map from in_dim to out_dim dimensions, given by its dense
+    Choi matrix, of shape (in_dim * out_dim,) * 2 and indexed (in, out)."""
+
+    def __init__(self, matrix: np.ndarray, in_dim: int, out_dim: int):
+        dim = in_dim * out_dim
+        if matrix.shape != (dim, dim):
+            raise ValueError(f"matrix shape {matrix.shape}, expected {(dim, dim)}")
+        self.matrix = matrix
         self.in_dim = in_dim
         self.out_dim = out_dim
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return apply_choi(self.choi_matrix, rho, self.in_dim, self.out_dim)
+        """Phi(rho) = tr_in[C (rho^T (x) 1_out)]."""
+        if rho.shape != (self.in_dim, self.in_dim):
+            raise ValueError(f"state has shape {rho.shape}, expected {(self.in_dim,) * 2}")
+        C4 = self.matrix.reshape(self.in_dim, self.out_dim, self.in_dim, self.out_dim)
+        return np.einsum("kalb,kl->ab", C4, rho)
 
-    def choi(self) -> np.ndarray:
-        return self.choi_matrix
-
-
-# ---------------------------------------------------------------------------
-# Choi matrices
-# ---------------------------------------------------------------------------
-
-
-def apply_choi(C: np.ndarray, rho: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
-    """Phi(rho) = tr_in[C (rho^T (x) 1_out)]."""
-    if rho.shape != (in_dim, in_dim):
-        raise ValueError(f"state has shape {rho.shape}, expected {(in_dim,) * 2}")
-    C4 = C.reshape(in_dim, out_dim, in_dim, out_dim)
-    return np.einsum("kalb,kl->ab", C4, rho)
-
-
-@dataclass
-class ChoiMatrix:
-    """Dense Choi matrix with its channel dimensions."""
-
-    matrix: np.ndarray
-    m: int
-    n: int
-    d: int
-
-    def __post_init__(self):
-        dim = self.d**self.m * self.d**self.n
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape}, expected {(dim, dim)}")
-
-    @property
-    def in_dim(self) -> int:
-        return self.d**self.m
-
-    @property
-    def out_dim(self) -> int:
-        return self.d**self.n
-
-    def validate(self, psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> None:
+    def validate(self) -> None:
         """Raise ValueError unless Hermitian, PSD and trace preserving."""
         M = self.matrix
         if not np.linalg.norm(M - M.conj().T) < HERMITIAN_TOL:
             raise ValueError("not Hermitian")
         evals = np.linalg.eigvalsh((M + M.conj().T) / 2)
-        if not evals.min() > -psd_tol:
+        if not evals.min() > -PSD_TOL:
             raise ValueError(f"not PSD: min eigenvalue {evals.min():.2e}")
         C4 = M.reshape(self.in_dim, self.out_dim, self.in_dim, self.out_dim)
         red = np.einsum("iaja->ij", C4)
-        if not np.linalg.norm(red - np.eye(self.in_dim)) < tp_tol:
+        if not np.linalg.norm(red - np.eye(self.in_dim)) < TP_TOL:
             raise ValueError("not trace preserving")
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return apply_choi(self.matrix, rho, self.in_dim, self.out_dim)
+
+class ChoiMatrix(ChoiChannel):
+    """The Choi matrix of a channel from m to n qudits of dimension d."""
+
+    def __init__(self, matrix: np.ndarray, m: int, n: int, d: int):
+        super().__init__(matrix, d**m, d**n)
+        self.m, self.n, self.d = m, n, d
 
 
 # ---------------------------------------------------------------------------
@@ -534,67 +499,39 @@ def direct_sum_layout(transform: PathTransform) -> list[SumBlock]:
     return blocks
 
 
-class UssChannel(KrausChannel):
+def uss_channel(m: int, n: int, d: int) -> KrausChannel:
     """Schur transform, measure the label, discard the path register.
 
-    Output lives on the direct sum of the irrep spaces, flattened with an
-    explicit layout.
+    One operator per (sector, path): the path's rows of
+    ``schur_transform(m, n, d)`` placed in the sector's block of the direct
+    sum of the irrep spaces, flattened in ``direct_sum_layout`` order.
     """
-
-    def __init__(self, m: int, n: int, d: int):
-        S = schur_transform(m, n, d)
-        layout = direct_sum_layout(S)
-        out_dim = sum(b.size for b in layout)
-        ops = []
-        for s, blk in zip(S.sectors, layout):
-            for i in range(s.p_dim):
-                K = np.zeros((out_dim, S.dim))
-                K[blk.offset : blk.offset + blk.size, :] = S.path_rows(s.label, i)
-                ops.append(K)
-        super().__init__(ops, S.dim, out_dim)
-        self.m, self.n, self.d = m, n, d
-        self.transform = S
-        self.layout = layout
+    S = schur_transform(m, n, d)
+    layout = direct_sum_layout(S)
+    out_dim = sum(b.size for b in layout)
+    ops = []
+    for s, blk in zip(S.sectors, layout):
+        for i in range(s.p_dim):
+            K = np.zeros((out_dim, S.dim))
+            K[blk.offset : blk.offset + blk.size, :] = S.path_rows(s.label, i)
+            ops.append(K)
+    return KrausChannel(ops, S.dim, out_dim)
 
 
-class DualUssChannel(KrausChannel):
+def dual_uss_channel(m: int, n: int, d: int) -> KrausChannel:
     """Append the maximally mixed path register and undo the Schur transform.
 
-    With weighting="mixed" (the default) each sector is weighted by
-    1/dim(P); this is the trace-preserving reverse channel appearing in the
-    factorization.  weighting="adjoint" drops the factor and gives the exact
-    trace-inner-product adjoint of the sampling channel, which is unital
-    but not trace preserving when some path space has dimension > 1.
+    The operators of ``uss_channel(m, n, d)`` adjoined, each scaled by
+    1/sqrt(dim P) of its sector: the trace-preserving reverse channel of
+    the factorization.
     """
-
-    def __init__(self, m: int, n: int, d: int, weighting: str = "mixed"):
-        if weighting not in ("mixed", "adjoint"):
-            raise ValueError(f"unknown weighting {weighting!r}")
-        S = schur_transform(m, n, d)
-        layout = direct_sum_layout(S)
-        in_dim = sum(b.size for b in layout)
-        ops = []
-        for s, blk in zip(S.sectors, layout):
-            w = 1.0 / s.p_dim if weighting == "mixed" else 1.0
-            for i in range(s.p_dim):
-                K = np.zeros((S.dim, in_dim))
-                K[:, blk.offset : blk.offset + blk.size] = (
-                    np.sqrt(w) * S.path_rows(s.label, i).conj().T
-                )
-                ops.append(K)
-        super().__init__(ops, in_dim, S.dim)
-        self.m, self.n, self.d = m, n, d
-        self.transform = S
-        self.layout = layout
-        self.weighting = weighting
-
-
-def uss_channel(m: int, n: int, d: int) -> UssChannel:
-    return UssChannel(m, n, d)
-
-
-def dual_uss_channel(m: int, n: int, d: int, weighting: str = "mixed") -> DualUssChannel:
-    return DualUssChannel(m, n, d, weighting)
+    ch = uss_channel(m, n, d)
+    scales = [
+        np.sqrt(1.0 / s.p_dim) for s in schur_transform(m, n, d).sectors for _ in range(s.p_dim)
+    ]
+    return KrausChannel(
+        [w * K.conj().T for w, K in zip(scales, ch.ops, strict=True)], ch.out_dim, ch.in_dim
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +583,7 @@ def irrep_channel(
     gamma: Staircase,
     psi: np.ndarray | None = None,
     form: str = "embed-trace",
-) -> Channel:
+) -> KrausChannel | ChoiChannel:
     """The extremal unitary-equivariant channel from Q_lam to Q_mu.
 
     Three equivalent computations: "choi" builds the Choi matrix from the

@@ -82,16 +82,16 @@ class IrrepRealization:
                 acc += X[i, j] * self.generators[i, j]
         return expm(acc)
 
-    def validate(self, tol: float = CONSTRUCTION_TOL) -> None:
+    def validate(self) -> None:
         V = self.embedding
         q = self.dim
-        if not np.linalg.norm(V.conj().T @ V - np.eye(q)) < tol:
+        if not np.linalg.norm(V.conj().T @ V - np.eye(q)) < CONSTRUCTION_TOL:
             raise ValueError("not an isometry")
         d = self.d
         G = self.generators
         for i in range(d):
             offdiag = G[i, i] - np.diag(np.diag(G[i, i]))
-            if not np.linalg.norm(offdiag) < tol:
+            if not np.linalg.norm(offdiag) < CONSTRUCTION_TOL:
                 raise ValueError("Cartan not diagonal")
         # [E_ij, E_kl] = delta_jk E_il - delta_il E_kj, one broadcast
         # matmul per (i, j) over the whole (k, l) stack
@@ -101,7 +101,7 @@ class IrrepRealization:
                 defect[j] -= G[i]
                 defect[:, i] += G[:, j]
                 norms = np.linalg.norm(defect.reshape(d * d, -1), axis=1)
-                if not (norms < tol).all():
+                if not (norms < CONSTRUCTION_TOL).all():
                     raise ValueError("bad commutator")
 
 
@@ -149,6 +149,17 @@ def _extend_step(gens: np.ndarray, d: int, dual: bool) -> tuple[np.ndarray, np.n
 def _block_columns(evals: np.ndarray, evecs: np.ndarray, target: int) -> np.ndarray:
     cols = np.abs(evals - target) < 0.25
     return evecs[:, cols]
+
+
+def lead_phase(M: np.ndarray) -> complex:
+    """|p| / p for p the first entry of M (row-major) of modulus > 1e-8, or
+    1 if there is none: the factor that makes that entry real positive.
+    """
+    flat = M.reshape(-1)
+    pivot = flat[np.argmax(np.abs(flat) > 1e-8)]
+    if abs(pivot) <= 1e-8:
+        return 1.0
+    return abs(pivot) / pivot
 
 
 def _residual(B: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -322,9 +333,7 @@ def highest_weight_vector(gens: np.ndarray, d: int) -> np.ndarray:
     if nnull != 1:
         raise ValueError(f"highest-weight space has dimension {nnull}, expected 1")
     v = vh[-1].conj()
-    lead = np.argmax(np.abs(v) > 1e-8)
-    v = v * (abs(v[lead]) / v[lead])
-    return v
+    return v * lead_phase(v)
 
 
 def krylov_recipe(
@@ -411,10 +420,7 @@ def intertwiner(gens_a: np.ndarray, gens_b: np.ndarray, d: int) -> np.ndarray:
     )
     if resid > 1e-8:
         raise ValueError(f"intertwining residual {resid:.2e}; labels differ?")
-    flat = T.reshape(-1)
-    lead = np.argmax(np.abs(flat) > 1e-8)
-    phase = flat[lead] / abs(flat[lead])
-    T = T / phase
+    T = T * lead_phase(T)
     if np.iscomplexobj(T) and np.linalg.norm(T.imag) < CONSTRUCTION_TOL:
         T = T.real
     return T

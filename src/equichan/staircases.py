@@ -98,24 +98,16 @@ def empty_staircase(d: int) -> Staircase:
     return Staircase((0,) * d)
 
 
-def box_label(d: int, dual: bool = False) -> Staircase:
-    """Label of the defining representation, or of its dual."""
-    if dual:
-        return Staircase((0,) * (d - 1) + (-1,))
+def box_label(d: int) -> Staircase:
+    """Label of the defining representation."""
     return Staircase((1,) + (0,) * (d - 1))
 
 
-def _check_d(nu: Staircase, d: int | None) -> None:
-    if d is not None and d != nu.d:
-        raise ValueError(f"row count mismatch: staircase has d={nu.d}, got d={d}")
-
-
-def add_boxes(nu: Staircase, d: int | None = None) -> list[Staircase]:
+def add_boxes(nu: Staircase) -> list[Staircase]:
     """All staircases obtained from nu by incrementing one entry.
 
     Ordered by increasing row index of the incremented entry.
     """
-    _check_d(nu, d)
     out = []
     for i in range(nu.d):
         if i == 0 or nu.entries[i] + 1 <= nu.entries[i - 1]:
@@ -123,12 +115,11 @@ def add_boxes(nu: Staircase, d: int | None = None) -> list[Staircase]:
     return out
 
 
-def remove_boxes(nu: Staircase, d: int | None = None) -> list[Staircase]:
+def remove_boxes(nu: Staircase) -> list[Staircase]:
     """All staircases obtained from nu by decrementing one entry.
 
     Ordered by increasing row index of the decremented entry.
     """
-    _check_d(nu, d)
     out = []
     for i in range(nu.d):
         if i == nu.d - 1 or nu.entries[i] - 1 >= nu.entries[i + 1]:
@@ -161,13 +152,12 @@ def dim_perm_irrep(lam: Staircase) -> int:
 
 
 @functools.cache
-def dim_gl_irrep(gamma: Staircase, d: int | None = None) -> int:
+def dim_gl_irrep(gamma: Staircase) -> int:
     """Weyl dimension of the SU(d) irrep labelled by the staircase gamma.
 
     prod_{i<j} (gamma_i - gamma_j + j - i) / (j - i); invariant under adding
     a constant to all entries, so negative entries are fine.
     """
-    _check_d(gamma, d)
     value = Fraction(1)
     g = gamma.entries
     for i in range(gamma.d):
@@ -183,26 +173,6 @@ def sym_dim(k: int, d: int) -> int:
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
     return comb(k + d - 1, k)
-
-
-@dataclass(frozen=True)
-class LrQuery:
-    """A Littlewood-Richardson coefficient query c_{lambda,mu}^gamma."""
-
-    lam: Staircase
-    mu: Staircase
-    gamma: Staircase
-
-    def __post_init__(self):
-        if not (self.lam.d == self.mu.d == self.gamma.d):
-            raise ValueError("all three staircases must share the same d")
-
-    @property
-    def d(self) -> int:
-        return self.lam.d
-
-    def coefficient(self) -> int:
-        return lr_coeff(self.lam, self.mu, self.gamma)
 
 
 @functools.cache

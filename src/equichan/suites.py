@@ -128,32 +128,24 @@ def suite_irrep_forms(seed: int = 1) -> VerificationReport:
     for d in (2, 3):
         for szl in range(0, 4):
             for szm in range(0, 4):
-                for lam in partitions_of(szl, d):
-                    for mu in partitions_of(szm, d):
-                        shift = lam.entries[0]
-                        lam_v = lam.dual().shift(shift)
-                        for gp in partitions_of(lam_v.size + mu.size, d):
-                            c = lr_coeff(lam_v, mu, gp)
-                            if c < 1:
-                                continue
-                            gamma = gp.shift(-shift)
-                            worst = 0.0
-                            for _ in range(5):
-                                psi = rng.normal(size=c) + 1j * rng.normal(size=c)
-                                psi /= np.linalg.norm(psi)
-                                X = rng.normal(
-                                    size=(dim_gl_irrep(lam),) * 2
-                                ) + 1j * rng.normal(size=(dim_gl_irrep(lam),) * 2)
-                                outs = [
-                                    irrep_channel(lam, mu, gamma, psi, form=f).apply(X)
-                                    for f in ("choi", "embed-trace", "sandwich")
-                                ]
-                                worst = max(
-                                    worst,
-                                    float(np.linalg.norm(outs[0] - outs[1])),
-                                    float(np.linalg.norm(outs[0] - outs[2])),
-                                )
-                            report.add(f"d={d},{lam},{mu},{gamma}", worst, 1e-8)
+                for lam, mu, gamma, c in enumerate_extremal_triples(szl, szm, d):
+                    worst = 0.0
+                    for _ in range(5):
+                        psi = rng.normal(size=c) + 1j * rng.normal(size=c)
+                        psi /= np.linalg.norm(psi)
+                        X = rng.normal(size=(dim_gl_irrep(lam),) * 2) + 1j * rng.normal(
+                            size=(dim_gl_irrep(lam),) * 2
+                        )
+                        outs = [
+                            irrep_channel(lam, mu, gamma, psi, form=f).apply(X)
+                            for f in ("choi", "embed-trace", "sandwich")
+                        ]
+                        worst = max(
+                            worst,
+                            float(np.linalg.norm(outs[0] - outs[1])),
+                            float(np.linalg.norm(outs[0] - outs[2])),
+                        )
+                    report.add(f"d={d},{lam},{mu},{gamma}", worst, 1e-8)
     return report
 
 

@@ -38,6 +38,7 @@ from equichan.realize import (
     canonical_realization,
     intertwiner,
     krylov_recipe,
+    lead_phase,
 )
 from equichan.staircases import (
     Staircase,
@@ -60,20 +61,14 @@ def unvec(vector: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return vector.reshape(dims)
 
 
-def permutation_operator(
-    sigma: tuple[int, ...], m: int, d: int, transposed_tail: int = 0
-) -> np.ndarray:
-    """Permutation of m tensor factors, partially transposed on the last few.
+def permutation_operator(sigma: tuple[int, ...], m: int, d: int) -> np.ndarray:
+    """Permutation of m tensor factors.
 
     ``sigma`` is one-line notation on range(m): output site k carries the
-    input content of site sigma^{-1}(k).  With transposed_tail = t the
-    operator is the partial transpose of the permutation matrix on the last
-    t factors.
+    input content of site sigma^{-1}(k).
     """
     if sorted(sigma) != list(range(m)):
         raise ValueError(f"not a permutation of range({m}): {sigma}")
-    if not 0 <= transposed_tail <= m:
-        raise ValueError("transposed_tail out of range")
     dim = d**m
     idx = np.arange(dim)
     digits = np.stack([(idx // d ** (m - 1 - k)) % d for k in range(m)])
@@ -83,12 +78,7 @@ def permutation_operator(
     new_idx = sum(digits[inv[k]] * d ** (m - 1 - k) for k in range(m))
     P = np.zeros((dim, dim))
     P[new_idx, idx] = 1.0
-    if transposed_tail == 0:
-        return P
-    head = d ** (m - transposed_tail)
-    tail = d**transposed_tail
-    P4 = P.reshape(head, tail, head, tail)
-    return np.ascontiguousarray(P4.transpose(0, 3, 2, 1)).reshape(dim, dim)
+    return P
 
 
 @dataclass(frozen=True)
@@ -136,9 +126,9 @@ class BlockIsometry:
     def multiplicity(self, label: Staircase) -> int:
         return sum(1 for b in self.blocks if b.label == label)
 
-    def validate(self, tol: float = CONSTRUCTION_TOL) -> None:
+    def validate(self) -> None:
         got = self.matrix.conj().T @ self.matrix
-        if not np.linalg.norm(got - np.eye(self.source_dim)) < tol:
+        if not np.linalg.norm(got - np.eye(self.source_dim)) < CONSTRUCTION_TOL:
             raise ValueError("not an isometry")
         covered = sorted((b.offset, b.size) for b in self.blocks)
         pos = 0
@@ -148,16 +138,6 @@ class BlockIsometry:
             pos += size
         if pos != self.target_dim:
             raise ValueError("blocks do not cover the rows")
-
-
-def _sign_fix(block_map: np.ndarray) -> np.ndarray:
-    """Make the first entry of modulus > 1e-8 (row-major) real positive."""
-    flat = block_map.reshape(-1)
-    lead = np.argmax(np.abs(flat) > 1e-8)
-    pivot = flat[lead]
-    if abs(pivot) <= 1e-8:
-        return block_map
-    return block_map * (abs(pivot) / pivot)
 
 
 @functools.cache
@@ -187,8 +167,8 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
         target = canonical_realization(s)
         H = _step_generators(nu.generators, d, dual, C)
         T = intertwiner(H, target.generators, d)
-        block_map = _sign_fix(T @ C.conj().T)
-        rows.append(block_map)
+        block_map = T @ C.conj().T
+        rows.append(block_map * lead_phase(block_map))
         blocks.append(Block(s, 0, offset, qs))
         offset += qs
     iso = BlockIsometry(np.concatenate(rows, axis=0), blocks)
@@ -495,11 +475,7 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
         recipe, B0 = krylov_recipe(gens, hw[:, 0], qdim, d)
         H = B0.conj().T @ gens @ B0
         T = intertwiner(H, target.generators, d)
-        first_map = T @ B0.conj().T
-        flat = first_map.reshape(-1)
-        lead = np.argmax(np.abs(flat) > 1e-8)
-        pivot = flat[lead]
-        T = T * (abs(pivot) / pivot)
+        T = T * lead_phase(T @ B0.conj().T)
         for j in range(c):
             Bj = B0 if j == 0 else apply_recipe(gens, hw[:, j], recipe)
             if np.linalg.norm(Bj.conj().T @ Bj - np.eye(qdim)) >= 1e-9:

@@ -94,6 +94,13 @@ def lr_count(lam: tuple[int, ...], mu: tuple[int, ...], gamma: tuple[int, ...]) 
     return count
 
 
+def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A full-rank density matrix A A^dag / tr from a complex Gaussian A."""
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho)
+
+
 def permutation_matrix(perm: tuple[int, ...], d: int) -> np.ndarray:
     """Operator permuting tensor factors: site k of the output carries the
     input content of site perm^{-1}(k)."""

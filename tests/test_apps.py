@@ -29,13 +29,7 @@ from equichan.staircases import staircase, sym_dim
 from equichan.transforms import permutation_operator
 from equichan.verify import haar_unitary
 
-from oracles import symmetrize_brute, symmetric_projector, werner_cloner
-
-
-def random_state(dim, rng):
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho)
+from oracles import random_state, symmetrize_brute, symmetric_projector, werner_cloner
 
 
 def haar_vector(d, rng):

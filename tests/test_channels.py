@@ -10,15 +10,16 @@ import pytest
 import equichan
 import equichan.channels as channels
 from equichan.channels import (
+    ChoiChannel,
     ChoiMatrix,
     ExtremalSpec,
     ExtremalTriple,
     KrausChannel,
     NotSymmetricError,
-    apply_choi,
     block_decompose_choi,
     check_symmetries,
     classification_isometry,
+    direct_sum_layout,
     dual_uss_channel,
     enumerate_extremal_triples,
     extremal_choi,
@@ -39,10 +40,12 @@ from equichan.staircases import (
     staircase,
 )
 from equichan.suites import all_specs
+from equichan.transforms import schur_transform
 from equichan.verify import haar_unitary
 
 from oracles import (
     embed_trace_ops,
+    random_state,
     symmetrize_brute,
     symmetry_residuals_kron,
     tensor_power_kron,
@@ -50,12 +53,6 @@ from oracles import (
 
 # the six (m, n, d) shapes of the benchmark's cold three-way check
 CROSSCHECK_SHAPES = [(2, 2, 3), (3, 3, 2), (4, 2, 2), (2, 3, 3), (4, 3, 2), (5, 1, 2)]
-
-
-def random_state(dim, rng):
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho)
 
 
 def random_cptp_choi(m, n, d, rng, anc=None):
@@ -107,6 +104,13 @@ class TestApplyChannel:
         C = ChoiMatrix(np.outer(VEC_I, VEC_I), 1, 1, 2)
         with pytest.raises(ValueError):
             C.apply(np.eye(3))
+
+    def test_matrix_shape_checked(self):
+        # a Choi matrix of a 2 -> 2 map is 4 x 4, for ChoiChannel as for ChoiMatrix
+        with pytest.raises(ValueError, match="matrix shape"):
+            ChoiChannel(np.eye(5), 2, 2)
+        with pytest.raises(ValueError, match="matrix shape"):
+            ChoiMatrix(np.eye(5), 1, 1, 2)
 
 
 class TestCheckSymmetries:
@@ -384,12 +388,16 @@ class TestBlockDecompose:
             assert abs(total - 1.0) < 1e-3, (str(lam_dual), total)
 
 
+def uss_layout(m, n, d):
+    return direct_sum_layout(schur_transform(m, n, d))
+
+
 class TestUssChannels:
     def test_singlet_lands_in_antisymmetric_block(self):
         ch = uss_channel(2, 0, 2)
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
         out = ch.apply(np.outer(singlet, singlet))
-        blk = next(b for b in ch.layout if b.label == staircase(1, 1))
+        blk = next(b for b in uss_layout(2, 0, 2) if b.label == staircase(1, 1))
         assert abs(out[blk.offset, blk.offset] - 1.0) < 1e-12
         assert abs(np.trace(out) - 1.0) < 1e-12
 
@@ -400,7 +408,7 @@ class TestUssChannels:
         v = np.zeros(4)
         v[0] = 1.0
         out = ch.apply(np.outer(v, v))
-        blk = next(b for b in ch.layout if b.label == staircase(2, 0))
+        blk = next(b for b in uss_layout(2, 0, 2) if b.label == staircase(2, 0))
         sub = out[blk.offset : blk.offset + blk.size, blk.offset : blk.offset + blk.size]
         assert abs(np.trace(sub) - 1.0) < 1e-12
         # the block state is the canonical-coordinate image of |00><00|
@@ -443,7 +451,7 @@ class TestUssChannels:
         # including a case where some path space has dimension > 1
         for m, d in [(2, 2), (3, 2)]:
             ch = uss_channel(m, 0, d)
-            adj = dual_uss_channel(m, 0, d, weighting="adjoint")
+            adj = KrausChannel([K.conj().T for K in ch.ops], ch.out_dim, ch.in_dim)
             for _ in range(10):
                 A = rng.normal(size=(ch.in_dim,) * 2) + 1j * rng.normal(size=(ch.in_dim,) * 2)
                 B = rng.normal(size=(ch.out_dim,) * 2) + 1j * rng.normal(size=(ch.out_dim,) * 2)
@@ -456,7 +464,8 @@ class TestUssChannels:
         rho = random_state(dual.in_dim, rng)
         assert abs(np.trace(dual.apply(rho)) - 1.0) < 1e-10
         # and the unnormalized adjoint is not, on multi-path sectors
-        adj = dual_uss_channel(3, 0, 2, weighting="adjoint")
+        ch = uss_channel(3, 0, 2)
+        adj = KrausChannel([K.conj().T for K in ch.ops], ch.out_dim, ch.in_dim)
         assert abs(np.trace(adj.apply(rho)) - 1.0) > 0.1
 
     def test_mixed_schur_sampling(self, rng):
@@ -464,7 +473,7 @@ class TestUssChannels:
         rho = random_state(4, rng)
         out = ch.apply(rho)
         assert abs(np.trace(out) - 1.0) < 1e-10
-        assert set(b.label for b in ch.layout) == {staircase(1, -1), staircase(0, 0)}
+        assert set(b.label for b in uss_layout(1, 1, 2)) == {staircase(1, -1), staircase(0, 0)}
         # the mixed reverse channel is trace preserving as well
         dual = dual_uss_channel(1, 1, 2)
         back = dual.apply(out)
@@ -496,7 +505,7 @@ class TestKrausChoi:
                 C += np.kron(E, sum(K @ E @ K.conj().T for K in ops))
         assert np.linalg.norm(ch.choi() - C) < 1e-12
         rho = random_state(in_dim, rng)
-        assert np.linalg.norm(apply_choi(C, rho, in_dim, out_dim) - ch.apply(rho)) < 1e-12
+        assert np.linalg.norm(ChoiChannel(C, in_dim, out_dim).apply(rho) - ch.apply(rho)) < 1e-12
 
 
 class TestIrrepChannel:
@@ -672,9 +681,9 @@ def test_factored_equals_composed_stage_objects(shape, pick, rng):
     rho = random_state(d**m, rng)
     sampled = uss.apply(rho)
     middle = np.zeros((dual.in_dim,) * 2, dtype=complex)
-    for src in uss.layout:
+    for src in uss_layout(m, 0, d):
         t = spec.triple(src.label)
-        dst = next(b for b in dual.layout if b.label == t.mu)
+        dst = next(b for b in uss_layout(n, 0, d) if b.label == t.mu)
         ch = irrep_channel(src.label, t.mu, t.gamma, t.psi)
         i = slice(src.offset, src.offset + src.size)
         o = slice(dst.offset, dst.offset + dst.size)

@@ -77,6 +77,12 @@ def test_tracer_names_exist():
     assert not missing, missing
 
 
+def test_public_names_resolve():
+    # a deletion that leaves its name in __all__ breaks `from equichan import *`
+    missing = [name for name in equichan.__all__ if not hasattr(equichan, name)]
+    assert not missing, missing
+
+
 def _called_name(node):
     """'kron' for np.kron(...) or kron(...), 'eye' for np.eye(...), else None."""
     if not isinstance(node, ast.Call):

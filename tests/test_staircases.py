@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichan.staircases import (
-    LrQuery,
     Staircase,
     add_boxes,
     box_label,
@@ -65,7 +64,7 @@ class TestStaircase:
 
 class TestBoxMoves:
     def test_add_four_row_staircase(self):
-        got = add_boxes(staircase(2, 1, 0, -1), 4)
+        got = add_boxes(staircase(2, 1, 0, -1))
         assert set(got) == {
             staircase(3, 1, 0, -1),
             staircase(2, 2, 0, -1),
@@ -147,11 +146,9 @@ class TestLrCoeff:
         assert lr_coeff(staircase(1, 0), staircase(1, 0), staircase(1, 1)) == 1
         assert lr_coeff(staircase(2, 1, 0), staircase(2, 1, 0), staircase(3, 2, 1)) == 2
 
-    def test_lrquery_wrapper(self):
-        q = LrQuery(staircase(1, 0), staircase(1, 0), staircase(2, 0))
-        assert q.coefficient() == 1
-        with pytest.raises(ValueError):
-            LrQuery(staircase(1, 0), staircase(1, 0, 0), staircase(2, 0))
+    def test_labels_over_different_d_rejected(self):
+        with pytest.raises(ValueError, match="same d"):
+            lr_coeff(staircase(1, 0), staircase(1, 0, 0), staircase(2, 0))
 
     def test_against_brute_force(self):
         for d in (2, 3):

@@ -53,15 +53,10 @@ from oracles import (
     absorb_kron,
     choi_channel_defects,
     emit_dense,
+    random_state,
     symmetrize_brute,
     symmetry_residuals_kron,
 )
-
-
-def random_state(dim, rng):
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho)
 
 
 # the shapes of the benchmark's cold crosscheck: 192 extremal specs

@@ -67,16 +67,6 @@ class TestPermutationOperator:
         )
         assert np.allclose(P, expected)
 
-    def test_partially_transposed_swap(self):
-        P = permutation_operator((1, 0), 2, 2, transposed_tail=1)
-        expected = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                expected[3 * i, 3 * j] = 1.0  # sum_ij |ii><jj|
-        assert np.allclose(P, expected)
-        assert abs(np.trace(P) - 2) < 1e-12
-        assert np.linalg.matrix_rank(P) == 1
-
     def test_matches_oracle(self, rng):
         for _ in range(5):
             m, d = 3, 2
@@ -88,8 +78,6 @@ class TestPermutationOperator:
     def test_invalid(self):
         with pytest.raises(ValueError):
             permutation_operator((0, 0), 2, 2)
-        with pytest.raises(ValueError):
-            permutation_operator((0, 1), 2, 2, transposed_tail=3)
 
 
 class TestSimpleCg:
