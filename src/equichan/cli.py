@@ -32,7 +32,7 @@ def _parse_shape(text: str) -> Staircase:
     try:
         return Staircase(tuple(int(x) for x in text.split(",")))
     except ValueError as exc:
-        raise SystemExit(f"error: bad shape {text!r}: {exc}")
+        raise ValueError(f"bad shape {text!r}: {exc}")
 
 
 def _cmd_classify(args) -> int:
@@ -66,6 +66,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sample(args) -> int:
     shape = _parse_shape(args.shape)
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
     if args.what == "path":
         for _ in range(args.count):
@@ -88,6 +90,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_estimate(args) -> int:
     if args.task == "general":
+        if args.r is None:
+            raise ValueError("--task general needs -r, the bound on absorbed staircase lengths")
         report = resource_estimate(
             args.m, args.n, args.d, args.r, args.r_prime, args.k, args.l
         )
@@ -113,7 +117,7 @@ def _cmd_verify(args) -> int:
     for name in names:
         kwargs = {}
         if name == "symmetry-certification":
-            kwargs = {"trials": args.trials, "tol": args.tol}
+            kwargs = {"trials": args.trials}
         report = run_suite(name, seed=args.seed, **kwargs)
         for line in report.summary_lines():
             print(line)
@@ -137,6 +141,8 @@ def _cmd_apps(args) -> int:
             trajectories=args.trajectories,
         )
     elif args.app == "clone":
+        if args.n is None:
+            raise ValueError("clone needs -n, the number of output copies")
         state = rho.reshape(-1) if 1 in rho.shape else rho
         res = clone(state, args.m, args.n, args.d, reference=reference)
     else:
@@ -200,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=sorted(SUITES), default=None)
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--trials", type=int, default=20)
-    v.add_argument("--tol", type=float, default=1e-8)
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 

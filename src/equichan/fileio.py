@@ -9,6 +9,7 @@ staircases are flat signed-integer arrays of length d including zeros.
 from __future__ import annotations
 
 import json
+from numbers import Real
 from pathlib import Path
 from typing import Any
 
@@ -29,26 +30,42 @@ def staircase_from_obj(obj: list[int]) -> Staircase:
     return Staircase(tuple(int(x) for x in obj))
 
 
-def matrix_to_obj(M: np.ndarray, layout: list[dict] | None = None) -> dict:
+def _complex_entries(pairs: Any, key: str) -> list[complex]:
+    """The complex numbers of a list of [re, im] pairs of real numbers;
+    ``key`` names the list in the error."""
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list of [re, im] pairs, got {pairs!r}")
+    out = []
+    for i, pair in enumerate(pairs):
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(isinstance(x, Real) and not isinstance(x, bool) for x in pair)
+        ):
+            raise ValueError(
+                f"{key!r} entry {i} is {pair!r}, expected a [re, im] pair of real numbers"
+            )
+        out.append(complex(pair[0], pair[1]))
+    return out
+
+
+def matrix_to_obj(M: np.ndarray) -> dict:
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    obj: dict[str, Any] = {
+    return {
         "rows": M.shape[0],
         "cols": M.shape[1],
         "data": [[float(x.real), float(x.imag)] for x in M.reshape(-1)],
     }
-    if layout is not None:
-        obj["layout"] = layout
-    return obj
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
+    data = _complex_entries(obj["data"], "data")
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data])
+    flat = np.array(data, dtype=complex)
     if not np.all(np.isfinite(flat)):
         raise ValueError("matrix entries must be finite")
     return flat.reshape(rows, cols)
@@ -88,7 +105,7 @@ def spec_from_obj(obj: dict) -> ExtremalSpec:
         assignments[lam] = ExtremalTriple(
             staircase_from_obj(a["mu"]),
             staircase_from_obj(a["gamma"]),
-            [complex(re, im) for re, im in a["psi"]],
+            _complex_entries(a["psi"], "psi"),
         )
     return ExtremalSpec(int(obj["m"]), int(obj["n"]), int(obj["d"]), assignments)
 
@@ -117,7 +134,6 @@ def report_to_obj(r: VerificationReport) -> dict:
                 "id": c.case_id,
                 "value": c.value,
                 "threshold": c.threshold,
-                "kind": c.kind,
                 "pass": c.passed,
             }
             for c in r.cases
@@ -128,18 +144,14 @@ def report_to_obj(r: VerificationReport) -> dict:
 def report_from_obj(obj: dict) -> VerificationReport:
     r = VerificationReport(obj["suite"], int(obj["seed"]))
     for c in obj["cases"]:
-        r.cases.append(CaseResult(c["id"], c["value"], c["threshold"], c["kind"]))
+        r.cases.append(CaseResult(c["id"], c["value"], c["threshold"]))
     return r
-
-
-def ledger_to_obj(ledger: ResourceLedger) -> dict:
-    return ledger.as_dict()
 
 
 def app_result_to_obj(output: np.ndarray, ledger: ResourceLedger, fidelity=None) -> dict:
     return {
         "output": matrix_to_obj(output),
-        "ledger": ledger_to_obj(ledger),
+        "ledger": ledger.as_dict(),
         "fidelity": None if fidelity is None else float(fidelity),
     }
 

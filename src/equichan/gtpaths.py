@@ -124,19 +124,6 @@ def enumerate_paths(mu: Staircase, k: int, l: int) -> dict[Staircase, list[GtPat
     return {key: out[key] for key in sorted(out, key=lambda s: s.entries, reverse=True)}
 
 
-def path_space_dim(mu: Staircase, lam: Staircase, k: int, l: int) -> int:
-    """Number of paths mu -> lam with k additions then l removals."""
-    counts: dict[Staircase, int] = {mu: 1}
-    for t in range(k + l):
-        nxt: dict[Staircase, int] = {}
-        for nu, c in counts.items():
-            moves = add_boxes(nu) if t < k else remove_boxes(nu)
-            for s in moves:
-                nxt[s] = nxt.get(s, 0) + c
-        counts = nxt
-    return counts.get(lam, 0)
-
-
 def exact_removal_distribution(lam: Staircase) -> RemovalDistribution:
     """Marginal of a uniformly random GT path at the last addition step.
 

@@ -71,17 +71,6 @@ class IrrepRealization:
     def dim(self) -> int:
         return self.embedding.shape[1]
 
-    def group_element(self, U: np.ndarray) -> np.ndarray:
-        """Image of U in SU(d) under the realized representation."""
-        from scipy.linalg import expm, logm
-
-        X = logm(U)
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.d):
-            for j in range(self.d):
-                acc += X[i, j] * self.generators[i, j]
-        return expm(acc)
-
     def validate(self) -> None:
         V = self.embedding
         q = self.dim
@@ -424,12 +413,6 @@ def intertwiner(gens_a: np.ndarray, gens_b: np.ndarray, d: int) -> np.ndarray:
     if np.iscomplexobj(T) and np.linalg.norm(T.imag) < CONSTRUCTION_TOL:
         T = T.real
     return T
-
-
-def realization_intertwiner(a: IrrepRealization, b: IrrepRealization) -> np.ndarray:
-    if a.label != b.label:
-        raise ValueError(f"labels differ: {a.label} vs {b.label}")
-    return intertwiner(a.generators, b.generators, a.d)
 
 
 def dual_generators(gens: np.ndarray) -> np.ndarray:

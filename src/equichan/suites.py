@@ -106,16 +106,14 @@ def _certification_channels() -> list[tuple[str, ChoiMatrix]]:
     return out
 
 
-def suite_symmetry_certification(
-    seed: int = 1, trials: int = 20, tol: float = 1e-8
-) -> VerificationReport:
+def suite_symmetry_certification(seed: int = 1, trials: int = 20) -> VerificationReport:
     """Criterion 2: every constructed channel commutes with both symmetries."""
     report = VerificationReport("symmetry-certification", seed)
     rng = np.random.default_rng(seed)
     for name, choi in _certification_channels():
         rep = check_symmetries(choi, trials=trials, rng=rng)
         resid = max(rep.max_unitary_residual, rep.max_permutation_residual)
-        report.add(name, resid, tol)
+        report.add(name, resid, 1e-8)
     return report
 
 

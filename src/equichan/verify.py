@@ -49,13 +49,9 @@ class CaseResult:
     case_id: str
     value: float
     threshold: float
-    kind: str = "residual"  # residual: pass iff value <= threshold
-    #                         pvalue:   pass iff value >= threshold
 
     @property
     def passed(self) -> bool:
-        if self.kind == "pvalue":
-            return self.value >= self.threshold
         return self.value <= self.threshold
 
 
@@ -69,16 +65,15 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.cases)
 
-    def add(self, case_id: str, value: float, threshold: float, kind: str = "residual"):
-        self.cases.append(CaseResult(case_id, float(value), float(threshold), kind))
+    def add(self, case_id: str, value: float, threshold: float):
+        self.cases.append(CaseResult(case_id, float(value), float(threshold)))
 
     def summary_lines(self) -> list[str]:
         lines = []
         for c in self.cases:
             status = "PASS" if c.passed else "FAIL"
-            op = ">=" if c.kind == "pvalue" else "<="
             lines.append(
-                f"[{status}] {self.suite}/{c.case_id}: {c.value:.3e} {op} {c.threshold:.3e}"
+                f"[{status}] {self.suite}/{c.case_id}: {c.value:.3e} <= {c.threshold:.3e}"
             )
         return lines
 

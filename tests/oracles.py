@@ -421,6 +421,23 @@ def tensor_power_kron(U: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def group_element(real, U: np.ndarray) -> np.ndarray:
+    """Image of U under a realized irrep: V^dag (U^(x k) (x) conj U^(x l)) V
+    for the embedding V of ``real``, with one leg per entry of
+    ``real.factors`` in that order (conj U on a conjugate leg)."""
+    big = np.eye(1, dtype=complex)
+    for dual in real.factors:
+        big = np.kron(big, U.conj() if dual else U)
+    V = real.embedding
+    return V.conj().T @ big @ V
+
+
+def expm_antihermitian(A: np.ndarray) -> np.ndarray:
+    """exp(A) for anti-Hermitian A, from the eigendecomposition of -iA."""
+    w, W = np.linalg.eigh(-1j * A)
+    return (W * np.exp(1j * w)) @ W.conj().T
+
+
 def bad_commutators(G: np.ndarray, tol: float) -> list[tuple[int, int, int, int]]:
     """Every (i, j, k, l) whose generator commutator [G_ij, G_kl] is not
     within tol (Frobenius norm) of delta_jk G_il - delta_il G_kj, one

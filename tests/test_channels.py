@@ -45,6 +45,7 @@ from equichan.verify import haar_unitary
 
 from oracles import (
     embed_trace_ops,
+    group_element,
     random_state,
     symmetrize_brute,
     symmetry_residuals_kron,
@@ -541,8 +542,9 @@ class TestIrrepChannel:
         rm = canonical_realization(mu)
         for _ in range(5):
             U = haar_unitary(2, rng)
-            left = ch.apply(rl.group_element(U) @ rho @ rl.group_element(U).conj().T)
-            right = rm.group_element(U) @ out @ rm.group_element(U).conj().T
+            gl, gm = group_element(rl, U), group_element(rm, U)
+            left = ch.apply(gl @ rho @ gl.conj().T)
+            right = gm @ out @ gm.conj().T
             assert np.linalg.norm(left - right) < 1e-8
 
     def test_three_forms_agree(self, rng):

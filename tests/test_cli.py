@@ -65,9 +65,26 @@ class TestSample:
             steps = json.loads(line)
             assert steps[0] == [0, 0] and steps[-1] == [2, 1]
 
-    def test_bad_shape_exits_nonzero(self):
-        with pytest.raises(SystemExit):
-            run(["sample", "--shape", "1,2"])
+    def test_bad_shape_exits_nonzero(self, capsys):
+        assert run(["sample", "--shape", "1,2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad shape '1,2'") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--shape", "3,x"],
+            ["--shape", "3,1", "--count", "0"],
+            ["--shape", "3,1", "--count", "-1"],
+            ["--shape", "2,1", "--what", "path", "--count", "0"],
+        ],
+        ids=["not-an-integer", "count-zero", "count-negative", "path-count-zero"],
+    )
+    def test_usage_errors_exit_2(self, argv, capsys):
+        assert run(["sample", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestEstimate:
@@ -79,6 +96,11 @@ class TestEstimate:
                     "-d", "2", "-r", "2", "--r-prime", "2"]) == 0
         out = capsys.readouterr().out
         assert "absorb" in out
+
+    def test_general_without_r_is_usage_error(self, capsys):
+        assert run(["estimate", "-m", "3", "-d", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --task general needs -r") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -140,3 +162,28 @@ class TestApps:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["apps", "symmetrize", "--state", str(tmp_path / "nope.json"),
                     "-m", "2", "-d", "2"]) == 2
+
+    def test_clone_without_n_is_usage_error(self, tmp_path, capsys):
+        f_state = tmp_path / "psi.json"
+        fileio.save_json(fileio.matrix_to_obj(np.array([[1.0], [0.0]])), f_state)
+        assert run(["apps", "clone", "--state", str(f_state), "-m", "1", "-d", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: clone needs -n, the number of output copies\n"
+
+    def test_malformed_state_is_usage_error(self, tmp_path, capsys):
+        f_state = tmp_path / "state.json"
+        fileio.save_json({"rows": 2, "cols": 2, "data": [1, 0, 0, 0]}, f_state)
+        assert run(["apps", "symmetrize", "--state", str(f_state),
+                    "-m", "1", "-d", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'data' entry 0 is 1") and err.count("\n") == 1
+
+    def test_malformed_spec_is_usage_error(self, tmp_path, state_file, capsys):
+        f_state, _ = state_file
+        obj = fileio.spec_to_obj(symmetrization_spec(2, 2))
+        obj["assignments"][0]["psi"] = [[1.0, "0"]]
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(obj, f_spec)
+        assert run(["simulate", "--spec", str(f_spec), "--state", str(f_state)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'psi' entry 0") and err.count("\n") == 1

@@ -14,7 +14,6 @@ from equichan.gtpaths import (
     enumerate_paths,
     exact_removal_distribution,
     next_step_distribution,
-    path_space_dim,
     sample_gt_path,
     sample_gt_rows,
     sample_remove_box,

@@ -15,7 +15,6 @@ from equichan.realize import (
     dual_generators,
     dual_structure,
     intertwiner,
-    realization_intertwiner,
 )
 from equichan.staircases import (
     dim_gl_irrep,
@@ -29,6 +28,8 @@ from oracles import (
     ambient_generator,
     bad_commutators,
     canonical_basis_loop,
+    expm_antihermitian,
+    group_element,
     restricted_casimir_kron,
     step_generators_kron,
 )
@@ -114,8 +115,33 @@ class TestCanonicalRealization:
     def test_group_element_unitary(self, rng):
         r = canonical_realization(staircase(2, 1))
         U = haar_unitary(2, rng)
-        R = r.group_element(U)
+        R = group_element(r, U)
         assert np.linalg.norm(R @ R.conj().T - np.eye(r.dim)) < 1e-10
+
+    def test_group_element_is_exp_of_generators(self, rng):
+        # U = exp(X) for X anti-Hermitian and traceless maps to
+        # exp(sum_ij X_ij G_ij) on every realized label
+        labels = {
+            s
+            for d in (2, 3)
+            for m in range(5)
+            for k in range(5 - m)
+            for s in enumerate_staircases(m, k, d)
+        }
+        worst = 0.0
+        for label in sorted(labels, key=lambda s: (s.d, s.entries)):
+            r = canonical_realization(label)
+            d = label.d
+            for _ in range(3):
+                H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                H = H + H.conj().T
+                X = 1j * (H - np.trace(H) / d * np.eye(d))
+                U = expm_antihermitian(X)
+                A = np.einsum("ij,ijab->ab", X, r.generators)
+                gap = np.linalg.norm(group_element(r, U) - expm_antihermitian(A))
+                worst = max(worst, gap)
+        assert len(labels) == 56
+        assert worst < 1e-12, worst
 
     def test_embedding_intertwines_group(self, rng):
         # V r(U) = U^(x a) (x) conj U^(x b) V
@@ -126,21 +152,19 @@ class TestCanonicalRealization:
                 big = np.eye(1, dtype=complex)
                 for dual in r.factors:
                     big = np.kron(big, U.conj() if dual else U)
-                resid = np.linalg.norm(big @ r.embedding - r.embedding @ r.group_element(U))
+                resid = np.linalg.norm(big @ r.embedding - r.embedding @ group_element(r, U))
                 assert resid < 1e-8
 
 
 class TestIntertwiner:
     def test_identity_on_same_realization(self):
         r = canonical_realization(staircase(2, 1))
-        T = realization_intertwiner(r, r)
+        T = intertwiner(r.generators, r.generators, r.d)
         assert np.linalg.norm(T - np.eye(r.dim)) < 1e-10
 
     def test_label_mismatch(self):
         a = canonical_realization(staircase(2, 0))
         b = canonical_realization(staircase(1, 1))
-        with pytest.raises(ValueError):
-            realization_intertwiner(a, b)
         with pytest.raises(ValueError):
             intertwiner(a.generators, b.generators, 2)
 
@@ -162,7 +186,7 @@ class TestIntertwiner:
 
     def test_one_dimensional(self):
         r = canonical_realization(staircase(1, 1))
-        T = realization_intertwiner(r, r)
+        T = intertwiner(r.generators, r.generators, r.d)
         assert T.shape == (1, 1)
         assert abs(T[0, 0] - 1.0) < 1e-12
 
@@ -191,7 +215,7 @@ class TestDualStructure:
         for _ in range(3):
             U = haar_unitary(3, rng)
             resid = np.linalg.norm(
-                Z @ rd.group_element(U) - np.conj(r.group_element(U)) @ Z
+                Z @ group_element(rd, U) - np.conj(group_element(r, U)) @ Z
             )
             assert resid < 1e-8
 

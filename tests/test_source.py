@@ -77,6 +77,26 @@ def test_tracer_names_exist():
     assert not missing, missing
 
 
+def test_no_scipy_imports():
+    # numpy is the library's one runtime dependency; scipy is a test extra
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}"
+                for name in modules
+                if name == "scipy" or name.startswith("scipy.")
+            ]
+    assert not found, f"scipy imports in the library: {found}"
+
+
 def test_public_names_resolve():
     # a deletion that leaves its name in __all__ breaks `from equichan import *`
     missing = [name for name in equichan.__all__ if not hasattr(equichan, name)]
@@ -128,14 +148,14 @@ channels.factored_channel(spec)
 streaming.streamed_apply(spec, np.eye(2) / 2)
 streaming.streamed_apply(spec, np.eye(2) / 2, mode="sample", trajectories=5)
 channels.check_symmetries(choi, trials=2)
-print(sorted(m for m in sys.modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def test_op_paths_load_no_scipy_linalg():
     # scipy.linalg brings its own OpenBLAS thread pool next to numpy's, and
-    # interleaving calls to the two slows numpy's BLAS work; only
-    # IrrepRealization.group_element may import it, lazily
+    # interleaving calls to the two slows numpy's BLAS work; no op path
+    # loads any scipy module at all
     src = Path(equichan.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(

@@ -25,7 +25,12 @@ from equichan.transforms import (
 )
 from equichan.verify import haar_unitary
 
-from oracles import permutation_matrix, product_generators_kron, symmetrize_brute
+from oracles import (
+    group_element,
+    permutation_matrix,
+    product_generators_kron,
+    symmetrize_brute,
+)
 
 
 class TestVec:
@@ -170,7 +175,7 @@ class TestSchurTransform:
                     big = np.kron(big, U.conj())
                 block = np.zeros((dim, dim), dtype=complex)
                 for s in S.sectors:
-                    r = canonical_realization(s.label).group_element(U)
+                    r = group_element(canonical_realization(s.label), U)
                     blk = np.kron(np.eye(s.p_dim), r)
                     block[s.offset : s.offset + s.size, s.offset : s.offset + s.size] = blk
                 resid = np.linalg.norm(S.matrix @ big - block @ S.matrix)
@@ -342,10 +347,10 @@ class TestGeneralCg:
         g = general_cg(a.label, b.label)
         for _ in range(3):
             U = haar_unitary(2, rng)
-            prod = np.kron(a.group_element(U), b.group_element(U))
+            prod = np.kron(group_element(a, U), group_element(b, U))
             for bl in g.blocks:
                 rows = g.block_rows(bl.label, bl.mult)
-                r = canonical_realization(bl.label).group_element(U)
+                r = group_element(canonical_realization(bl.label), U)
                 assert np.linalg.norm(rows @ prod - r @ rows) < 1e-8
 
     def test_multiplicities_match_lr_exhaustively(self):

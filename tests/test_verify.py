@@ -56,17 +56,20 @@ class TestTvDistance:
 
 
 class TestReport:
-    def test_residual_and_pvalue_kinds(self):
+    def test_residual_cases(self):
         r = VerificationReport("t", 1)
         r.add("resid", 1e-9, 1e-8)
-        r.add("pval", 0.2, 1e-3, kind="pvalue")
+        r.add("edge", 1e-3, 1e-3)
         assert r.passed
         r.add("bad", 1.0, 1e-8)
         assert not r.passed
         lines = r.summary_lines()
-        assert any("FAIL" in ln for ln in lines)
-        assert any("PASS" in ln for ln in lines)
+        assert lines[0] == "[PASS] t/resid: 1.000e-09 <= 1.000e-08"
+        assert lines[2] == "[FAIL] t/bad: 1.000e+00 <= 1.000e-08"
 
     def test_case_result(self):
-        assert CaseResult("x", 0.5, 0.1, kind="pvalue").passed
+        # a case passes when its value is at most its threshold
+        assert CaseResult("x", 0.1, 0.1).passed
         assert not CaseResult("x", 0.5, 0.1).passed
+        with pytest.raises(TypeError):
+            CaseResult("x", 0.5, 0.1, kind="pvalue")
