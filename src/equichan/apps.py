@@ -37,11 +37,17 @@ class AppResult:
 
     The output must be a state, else ValueError: every entry finite, trace
     1 within 1e-10, and the smallest eigenvalue of its Hermitian part
-    H = (X + X^dag)/2 above -PSD_TOL.  Positivity is tested by a Cholesky
-    factorization of H + PSD_TOL * 1, which exists exactly when that
-    eigenvalue is above -PSD_TOL; H + PSD_TOL * 1 is built in one C-ordered
-    buffer.  The eigenvalues of H are computed only when the factorization
-    fails, to confirm the rejection and report the minimum.
+    H = (X + X^dag)/2 above -PSD_TOL.  An AppResult built from a matrix
+    tests positivity densely, by a Cholesky factorization of
+    H + PSD_TOL * 1, which exists exactly when that eigenvalue is above
+    -PSD_TOL; H + PSD_TOL * 1 is built in one C-ordered buffer.  The
+    eigenvalues of H are computed only when the factorization fails, to
+    confirm the rejection and report the minimum.
+
+    The three apps build theirs from the output of ``streamed_apply``,
+    which has already decided positivity exactly on its irrep sectors (the
+    sector floor, with the same threshold and message), so for them only
+    the finiteness and trace tests run on the dense output.
     """
 
     output: np.ndarray
@@ -49,11 +55,7 @@ class AppResult:
     fidelity: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.output).all():
-            raise ValueError("output has non-finite entries")
-        tr = np.trace(self.output)
-        if abs(tr - 1.0) >= 1e-10:
-            raise ValueError(f"output trace {tr}, expected 1")
+        _check_finite_unit_trace(self.output)
         X = self.output
         shifted = np.empty_like(X, dtype=np.result_type(X, np.float64), order="C")
         np.conjugate(X.T, out=shifted)
@@ -68,6 +70,29 @@ class AppResult:
                 raise ValueError(
                     f"output not positive semidefinite: {lowest:.2e}"
                 ) from None
+
+
+def _check_finite_unit_trace(output: np.ndarray) -> None:
+    if not np.isfinite(output).all():
+        raise ValueError("output has non-finite entries")
+    tr = np.trace(output)
+    if abs(tr - 1.0) >= 1e-10:
+        raise ValueError(f"output trace {tr}, expected 1")
+
+
+def _streamed_result(
+    output: np.ndarray, ledger: ResourceLedger, fidelity: float | None = None
+) -> AppResult:
+    """The AppResult of a ``streamed_apply`` output, without the Cholesky.
+
+    ``streamed_apply`` returns only outputs whose sector floor is above
+    -PSD_TOL, so the dense positivity test is skipped; the finiteness and
+    trace tests still run on the dense output.
+    """
+    _check_finite_unit_trace(output)
+    result = object.__new__(AppResult)
+    result.output, result.ledger, result.fidelity = output, ledger, fidelity
+    return result
 
 
 def symmetrize(
@@ -87,7 +112,7 @@ def symmetrize(
     out, ledger = streamed_apply(
         spec, rho, seed=seed, mode=mode, trajectories=trajectories
     )
-    return AppResult(out, ledger)
+    return _streamed_result(out, ledger)
 
 
 def symmetric_projector(n: int, d: int) -> np.ndarray:
@@ -138,7 +163,7 @@ def clone(
         for _ in range(n):
             target = np.kron(target, psi)
         fidelity = float(np.real(target.conj() @ out @ target))
-    return AppResult(out, ledger, fidelity)
+    return _streamed_result(out, ledger, fidelity)
 
 
 def _check_symmetric_support(rho: np.ndarray, m: int, d: int) -> None:
@@ -203,7 +228,7 @@ def purity_amplify(
     fidelity = None
     if psi is not None:
         fidelity = float(np.real(psi.conj() @ out @ psi))
-    return AppResult(out, ledger, fidelity)
+    return _streamed_result(out, ledger, fidelity)
 
 
 def depolarized_copies(psi: np.ndarray, alpha: float, m: int, d: int) -> np.ndarray:

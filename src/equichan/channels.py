@@ -253,7 +253,12 @@ def _admissible_gammas(lam: Staircase, mu: Staircase):
 def enumerate_extremal_triples(
     m: int, n: int, d: int
 ) -> list[tuple[Staircase, Staircase, Staircase, int]]:
-    """All admissible (lambda, mu, gamma) with the multiplicity dimension."""
+    """All admissible (lambda, mu, gamma) with the multiplicity dimension.
+
+    Raises ValueError for d < 1, which has no staircases.
+    """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     return [
         (lam, mu, gamma, c)
         for lam in partitions_of(m, d)

@@ -25,7 +25,9 @@ sites.  The emulator therefore reads every emission isometry from the
 cached ``schur_transform(n, 0, d)`` (so emission is subject to the dense
 cap) and applies the transform block by block over its torus-weight
 classes, as every row is a weight vector; the schedule and ledger still
-count the algorithm's n - 1 one-site inverse CG steps.
+count the algorithm's n - 1 one-site inverse CG steps.  Emission also
+certifies the output on its irrep sectors (the sector floor), so the
+executor returns a state or raises ValueError.
 
 Costs that the streaming model leaves symbolic (gate synthesis accuracy and
 its log-power overhead) stay symbolic here: reports carry the factor
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from equichan.channels import ExtremalSpec, irrep_channel
+from equichan.channels import PSD_TOL, ExtremalSpec, irrep_channel
 from equichan.gtpaths import GtPath, _walk, enumerate_paths
 from equichan.realize import canonical_realization
 from equichan.staircases import (
@@ -256,7 +258,11 @@ def streamed_apply(
     exactly; mode="sample" draws GT paths with the hook-walk sampler and
     averages the given number of trajectories.  ``rho`` must be a Hermitian
     unit-trace matrix on d^m dimensions, else ValueError.  Returns
-    (output, ledger), plus the recorded schedule when requested.
+    (output, ledger), plus the recorded schedule when requested.  The
+    output is a state or ValueError: positivity of ``rho`` is not checked,
+    but the emission phase certifies the output on its irrep sectors and
+    rejects it when the smallest eigenvalue of its Hermitian part is at or
+    below -PSD_TOL, with the message and threshold of ``AppResult``.
     """
     m, n, d = spec.m, spec.n, spec.d
     if mode not in ("exact", "sample"):
@@ -451,6 +457,16 @@ def _emission_phase(
     (``PathTransform.weight_blocks``), so the output rows of each weight
     class are U_c^T T[rows_c], one real GEMM over the class's filled rows;
     S is never applied as a dense d^n x d^n product.
+
+    The output is certified on the same sectors.  S is real orthogonal, so
+    the Hermitian part of the output is sum_a w_a R_a^T H_mu R_a with
+    H_mu = (tau_mu + tau_mu^dag)/2, and its spectrum is the w_a eig(H_mu)
+    over the filled paths a together with zeros.  The sector floor, the
+    minimum of w_a lambda_min(H_mu) over the filled paths of each sector
+    with weight, is therefore its smallest eigenvalue whenever that is
+    negative; one ``eigvalsh`` of at most q_mu x q_mu per sector finds it.
+    Raises ValueError("output not positive semidefinite: ...") when the
+    floor is at or below -PSD_TOL, the dense test of ``AppResult``.
     """
     out_dim = d**n
     for j in range(n, 1, -1):
@@ -466,6 +482,7 @@ def _emission_phase(
     # T is indexed by the rows of S; only the rows marked filled are written
     T = np.empty((out_dim, out_dim), dtype=complex)
     filled = np.zeros(out_dim, dtype=bool)
+    floor = np.inf
     for mu, blk in tau.items():
         if np.linalg.norm(blk) < WEIGHTLESS_NORM:
             continue
@@ -485,6 +502,10 @@ def _emission_phase(
         slab.real[paths] = X[:, :q]
         slab.imag[paths] = X[:, q:]
         filled[span].reshape(p, q)[paths] = True
+        lowest = np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0]
+        floor = min(floor, (weights * lowest).min())
+    if floor <= -PSD_TOL:
+        raise ValueError(f"output not positive semidefinite: {floor:.2e}")
     out = np.zeros((out_dim, out_dim), dtype=complex)
     T_re, out_re = T.view(float), out.view(float)
     for wb in S.weight_blocks:
@@ -626,7 +647,13 @@ def resource_estimate(
 
 
 def application_estimate(task: str, m: int, n: int, d: int, r: int | None = None):
-    """The headline (memory factor, gate factor) pair for the three tasks."""
+    """The headline (memory factor, gate factor) pair for the three tasks.
+
+    Raises ValueError naming m for m < 1: every task streams at least one
+    input site.
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1 input sites, got m={m}")
     if task == "symmetrize":
         r = min(m, d) if r is None else r
         report = resource_estimate(m, m, d, r, r, 0, 0)

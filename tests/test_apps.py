@@ -24,8 +24,10 @@ from equichan.channels import (
     extremal_choi,
     gamma_min,
     purity_spec,
+    symmetrization_spec,
 )
-from equichan.staircases import staircase, sym_dim
+from equichan.staircases import dim_gl_irrep, partitions_of, staircase, sym_dim
+from equichan.streaming import streamed_apply
 from equichan.transforms import permutation_operator
 from equichan.verify import haar_unitary
 
@@ -472,3 +474,142 @@ class TestAppResult:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         AppResult(rho, None)
+
+
+def _state_with_negative_direction(v, P, neg, rng):
+    """A Hermitian unit-trace matrix supported on the range of P with
+    eigenvalue -neg on the unit vector v in that range."""
+    rank = round(np.trace(P).real)
+    Z = rng.normal(size=(P.shape[0], rank - 1)) + 1j * rng.normal(size=(P.shape[0], rank - 1))
+    V = np.linalg.qr(np.column_stack([v, P @ Z]))[0]
+    ev = rng.random(rank) + 0.1
+    ev[0] = 0.0
+    ev *= (1 + neg) / ev.sum()
+    ev[0] = -neg
+    return (V * ev) @ V.conj().T
+
+
+def _rejection(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# (name, spec, app run on rho in exact mode, input support, a negative
+# eigenvalue of the input that leaves the output with one)
+CERTIFICATE_CASES = [
+    ("symmetrize-3-2", symmetrization_spec(3, 2), lambda r: symmetrize(r, 3, 2), "full", 0.05),
+    ("symmetrize-2-3", symmetrization_spec(2, 3), lambda r: symmetrize(r, 2, 3), "full", 0.05),
+    ("clone-1-3-2", cloning_spec(1, 3, 2), lambda r: clone(r, 1, 3, 2), "sym", 0.05),
+    ("clone-2-4-2", cloning_spec(2, 4, 2), lambda r: clone(r, 2, 4, 2), "sym", 0.05),
+    # purification mixes the negative direction with the rest of the input
+    ("purify-3-2", purity_spec(3, 2), lambda r: purity_amplify(r, 3, 2), "full", 3.0),
+    # a negative direction in sector (2,1), whose two paths weigh 1/2 each
+    ("symmetrize-3-2-mixed", symmetrization_spec(3, 2), lambda r: symmetrize(r, 3, 2),
+     "mixed", 1.0),
+]
+
+
+class TestSectorCertificate:
+    """streamed_apply certifies positivity on its irrep sectors, and the apps
+    skip the dense Cholesky for its outputs; both paths must reject exactly
+    the outputs that the dense test of AppResult rejects, with its message."""
+
+    @staticmethod
+    def _input(spec, support, neg, rng):
+        """The negative direction is phi^(x m) for a random phi on the full
+        space or (for clone) the symmetric subspace, or, when mixed,
+        (|0..01> - |0..10>)/sqrt 2, which is not symmetric."""
+        m, d = spec.m, spec.d
+        P = symmetric_projector(m, d) if support == "sym" else np.eye(d**m)
+        if support == "mixed":
+            v = np.zeros(d**m)
+            v[1], v[d] = 2**-0.5, -(2**-0.5)
+        else:
+            phi = haar_vector(d, rng)
+            v = phi
+            for _ in range(m - 1):
+                v = np.kron(v, phi)
+        return _state_with_negative_direction(v, P, neg, rng)
+
+    @pytest.mark.parametrize("size", ["large", "tiny", "none"])
+    @pytest.mark.parametrize(
+        "name,spec,app,support,neg", CERTIFICATE_CASES, ids=[c[0] for c in CERTIFICATE_CASES]
+    )
+    def test_exact_paths_agree_with_dense_check(
+        self, name, spec, app, support, neg, size, rng
+    ):
+        # a tiny negative eigenvalue may or may not reach the output; the
+        # paths must agree either way
+        neg = {"large": neg, "tiny": 1e-6, "none": 0.0}[size]
+        rho = self._input(spec, support, neg, rng)
+        dense = _rejection(lambda: AppResult(extremal_choi(spec).apply(rho), None))
+        assert _rejection(lambda: streamed_apply(spec, rho)) == dense
+        assert _rejection(lambda: app(rho)) == dense
+        if size == "none":
+            assert dense is None
+        elif size == "large":
+            assert dense.startswith("output not positive semidefinite: -")
+
+    @pytest.mark.parametrize("size", ["large", "tiny", "none"])
+    @pytest.mark.parametrize(
+        "m,d,support,neg", [(3, 2, "full", 0.05), (2, 3, "full", 0.05), (3, 2, "mixed", 1.0)]
+    )
+    def test_sample_paths_agree_with_dense_check(
+        self, m, d, support, neg, size, monkeypatch, rng
+    ):
+        spec = symmetrization_spec(m, d)
+        neg = {"large": neg, "tiny": 1e-6, "none": 0.0}[size]
+        rho = self._input(spec, support, neg, rng)
+        kwargs = dict(mode="sample", seed=5, trajectories=30)
+        certified = _rejection(lambda: streamed_apply(spec, rho, **kwargs))
+        app = _rejection(lambda: symmetrize(rho, m, d, **kwargs))
+        # the same sampled output without the sector test, judged densely
+        monkeypatch.setattr(streaming, "PSD_TOL", np.inf)
+        raw, _ = streamed_apply(spec, rho, **kwargs)
+        monkeypatch.undo()
+        dense = _rejection(lambda: AppResult(raw, None))
+        assert certified == app == dense
+        if size == "none":
+            assert dense is None
+        elif size == "large":
+            assert dense.startswith("output not positive semidefinite: -")
+
+    def test_threshold_is_psd_tol(self, rng):
+        # a floor just below -PSD_TOL is rejected and one just above it is
+        # accepted, as by AppResult's dense test
+        spec = symmetrization_spec(2, 2)
+        phi = haar_vector(2, rng)
+        for neg, rejected in ((2e-9, True), (5e-10, False)):
+            rho = _state_with_negative_direction(np.kron(phi, phi), np.eye(4), neg, rng)
+            out = extremal_choi(spec).apply(rho)
+            dense = _rejection(lambda: AppResult(out, None))
+            assert (dense is not None) == rejected
+            assert _rejection(lambda: streamed_apply(spec, rho)) == dense
+
+    def test_app_outputs_run_no_dense_eigendecomposition(self, monkeypatch, rng):
+        # positivity of an app output is decided on its sectors: no
+        # Cholesky or eigendecomposition sees a matrix larger than the
+        # largest irrep block, q = 35 at (6, 3)
+        largest = max(dim_gl_irrep(mu) for mu in partitions_of(6, 3))
+        seen = []
+
+        def spy(fn):
+            def wrapped(a, *args, **kwargs):
+                seen.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        rho, psi = random_state(3**6, rng), haar_vector(3, rng)
+        # cold transform builds diagonalize Casimirs; warm them first
+        symmetrize(rho, 6, 3)
+        clone(psi, 2, 6, 3)
+        for name in ("cholesky", "eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        symmetrize(rho, 6, 3)
+        clone(psi, 2, 6, 3)
+        assert seen, "no sector was certified"
+        assert max(shape[-1] for shape in seen) <= largest, seen

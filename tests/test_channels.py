@@ -249,6 +249,11 @@ class TestEnumerateTriples:
             (staircase(1, 1), staircase(0, 0), staircase(-1, -1), 1),
         ]
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_d_below_one(self, d):
+        with pytest.raises(ValueError, match=f"d={d}"):
+            enumerate_extremal_triples(2, 1, d)
+
     def test_m1_n2_d2(self):
         got = enumerate_extremal_triples(1, 2, 2)
         for lam, mu, gamma, c in got:

@@ -28,6 +28,14 @@ class TestClassify:
         assert "(1,-1)" in out and "(0,0)" in out
 
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_d_below_one_is_usage_error(self, d, capsys):
+        assert run(["classify", "2", "1", d]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need d >= 1, got d={d}\n"
+
+
 class TestSimulate:
     def test_dense_and_streamed_agree(self, tmp_path, state_file, capsys):
         f_state, rho = state_file
@@ -45,6 +53,23 @@ class TestSimulate:
         streamed = fileio.matrix_from_obj(rec["output"])
         assert np.linalg.norm(dense - streamed) < 1e-9
         assert rec["ledger"]["num_simple_cg"] == 1
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_streamed_non_positive_output_is_usage_error(self, mode, tmp_path, capsys):
+        # Hermitian and unit trace, with eigenvalue -0.1 on the symmetric
+        # vector |00>, which symmetrization keeps: the output is no state
+        rho = np.diag([-0.1, 0.5, 0.3, 0.3]).astype(complex)
+        f_state = tmp_path / "state.json"
+        fileio.save_json(fileio.matrix_to_obj(rho), f_state)
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(fileio.spec_to_obj(symmetrization_spec(2, 2)), f_spec)
+        argv = ["simulate", "--spec", str(f_spec), "--state", str(f_state),
+                "--stream", "--mode", mode, "--trajectories", "50"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output not positive semidefinite: -")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestSample:
@@ -96,6 +121,13 @@ class TestEstimate:
                     "-d", "2", "-r", "2", "--r-prime", "2"]) == 0
         out = capsys.readouterr().out
         assert "absorb" in out
+
+    @pytest.mark.parametrize("task", ["symmetrize", "clone", "purify"])
+    def test_m_below_one_is_usage_error(self, task, capsys):
+        assert run(["estimate", "--task", task, "-m", "0", "-n", "3", "-d", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need m >= 1 input sites, got m=0\n"
 
     def test_general_without_r_is_usage_error(self, capsys):
         assert run(["estimate", "-m", "3", "-d", "2"]) == 2

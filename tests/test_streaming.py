@@ -676,6 +676,12 @@ class TestResourceEstimate:
         assert est["memory_factor"] == 4
         assert est["gate_factor"] == 7 * 16
 
+    @pytest.mark.parametrize("task", ["symmetrize", "clone", "purify"])
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_rejects_m_below_one(self, task, m):
+        with pytest.raises(ValueError, match=f"m={m}"):
+            application_estimate(task, m=m, n=3, d=2)
+
     def test_generic_report(self):
         report = resource_estimate(4, 3, 2, 2, 1, 1, 0)
         assert report.rows[0].gate_factor == 4 * 8 * 2
