@@ -35,17 +35,9 @@ SYMMETRIC_SUPPORT_TOL = 1e-8
 class AppResult:
     """Output state, resource ledger and (where defined) a fidelity.
 
-    The output must be a state, else ValueError: every entry finite, trace
-    1 within 1e-10, and the smallest eigenvalue of its Hermitian part
-    H = (X + X^dag)/2 above -PSD_TOL.  An AppResult built from a matrix
-    tests positivity densely, by a Cholesky factorization of
-    H + PSD_TOL * 1, which exists exactly when that eigenvalue is above
-    -PSD_TOL; H + PSD_TOL * 1 is built in one C-ordered buffer.  The
-    eigenvalues of H are computed only when the factorization fails, to
-    confirm the rejection and report the minimum.
-
-    The three apps build theirs from the output of ``streamed_apply``,
-    which has already decided positivity exactly on its irrep sectors (the
+    The output must be a state (``check_state``), else ValueError.  The
+    three apps build theirs from the output of ``streamed_apply``, which
+    has already decided positivity exactly on its irrep sectors (the
     sector floor, with the same threshold and message), so for them only
     the finiteness and trace tests run on the dense output.
     """
@@ -55,21 +47,32 @@ class AppResult:
     fidelity: float | None = None
 
     def __post_init__(self):
-        _check_finite_unit_trace(self.output)
-        X = self.output
-        shifted = np.empty_like(X, dtype=np.result_type(X, np.float64), order="C")
-        np.conjugate(X.T, out=shifted)
-        shifted += X
-        shifted *= 0.5
-        np.einsum("ii->i", shifted)[:] += PSD_TOL
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            lowest = np.linalg.eigvalsh((X + X.conj().T) / 2).min()
-            if lowest <= -PSD_TOL:
-                raise ValueError(
-                    f"output not positive semidefinite: {lowest:.2e}"
-                ) from None
+        check_state(self.output)
+
+
+def check_state(X: np.ndarray) -> None:
+    """ValueError unless X is a state.
+
+    Every entry must be finite, the trace 1 within 1e-10, and the smallest
+    eigenvalue of the Hermitian part H = (X + X^dag)/2 above -PSD_TOL.
+    Positivity is tested densely, by a Cholesky factorization of
+    H + PSD_TOL * 1, which exists exactly when that eigenvalue is above
+    -PSD_TOL; H + PSD_TOL * 1 is built in one C-ordered buffer.  The
+    eigenvalues of H are computed only when the factorization fails, to
+    confirm the rejection and report the minimum.
+    """
+    _check_finite_unit_trace(X)
+    shifted = np.empty_like(X, dtype=np.result_type(X, np.float64), order="C")
+    np.conjugate(X.T, out=shifted)
+    shifted += X
+    shifted *= 0.5
+    np.einsum("ii->i", shifted)[:] += PSD_TOL
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh((X + X.conj().T) / 2).min()
+        if lowest <= -PSD_TOL:
+            raise ValueError(f"output not positive semidefinite: {lowest:.2e}") from None
 
 
 def _check_finite_unit_trace(output: np.ndarray) -> None:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from equichan import fileio
-from equichan.apps import clone, purity_amplify, symmetrize
+from equichan.apps import check_state, clone, purity_amplify, symmetrize
 from equichan.channels import (
     enumerate_extremal_triples,
     extremal_choi,
@@ -53,8 +53,8 @@ def _cmd_simulate(args) -> int:
         )
         record = fileio.app_result_to_obj(out, ledger)
     else:
-        C = extremal_choi(spec)
-        out = C.apply(rho)
+        out = extremal_choi(spec).apply(rho)
+        check_state(out)
         record = {"output": fileio.matrix_to_obj(out)}
     if args.out:
         fileio.save_json(record, args.out)

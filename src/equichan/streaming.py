@@ -9,15 +9,18 @@ resource-state primitive: a coherent superposition of GT paths mu -> lam
 drives one inverse CG step per auxiliary site, and the sites are traced.
 No operation ever touches more than the irrep register, one site and the
 path register; a structural validator checks this on the recorded
-schedule.  The ledger reports register capacities and transform counts of
-the algorithm being emulated, not the memory of the emulator itself (which
-holds the full state).
+schedule.  Each step is recorded once, as a ``ScheduleStep`` naming its
+CG kind, and the ledger's transform counts and peak live dimension are
+read off the validated schedule.  The ledger reports register capacities
+and transform counts of the algorithm being emulated, not the memory of
+the emulator itself (which holds the full state).
 
-The emulator applies the middle phase of a block as one isometry
-Q_lam -> Q_mu (x) sites, the superposition sum_p a_p iota_p of the chains
-iota_p of per-site inverse CG blocks along the paths p, memoised per
-(lam, mu, gamma) for each basis vector of the multiplicity space; the
-schedule and ledger count its one-site steps.
+The emulator runs the middle phase of every block by one route: the
+embeddings and embed steps memoised by ``_path_superposition``,
+contracted with psi and traced down to Q_mu.  Along GT paths the
+embedding is the superposition sum_p a_p iota_p of per-site inverse CG
+chains, one step per site; a one-box mu embeds along the one addition
+gamma_bar -> lam in one step and traces the base.
 
 Emission is the adjoint of Schur sampling: the isometry along a GT path
 into mu is the adjoint of that path's rows in the Schur transform on n
@@ -36,6 +39,7 @@ its log-power overhead) stay symbolic here: reports carry the factor
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from collections import Counter
 from dataclasses import dataclass
@@ -81,20 +85,27 @@ CHUNK = 8192
 # ---------------------------------------------------------------------------
 
 
+# The CG transform a step applies: none, a simple CG, a simple CG of a dual
+# site, or an inverse CG; ResourceLedger.count tallies the last three.
+CG_KINDS = ("none", "simple", "simple-dual", "inverse")
+
+
 @dataclass(frozen=True)
 class ScheduleStep:
     op: str
     registers: tuple[str, ...]
     live_dim: int
+    cg: str = "none"
 
 
 def validate_schedule(steps: list[ScheduleStep]) -> None:
     """Structural streaming constraints.
 
-    Every step is an absorb, embed or emit step and touches at most the
-    irrep register, the path register and a single site; input sites are
-    consumed in increasing order, output sites emitted in decreasing order,
-    and no site is touched twice.  Raises ValueError at the first violation.
+    Every step is an absorb, embed or emit step with a CG kind of CG_KINDS
+    and touches at most the irrep register, the path register and a single
+    site; input sites are consumed in increasing order, output sites
+    emitted in decreasing order, and no site is touched twice.  Raises
+    ValueError at the first violation.
     """
     last_in = 0
     next_out = None
@@ -102,6 +113,8 @@ def validate_schedule(steps: list[ScheduleStep]) -> None:
     for s in steps:
         if s.op not in ("absorb", "embed", "emit"):
             raise ValueError(f"unknown op in {s}")
+        if s.cg not in CG_KINDS:
+            raise ValueError(f"unknown CG kind in {s}")
         sites = [r for r in s.registers if ":" in r]
         others = [r for r in s.registers if ":" not in r]
         if not set(others) <= {"Q", "path", "label"}:
@@ -128,7 +141,11 @@ def validate_schedule(steps: list[ScheduleStep]) -> None:
 
 @dataclass
 class ResourceLedger:
-    """Structural counts of the streaming schedule."""
+    """Structural counts of the streaming schedule.
+
+    ``count`` reads the CG counts and ``peak_live_dim`` off the steps; the
+    phases write ``r``, ``r_prime`` and ``classical_samples``.
+    """
 
     num_simple_cg: int = 0
     num_simple_dual_cg: int = 0
@@ -138,19 +155,16 @@ class ResourceLedger:
     r: int = 0
     r_prime: int = 0
 
-    def bump(self, live_dim: int) -> None:
-        self.peak_live_dim = max(self.peak_live_dim, live_dim)
+    def count(self, schedule: list[ScheduleStep]) -> None:
+        """Set the CG counts and the peak live dimension from the steps."""
+        kinds = Counter(s.cg for s in schedule)
+        self.num_simple_cg = kinds["simple"]
+        self.num_simple_dual_cg = kinds["simple-dual"]
+        self.num_inverse_cg = kinds["inverse"]
+        self.peak_live_dim = max((s.live_dim for s in schedule), default=1)
 
     def as_dict(self) -> dict:
-        return {
-            "num_simple_cg": self.num_simple_cg,
-            "num_simple_dual_cg": self.num_simple_dual_cg,
-            "num_inverse_cg": self.num_inverse_cg,
-            "peak_live_dim": self.peak_live_dim,
-            "classical_samples": self.classical_samples,
-            "r": self.r,
-            "r_prime": self.r_prime,
-        }
+        return dataclasses.asdict(self)
 
 
 @functools.cache
@@ -206,14 +220,11 @@ def _absorb_phase(
     box = box_label(d)
     sigma: dict[Staircase, np.ndarray] = {box: rho.astype(complex)}
     schedule.append(ScheduleStep("absorb", ("Q", "in:1"), d))
-    ledger.bump(d)
     ledger.r = max(ledger.r, 1)
     for t in range(2, m + 1):
         rest = d ** (m - t)
         live = _capacity(t - 1, d) * d
-        schedule.append(ScheduleStep("absorb", ("Q", f"in:{t}", "label"), live))
-        ledger.bump(live)
-        ledger.num_simple_cg += 1
+        schedule.append(ScheduleStep("absorb", ("Q", f"in:{t}", "label"), live, "simple"))
         nxt: dict[Staircase, np.ndarray] = {}
         for nu, blk in sigma.items():
             qd = dim_gl_irrep(nu) * d
@@ -278,6 +289,7 @@ def streamed_apply(
         tau, n, d, ledger, schedule, mode=mode, seed=seed, trajectories=trajectories
     )
     validate_schedule(schedule)
+    ledger.count(schedule)
     if return_schedule:
         return out, ledger, schedule
     return out, ledger
@@ -292,16 +304,12 @@ def _middle_phase(
     """Apply the per-label irrep channel of each triple lam -> mu.
 
     A label whose block norm is below WEIGHTLESS_NORM is skipped: no step,
-    no r_prime.  Two routes.  When mu is one box and gamma is not empty,
-    Q_lam is embedded along the one addition gamma_bar -> lam and the base
-    is traced (``_stream_embed_trace_base``).  Every other block is
-    embedded into Q_mu (x) sites along the coherent superposition of its GT
-    paths mu -> lam with k additions and l removals, where gamma_bar has k
-    positive and l negative boxes (``_path_superposition``), with one embed
-    step per site, and the sites are traced.  With gamma empty the one path
-    has no step and the block passes unchanged.
+    no r_prime.  Every other block records the embed steps of its memoised
+    embeddings (``_path_superposition``), contracts them with psi into one
+    isometry Q_lam -> Q_mu (x) traced legs, and traces those legs.  A step
+    on a site takes the next auxiliary site; the single-box case has one
+    step on the irrep and path registers alone.
     """
-    d = spec.d
     tau: dict[Staircase, np.ndarray] = {}
     aux_counter = count(1)
     for lam, blk in sigma.items():
@@ -309,22 +317,14 @@ def _middle_phase(
             continue
         t = spec.triple(lam)
         ledger.r_prime = max(ledger.r_prime, t.mu.length)
-        if t.mu == box_label(d) and not t.gamma.is_empty:
-            out = _stream_embed_trace_base(lam, t.gamma.dual(), blk, ledger, schedule)
-        else:
-            sup = _path_superposition(lam, t.mu, t.gamma)
-            for dual, live in sup.steps:
-                aux = next(aux_counter)
-                schedule.append(ScheduleStep("embed", ("Q", f"aux:{aux}", "path"), live))
-                ledger.bump(live)
-                if dual:
-                    ledger.num_simple_dual_cg += 1
-                else:
-                    ledger.num_inverse_cg += 1
-            # iota' = sum_a psi_a E_a; tr_sites(iota' blk iota'^dag) in two GEMMs
-            emb = np.tensordot(t.psi, sup.embeddings, 1)
-            q_mu = dim_gl_irrep(t.mu)
-            out = (emb @ blk).reshape(q_mu, -1) @ emb.reshape(q_mu, -1).conj().T
+        sup = _path_superposition(lam, t.mu, t.gamma)
+        for cg, live, on_site in sup.steps:
+            aux = (f"aux:{next(aux_counter)}",) if on_site else ()
+            schedule.append(ScheduleStep("embed", ("Q", *aux, "path"), live, cg))
+        # iota' = sum_a psi_a E_a; tr_traced(iota' blk iota'^dag) in two GEMMs
+        emb = np.tensordot(t.psi, sup.embeddings, 1)
+        q_mu = dim_gl_irrep(t.mu)
+        out = (emb @ blk).reshape(q_mu, -1) @ emb.reshape(q_mu, -1).conj().T
         tau[t.mu] = tau.get(t.mu, 0) + out
     return tau
 
@@ -332,14 +332,14 @@ def _middle_phase(
 class _PathSuperposition(NamedTuple):
     """The middle-phase embeddings of one triple (lam, mu, gamma).
 
-    ``embeddings[a]`` is the isometry Q_lam -> Q_mu (x) sites of the
-    multiplicity basis vector e_a, shape (c, q_mu * d^(k+l), q_lam),
-    read-only; ``steps`` holds (dual flag, live dimension) per emitted
-    site, in emission order.
+    ``embeddings[a]`` is the isometry Q_lam -> Q_mu (x) traced legs of the
+    multiplicity basis vector e_a, shape (c, q_mu * dim traced, q_lam),
+    read-only; ``steps`` holds (CG kind, live dimension, on a site) per
+    embed step, in emission order.
     """
 
     embeddings: np.ndarray
-    steps: tuple[tuple[bool, int], ...]
+    steps: tuple[tuple[str, int, bool], ...]
 
 
 def _path_isometry(path: GtPath) -> np.ndarray:
@@ -366,22 +366,35 @@ def _path_amplitudes(iso: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def _path_superposition(
     lam: Staircase, mu: Staircase, gamma: Staircase
 ) -> _PathSuperposition:
-    """The coherent GT-path superpositions that realize the irrep channel lam -> mu.
+    """The embeddings and embed steps that realize the irrep channel lam -> mu.
 
+    Single-box case (mu one box, gamma not empty, so c = 1): the adjoint
+    of lam's rows in ``simple_cg(gamma_bar, False)``, its C^d = Q_mu leg
+    first and Q_gamma_bar traced, in one inverse CG step on no site.
+
+    Otherwise one step per site of the GT paths mu -> lam, with k additions
+    and l removals for the k positive and l negative boxes of gamma_bar.
     The channel of (lam, mu, gamma, psi) traces the sites of
     iota' = (1 (x) J) iota, where iota is the embed-trace isometry of
     ``irrep_channel`` and J the embedding of the canonical realization of
-    gamma_bar, whose sites are those of the paths mu -> lam.  By Schur's
-    lemma iota' = sum_p a_p iota_p over those paths, with
-    a_p = tr(iota_p^dag iota') / q_lam; iota is linear in psi, so the
-    superposition is stored for each multiplicity basis vector e_a.  The
-    paths are taken one at a time, so only one iota_p is held.  A sector
-    with one path (every block with gamma empty, whose path has no step) is
-    that path: its phase leaves the channel unchanged and no overlap is
-    taken.  Raises RuntimeError if a superposition is farther than
-    SUPERPOSITION_TOL from iota'.  Memoised per label triple.
+    gamma_bar, whose sites are those of the paths.  By Schur's lemma iota' = sum_p a_p iota_p over
+    those paths, with a_p = tr(iota_p^dag iota') / q_lam; iota is linear in
+    psi, so the superposition is stored for each multiplicity basis vector
+    e_a.  The paths are taken one at a time, so only one iota_p is held.
+    A sector with one path (every block with gamma empty, whose path has no
+    step) is that path: its phase leaves the channel unchanged and no
+    overlap is taken.  Raises RuntimeError if a superposition is farther
+    than SUPERPOSITION_TOL from iota'.  Memoised per label triple.
     """
     gamma_bar = gamma.dual()
+    if mu == box_label(lam.d) and not gamma.is_empty:
+        R = simple_cg(gamma_bar, False).block_rows(lam)
+        q_base, d = dim_gl_irrep(gamma_bar), lam.d
+        # the rows of R^dag run over (base, site); the site is Q_mu, so it goes first
+        embeddings = R.conj().T.reshape(q_base, d, -1).transpose(1, 0, 2)
+        embeddings = embeddings.reshape(1, d * q_base, -1)
+        embeddings.flags.writeable = False
+        return _PathSuperposition(embeddings, (("inverse", q_base * d, False),))
     paths = enumerate_paths(mu, gamma_bar.pos_size, gamma_bar.neg_size)[lam]
     if len(paths) == 1:
         embeddings = _path_isometry(paths[0])[None]
@@ -406,29 +419,14 @@ def _path_superposition(
             )
     embeddings.flags.writeable = False
     steps = tuple(
-        (col[0][2], lam.d * max(dim_gl_irrep(prev) for prev, _, _ in col))
+        (
+            "simple-dual" if col[0][2] else "inverse",
+            lam.d * max(dim_gl_irrep(prev) for prev, _, _ in col),
+            True,
+        )
         for col in zip(*(_emit_steps(p) for p in paths))
     )
     return _PathSuperposition(embeddings, steps)
-
-
-def _stream_embed_trace_base(
-    lam: Staircase,
-    prev: Staircase,
-    blk: np.ndarray,
-    ledger: ResourceLedger,
-    schedule: list,
-) -> np.ndarray:
-    """Single-addition route: embed Q_lam into Q_prev (x) C^d, trace Q_prev."""
-    d = lam.d
-    q_prev = dim_gl_irrep(prev)
-    live = q_prev * d
-    schedule.append(ScheduleStep("embed", ("Q", "path"), live))
-    ledger.bump(live)
-    ledger.num_inverse_cg += 1
-    R = simple_cg(prev, False).block_rows(lam)
-    moved = R.conj().T @ blk @ R
-    return np.einsum("iaib->ab", moved.reshape(q_prev, d, q_prev, d))
 
 
 def _emission_phase(
@@ -471,11 +469,7 @@ def _emission_phase(
     out_dim = d**n
     for j in range(n, 1, -1):
         live = _capacity(j - 1, d) * d
-        schedule.append(ScheduleStep("emit", ("Q", f"out:{j}", "path"), live))
-        ledger.bump(live)
-        ledger.num_inverse_cg += 1
-    if n >= 1:
-        ledger.bump(d)
+        schedule.append(ScheduleStep("emit", ("Q", f"out:{j}", "path"), live, "inverse"))
     S = schur_transform(n, 0, d)
     if mode == "sample":
         drawn = _draw_paths(tau, S, seed, trajectories, ledger)

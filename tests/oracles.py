@@ -238,6 +238,17 @@ def absorb_kron(rho: np.ndarray, m: int, d: int, first_label, cg_of):
     return sigma, steps, counts
 
 
+def embed_trace_base(R: np.ndarray, blk: np.ndarray, q_base: int, d: int) -> np.ndarray:
+    """A one-box middle block by the dense route: R^dag blk R, traced over the base.
+
+    ``R`` holds the rows of lam in the one-site CG transform of the base
+    (q_lam x q_base * d, base leg first): Q_lam is embedded into
+    Q_base (x) C^d, and Q_base is traced, leaving a d x d block.
+    """
+    moved = R.conj().T @ blk @ R
+    return np.einsum("iaib->ab", moved.reshape(q_base, d, q_base, d))
+
+
 def haar_u(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar unitary in SU(d): phase-fixed QR of a complex Gaussian matrix,
     divided by a d-th root of its determinant (two normal draws of d x d)."""

@@ -5,7 +5,12 @@ import pytest
 
 from equichan import fileio
 from equichan.apps import depolarized_copies
-from equichan.channels import ExtremalSpec, ExtremalTriple, symmetrization_spec
+from equichan.channels import (
+    ExtremalSpec,
+    ExtremalTriple,
+    extremal_choi,
+    symmetrization_spec,
+)
 from equichan.cli import run
 from equichan.staircases import staircase
 
@@ -54,22 +59,35 @@ class TestSimulate:
         assert np.linalg.norm(dense - streamed) < 1e-9
         assert rec["ledger"]["num_simple_cg"] == 1
 
-    @pytest.mark.parametrize("mode", ["exact", "sample"])
-    def test_streamed_non_positive_output_is_usage_error(self, mode, tmp_path, capsys):
+    def test_dense_prints_output_record(self, tmp_path, state_file, capsys):
+        f_state, rho = state_file
+        spec = symmetrization_spec(2, 2)
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(fileio.spec_to_obj(spec), f_spec)
+        assert run(["simulate", "--spec", str(f_spec), "--state", str(f_state)]) == 0
+        record = {"output": fileio.matrix_to_obj(extremal_choi(spec).apply(rho))}
+        assert capsys.readouterr().out == json.dumps(record) + "\n"
+
+    @pytest.mark.parametrize(
+        "form",
+        [[], ["--stream", "--mode", "exact"], ["--stream", "--mode", "sample"]],
+        ids=["dense", "exact", "sample"],
+    )
+    def test_non_positive_output_is_usage_error(self, form, tmp_path, capsys):
         # Hermitian and unit trace, with eigenvalue -0.1 on the symmetric
-        # vector |00>, which symmetrization keeps: the output is no state
+        # vector |00>, which symmetrization keeps: the output is no state,
+        # and the dense and streamed forms reject it alike
         rho = np.diag([-0.1, 0.5, 0.3, 0.3]).astype(complex)
         f_state = tmp_path / "state.json"
         fileio.save_json(fileio.matrix_to_obj(rho), f_state)
         f_spec = tmp_path / "spec.json"
         fileio.save_json(fileio.spec_to_obj(symmetrization_spec(2, 2)), f_spec)
         argv = ["simulate", "--spec", str(f_spec), "--state", str(f_state),
-                "--stream", "--mode", mode, "--trajectories", "50"]
+                *form, "--trajectories", "50"]
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: output not positive semidefinite: -")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err == "error: output not positive semidefinite: -1.00e-01\n"
 
 
 class TestSample:

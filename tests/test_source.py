@@ -55,6 +55,34 @@ def test_no_private_streaming_imports():
     assert set(found) <= TRACER_ALIASES, sorted(set(found) - TRACER_ALIASES)
 
 
+# ResourceLedger fields that are read off the schedule's steps
+STEP_COUNTS = {"num_simple_cg", "num_simple_dual_cg", "num_inverse_cg", "peak_live_dim"}
+
+
+def test_step_counts_written_only_by_count():
+    # each step is recorded once, as a ScheduleStep; the ledger's step
+    # counts are set from the schedule in ResourceLedger.count and nowhere
+    # else in streaming.py
+    path = Path(equichan.__file__).parent / "streaming.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "count"
+        for sub in ast.walk(node)
+    }
+    found = [
+        f"streaming.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        and id(node) not in inside
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Attribute) and sub.attr in STEP_COUNTS
+    ]
+    assert not found, f"step counts written outside ResourceLedger.count: {found}"
+
+
 def _tracer_table(name):
     """A module-level literal of perfbench/tracer.py, read without importing it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -52,6 +52,7 @@ from oracles import (
     CountingRng,
     absorb_kron,
     choi_channel_defects,
+    embed_trace_base,
     emit_dense,
     random_state,
     symmetrize_brute,
@@ -163,8 +164,30 @@ class TestMiddlePhase:
             if mu != box_label(d):
                 assert [s.op for s in schedule] == ["embed"] * sites
                 assert len({s.registers for s in schedule}) == sites
+                ledger.count(schedule)
                 counts = ledger.num_inverse_cg, ledger.num_simple_dual_cg
                 assert counts == (gamma.neg_size, gamma.pos_size)
+
+    @pytest.mark.parametrize("m,d", [(8, 2), (5, 3), (3, 2), (4, 3)])
+    def test_single_box_blocks_match_base_trace(self, m, d, rng):
+        # a one-box output embeds Q_lam along the one addition
+        # gamma_bar -> lam, in one inverse CG step on no site, and traces
+        # the base Q_gamma_bar
+        spec = purity_spec(m, d)
+        for lam, t in spec.assignments.items():
+            assert t.mu == box_label(d) and not t.gamma.is_empty
+            base = t.gamma.dual()
+            q_base = dim_gl_irrep(base)
+            blk = random_state(dim_gl_irrep(lam), rng)
+            ledger, schedule = ResourceLedger(), []
+            tau = _middle_phase(spec, {lam: blk}, ledger, schedule)
+            R = simple_cg(base, False).block_rows(lam)
+            expected = embed_trace_base(R, blk, q_base, d)
+            assert np.abs(tau[t.mu] - expected).max() < 1e-12, lam
+            assert schedule == [ScheduleStep("embed", ("Q", "path"), q_base * d, "inverse")]
+            ledger.count(schedule)
+            counts = ledger.num_simple_cg, ledger.num_simple_dual_cg, ledger.num_inverse_cg
+            assert counts == (0, 0, 1)
 
     def test_mutated_coefficient_raises(self, monkeypatch):
         import equichan.streaming as streaming
@@ -304,6 +327,9 @@ class TestStreamedApply:
         validate_schedule(bad[:1])
         with pytest.raises(ValueError, match="unknown op"):
             validate_schedule(bad)
+        # the ledger counts only the CG kinds it knows
+        with pytest.raises(ValueError, match="unknown CG kind"):
+            validate_schedule([ScheduleStep("absorb", ("Q", "in:1"), 2, "dual")])
 
     def test_crosscheck_shapes_stream_every_block(self, rng):
         # every middle block of the 192 specs is embedded site by site: no
@@ -420,6 +446,7 @@ def _check_absorb_against_kron(m, d, rng, cg_of):
         assert sigma[label].shape == blk.shape
         assert np.abs(sigma[label] - blk).max() < 1e-12, label
     assert [(s.op, s.registers, s.live_dim) for s in schedule] == ref_steps
+    ledger.count(schedule)
     assert ledger.as_dict() == ResourceLedger(**ref_counts).as_dict()
 
 
@@ -499,6 +526,7 @@ def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0):
     assert [(s.op, s.registers, s.live_dim) for s in schedule] == [
         ("emit", ("Q", f"out:{j}", "path"), lv) for j, lv in zip(range(n, 1, -1), live)
     ]
+    ledger.count(schedule)
     assert ledger.as_dict() == ResourceLedger(
         num_inverse_cg=n - 1, peak_live_dim=max([d] + live), classical_samples=samples
     ).as_dict()
