@@ -3,16 +3,20 @@
 
 For each assignment of triples, builds the channel twice (direct Choi and
 factored composition), reports the Frobenius gap, the symmetry residuals
-and the streamed-executor gap on a random state.
+and the streamed-executor gap on a random state.  Exits 1 when the worst
+residual is above TOLERANCE, the suites' threshold, else 0.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from equichan.channels import check_symmetries, extremal_choi, factored_channel
 from equichan.streaming import streamed_apply
 from equichan.suites import SWEEP_SHAPES, all_specs
+
+TOLERANCE = 1e-8
 
 
 def main():
@@ -38,7 +42,8 @@ def main():
             worst = max(worst, gap, resid, sgap)
             print(f"{str((m, n, d)):<12}{idx:>5}{gap:>14.3e}{resid:>12.3e}{sgap:>12.3e}")
     print(f"worst residual anywhere: {worst:.3e}")
+    return 0 if worst <= TOLERANCE else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,7 +16,7 @@ from math import factorial
 import numpy as np
 
 from equichan.channels import (
-    PSD_TOL,
+    check_input,
     cloning_spec,
     purity_spec,
     symmetrization_spec,
@@ -35,67 +35,13 @@ SYMMETRIC_SUPPORT_TOL = 1e-8
 class AppResult:
     """Output state, resource ledger and (where defined) a fidelity.
 
-    The output must be a state (``check_state``), else ValueError.  The
-    three apps build theirs from the output of ``streamed_apply``, which
-    has already decided positivity exactly on its irrep sectors (the
-    sector floor, with the same threshold and message), so for them only
-    the finiteness and trace tests run on the dense output.
+    The apps build it from the output of ``streamed_apply``, which returns
+    a state or raises ValueError.
     """
 
     output: np.ndarray
     ledger: ResourceLedger
     fidelity: float | None = None
-
-    def __post_init__(self):
-        check_state(self.output)
-
-
-def check_state(X: np.ndarray) -> None:
-    """ValueError unless X is a state.
-
-    Every entry must be finite, the trace 1 within 1e-10, and the smallest
-    eigenvalue of the Hermitian part H = (X + X^dag)/2 above -PSD_TOL.
-    Positivity is tested densely, by a Cholesky factorization of
-    H + PSD_TOL * 1, which exists exactly when that eigenvalue is above
-    -PSD_TOL; H + PSD_TOL * 1 is built in one C-ordered buffer.  The
-    eigenvalues of H are computed only when the factorization fails, to
-    confirm the rejection and report the minimum.
-    """
-    _check_finite_unit_trace(X)
-    shifted = np.empty_like(X, dtype=np.result_type(X, np.float64), order="C")
-    np.conjugate(X.T, out=shifted)
-    shifted += X
-    shifted *= 0.5
-    np.einsum("ii->i", shifted)[:] += PSD_TOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh((X + X.conj().T) / 2).min()
-        if lowest <= -PSD_TOL:
-            raise ValueError(f"output not positive semidefinite: {lowest:.2e}") from None
-
-
-def _check_finite_unit_trace(output: np.ndarray) -> None:
-    if not np.isfinite(output).all():
-        raise ValueError("output has non-finite entries")
-    tr = np.trace(output)
-    if abs(tr - 1.0) >= 1e-10:
-        raise ValueError(f"output trace {tr}, expected 1")
-
-
-def _streamed_result(
-    output: np.ndarray, ledger: ResourceLedger, fidelity: float | None = None
-) -> AppResult:
-    """The AppResult of a ``streamed_apply`` output, without the Cholesky.
-
-    ``streamed_apply`` returns only outputs whose sector floor is above
-    -PSD_TOL, so the dense positivity test is skipped; the finiteness and
-    trace tests still run on the dense output.
-    """
-    _check_finite_unit_trace(output)
-    result = object.__new__(AppResult)
-    result.output, result.ledger, result.fidelity = output, ledger, fidelity
-    return result
 
 
 def symmetrize(
@@ -115,7 +61,7 @@ def symmetrize(
     out, ledger = streamed_apply(
         spec, rho, seed=seed, mode=mode, trajectories=trajectories
     )
-    return _streamed_result(out, ledger)
+    return AppResult(out, ledger)
 
 
 def symmetric_projector(n: int, d: int) -> np.ndarray:
@@ -155,6 +101,7 @@ def clone(
         rho = rho.reshape(d**m, d**m)
     else:
         rho = state
+        check_input(rho, d**m)
         _check_symmetric_support(rho, m, d)
     if reference is not None:
         psi = _unit_vector(np.reshape(reference, -1), d, "reference")
@@ -166,20 +113,17 @@ def clone(
         for _ in range(n):
             target = np.kron(target, psi)
         fidelity = float(np.real(target.conj() @ out @ target))
-    return _streamed_result(out, ledger, fidelity)
+    return AppResult(out, ledger, fidelity)
 
 
 def _check_symmetric_support(rho: np.ndarray, m: int, d: int) -> None:
     """ValueError unless rho lies on the m-qudit symmetric subspace.
 
-    Runs before any streaming: the off-mass |rho - P rho P| and the weight
-    tr((1 - P) rho), which absorption would put on labels other than (m),
-    must each be at most SYMMETRIC_SUPPORT_TOL.  A matrix of the wrong
-    shape is rejected first, with streamed_apply's message.
+    Runs before any streaming, after ``channels.check_input``: the
+    off-mass |rho - P rho P| and the weight tr((1 - P) rho), which
+    absorption would put on labels other than (m), must each be at most
+    SYMMETRIC_SUPPORT_TOL.
     """
-    dim = d**m
-    if rho.shape != (dim, dim):
-        raise ValueError(f"input shape {rho.shape}, expected {(dim, dim)}")
     P = symmetric_projector(m, d)
     off = np.linalg.norm(rho - P @ rho @ P)
     if off > SYMMETRIC_SUPPORT_TOL:
@@ -231,7 +175,7 @@ def purity_amplify(
     fidelity = None
     if psi is not None:
         fidelity = float(np.real(psi.conj() @ out @ psi))
-    return _streamed_result(out, ledger, fidelity)
+    return AppResult(out, ledger, fidelity)
 
 
 def depolarized_copies(psi: np.ndarray, alpha: float, m: int, d: int) -> np.ndarray:

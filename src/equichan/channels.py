@@ -45,6 +45,62 @@ HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
 TP_TOL = 1e-8
 
+# Tolerance on an input state's unit trace and Hermiticity.
+STATE_TOL = 1e-8
+
+
+# The state gate: every route tests its input and its output here.
+def check_input(rho: np.ndarray, dim: int) -> None:
+    """ValueError unless rho is a finite dim x dim matrix whose trace and
+    rho^dag - rho are within STATE_TOL of 1 and 0; positivity is not tested.
+
+    Finiteness comes first, as every comparison with a NaN is False.
+    """
+    if not np.isfinite(rho).all():
+        raise ValueError("input has non-finite entries")
+    if rho.shape != (dim, dim):
+        raise ValueError(f"input shape {rho.shape}, expected {(dim, dim)}")
+    trace = np.trace(rho)
+    if abs(trace - 1.0) > STATE_TOL:
+        raise ValueError(f"input trace {trace:.6g}, expected 1")
+    # rho^dag - rho in one C-ordered buffer
+    defect = np.empty_like(rho, order="C")
+    np.conjugate(rho.T, out=defect)
+    defect -= rho
+    if np.linalg.norm(defect) > STATE_TOL:
+        raise ValueError("input is not Hermitian")
+
+
+def check_finite_unit_trace(X: np.ndarray) -> None:
+    """ValueError unless the output X has finite entries and trace 1 within 1e-10."""
+    if not np.isfinite(X).all():
+        raise ValueError("output has non-finite entries")
+    tr = np.trace(X)
+    if abs(tr - 1.0) >= 1e-10:
+        raise ValueError(f"output trace {tr}, expected 1")
+
+
+def check_state(X: np.ndarray) -> None:
+    """ValueError unless the output X is a state, tested densely.
+
+    After ``check_finite_unit_trace``, the Hermitian part H of X must have
+    its smallest eigenvalue above -PSD_TOL: exactly when the Cholesky
+    factorization of H + PSD_TOL * 1, built in one C-ordered buffer, exists.
+    The eigenvalues of H are computed only when it fails, for the message.
+    """
+    check_finite_unit_trace(X)
+    shifted = np.empty_like(X, dtype=np.result_type(X, np.float64), order="C")
+    np.conjugate(X.T, out=shifted)
+    shifted += X
+    shifted *= 0.5
+    np.einsum("ii->i", shifted)[:] += PSD_TOL
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh((X + X.conj().T) / 2).min()
+        if lowest <= -PSD_TOL:
+            raise ValueError(f"output not positive semidefinite: {lowest:.2e}") from None
+
 
 # ---------------------------------------------------------------------------
 # channel objects

@@ -4,7 +4,7 @@ Subcommands: classify (list extremal triples), simulate (apply a spec to a
 state, dense or streamed), sample (box removals or whole GT paths),
 estimate (resource tables), verify (invariant suites), apps (the three
 worked channels).  Exit codes: 0 success, 1 verification failure, 2 usage
-error.
+error or an input or output rejected by the state gate in ``channels``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ import sys
 import numpy as np
 
 from equichan import fileio
-from equichan.apps import check_state, clone, purity_amplify, symmetrize
+from equichan.apps import clone, purity_amplify, symmetrize
 from equichan.channels import (
+    check_input,
+    check_state,
     enumerate_extremal_triples,
     extremal_choi,
 )
@@ -53,6 +55,7 @@ def _cmd_simulate(args) -> int:
         )
         record = fileio.app_result_to_obj(out, ledger)
     else:
+        check_input(rho, spec.d**spec.m)
         out = extremal_choi(spec).apply(rho)
         check_state(out)
         record = {"output": fileio.matrix_to_obj(out)}

@@ -9,7 +9,7 @@ staircases are flat signed-integer arrays of length d including zeros.
 from __future__ import annotations
 
 import json
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any
 
@@ -27,7 +27,21 @@ def staircase_to_obj(s: Staircase) -> list[int]:
 
 
 def staircase_from_obj(obj: list[int]) -> Staircase:
-    return Staircase(tuple(int(x) for x in obj))
+    return Staircase(_integers(obj, "staircase"))
+
+
+def _integer(value: Any, key: str) -> int:
+    """``value`` if it is an integer and not a bool, else ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(values: Any, key: str) -> tuple[int, ...]:
+    """The entries of the list ``values`` of integers, named ``key``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list of integers, got {values!r}")
+    return tuple(_integer(x, f"{key}[{i}]") for i, x in enumerate(values))
 
 
 def _complex_entries(pairs: Any, key: str) -> list[complex]:
@@ -61,7 +75,7 @@ def matrix_to_obj(M: np.ndarray) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols")
     data = _complex_entries(obj["data"], "data")
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
@@ -78,7 +92,8 @@ def choi_to_obj(choi: ChoiMatrix) -> dict:
 
 
 def choi_from_obj(obj: dict) -> ChoiMatrix:
-    return ChoiMatrix(matrix_from_obj(obj), int(obj["m"]), int(obj["n"]), int(obj["d"]))
+    m, n, d = (_integer(obj[key], key) for key in "mnd")
+    return ChoiMatrix(matrix_from_obj(obj), m, n, d)
 
 
 def spec_to_obj(spec: ExtremalSpec) -> dict:
@@ -101,13 +116,12 @@ def spec_to_obj(spec: ExtremalSpec) -> dict:
 def spec_from_obj(obj: dict) -> ExtremalSpec:
     assignments = {}
     for a in obj["assignments"]:
-        lam = staircase_from_obj(a["lambda"])
-        assignments[lam] = ExtremalTriple(
-            staircase_from_obj(a["mu"]),
-            staircase_from_obj(a["gamma"]),
-            _complex_entries(a["psi"], "psi"),
+        lam, mu, gamma = (
+            Staircase(_integers(a[key], key)) for key in ("lambda", "mu", "gamma")
         )
-    return ExtremalSpec(int(obj["m"]), int(obj["n"]), int(obj["d"]), assignments)
+        assignments[lam] = ExtremalTriple(mu, gamma, _complex_entries(a["psi"], "psi"))
+    m, n, d = (_integer(obj[key], key) for key in "mnd")
+    return ExtremalSpec(m, n, d, assignments)
 
 
 def path_to_obj(p: GtPath) -> list[list[int]]:

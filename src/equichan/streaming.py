@@ -29,8 +29,9 @@ cached ``schur_transform(n, 0, d)`` (so emission is subject to the dense
 cap) and applies the transform block by block over its torus-weight
 classes, as every row is a weight vector; the schedule and ledger still
 count the algorithm's n - 1 one-site inverse CG steps.  Emission also
-certifies the output on its irrep sectors (the sector floor), so the
-executor returns a state or raises ValueError.
+certifies the output on its irrep sectors (the sector floor) and the
+executor then tests its entries and trace, so it returns a state or
+raises ValueError.
 
 Costs that the streaming model leaves symbolic (gate synthesis accuracy and
 its log-power overhead) stay symbolic here: reports carry the factor
@@ -49,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from equichan.channels import PSD_TOL, ExtremalSpec, irrep_channel
+from equichan.channels import check_finite_unit_trace, check_input
 from equichan.gtpaths import GtPath, _walk, enumerate_paths
 from equichan.realize import canonical_realization
 from equichan.staircases import (
@@ -63,9 +65,6 @@ from equichan.transforms import PathTransform, schur_transform, simple_cg
 # The gate-synthesis exponent appearing in every polylog cost factor; it is
 # kept as a symbol and nothing here evaluates it.
 SYNTHESIS_EXPONENT_SYMBOL = "p"
-
-# Tolerance on the unit trace and the Hermiticity of a streamed input.
-STATE_TOL = 1e-8
 
 # A block of Frobenius norm below this carries no weight: middle and emission skip it.
 WEIGHTLESS_NORM = 1e-15
@@ -185,15 +184,11 @@ def _absorb_phase(
 ) -> dict[Staircase, np.ndarray]:
     """Feed input sites through simple CG transforms, decohering the labels.
 
-    Every streamed run enters here, so this is where the input is checked:
-    a matrix with a non-finite entry, of the wrong shape, without unit
-    trace or not Hermitian raises ValueError (an O(d^2m) check; positivity
-    is not checked).  Finiteness comes first, as every comparison with a
-    NaN is False and would pass the other two tests.  Returns
-    subnormalized block states per final label.  The emulator array for
-    label nu at step t has shape (q_nu * d^(m-t))^2 and carries the not yet
-    consumed sites; the algorithm's own live registers are only
-    Q (x) one site.
+    Every streamed run enters here, so this is where ``channels.check_input``
+    tests the input.  Returns subnormalized block states per final label.
+    The emulator array for label nu at step t has shape (q_nu * d^(m-t))^2
+    and carries the not yet consumed sites; the algorithm's own live
+    registers are only Q (x) one site.
 
     Each step contracts the CG matrix C on the (q_nu * d) tensor legs of
     the block and never forms C (x) 1 on the unconsumed sites: one GEMM
@@ -202,21 +197,7 @@ def _absorb_phase(
     off-diagonal blocks, which the label measurement discards, are never
     computed.
     """
-    if not np.isfinite(rho).all():
-        raise ValueError("input has non-finite entries")
-    dim = d**m
-    if rho.shape != (dim, dim):
-        raise ValueError(f"input shape {rho.shape}, expected {(dim, dim)}")
-    trace = np.trace(rho)
-    if abs(trace - 1.0) > STATE_TOL:
-        raise ValueError(f"input trace {trace:.6g}, expected 1")
-    # rho^dag - rho in one C-ordered buffer, freed before absorption
-    defect = np.empty_like(rho, order="C")
-    np.conjugate(rho.T, out=defect)
-    defect -= rho
-    if np.linalg.norm(defect) > STATE_TOL:
-        raise ValueError("input is not Hermitian")
-    del defect
+    check_input(rho, d**m)
     box = box_label(d)
     sigma: dict[Staircase, np.ndarray] = {box: rho.astype(complex)}
     schedule.append(ScheduleStep("absorb", ("Q", "in:1"), d))
@@ -267,13 +248,12 @@ def streamed_apply(
 
     mode="exact" sums the uniform path mixture of the emission phase
     exactly; mode="sample" draws GT paths with the hook-walk sampler and
-    averages the given number of trajectories.  ``rho`` must be a Hermitian
-    unit-trace matrix on d^m dimensions, else ValueError.  Returns
-    (output, ledger), plus the recorded schedule when requested.  The
-    output is a state or ValueError: positivity of ``rho`` is not checked,
-    but the emission phase certifies the output on its irrep sectors and
-    rejects it when the smallest eigenvalue of its Hermitian part is at or
-    below -PSD_TOL, with the message and threshold of ``AppResult``.
+    averages the given number of trajectories.  Returns (output, ledger),
+    plus the recorded schedule when requested.  The output is a state or
+    ValueError: ``rho`` must pass ``channels.check_input`` (positivity is
+    not checked), the emission phase certifies the output's positivity on
+    its irrep sectors, with the threshold and message of
+    ``channels.check_state``, and ``check_finite_unit_trace`` tests it last.
     """
     m, n, d = spec.m, spec.n, spec.d
     if mode not in ("exact", "sample"):
@@ -288,6 +268,7 @@ def streamed_apply(
     out = _emission_phase(
         tau, n, d, ledger, schedule, mode=mode, seed=seed, trajectories=trajectories
     )
+    check_finite_unit_trace(out)
     validate_schedule(schedule)
     ledger.count(schedule)
     if return_schedule:
@@ -464,7 +445,8 @@ def _emission_phase(
     with weight, is therefore its smallest eigenvalue whenever that is
     negative; one ``eigvalsh`` of at most q_mu x q_mu per sector finds it.
     Raises ValueError("output not positive semidefinite: ...") when the
-    floor is at or below -PSD_TOL, the dense test of ``AppResult``.
+    floor is at or below -PSD_TOL, the threshold and message of the dense
+    test ``channels.check_state``.
     """
     out_dim = d**n
     for j in range(n, 1, -1):
@@ -587,7 +569,7 @@ class CostReport:
         return "\n".join(lines)
 
     def as_records(self) -> list[dict]:
-        return [r.__dict__ | {} for r in self.rows]
+        return [dataclasses.asdict(r) for r in self.rows]
 
 
 def _logp(args: str) -> str:

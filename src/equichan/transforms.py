@@ -367,7 +367,6 @@ def schur_transform(m: int, n: int, d: int) -> PathTransform:
     """
     if m < 0 or n < 0 or d < 1:
         raise ValueError("need m, n >= 0 and d >= 1")
-    check_dense(d ** (m + n))
     return iterated_cg(empty_staircase(d), (False,) * m + (True,) * n)
 
 

@@ -10,7 +10,6 @@ import equichan
 import equichan.apps as apps
 import equichan.streaming as streaming
 from equichan.apps import (
-    AppResult,
     clone,
     cloning_fidelity,
     depolarized_copies,
@@ -19,6 +18,7 @@ from equichan.apps import (
 )
 from equichan.channels import (
     ChoiMatrix,
+    check_state,
     check_symmetries,
     cloning_spec,
     extremal_choi,
@@ -375,21 +375,22 @@ class TestPurityAmplify:
 
 
 class TestAppResult:
+    """channels.check_state, the dense oracle of an app output."""
+
     def test_rejects_bad_output(self):
         with pytest.raises(ValueError, match="trace"):
-            AppResult(np.eye(2), None)  # trace 2
+            check_state(np.eye(2))  # trace 2
         with pytest.raises(ValueError, match="positive"):
-            AppResult(np.diag([1.5, -0.5]), None)
+            check_state(np.diag([1.5, -0.5]))
 
     def test_rejects_bad_output_under_optimize(self):
         # the checks are exceptions, not asserts, so python -O keeps them
         src = Path(equichan.__file__).resolve().parents[1]
         code = (
             "import numpy as np\n"
-            "from equichan.apps import AppResult\n"
-            "from equichan.streaming import ResourceLedger\n"
+            "from equichan.channels import check_state\n"
             "try:\n"
-            "    AppResult(10 * np.eye(2) / 2, ResourceLedger())\n"
+            "    check_state(10 * np.eye(2) / 2)\n"
             "except ValueError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('accepted an output of trace 10')\n"
@@ -404,14 +405,16 @@ class TestAppResult:
     # seen to be exceptions that python -O keeps.
     BOUNDARY_CASES = (
         "import numpy as np\n"
-        "from equichan.apps import AppResult\n"
-        "from equichan.streaming import ResourceLedger\n"
-        "def rejected(x):\n"
+        "from equichan.channels import check_state, symmetrization_spec\n"
+        "from equichan.streaming import streamed_apply\n"
+        "def refused(call):\n"
         "    try:\n"
-        "        AppResult(x, ResourceLedger())\n"
+        "        call()\n"
         "    except ValueError as exc:\n"
         "        return str(exc)\n"
         "    return None\n"
+        "def rejected(x):\n"
+        "    return refused(lambda: check_state(x))\n"
         "def check(ok, what):\n"  # not assert, which -O strips from this script
         "    if not ok:\n"
         "        raise SystemExit(what)\n"
@@ -426,6 +429,11 @@ class TestAppResult:
         "msg = rejected(mixed_in(-2e-9))\n"
         "check(msg == 'output not positive semidefinite: -2.00e-09', repr(msg))\n"
         "check(rejected(mixed_in(-5e-10)) is None, '-5e-10 rejected')\n"
+        # an input trace off by 5e-9 passes the input test and is caught on
+        # the output of streamed_apply itself
+        "rho = np.diag([0.4, 0.3, 0.2, 0.1 + 5e-9]) + 0j\n"
+        "msg = refused(lambda: streamed_apply(symmetrization_spec(2, 2), rho))\n"
+        "check(msg == 'output trace (1.000000005+0j), expected 1', repr(msg))\n"
     )
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
@@ -456,13 +464,13 @@ class TestAppResult:
             for x in (mixed_in(neg), mixed_in(neg).T, np.asfortranarray(mixed_in(neg))):
                 for out in (x, x.astype(complex)):
                     if accepted:
-                        AppResult(out, None)
+                        check_state(out)
                     else:
                         with pytest.raises(ValueError, match="-2.00e-09"):
-                            AppResult(out, None)
+                            check_state(out)
         for out in (skew, skew.T, skew.conj().T, np.asfortranarray(skew)):
             with pytest.raises(ValueError, match="-2.00e-09"):
-                AppResult(out, None)
+                check_state(out)
 
     def test_accepted_output_runs_no_eigendecomposition(self, monkeypatch, rng):
         A = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
@@ -473,7 +481,7 @@ class TestAppResult:
             raise AssertionError("eigvalsh called on an accepted output")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        AppResult(rho, None)
+        check_state(rho)
 
 
 def _state_with_negative_direction(v, P, neg, rng):
@@ -514,8 +522,8 @@ CERTIFICATE_CASES = [
 
 class TestSectorCertificate:
     """streamed_apply certifies positivity on its irrep sectors, and the apps
-    skip the dense Cholesky for its outputs; both paths must reject exactly
-    the outputs that the dense test of AppResult rejects, with its message."""
+    run no dense Cholesky on its outputs; both paths must reject exactly
+    the outputs that the dense test check_state rejects, with its message."""
 
     @staticmethod
     def _input(spec, support, neg, rng):
@@ -545,7 +553,7 @@ class TestSectorCertificate:
         # paths must agree either way
         neg = {"large": neg, "tiny": 1e-6, "none": 0.0}[size]
         rho = self._input(spec, support, neg, rng)
-        dense = _rejection(lambda: AppResult(extremal_choi(spec).apply(rho), None))
+        dense = _rejection(lambda: check_state(extremal_choi(spec).apply(rho)))
         assert _rejection(lambda: streamed_apply(spec, rho)) == dense
         assert _rejection(lambda: app(rho)) == dense
         if size == "none":
@@ -570,7 +578,7 @@ class TestSectorCertificate:
         monkeypatch.setattr(streaming, "PSD_TOL", np.inf)
         raw, _ = streamed_apply(spec, rho, **kwargs)
         monkeypatch.undo()
-        dense = _rejection(lambda: AppResult(raw, None))
+        dense = _rejection(lambda: check_state(raw))
         assert certified == app == dense
         if size == "none":
             assert dense is None
@@ -579,13 +587,13 @@ class TestSectorCertificate:
 
     def test_threshold_is_psd_tol(self, rng):
         # a floor just below -PSD_TOL is rejected and one just above it is
-        # accepted, as by AppResult's dense test
+        # accepted, as by the dense test check_state
         spec = symmetrization_spec(2, 2)
         phi = haar_vector(2, rng)
         for neg, rejected in ((2e-9, True), (5e-10, False)):
             rho = _state_with_negative_direction(np.kron(phi, phi), np.eye(4), neg, rng)
             out = extremal_choi(spec).apply(rho)
-            dense = _rejection(lambda: AppResult(out, None))
+            dense = _rejection(lambda: check_state(out))
             assert (dense is not None) == rejected
             assert _rejection(lambda: streamed_apply(spec, rho)) == dense
 

@@ -90,6 +90,62 @@ class TestSimulate:
         assert captured.err == "error: output not positive semidefinite: -1.00e-01\n"
 
 
+def _write_matrix(M, path):
+    """M as a matrix file, written without matrix_to_obj, which refuses a
+    non-finite entry; json writes NaN as the bare literal NaN."""
+    M = np.asarray(M, dtype=complex)
+    data = [[float(x.real), float(x.imag)] for x in M.reshape(-1)]
+    path.write_text(json.dumps({"rows": M.shape[0], "cols": M.shape[1], "data": data}))
+
+
+def _with_entry(M, index, value):
+    M = np.array(M, dtype=complex)
+    M[index] = value
+    return M
+
+
+# (bad input, its one error line) for symmetrization_spec(2, 2)
+BAD_INPUTS = {
+    # refused by fileio.matrix_from_obj before any route runs
+    "non-finite": (_with_entry(np.eye(4) / 4, (0, 0), np.nan),
+                   "matrix entries must be finite"),
+    "wrong-shape": (np.eye(3) / 3, "input shape (3, 3), expected (4, 4)"),
+    "trace-20": (20 * np.eye(4) / 4, "input trace 20+0j, expected 1"),
+    # within the input's STATE_TOL, outside the output's 1e-10
+    "trace-1+5e-9": (np.diag([0.4, 0.3, 0.2, 0.1 + 5e-9]),
+                     "output trace (1.000000005+0j), expected 1"),
+    "non-hermitian": (_with_entry(np.eye(4) / 4, (0, 1), 0.1), "input is not Hermitian"),
+    # eigenvalue -0.1 on the symmetric vector |00>, which symmetrization keeps
+    "negative-eigenvalue": (np.diag([-0.1, 0.5, 0.3, 0.3]),
+                            "output not positive semidefinite: -1.00e-01"),
+}
+
+ROUTES = {
+    "dense": ["simulate", "--spec", "{spec}", "--state", "{state}"],
+    "exact": ["simulate", "--spec", "{spec}", "--state", "{state}", "--stream",
+              "--mode", "exact"],
+    "sample": ["simulate", "--spec", "{spec}", "--state", "{state}", "--stream",
+               "--mode", "sample", "--trajectories", "50"],
+    "apps": ["apps", "symmetrize", "--state", "{state}", "-m", "2", "-d", "2"],
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_every_route_gives_one_error_for_a_bad_input(case, route, tmp_path, capsys):
+    # one state gate: every route that runs symmetrization_spec(2, 2) on a
+    # bad input exits 2 with the same single error line
+    M, message = BAD_INPUTS[case]
+    f_state, f_spec = tmp_path / "state.json", tmp_path / "spec.json"
+    _write_matrix(M, f_state)
+    fileio.save_json(fileio.spec_to_obj(symmetrization_spec(2, 2)), f_spec)
+    argv = [a.format(spec=f_spec, state=f_state) for a in ROUTES[route]]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 class TestSample:
     def test_box_frequencies(self, capsys):
         assert run(["sample", "--shape", "3,1", "--mode", "alg3",
@@ -227,6 +283,23 @@ class TestApps:
                     "-m", "1", "-d", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 'data' entry 0 is 1") and err.count("\n") == 1
+
+    def test_non_integer_spec_is_usage_error(self, tmp_path, state_file, capsys):
+        # m = 2.7, n = 2.2 and staircase entries +0.4 used to load, truncated,
+        # as symmetrization_spec(2, 2)
+        f_state, _ = state_file
+        obj = fileio.spec_to_obj(symmetrization_spec(2, 2))
+        obj["m"], obj["n"] = 2.7, 2.2
+        for a in obj["assignments"]:
+            a["lambda"][0] += 0.4
+            a["mu"][0] += 0.4
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(obj, f_spec)
+        argv = ["simulate", "--spec", str(f_spec), "--state", str(f_state), "--stream"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'lambda[0]' must be an integer, got 2.4\n"
 
     def test_malformed_spec_is_usage_error(self, tmp_path, state_file, capsys):
         f_state, _ = state_file

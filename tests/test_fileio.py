@@ -30,6 +30,16 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError, match="data"):
             fileio.matrix_from_obj({"rows": 2, "cols": 2, "data": data})
 
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    @pytest.mark.parametrize(
+        "value", [2.5, 2.0, True, "2"], ids=["float", "whole-float", "bool", "str"]
+    )
+    def test_rejects_non_integer_dimensions(self, key, value):
+        obj = {"rows": 2, "cols": 2, "data": [[0.25, 0.0]] * 4}
+        obj[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer, got {value!r}"):
+            fileio.matrix_from_obj(obj)
+
     def test_rejects_nonfinite(self):
         M = np.array([[np.inf]])
         with pytest.raises(ValueError):
@@ -65,6 +75,31 @@ class TestSpecRoundTrip:
         obj["assignments"][0]["psi"] = [1.0]
         with pytest.raises(ValueError, match="psi.*entry 0"):
             fileio.spec_from_obj(obj)
+
+    @pytest.mark.parametrize("key", ["m", "n", "d"])
+    @pytest.mark.parametrize(
+        "value", [2.7, 2.0, True, "2"], ids=["float", "whole-float", "bool", "str"]
+    )
+    def test_rejects_non_integer_size(self, key, value):
+        obj = fileio.spec_to_obj(symmetrization_spec(2, 2))
+        obj[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer, got {value!r}"):
+            fileio.spec_from_obj(obj)
+
+    @pytest.mark.parametrize("key", ["lambda", "mu", "gamma"])
+    @pytest.mark.parametrize("value", [0.4, True, "0"], ids=["float", "bool", "str"])
+    def test_rejects_non_integer_staircase_entry(self, key, value):
+        obj = fileio.spec_to_obj(symmetrization_spec(2, 2))
+        entries = obj["assignments"][0][key]
+        entries[1] = value if isinstance(value, (bool, str)) else entries[1] + value
+        with pytest.raises(ValueError, match=rf"'{key}\[1\]' must be an integer"):
+            fileio.spec_from_obj(obj)
+
+    def test_choi_rejects_non_integer_size(self):
+        obj = fileio.choi_to_obj(extremal_choi(symmetrization_spec(1, 2)))
+        obj["n"] = 1.0
+        with pytest.raises(ValueError, match="'n' must be an integer, got 1.0"):
+            fileio.choi_from_obj(obj)
 
 
 class TestPathRoundTrip:

@@ -28,6 +28,23 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
+def test_no_object_new():
+    # an object built through object.__new__ skips the checks of its
+    # constructor; every library object is built by calling its class
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ]
+    assert not found, f"object.__new__ in the library: {found}"
+
+
 # The benchmark's tracer (perfbench/tracer.py, REQUIRED_ALIASES) requires
 # apps to bind these two phases, so that it can check they are wrapped;
 # apps itself does not call them.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import equichan
 
 from equichan.channels import (
+    STATE_TOL,
     ExtremalSpec,
     ExtremalTriple,
     enumerate_extremal_triples,
@@ -31,7 +32,6 @@ from equichan.staircases import (
 )
 from equichan.streaming import (
     CHUNK,
-    STATE_TOL,
     ResourceLedger,
     ScheduleStep,
     WEIGHTLESS_NORM,
