@@ -71,24 +71,35 @@ def check_input(rho: np.ndarray, dim: int) -> None:
         raise ValueError("input is not Hermitian")
 
 
-def check_finite_unit_trace(X: np.ndarray) -> None:
-    """ValueError unless the output X has finite entries and trace 1 within 1e-10."""
+def _check_finite(X: np.ndarray) -> None:
     if not np.isfinite(X).all():
         raise ValueError("output has non-finite entries")
+
+
+def _check_unit_trace(X: np.ndarray) -> None:
     tr = np.trace(X)
     if abs(tr - 1.0) >= 1e-10:
         raise ValueError(f"output trace {tr}, expected 1")
 
 
+def check_finite_unit_trace(X: np.ndarray) -> None:
+    """ValueError unless the output X has finite entries and trace 1 within 1e-10."""
+    _check_finite(X)
+    _check_unit_trace(X)
+
+
 def check_state(X: np.ndarray) -> None:
     """ValueError unless the output X is a state, tested densely.
 
-    After ``check_finite_unit_trace``, the Hermitian part H of X must have
-    its smallest eigenvalue above -PSD_TOL: exactly when the Cholesky
-    factorization of H + PSD_TOL * 1, built in one C-ordered buffer, exists.
-    The eigenvalues of H are computed only when it fails, for the message.
+    The tests run in the order a streamed run meets them, so every route
+    reports the same failure: finite entries first, as every comparison
+    with a NaN is False; then positivity, where the Hermitian part H of X
+    must have its smallest eigenvalue above -PSD_TOL: exactly when the
+    Cholesky factorization of H + PSD_TOL * 1, built in one C-ordered
+    buffer, exists (the eigenvalues of H are computed only when it fails,
+    for the message); the unit trace last.
     """
-    check_finite_unit_trace(X)
+    _check_finite(X)
     shifted = np.empty_like(X, dtype=np.result_type(X, np.float64), order="C")
     np.conjugate(X.T, out=shifted)
     shifted += X
@@ -100,6 +111,7 @@ def check_state(X: np.ndarray) -> None:
         lowest = np.linalg.eigvalsh((X + X.conj().T) / 2).min()
         if lowest <= -PSD_TOL:
             raise ValueError(f"output not positive semidefinite: {lowest:.2e}") from None
+    _check_unit_trace(X)
 
 
 # ---------------------------------------------------------------------------

@@ -206,21 +206,29 @@ def _shrink(rows: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 class _WalkTable(NamedTuple):
-    """The squashed walk on one diagram, as immutable tuples.
+    """The squashed walk on one diagram, in the form ``_walk`` reads.
 
-    ``cells`` lists the squashed cells (k, l); ``start`` holds the
-    cumulative start weights v(k)w(l) over them; ``moves[c]`` holds the
-    indices of the cells cell c can move to (right, then down) with their
-    cumulative weights, and is empty on the anti-diagonal; ``corner[c]``
-    is the 0-based original row the walk removes a box from when it stops
-    on cell c, and ``after[c]`` the row lengths that removal leaves.
+    The table is itself the start move: ``cells`` are the squashed cells
+    (k, l) in row-major order, ``start`` the cumulative start weights
+    v(k)w(l) over them and ``total`` their sum, the number of boxes.  Each
+    cell is either a move ``(targets, cum, total)``: the cells it can move
+    to (right, then down), their cumulative weights and the sum of those;
+    or, on the anti-diagonal, a stop ``(corner, after)``: the 0-based
+    original row the walk removes a box from and the row lengths that
+    removal leaves.  ``corner`` and ``after`` read the stops back out.
     """
 
-    cells: tuple[tuple[int, int], ...]
+    cells: tuple[tuple, ...]
     start: tuple[int, ...]
-    moves: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    corner: tuple[int, ...]
-    after: tuple[tuple[int, ...], ...]
+    total: int
+
+    @property
+    def corner(self) -> tuple[int, ...]:
+        return tuple(cell[0] for cell in self.cells if len(cell) == 2)
+
+    @property
+    def after(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(cell[1] for cell in self.cells if len(cell) == 2)
 
 
 @functools.cache
@@ -231,28 +239,31 @@ def _walk_table(rows: tuple[int, ...]) -> _WalkTable:
     of original boxes.  The start cell is drawn with probability
     proportional to v(k)w(l); subsequent moves go right with weight w(l')
     or down with weight v(k'), and the walk stops on the anti-diagonal.
-    Each stopping cell carries the row tuple its corner removal leaves, so
-    a walk looks up the next table by that key and only the tables of the
+    Cells are built from the anti-diagonal up, so each move holds its
+    target cells themselves and a decision is one bisection and one index.
+    Each stop carries the row tuple its corner removal leaves, so a walk
+    looks up the next table by that key and only the tables of the
     diagrams it visits are built.  Memoised per row tuple, so each table
     is one immutable object.
     """
     nu, v, w, corner_rows = _squash(list(rows))
     K = len(nu)
-    cells = tuple((k, l) for k in range(K) for l in range(K - k))
-    index = {cell: c for c, cell in enumerate(cells)}
-    moves = []
-    for k, l in cells:
-        right = [(k, ll) for ll in range(l + 1, K - k)]
-        below = [(kk, l) for kk in range(k + 1, K - l)]
-        weights = [w[ll] for _, ll in right] + [v[kk] for kk, _ in below]
-        targets = tuple(index[cell] for cell in right + below)
-        moves.append((targets, tuple(accumulate(weights))))
+    cell: dict[tuple[int, int], tuple] = {}
+    for k in range(K - 1, -1, -1):
+        for l in range(K - k - 1, -1, -1):
+            right = [(k, ll) for ll in range(l + 1, K - k)]
+            below = [(kk, l) for kk in range(k + 1, K - l)]
+            if not right and not below:
+                cell[k, l] = (corner_rows[k], _shrink(rows, corner_rows[k]))
+                continue
+            weights = [w[ll] for _, ll in right] + [v[kk] for kk, _ in below]
+            targets = tuple(cell[c] for c in right + below)
+            cell[k, l] = (targets, tuple(accumulate(weights)), sum(weights))
+    order = [(k, l) for k in range(K) for l in range(K - k)]
     return _WalkTable(
-        cells=cells,
-        start=tuple(accumulate(v[k] * w[l] for k, l in cells)),
-        moves=tuple(moves),
-        corner=tuple(corner_rows[k] for k, _ in cells),
-        after=tuple(_shrink(rows, corner_rows[k]) for k, _ in cells),
+        cells=tuple(cell[c] for c in order),
+        start=tuple(accumulate(v[k] * w[l] for k, l in order)),
+        total=sum(rows),
     )
 
 
@@ -264,24 +275,24 @@ def _walk(
     ``rows`` holds the positive row lengths of a partition.  Makes
     ``limit`` removals, or all of them down to the empty shape when
     ``limit`` is None, taking one uniform number per decision from the
-    iterator ``draws``.  Every pick is the strict inverse-CDF comparison of
-    the box walk, by bisection on the cumulative weights of the memoised
-    ``_walk_table`` of the current diagram.  Returns the removed rows in
-    path order (the last removal first) and the number of draws used.
+    iterator ``draws``.  Each decision is the strict inverse-CDF comparison
+    of the box walk: one draw u, one ``bisect_right`` of u * total on the
+    cumulative weights of the current move of the memoised
+    ``_walk_table``, and one index into its targets.  Totals are integers
+    below 2**53, so u < 1 gives u * total < total and the bisection never
+    runs past the last target.  Returns the removed rows in path order
+    (the last removal first) and the number of draws used.
     """
     removed: list[int] = []
     used = 0
     while rows and len(removed) != limit:
-        _, cum, moves, corner, after = _walk_table(rows)
-        c = min(bisect_right(cum, next(draws) * cum[-1]), len(cum) - 1)
-        used += 1
-        targets, cum = moves[c]
-        while targets:
-            c = targets[min(bisect_right(cum, next(draws) * cum[-1]), len(cum) - 1)]
+        node = _walk_table(rows)
+        while len(node) == 3:
+            targets, cum, total = node
+            node = targets[bisect_right(cum, next(draws) * total)]
             used += 1
-            targets, cum = moves[c]
-        removed.append(corner[c])
-        rows = after[c]
+        row, rows = node
+        removed.append(row)
     removed.reverse()
     return tuple(removed), used
 
@@ -411,11 +422,12 @@ def sample_gt_rows(
 
     Repeatedly removes a hook-walk-sampled box from the partition lam down
     to the empty shape and returns the rows in the order the path adds
-    them (``GtPath.row_sequence``).  alg3 walks the whole path in one loop
-    over the squashed-walk tables of ``_walk_table`` (memoised per row
-    tuple, each naming the row tuple its removals leave), drawing one
-    ``rng.random()`` per decision, so the draws and their number are those
-    of one walk per removal.
+    them (``GtPath.row_sequence``).  alg3 walks the whole path in one
+    ``_walk`` over the walk-ready tables of ``_walk_table`` (memoised per
+    row tuple; each decision is one bisection and one index, and each stop
+    names the row tuple its removal leaves), drawing one ``rng.random()``
+    per decision, so the draws and their number are those of one walk per
+    removal.
     """
     if not lam.is_partition:
         raise ValueError("need a partition")

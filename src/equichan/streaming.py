@@ -45,6 +45,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -250,7 +251,8 @@ def streamed_apply(
     exactly; mode="sample" draws GT paths with the hook-walk sampler and
     averages the given number of trajectories.  Returns (output, ledger),
     plus the recorded schedule when requested.  The output is a state or
-    ValueError: ``rho`` must pass ``channels.check_input`` (positivity is
+    ValueError: in sample mode ``trajectories`` must be an int >= 1 that is
+    not a bool, ``rho`` must pass ``channels.check_input`` (positivity is
     not checked), the emission phase certifies the output's positivity on
     its irrep sectors, with the threshold and message of
     ``channels.check_state``, and ``check_finite_unit_trace`` tests it last.
@@ -258,8 +260,14 @@ def streamed_apply(
     m, n, d = spec.m, spec.n, spec.d
     if mode not in ("exact", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sample" and trajectories < 1:
-        raise ValueError(f"need at least one trajectory, got {trajectories}")
+    if mode == "sample" and (
+        isinstance(trajectories, bool)
+        or not isinstance(trajectories, Integral)
+        or trajectories < 1
+    ):
+        raise ValueError(
+            f"trajectories must be an integer trajectory count >= 1, got {trajectories!r}"
+        )
     ledger = ResourceLedger()
     schedule: list[ScheduleStep] = []
 
@@ -501,7 +509,8 @@ def _draw_paths(
     """Hook-walk paths per label: drawn path indices and their frequencies.
 
     Each trajectory draws one path per label of tau, in tau's order, with
-    one ``gtpaths._walk`` from the label's row lengths.  The uniforms
+    one ``gtpaths._walk`` from the label's row lengths, over the memoised
+    walk-ready tables: one bisection and one index per draw.  The uniforms
     come from one ``np.random.default_rng(seed)`` in blocks of CHUNK,
     chained into one stream, so the paths and draws are those of
     ``sample_gt_rows`` on a generator of the same seed; the ledger records

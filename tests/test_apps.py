@@ -59,6 +59,11 @@ class TestSymmetrize:
         res = symmetrize(rho, 3, 2)
         assert np.linalg.norm(res.output - rho) < 1e-10
 
+    @pytest.mark.parametrize("trajectories", [2.5, True])
+    def test_sample_mode_rejects_bad_trajectories(self, trajectories, rng):
+        with pytest.raises(ValueError, match="trajectories must be an integer"):
+            symmetrize(random_state(8, rng), 3, 2, mode="sample", trajectories=trajectories)
+
     def test_ledger_counts(self, rng):
         res = symmetrize(random_state(16, rng), 4, 2)
         assert res.ledger.num_simple_cg == 3

@@ -118,6 +118,9 @@ BAD_INPUTS = {
     # eigenvalue -0.1 on the symmetric vector |00>, which symmetrization keeps
     "negative-eigenvalue": (np.diag([-0.1, 0.5, 0.3, 0.3]),
                             "output not positive semidefinite: -1.00e-01"),
+    # both at once: every route tests positivity before the output trace
+    "negative-and-trace-1+5e-9": (np.diag([-0.1, 0.5, 0.3, 0.3 + 5e-9]),
+                                  "output not positive semidefinite: -1.00e-01"),
 }
 
 ROUTES = {

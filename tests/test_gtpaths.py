@@ -243,6 +243,30 @@ class TestSampleRemoveBox:
                     assert got == lam.bump(row, -1), (lam, shift)
                     assert len(rng.values) == len(ref.values), (lam, shift)
 
+    def test_top_edge_draws_match_reference_walk(self):
+        # u = nextafter(1, 0) puts u * total just below the last cumulative
+        # weight, so the pick must take the last option without a clamp;
+        # after u = 0 starts on cell (0, 0), it is also the last option of a
+        # move.  One removal and whole paths, on every partition of size
+        # 1..8 with at most 5 rows, remove the reference walk's rows with
+        # the same number of draws.
+        top = float(np.nextafter(1.0, 0.0))
+        patterns = [(top,), (0.0, top), (top, 0.0), (0.0, 0.0, top)]
+        for m in range(1, 9):
+            for lam in partitions_of(m, min(m, 5)):
+                rows = [e for e in lam.entries if e > 0]
+                for pattern in patterns:
+                    values = list(pattern) * (8 * m)
+                    rng, ref = FakeRng(values), FakeRng(values)
+                    got = sample_remove_box(lam, rng)
+                    row = squashed_walk_row(rows, iter(ref.random, None))
+                    assert got == lam.bump(row, -1), (lam, pattern)
+                    assert len(rng.values) == len(ref.values), (lam, pattern)
+                    rng, ref = FakeRng(values), FakeRng(values)
+                    got = sample_gt_rows(lam, rng)
+                    assert got == _reference_removals(rows, iter(ref.random, None))
+                    assert len(rng.values) == len(ref.values), (lam, pattern)
+
     def test_whole_path_walk_matches_reference_removals(self):
         # sample_gt_rows walks a whole path in one loop over the memoised
         # tables; it must remove the rows that repeated reference walks
@@ -287,15 +311,29 @@ class TestSampleRemoveBox:
             assert (rng.count, got) == _reference_rows(rows, 5), rows
 
     def test_walk_tables_are_memoised_tuples(self):
+        # a table is the start move (cells, cumulative weights, total); each
+        # cell is a move (target cells, cumulative weights, total) or a stop
+        # (corner row, row lengths left), all immutable tuples
         from equichan.gtpaths import _walk_table
 
         table = _walk_table((5, 3, 3, 2))
         assert _walk_table((5, 3, 3, 2)) is table
         assert table.start == (2, 3, 5, 9, 11, 13)  # cumulative v*w of the worked walk
-        for part in (table.cells, table.start, table.moves, table.corner, table.after):
-            assert isinstance(part, tuple)
-        for targets, cum in table.moves:
+        assert table.total == 13
+        assert table.cells[0][1] == (1, 3, 5, 6)  # cumulative (w2, w3, v2, v3)
+        moves, stops = [table], set()
+        while moves:
+            targets, cum, total = moves.pop()
             assert isinstance(targets, tuple) and isinstance(cum, tuple)
+            assert len(cum) == len(targets) and cum[-1] == total
+            for cell in targets:
+                assert isinstance(cell, tuple)
+                if len(cell) == 3:
+                    moves.append(cell)
+                else:
+                    assert isinstance(cell[1], tuple)
+                    stops.add(cell)
+        assert stops == {(0, (4, 3, 3, 2)), (2, (5, 3, 2, 2)), (3, (5, 3, 3, 1))}
 
     def test_alg1_empirical(self, rng):
         lam = staircase(2, 1)
@@ -315,7 +353,12 @@ def _left(rows, i):
 def _reference_rows(rows, seed):
     """Draw count and row sequence of repeated squashed_walk_row removals."""
     ref = CountingRng(np.random.default_rng(seed))
-    draws = iter(ref.random, None)
+    removed = _reference_removals(rows, iter(ref.random, None))
+    return ref.count, removed
+
+
+def _reference_removals(rows, draws):
+    """Row sequence of repeated squashed_walk_row removals on ``draws``."""
     rows = list(rows)
     removed = []
     while rows:
@@ -323,7 +366,7 @@ def _reference_rows(rows, seed):
         removed.append(i)
         rows[i] -= 1
         rows = [r for r in rows if r > 0]
-    return ref.count, tuple(reversed(removed))
+    return tuple(reversed(removed))
 
 
 class TestSampleGtPath:

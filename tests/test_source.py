@@ -45,6 +45,57 @@ def test_no_object_new():
     assert not found, f"object.__new__ in the library: {found}"
 
 
+# Calls that write into the container they are called on.
+MUTATING_METHODS = {"setdefault", "update", "append", "add", "extend", "insert"}
+
+
+def _module_names(tree):
+    """Names bound at the top level of a module: assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _local_names(func):
+    """Parameters and names a function binds, less those it declares global."""
+    a = func.args
+    params = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if x}
+    stored = {
+        n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+    declared = {name for n in ast.walk(func) if isinstance(n, ast.Global) for name in n.names}
+    return (params | stored) - declared
+
+
+def test_memos_are_functools_cache():
+    # functools.cache is the one cache mechanism: no function writes into a
+    # module-level container, by item assignment or deletion or by a
+    # mutating method call
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = _module_names(tree)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            shared = module - _local_names(func)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    target = node.value
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    target = node.func.value if node.func.attr in MUTATING_METHODS else None
+                else:
+                    continue
+                if isinstance(target, ast.Name) and target.id in shared:
+                    found.append(f"{path.name}:{node.lineno} {func.name} writes {target.id}")
+    assert not found, f"module-level containers written by functions: {found}"
+
+
 # The benchmark's tracer (perfbench/tracer.py, REQUIRED_ALIASES) requires
 # apps to bind these two phases, so that it can check they are wrapped;
 # apps itself does not call them.

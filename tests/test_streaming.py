@@ -353,12 +353,29 @@ class TestStreamedApply:
         assert np.linalg.norm(exact - sampled) < 1e-10
         assert ledger.classical_samples > 0
 
-    def test_bad_trajectories_rejected(self, rng):
+    def test_bad_trajectories_rejected(self, monkeypatch, rng):
+        # an int >= 1 that is not a bool, the integer rule of fileio, is
+        # checked at the entry: absorption never runs on a bad count
+        import equichan.streaming as streaming
+
         spec = symmetrization_spec(3, 2)
         rho = random_state(8, rng)
-        for trajectories in (0, -5):
+
+        def absorbed(*args, **kwargs):
+            raise AssertionError("absorption ran")
+
+        monkeypatch.setattr(streaming, "_absorb_phase", absorbed)
+        for trajectories in (0, -5, 2.5, 1e3, True, False, "5", None):
             with pytest.raises(ValueError, match="trajectory"):
                 streamed_apply(spec, rho, mode="sample", trajectories=trajectories)
+
+    def test_integer_trajectories_accepted(self, rng):
+        # numpy integers are integers, as for fileio
+        spec = symmetrization_spec(3, 2)
+        rho = random_state(8, rng)
+        a, _ = streamed_apply(spec, rho, mode="sample", seed=4, trajectories=7)
+        b, _ = streamed_apply(spec, rho, mode="sample", seed=4, trajectories=np.int64(7))
+        assert np.array_equal(a, b)
 
     def test_non_unit_trace_input_rejected(self):
         with pytest.raises(ValueError, match="trace"):
