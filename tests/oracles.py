@@ -7,6 +7,7 @@ box, semistandard tableaux and LR fillings by filtering raw assignments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import factorial
 
@@ -306,6 +307,62 @@ def emit_dense(sectors, out_dim: int) -> np.ndarray:
         middle = np.kron(np.diag(weights), tau)
         out += R.conj().T @ middle @ R
     return out
+
+
+def partitions(n: int, rows: int, largest: int | None = None):
+    """Partitions of n with at most ``rows`` parts, as descending tuples."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    if rows == 0:
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, rows - 1, first):
+            yield (first,) + rest
+
+
+@functools.cache
+def _transposition_spectrum(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the sum of the n(n-1)/2 transpositions acting on n qudits."""
+    X = np.zeros((d**n, d**n))
+    for i, j in itertools.combinations(range(n), 2):
+        perm = list(range(n))
+        perm[i], perm[j] = j, i
+        X += permutation_matrix(tuple(perm), d)
+    return np.linalg.eigh(X)
+
+
+def sampling_variance(exact: np.ndarray, n: int, d: int) -> float:
+    """E||X - exact||_F^2 for one sample-mode trajectory X on n output qudits.
+
+    The streamed output is E = sum_mu E_mu over the S_n-isotypic subspaces
+    mu of the n output sites, and E_mu is the uniform mixture of the p_mu
+    emissions R_a^T tau_mu R_a along the GT paths a into mu.  Distinct
+    paths have orthogonal rows, so each emission has squared norm
+    ||tau_mu||^2 = p_mu ||E_mu||^2.  One trajectory emits every label along
+    one independent uniform path, so its variance is
+
+        sum_mu (p_mu - 1) ||E_mu||_F^2,
+
+    and a T-trajectory average has 1/T of it.  E_mu = P_mu E P_mu with P_mu
+    the spectral projector of the transposition sum on its eigenvalue, the
+    content sum of mu; p_mu is the number of standard tableaux.  Raises
+    ValueError when E has weight on an eigenspace that two partitions share.
+    """
+    evals, evecs = _transposition_spectrum(n, d)
+    by_content: dict[int, list[tuple[int, ...]]] = {}
+    for lam in partitions(n, d):
+        c = sum(j - i for i, r in enumerate(lam) for j in range(r))
+        by_content.setdefault(c, []).append(lam)
+    total = 0.0
+    for c, lams in by_content.items():
+        V = evecs[:, np.abs(evals - c) < 1e-6]
+        weight = float(np.linalg.norm(V.T @ exact @ V)) ** 2
+        if len(lams) > 1 and weight > 1e-24:
+            raise ValueError(f"partitions {lams} share content sum {c} and carry weight")
+        total += (syt_count(lams[0]) - 1) * weight
+    return total
 
 
 def site_generator(d: int, i: int, j: int, dual: bool) -> np.ndarray:

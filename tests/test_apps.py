@@ -31,7 +31,13 @@ from equichan.streaming import streamed_apply
 from equichan.transforms import permutation_operator
 from equichan.verify import haar_unitary
 
-from oracles import random_state, symmetrize_brute, symmetric_projector, werner_cloner
+from oracles import (
+    random_state,
+    sampling_variance,
+    symmetrize_brute,
+    symmetric_projector,
+    werner_cloner,
+)
 
 
 def haar_vector(d, rng):
@@ -274,6 +280,30 @@ def test_ledger_and_schedule_pinned(case, monkeypatch, rng):
     assert len(calls) == 1
     assert res.ledger.as_dict() == ledger
     assert schedules == [schedule]
+
+
+@pytest.mark.parametrize("case", list(PINNED_RUNS), ids=lambda c: "-".join(map(str, c)))
+def test_sample_mode_equals_exact_mode(case, rng):
+    # every weighted output sector of the app specs has one GT path: clone
+    # emits into the symmetric subspace and purity into one qudit.  So the
+    # sampling variance is 0, and sample mode must give the exact output
+    app, *shape = case
+    if app == "clone":
+        m, n, d = shape
+        spec = cloning_spec(m, n, d)
+        psi = haar_vector(d, rng)
+        rho = np.outer(psi, psi.conj())
+        for _ in range(m - 1):
+            rho = np.kron(rho, np.outer(psi, psi.conj()))
+    else:
+        (m, d), n = shape, 1
+        spec = purity_spec(m, d)
+        rho = random_state(d**m, rng)
+    exact, _ = streamed_apply(spec, rho)
+    assert sampling_variance(exact, n, d) < 1e-20
+    for seed in range(2):
+        sampled, _ = streamed_apply(spec, rho, seed=seed, mode="sample", trajectories=40)
+        assert np.linalg.norm(sampled - exact) < 1e-12
 
 
 _PSI = np.array([1.0, 1.0j]) / np.sqrt(2)

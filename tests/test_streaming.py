@@ -45,7 +45,7 @@ from equichan.streaming import (
     streamed_apply,
     validate_schedule,
 )
-from equichan.suites import all_specs
+from equichan.suites import SWEEP_SHAPES, all_specs
 from equichan.transforms import BlockIsometry, iterated_cg, schur_transform, simple_cg
 
 from oracles import (
@@ -55,6 +55,7 @@ from oracles import (
     embed_trace_base,
     emit_dense,
     random_state,
+    sampling_variance,
     symmetrize_brute,
     symmetry_residuals_kron,
 )
@@ -447,6 +448,53 @@ class TestStreamedApply:
             errs.append(np.sqrt(np.mean(sq)))
         slope = np.polyfit(np.log(Ns), np.log(errs), 1)[0]
         assert abs(slope + 0.5) < 0.1, (slope, errs)
+
+
+# Sample mode against exact mode through the exact sampling variance of
+# oracles.sampling_variance.  By Chebyshev, a T-trajectory average is
+# k sqrt(variance / T) or more from the exact output with probability at
+# most 1/k^2 on any spec; a spec whose weighted sectors all have one GT
+# path has variance 0 and must give the exact output.
+CHEBYSHEV_K = 5
+VARIANCE_TRAJECTORIES = 40
+
+
+class TestSampleVariance:
+    @pytest.mark.parametrize(
+        "shape", SWEEP_SHAPES + CROSSCHECK_SHAPES, ids=lambda s: "-".join(map(str, s))
+    )
+    def test_every_extremal_spec_within_chebyshev_bound(self, shape, rng):
+        m, n, d = shape
+        T = VARIANCE_TRAJECTORIES
+        for idx, spec in enumerate(all_specs(m, n, d)):
+            rho = random_state(d**m, rng)
+            exact, _ = streamed_apply(spec, rho)
+            bound = CHEBYSHEV_K * np.sqrt(sampling_variance(exact, n, d) / T) + 1e-12
+            for seed in (idx, idx + 1000):
+                sampled, _ = streamed_apply(
+                    spec, rho, seed=seed, mode="sample", trajectories=T
+                )
+                assert np.linalg.norm(sampled - exact) <= bound, (idx, seed)
+
+    def test_mean_squared_ratio_near_one(self, rng):
+        # T ||sampled - exact||^2 / variance has mean 1 on every spec; on
+        # these specs each weighted label has at most two paths, so one
+        # seed's ratio has standard deviation up to sqrt(2), and the mean
+        # over 240 seeds is within 0.35 of 1 unless 3.8 sigma off.  Each
+        # spec takes its own seeds: equal seeds would repeat the draws
+        T, seeds = 20, 60
+        ratios = []
+        picks = [((3, 3, 2), 2), ((3, 3, 2), 23), ((2, 3, 3), 2), ((2, 3, 3), 46)]
+        for k, ((m, n, d), idx) in enumerate(picks):
+            spec = all_specs(m, n, d)[idx]
+            rho = random_state(d**m, rng)
+            exact, _ = streamed_apply(spec, rho)
+            variance = sampling_variance(exact, n, d)
+            assert variance > 1e-6
+            for seed in range(k * seeds, (k + 1) * seeds):
+                sampled, _ = streamed_apply(spec, rho, seed=seed, mode="sample", trajectories=T)
+                ratios.append(T * np.linalg.norm(sampled - exact) ** 2 / variance)
+        assert abs(np.mean(ratios) - 1) < 0.35, np.mean(ratios)
 
 
 ABSORB_SHAPES = [(m, 2) for m in range(2, 9)] + [(m, 3) for m in range(3, 7)] + [(4, 4)]
