@@ -297,6 +297,116 @@ def _walk(
     return tuple(removed), used
 
 
+class _FlatWalk(NamedTuple):
+    """Every ``_walk_table`` reachable from one diagram, as node arrays.
+
+    Node 0 is the start move of the diagram's own table.  A move node has
+    its cumulative weights in a row of ``cum`` padded with +inf, their sum
+    in ``total`` and the nodes it moves to in the same row of ``targets``;
+    its ``row`` is -1.  A stop node has the 0-based row its corner removal
+    takes in ``row`` and the start node of the table that removal leaves in
+    ``after``, or -1 once the diagram is empty.
+    """
+
+    cum: np.ndarray
+    total: np.ndarray
+    targets: np.ndarray
+    row: np.ndarray
+    after: np.ndarray
+
+
+@functools.cache
+def _flat_walk(rows: tuple[int, ...]) -> _FlatWalk:
+    """The memoised ``_walk_table``s of ``rows`` and every diagram below it, flattened.
+
+    Each table is a start move followed by its cells in order; the targets
+    of a move are the cell objects of the same table, which ``node`` maps
+    to their numbers.  Tables are numbered as the diagrams are first met,
+    breadth first from ``rows``.  Unlike a walk, this builds the table of
+    every diagram inside ``rows``, at most prod(r + 1) of them; sample mode
+    flattens only the labels of a Schur transform it has built.
+    """
+    start = {rows: 0}
+    size = 1 + len(_walk_table(rows).cells)
+    order = [rows]
+    moves = []  # (node, target nodes, cumulative weights, total)
+    stops = []  # (node, row, start node of the diagram left or -1)
+    for diagram in order:
+        table = _walk_table(diagram)
+        base = start[diagram]
+        node = {id(cell): base + 1 + i for i, cell in enumerate(table.cells)}
+        moves.append((base, [node[id(c)] for c in table.cells], table.start, table.total))
+        for cell in table.cells:
+            if len(cell) == 3:
+                moves.append((node[id(cell)], [node[id(c)] for c in cell[0]], *cell[1:]))
+                continue
+            corner, left = cell
+            if left and left not in start:
+                start[left] = size
+                size += 1 + len(_walk_table(left).cells)
+                order.append(left)
+            stops.append((node[id(cell)], corner, start.get(left, -1)))
+    width = max(len(c) for _, _, c, _ in moves)
+    cum = np.full((size, width), np.inf)
+    total = np.zeros(size)
+    targets = np.zeros((size, width), dtype=np.intp)
+    row = np.full(size, -1, dtype=np.intp)
+    after = np.full(size, -1, dtype=np.intp)
+    for at, to, c, t in moves:
+        cum[at, : len(c)] = c
+        total[at] = t
+        targets[at, : len(to)] = to
+    for at, r, nxt in stops:
+        row[at] = r
+        after[at] = nxt
+    return _FlatWalk(cum, total, targets, row, after)
+
+
+def _walk_many(rows: tuple[int, ...], uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-path squashed hook walks of many walkers at once, one per row of ``uniforms``.
+
+    Walker t takes its uniforms in order from ``uniforms[t]``, which needs
+    at most ``sum(rows) * len(rows)`` columns: a removal makes one start
+    decision and at most one move per distinct row length after it.  Every
+    walker still walking makes one decision per step, so all of them read
+    the same column: each gathers its node's cumulative weights, counts
+    those at or below u * total and gathers the target by that count.  The
+    count is ``bisect_right`` on the same float product, so walker t
+    removes the rows and uses the number of uniforms of
+    ``_walk(rows, iter(uniforms[t]))``.  Returns each walker's path as an
+    integer key, sum_j r_j len(rows)^j over the rows r_j the path adds in
+    order, and the number of uniforms each walker used.
+    """
+    walkers = len(uniforms)
+    keys = np.zeros(walkers, dtype=np.int64)
+    used = np.zeros(walkers, dtype=np.intp)
+    if not rows:
+        return keys, used
+    flat = _flat_walk(rows)
+    base = len(rows)
+    live = np.arange(walkers)
+    node = np.zeros(walkers, dtype=np.intp)
+    key = np.zeros(walkers, dtype=np.int64)
+    col = 0
+    while live.size:
+        u = uniforms[live, col]
+        col += 1
+        node = flat.targets[node, (flat.cum[node] <= (u * flat.total[node])[:, None]).sum(1)]
+        removed = flat.row[node]
+        stop = removed >= 0
+        # the walk removes the path's last row first, so the first row
+        # removed ends up the most significant digit of the key
+        key = np.where(stop, key * base + removed, key)
+        node = np.where(stop, flat.after[node], node)
+        done = node < 0
+        if done.any():
+            keys[live[done]] = key[done]
+            used[live[done]] = col
+            walking = ~done
+            live, node, key = live[walking], node[walking], key[walking]
+    return keys, used
+
+
 def _remove_rows(
     lam: Staircase, rng, mode: str, limit: int | None = None
 ) -> tuple[int, ...]:

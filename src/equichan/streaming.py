@@ -28,10 +28,12 @@ sites.  The emulator therefore reads every emission isometry from the
 cached ``schur_transform(n, 0, d)`` (so emission is subject to the dense
 cap) and applies the transform block by block over its torus-weight
 classes, as every row is a weight vector; the schedule and ledger still
-count the algorithm's n - 1 one-site inverse CG steps.  Emission also
-certifies the output on its irrep sectors (the sector floor) and the
-executor then tests its entries and trace, so it returns a state or
-raises ValueError.
+count the algorithm's n - 1 one-site inverse CG steps.  Sample mode
+draws the GT paths of up to CHUNK trajectories at once, by vectorized hook
+walks over flattened walk tables (``_draw_paths``), each trajectory on its
+own row of uniforms.  Emission also certifies the output on its irrep
+sectors (the sector floor) and the executor then tests its entries and
+trace, so it returns a state or raises ValueError.
 
 Costs that the streaming model leaves symbolic (gate synthesis accuracy and
 its log-power overhead) stay symbolic here: reports carry the factor
@@ -44,7 +46,7 @@ import dataclasses
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 from numbers import Integral
 from typing import NamedTuple
 
@@ -52,7 +54,7 @@ import numpy as np
 
 from equichan.channels import PSD_TOL, ExtremalSpec, irrep_channel
 from equichan.channels import check_finite_unit_trace, check_input
-from equichan.gtpaths import GtPath, _walk, enumerate_paths
+from equichan.gtpaths import GtPath, _walk_many, enumerate_paths
 from equichan.realize import canonical_realization
 from equichan.staircases import (
     Staircase,
@@ -74,9 +76,9 @@ WEIGHTLESS_NORM = 1e-15
 # irrep channel's embedding that it reconstructs.
 SUPERPOSITION_TOL = 1e-9
 
-# Sample mode takes its uniform draws from the generator in blocks of this
-# many; numpy's Generator returns the same doubles in blocks as one at a
-# time, and memory stays O(CHUNK) for any number of trajectories.
+# Sample mode walks at most this many trajectories at once, each batch with
+# one block of uniforms per label, so the walkers' memory stays O(CHUNK)
+# for any number of trajectories.
 CHUNK = 8192
 
 
@@ -434,10 +436,10 @@ def _emission_phase(
     R_a in the Schur transform S on n sites, so every emission operator is
     read from the cached ``schur_transform(n, 0, d)``.  Exact mode weights
     every path of a sector by w_a = 1/p_mu.  Sample mode draws one path per
-    label and trajectory with one whole-path hook walk over uniforms drawn
-    in blocks of CHUNK (``_draw_paths``; the draws of ``sample_gt_path``
-    on a generator of the same seed, draw for draw), counts the draws per
-    path and weights each drawn path by w_a = count/trajectories.  The
+    label and trajectory by whole-path hook walks of up to CHUNK
+    trajectories at once (``_draw_paths``; each trajectory's path is that of
+    ``sample_gt_path`` fed with its own row of uniforms), counts the draws
+    per path and weights each drawn path by w_a = count/trajectories.  The
     output is sum_a w_a R_a^dag tau_mu R_a = S^T T, with T holding
     w_a tau_mu R_a in the rows of path a: one batched matmul per sector
     fills T.  S is real and block diagonal by torus weight
@@ -508,32 +510,34 @@ def _draw_paths(
 ) -> dict[Staircase, tuple[list[int], np.ndarray]]:
     """Hook-walk paths per label: drawn path indices and their frequencies.
 
-    Each trajectory draws one path per label of tau, in tau's order, with
-    one ``gtpaths._walk`` from the label's row lengths, over the memoised
-    walk-ready tables: one bisection and one index per draw.  The uniforms
-    come from one ``np.random.default_rng(seed)`` in blocks of CHUNK,
-    chained into one stream, so the paths and draws are those of
-    ``sample_gt_rows`` on a generator of the same seed; the ledger records
-    the number of draws the walks used.
+    The trajectories are walked in batches of at most CHUNK walkers.  For
+    each batch and each label mu of tau, in tau's order, one block of
+    ``|mu| * len(mu)`` uniforms per walker is drawn from one
+    ``np.random.default_rng(seed)``, and ``gtpaths._walk_many`` walks the
+    whole path of every walker at once, walker t on row t of the block.
+    Each walker's path is that of ``sample_gt_rows`` fed with its row.  The
+    paths come back as integer keys in base len(mu), below d^n, tallied by
+    one ``np.bincount`` per batch; the ledger records the number of
+    uniforms the walks used.
     """
     gen = np.random.default_rng(seed)
-    draws = chain.from_iterable(iter(lambda: gen.random(CHUNK).tolist(), None))
-    tallies: dict[Staircase, Counter] = {mu: Counter() for mu in tau}
-    walks = [
-        (tuple(e for e in mu.entries if e > 0), tally) for mu, tally in tallies.items()
-    ]
+    labels = [(mu, tuple(e for e in mu.entries if e > 0)) for mu in tau]
+    tallies = {mu: np.zeros(len(rows) ** mu.size, dtype=np.int64) for mu, rows in labels}
     used = 0
-    for _ in range(trajectories):
-        for rows, tally in walks:
-            path, n = _walk(rows, draws)
-            tally[path] += 1
-            used += n
+    for done in range(0, trajectories, CHUNK):
+        walkers = min(CHUNK, trajectories - done)
+        for mu, rows in labels:
+            keys, n = _walk_many(rows, gen.random((walkers, mu.size * len(rows))))
+            tallies[mu] += np.bincount(keys, minlength=len(tallies[mu]))
+            used += int(n.sum())
     ledger.classical_samples = used
     drawn = {}
-    for mu, tally in tallies.items():
+    for mu, rows in labels:
         index = S.sector(mu).row_index
-        paths = [index[rows] for rows in tally]
-        drawn[mu] = (paths, np.fromiter(tally.values(), float) / trajectories)
+        keys = np.flatnonzero(tallies[mu])
+        digits = keys[:, None] // len(rows) ** np.arange(mu.size) % len(rows)
+        paths = [index[tuple(path)] for path in digits.tolist()]
+        drawn[mu] = (paths, tallies[mu][keys] / trajectories)
     return drawn
 
 

@@ -159,6 +159,19 @@ class CountingRng:
         return self._rng.random()
 
 
+class RowRng:
+    """Stand-in for a Generator whose random() returns the entries of one
+    row of uniforms in order, counting them."""
+
+    def __init__(self, row: np.ndarray):
+        self._draws = iter(row.tolist())
+        self.count = 0
+
+    def random(self):
+        self.count += 1
+        return next(self._draws)
+
+
 def squashed_walk_row(rows: list[int], draws) -> int:
     """Row the squashed hook walk removes a box from, by explicit loops.
 

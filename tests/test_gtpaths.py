@@ -451,6 +451,45 @@ class TestSampleGtPath:
         assert counting.count <= 4 * lam.size * lam.d
 
 
+class TestWalkMany:
+    def test_every_walker_walks_like_walk_on_its_row(self):
+        # each walker's path key and number of uniforms are those of the
+        # scalar _walk fed with that walker's row, on every partition of
+        # size 1..8 with at most 4 rows.  Rows of zeros, of nextafter(1, 0)
+        # and of dyadic quarters put u * total on the edges of the
+        # comparison, and _walk running out of a row would raise, so the
+        # width |lam| len(lam) suffices
+        from equichan.gtpaths import _walk, _walk_many
+
+        top = float(np.nextafter(1.0, 0.0))
+        rng = np.random.default_rng(7)
+        walkers = 0
+        for m in range(1, 9):
+            for lam in partitions_of(m, min(m, 4)):
+                rows = tuple(e for e in lam.entries if e > 0)
+                uniforms = rng.random((100, m * len(rows)))
+                uniforms[0], uniforms[1], uniforms[2, 1::2] = 0.0, top, top
+                uniforms[3:7] = (np.arange(uniforms.shape[1]) + np.arange(4)[:, None]) % 4 / 4
+                keys, used = _walk_many(rows, uniforms)
+                for t, row in enumerate(uniforms):
+                    path, n = _walk(rows, iter(row.tolist()))
+                    key = sum(r * len(rows) ** j for j, r in enumerate(path))
+                    assert (keys[t], used[t]) == (key, n), (rows, t)
+                    walkers += 1
+        assert walkers == 5200
+
+    def test_empty_diagram_takes_no_uniforms(self):
+        from equichan.gtpaths import _walk_many
+
+        keys, used = _walk_many((), np.empty((3, 0)))
+        assert keys.tolist() == [0, 0, 0] and used.tolist() == [0, 0, 0]
+
+    def test_flat_tables_are_memoised(self):
+        from equichan.gtpaths import _flat_walk
+
+        assert _flat_walk((5, 3, 3, 2)) is _flat_walk((5, 3, 3, 2))
+
+
 @st.composite
 def small_partitions(draw):
     m = draw(st.integers(min_value=1, max_value=7))

@@ -49,7 +49,7 @@ from equichan.suites import SWEEP_SHAPES, all_specs
 from equichan.transforms import BlockIsometry, iterated_cg, schur_transform, simple_cg
 
 from oracles import (
-    CountingRng,
+    RowRng,
     absorb_kron,
     choi_channel_defects,
     embed_trace_base,
@@ -75,6 +75,28 @@ def _multi_path_triples(shapes):
             if len(paths) > 1:
                 out[(lam, mu, gamma)] = (shape, c)
     return out
+
+
+def _redraw_paths(tau, seed, trajectories, chunk=CHUNK):
+    """The paths sample mode draws, redrawn by the public sample_gt_path.
+
+    Per batch of at most ``chunk`` trajectories and per label mu of tau, in
+    tau's order, one block of |mu| len(mu) uniforms per walker comes from
+    one generator of the seed, and each walker's row feeds sample_gt_path.
+    Returns each label's paths in trajectory order and the uniforms used.
+    """
+    gen = np.random.default_rng(seed)
+    drawn = {mu: [] for mu in tau}
+    samples = 0
+    for done in range(0, trajectories, chunk):
+        walkers = min(chunk, trajectories - done)
+        for mu in tau:
+            width = mu.size * sum(1 for e in mu.entries if e > 0)
+            for row in gen.random((walkers, width)):
+                redraw = RowRng(row)
+                drawn[mu].append(sample_gt_path(mu, redraw))
+                samples += redraw.count
+    return drawn, samples
 
 
 class TestPathEmbedding:
@@ -402,21 +424,19 @@ class TestStreamedApply:
             out, ledger = streamed_apply(
                 spec, rho, seed=seed, mode="sample", trajectories=trajectories
             )
-            redraw = CountingRng(np.random.default_rng(seed))
+            redrawn, samples = _redraw_paths(tau, seed, trajectories)
             expected = np.zeros_like(out)
-            drawn = []
-            for _ in range(trajectories):
-                for mu, blk in tau.items():
-                    path = sample_gt_path(mu, redraw)
+            for mu, blk in tau.items():
+                for path in redrawn[mu]:
                     idx = S.sector(mu).paths.index(path)
                     drawn_later_paths |= idx > 0
-                    drawn.append(path)
                     rows = S.path_rows(mu, idx)
                     expected += rows.conj().T @ blk @ rows / trajectories
+            drawn = [p for paths in redrawn.values() for p in paths]
             drawn_twice |= any(
                 drawn.count(p) > 1 for p in drawn if dim_perm_irrep(p.end) > 1
             )
-            assert ledger.classical_samples == redraw.count
+            assert ledger.classical_samples == samples
             assert np.linalg.norm(out - expected) < 1e-12, seed
         assert drawn_later_paths
         assert drawn_twice == (trajectories > 1)
@@ -555,9 +575,9 @@ def _symmetrization_tau(n, d, rng):
     return _middle_phase(symmetrization_spec(n, d), sigma, ledger, [])
 
 
-def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0):
+def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0, chunk=CHUNK):
     """_emission_phase against emit_dense, with the drawn paths redrawn
-    independently by sample_gt_path on the same seed."""
+    independently by sample_gt_path from the same per-batch blocks."""
     S = schur_transform(n, 0, d)
     ledger = ResourceLedger()
     schedule = []
@@ -572,16 +592,12 @@ def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0):
             rows = S.sector_rows(mu).reshape(sec.p_dim, sec.q_dim, -1)
             sectors.append((blk, rows, np.full(sec.p_dim, 1 / sec.p_dim)))
     else:
-        redraw = CountingRng(np.random.default_rng(seed))
-        counts = {mu: Counter() for mu in tau}
-        for _ in range(trajectories):
-            for mu in tau:
-                counts[mu][sample_gt_path(mu, redraw)] += 1
-        samples = redraw.count
+        redrawn, samples = _redraw_paths(tau, seed, trajectories, chunk)
         for mu, blk in tau.items():
+            counts = Counter(redrawn[mu])
             paths = S.sector(mu).paths
-            rows = np.stack([S.path_rows(mu, paths.index(p)) for p in counts[mu]])
-            weights = np.array(list(counts[mu].values())) / trajectories
+            rows = np.stack([S.path_rows(mu, paths.index(p)) for p in counts])
+            weights = np.array(list(counts.values())) / trajectories
             sectors.append((blk, rows, weights))
     expected = emit_dense(sectors, d**n)
     assert np.abs(out - expected).max() < 1e-12
@@ -620,15 +636,19 @@ class TestEmissionPhase:
         assert np.linalg.norm(out @ S.sector_rows(staircase(3, 2)).T) < 1e-12
 
     @pytest.mark.parametrize("n,d", [(4, 2), (3, 3), (7, 2)])
-    def test_sample_draws_span_several_blocks(self, n, d, rng):
-        # sample mode takes its uniforms from the generator CHUNK at a time;
-        # a walk takes at least one draw per box, so these trajectories use
-        # three blocks or more, and the stream across the refills must be
-        # the one a sequential redraw on one generator sees
+    def test_sample_draws_span_several_blocks(self, n, d, rng, monkeypatch):
+        # sample mode walks the trajectories in batches of at most CHUNK,
+        # with one block of uniforms per batch and label; with a small
+        # CHUNK these trajectories make two full batches and a partial
+        # third, and each batch's blocks must be the ones a redraw on one
+        # generator sees
+        import equichan.streaming as streaming
+
+        chunk = 16
+        monkeypatch.setattr(streaming, "CHUNK", chunk)
         tau = _symmetrization_tau(n, d, rng)
-        trajectories = -(-3 * CHUNK // (n * len(tau)))
         _check_emission_against_dense(
-            tau, n, d, "sample", seed=10 * n + d, trajectories=trajectories
+            tau, n, d, "sample", seed=10 * n + d, trajectories=2 * chunk + 5, chunk=chunk
         )
 
     def test_clone_tau_matches_dense_reference(self, monkeypatch, rng):
@@ -687,6 +707,46 @@ def test_non_finite_input_rejected(flags):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Run by fresh interpreters under different hash seeds: sample and exact
+# outputs and ledgers of a few specs, hashed.  Sample mode orders its
+# labels by dict order and its paths by their keys, so neither may depend on
+# the interpreter's string and tuple hashing.
+SAME_SEED_RUNS = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "from equichan.suites import all_specs\n"
+    "from equichan.streaming import streamed_apply\n"
+    "digest = hashlib.sha256()\n"
+    "rng = np.random.default_rng(11)\n"
+    "for (m, n, d), picks in [((3, 3, 2), (2, 11, 23)), ((2, 3, 3), (3, 20, 46))]:\n"
+    "    specs = all_specs(m, n, d)\n"
+    "    for idx in picks:\n"
+    "        A = rng.normal(size=(d**m, d**m)) + 1j * rng.normal(size=(d**m, d**m))\n"
+    "        rho = A @ A.conj().T\n"
+    "        rho /= np.trace(rho)\n"
+    "        for mode in ('exact', 'sample'):\n"
+    "            out, ledger = streamed_apply(\n"
+    "                specs[idx], rho, seed=idx, mode=mode, trajectories=300\n"
+    "            )\n"
+    "            digest.update(out.tobytes())\n"
+    "            digest.update(repr(ledger.as_dict()).encode())\n"
+    "print(digest.hexdigest())\n"
+)
+
+
+def test_same_seed_same_result_across_processes():
+    src = Path(equichan.__file__).resolve().parents[1]
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", SAME_SEED_RUNS], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1, digests
 
 
 def _anti_hermitian(dim, defect, rng):
