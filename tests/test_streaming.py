@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import equichan
+import equichan.streaming as streaming
 
 from equichan.channels import (
     STATE_TOL,
@@ -31,7 +32,6 @@ from equichan.staircases import (
     staircase,
 )
 from equichan.streaming import (
-    CHUNK,
     ResourceLedger,
     ScheduleStep,
     WEIGHTLESS_NORM,
@@ -77,19 +77,20 @@ def _multi_path_triples(shapes):
     return out
 
 
-def _redraw_paths(tau, seed, trajectories, chunk=CHUNK):
+def _redraw_paths(tau, seed, trajectories):
     """The paths sample mode draws, redrawn by the public sample_gt_path.
 
-    Per batch of at most ``chunk`` trajectories and per label mu of tau, in
-    tau's order, one block of |mu| len(mu) uniforms per walker comes from
-    one generator of the seed, and each walker's row feeds sample_gt_path.
+    Per batch of at most streaming.CHUNK trajectories and per label mu of
+    tau, in tau's order, one block of |mu| len(mu) uniforms per walker comes
+    from one generator of the seed, and each walker's row feeds
+    sample_gt_path.
     Returns each label's paths in trajectory order and the uniforms used.
     """
     gen = np.random.default_rng(seed)
     drawn = {mu: [] for mu in tau}
     samples = 0
-    for done in range(0, trajectories, chunk):
-        walkers = min(chunk, trajectories - done)
+    for done in range(0, trajectories, streaming.CHUNK):
+        walkers = min(streaming.CHUNK, trajectories - done)
         for mu in tau:
             width = mu.size * sum(1 for e in mu.entries if e > 0)
             for row in gen.random((walkers, width)):
@@ -575,7 +576,7 @@ def _symmetrization_tau(n, d, rng):
     return _middle_phase(symmetrization_spec(n, d), sigma, ledger, [])
 
 
-def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0, chunk=CHUNK):
+def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0):
     """_emission_phase against emit_dense, with the drawn paths redrawn
     independently by sample_gt_path from the same per-batch blocks."""
     S = schur_transform(n, 0, d)
@@ -592,7 +593,7 @@ def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0, chunk
             rows = S.sector_rows(mu).reshape(sec.p_dim, sec.q_dim, -1)
             sectors.append((blk, rows, np.full(sec.p_dim, 1 / sec.p_dim)))
     else:
-        redrawn, samples = _redraw_paths(tau, seed, trajectories, chunk)
+        redrawn, samples = _redraw_paths(tau, seed, trajectories)
         for mu, blk in tau.items():
             counts = Counter(redrawn[mu])
             paths = S.sector(mu).paths
@@ -638,18 +639,13 @@ class TestEmissionPhase:
     @pytest.mark.parametrize("n,d", [(4, 2), (3, 3), (7, 2)])
     def test_sample_draws_span_several_blocks(self, n, d, rng, monkeypatch):
         # sample mode walks the trajectories in batches of at most CHUNK,
-        # with one block of uniforms per batch and label; with a small
-        # CHUNK these trajectories make two full batches and a partial
-        # third, and each batch's blocks must be the ones a redraw on one
+        # with one block of uniforms per batch and label; with CHUNK = 16
+        # these 37 trajectories make two full batches and a partial third,
+        # and each batch's blocks must be the ones a redraw on one
         # generator sees
-        import equichan.streaming as streaming
-
-        chunk = 16
-        monkeypatch.setattr(streaming, "CHUNK", chunk)
+        monkeypatch.setattr(streaming, "CHUNK", 16)
         tau = _symmetrization_tau(n, d, rng)
-        _check_emission_against_dense(
-            tau, n, d, "sample", seed=10 * n + d, trajectories=2 * chunk + 5, chunk=chunk
-        )
+        _check_emission_against_dense(tau, n, d, "sample", seed=10 * n + d, trajectories=37)
 
     def test_clone_tau_matches_dense_reference(self, monkeypatch, rng):
         import equichan.apps as apps
