@@ -48,13 +48,19 @@ TP_TOL = 1e-8
 # Tolerance on an input state's unit trace and Hermiticity.
 STATE_TOL = 1e-8
 
+# Rows of rho^dag - rho that check_input holds at once.
+HERMITICITY_BAND = 64
+
 
 # The state gate: every route tests its input and its output here.
 def check_input(rho: np.ndarray, dim: int) -> None:
     """ValueError unless rho is a finite dim x dim matrix whose trace and
     rho^dag - rho are within STATE_TOL of 1 and 0; positivity is not tested.
 
-    Finiteness comes first, as every comparison with a NaN is False.
+    Finiteness comes first, as every comparison with a NaN is False.  The
+    Frobenius norm of rho^dag - rho is summed over bands of
+    HERMITICITY_BAND rows in one reused band buffer, so the test never
+    holds a dim x dim copy of rho.
     """
     if not np.isfinite(rho).all():
         raise ValueError("input has non-finite entries")
@@ -63,11 +69,16 @@ def check_input(rho: np.ndarray, dim: int) -> None:
     trace = np.trace(rho)
     if abs(trace - 1.0) > STATE_TOL:
         raise ValueError(f"input trace {trace:.6g}, expected 1")
-    # rho^dag - rho in one C-ordered buffer
-    defect = np.empty_like(rho, order="C")
-    np.conjugate(rho.T, out=defect)
-    defect -= rho
-    if np.linalg.norm(defect) > STATE_TOL:
+    band = np.empty((min(HERMITICITY_BAND, dim), dim), dtype=rho.dtype)
+    squared = 0.0
+    for start in range(0, dim, HERMITICITY_BAND):
+        stop = min(start + HERMITICITY_BAND, dim)
+        # rows start:stop of rho^dag - rho
+        rows = band[: stop - start]
+        np.conjugate(rho[:, start:stop].T, out=rows)
+        rows -= rho[start:stop]
+        squared += np.vdot(rows, rows).real
+    if np.sqrt(squared) > STATE_TOL:
         raise ValueError("input is not Hermitian")
 
 

@@ -196,13 +196,17 @@ def _absorb_phase(
     Each step contracts the CG matrix C on the (q_nu * d) tensor legs of
     the block and never forms C (x) 1 on the unconsumed sites: one GEMM
     applies C to the row leg, then each output block's rows C_b apply
-    conj(C_b) to the column leg of that block's rows alone, so the
-    off-diagonal blocks, which the label measurement discards, are never
-    computed.
+    C_b to the column leg of that block's rows alone, so the off-diagonal
+    blocks, which the label measurement discards, are never computed.
+    ``simple_cg`` matrices are real, so conj(C_b) = C_b, and both
+    contractions are real products on the ``view(float)`` of the complex
+    block, its real and imaginary parts interleaved on the last axis; the
+    results are viewed back as complex.  Absorption never writes into a
+    block, so a complex C-ordered rho is absorbed as it is, not copied.
     """
     check_input(rho, d**m)
     box = box_label(d)
-    sigma: dict[Staircase, np.ndarray] = {box: rho.astype(complex)}
+    sigma: dict[Staircase, np.ndarray] = {box: np.ascontiguousarray(rho, dtype=complex)}
     schedule.append(ScheduleStep("absorb", ("Q", "in:1"), d))
     ledger.r = max(ledger.r, 1)
     for t in range(2, m + 1):
@@ -213,14 +217,16 @@ def _absorb_phase(
         for nu, blk in sigma.items():
             qd = dim_gl_irrep(nu) * d
             cg = simple_cg(nu, False)
-            # C on the row (q.d) leg: one GEMM over the rows of blk
-            left = (cg.matrix @ blk.reshape(qd, -1)).reshape(qd * rest, qd, rest)
+            # C on the row (q.d) leg: one real GEMM over the rows of blk
+            left = (cg.matrix @ blk.reshape(qd, -1).view(float)).view(complex)
+            left = left.reshape(qd * rest, qd, rest)
             for b in cg.blocks:
                 ledger.r = max(ledger.r, b.label.length)
                 rows = left[b.offset * rest : (b.offset + b.size) * rest]
-                # conj(C_b) on the column (q.d) leg of this block's rows only
+                # C_b on the column (q.d) leg of this block's rows only
                 c_b = cg.matrix[b.offset : b.offset + b.size]
-                piece = np.matmul(c_b.conj(), rows).reshape(b.size * rest, -1)
+                piece = np.matmul(c_b, rows.view(float)).view(complex)
+                piece = piece.reshape(b.size * rest, -1)
                 if b.label in nxt:
                     nxt[b.label] += piece
                 else:

@@ -148,9 +148,11 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     Blocks are separated by the split Casimir, whose eigenvalues for
     single-box moves are distinct integers, and each block is rotated onto
     the canonical realization of its label by the unique intertwiner.
-    Block order follows add_boxes/remove_boxes order.  Memoised per
-    (label, dual); both arguments are positional so every call shares one
-    cache entry.
+    Block order follows add_boxes/remove_boxes order.  The matrix is real
+    float64 and read-only: the canonical realizations are real, and the
+    build raises RuntimeError otherwise, so callers may apply it in real
+    arithmetic (streamed absorption does).  Memoised per (label, dual);
+    both arguments are positional so every call shares one cache entry.
     """
     nu = canonical_realization(label)
     d = nu.d
@@ -174,6 +176,8 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     iso = BlockIsometry(np.concatenate(rows, axis=0), blocks)
     if iso.target_dim != q * d:
         raise RuntimeError("CG blocks do not exhaust Q (x) C^d")
+    if iso.matrix.dtype != np.float64:
+        raise RuntimeError(f"simple CG of {label} is {iso.matrix.dtype}, not real")
     iso.validate()
     iso.matrix.flags.writeable = False
     return iso

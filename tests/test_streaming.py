@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -10,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import equichan
+import equichan.channels as channels
 import equichan.streaming as streaming
 
 from equichan.channels import (
     STATE_TOL,
     ExtremalSpec,
     ExtremalTriple,
+    check_input,
     enumerate_extremal_triples,
     extremal_choi,
     factored_channel,
@@ -24,6 +27,7 @@ from equichan.channels import (
     symmetrization_spec,
 )
 from equichan.gtpaths import GtPath, enumerate_paths, sample_gt_path
+from equichan.realize import lead_phase
 from equichan.staircases import (
     box_label,
     dim_gl_irrep,
@@ -543,28 +547,85 @@ class TestAbsorbPhase:
 
     @pytest.mark.parametrize("m,d", [(4, 2), (6, 2), (4, 3)])
     def test_complex_cg_matches_dense_kron_reference(self, m, d, rng, monkeypatch):
-        # The CG matrices of the canonical realizations are real, where
-        # conj(C_b) = C_b.  Rotating every block by a complex unitary keeps
+        # Rotating every block of a CG matrix by its own orthogonal W keeps
         # each a valid isometry onto its label, and the leg-wise contraction
-        # must then still match C (x) 1 applied on both sides.
+        # must then still match C (x) 1 applied on both sides.  The gauge is
+        # real: simple_cg is real by contract, and absorption applies it in
+        # real arithmetic on the complex block's real and imaginary parts.
         gauged = {}
 
-        def complex_cg(nu, dual):
+        def gauged_cg(nu, dual):
             if nu not in gauged:
                 cg = simple_cg(nu, dual)
-                M = cg.matrix.astype(complex)
+                M = cg.matrix.copy()
                 for b in cg.blocks:
-                    Z = rng.normal(size=(b.size, b.size)) + 1j * rng.normal(
-                        size=(b.size, b.size)
-                    )
-                    W = np.linalg.qr(Z)[0]
+                    W = np.linalg.qr(rng.normal(size=(b.size, b.size)))[0]
                     rows = slice(b.offset, b.offset + b.size)
                     M[rows] = W @ M[rows]
                 gauged[nu] = BlockIsometry(M, cg.blocks)
             return gauged[nu]
 
-        monkeypatch.setattr("equichan.streaming.simple_cg", complex_cg)
-        _check_absorb_against_kron(m, d, rng, lambda nu: complex_cg(nu, False))
+        monkeypatch.setattr("equichan.streaming.simple_cg", gauged_cg)
+        _check_absorb_against_kron(m, d, rng, lambda nu: gauged_cg(nu, False))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_simple_cg_is_real_and_read_only(self, d):
+        # absorption applies simple_cg in real arithmetic: every matrix of
+        # the labels absorbed over ABSORB_SHAPES, of their duals and of both
+        # site kinds, is float64 and read-only
+        m = max(m for m, dd in ABSORB_SHAPES if dd == d)
+        labels = [lam for t in range(m) for lam in partitions_of(t, d)]
+        labels += [lam.dual() for lam in labels]
+        for lam in labels:
+            for dual in (False, True):
+                matrix = simple_cg(lam, dual).matrix
+                assert matrix.dtype == np.float64, (lam, dual)
+                assert not matrix.flags.writeable, (lam, dual)
+
+    def test_simple_cg_rejects_a_complex_build(self, monkeypatch):
+        monkeypatch.setattr("equichan.transforms.lead_phase", lambda M: 1j * lead_phase(M))
+        simple_cg.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="not real"):
+                simple_cg(staircase(2, 1, 0), False)
+        finally:
+            simple_cg.cache_clear()
+
+
+def _dyadic_state(dim, rng):
+    """A full-rank state whose entries are multiples of 2**-20 with trace
+    exactly 1, so that float32 and float64 hold every entry exactly."""
+    rho = (random_state(dim, rng) + np.eye(dim) / dim) / 2
+    scale = 2.0**20
+    rho = (np.round(rho.real * scale) + 1j * np.round(rho.imag * scale)) / scale
+    rho[-1, -1] += 1 - np.trace(rho)
+    return rho
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 2, 3), (3, 2, 2), (2, 2, 3)])
+def test_streamed_apply_neither_copies_nor_changes_input(m, n, d, rng):
+    spec = all_specs(m, n, d)[-1]
+    rho = _dyadic_state(d**m, rng)
+    before = rho.copy()
+    out, _ = streamed_apply(spec, rho)
+    assert rho.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, rho)
+    strided = np.zeros((d**m, 2 * d**m), dtype=complex)
+    strided[:, ::2] = rho
+    variants = {
+        "F-ordered": np.asfortranarray(rho),
+        "transposed": rho.T,
+        "strided": strided[:, ::2],
+        "float64": np.ascontiguousarray(rho.real),
+        "complex64": rho.astype(np.complex64),
+    }
+    for name, variant in variants.items():
+        kept = variant.copy()
+        got, _ = streamed_apply(spec, variant)
+        want, _ = streamed_apply(spec, np.ascontiguousarray(variant, dtype=complex))
+        assert np.abs(got - want).max() < 1e-14, name
+        assert variant.tobytes() == kept.tobytes(), name
+        assert not np.shares_memory(got, variant), name
 
 
 EMIT_SHAPES = [(n, 2) for n in range(2, 9)] + [(n, 3) for n in range(3, 7)] + [(4, 4)]
@@ -705,13 +766,15 @@ def test_non_finite_input_rejected(flags):
     assert proc.returncode == 0, proc.stderr
 
 
-# Run by fresh interpreters under different hash seeds: sample and exact
-# outputs and ledgers of a few specs, hashed.  Sample mode orders its
+# Run by fresh interpreters under different hash seeds: the Choi matrices of
+# the direct and the factored construction, and the sample and exact
+# outputs and ledgers, of a few specs, hashed.  Sample mode orders its
 # labels by dict order and its paths by their keys, so neither may depend on
 # the interpreter's string and tuple hashing.
 SAME_SEED_RUNS = (
     "import hashlib\n"
     "import numpy as np\n"
+    "from equichan.channels import extremal_choi, factored_channel\n"
     "from equichan.suites import all_specs\n"
     "from equichan.streaming import streamed_apply\n"
     "digest = hashlib.sha256()\n"
@@ -722,6 +785,8 @@ SAME_SEED_RUNS = (
     "        A = rng.normal(size=(d**m, d**m)) + 1j * rng.normal(size=(d**m, d**m))\n"
     "        rho = A @ A.conj().T\n"
     "        rho /= np.trace(rho)\n"
+    "        digest.update(extremal_choi(specs[idx]).matrix.tobytes())\n"
+    "        digest.update(factored_channel(specs[idx]).matrix.tobytes())\n"
     "        for mode in ('exact', 'sample'):\n"
     "            out, ledger = streamed_apply(\n"
     "                specs[idx], rho, seed=idx, mode=mode, trajectories=300\n"
@@ -762,6 +827,46 @@ def test_hermiticity_check_boundary(m, d, rng):
     with pytest.raises(ValueError, match="not Hermitian"):
         _absorb_phase(rho + _anti_hermitian(d**m, 2e-8, rng), m, d, ResourceLedger(), [])
     _absorb_phase(rho + _anti_hermitian(d**m, 5e-9, rng), m, d, ResourceLedger(), [])
+
+
+@pytest.mark.parametrize(
+    "dim,entry",
+    [
+        (729, (710, 725)),  # both sides in the last band, of 729 - 11 * 64 = 25 rows
+        (729, (63, 64)),  # the two sides in adjacent bands
+        (729, (0, 728)),  # the two sides in the first and the last band
+        (27, (20, 25)),  # one band, shorter than HERMITICITY_BAND
+        (27, (0, 26)),
+    ],
+)
+def test_hermiticity_check_band_edges(dim, entry, rng):
+    # one off-diagonal defect e: rho - rho^dag holds e on the entry and
+    # -conj(e) on its mirror, so its norm is sqrt(2) |e|; a norm of 2e-8 is
+    # rejected and one of 5e-9 accepted
+    assert channels.HERMITICITY_BAND == 64
+    rho = random_state(dim, rng)
+    for defect, hermitian in ((2e-8, False), (5e-9, True)):
+        bad = rho.copy()
+        bad[entry] += defect / np.sqrt(2) * np.exp(0.3j)
+        if hermitian:
+            check_input(bad, dim)
+        else:
+            with pytest.raises(ValueError, match="input is not Hermitian"):
+                check_input(bad, dim)
+
+
+def test_input_check_holds_no_dense_copy(rng):
+    # the Hermiticity test sums rho^dag - rho over bands of rows; a dense
+    # D x D copy of the input would take rho.nbytes at once
+    dim = 729
+    rho = random_state(dim, rng)
+    tracemalloc.start()
+    try:
+        check_input(rho, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rho.nbytes / 4, peak
 
 
 PROPERTY_SHAPES = [(m, n, d) for m in (1, 2, 3) for n in (1, 2, 3) for d in (2, 3)]
