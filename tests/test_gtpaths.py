@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import CountingRng, squashed_walk_row
+from oracles import CountingRng, RowRng, box_walk_row, squashed_walk_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -267,6 +267,38 @@ class TestSampleRemoveBox:
                     assert got == _reference_removals(rows, iter(ref.random, None))
                     assert len(rng.values) == len(ref.values), (lam, pattern)
 
+    def test_alg1_matches_reference_box_walk_draw_for_draw(self):
+        # the box walk removes the rows the loop walk of tests/oracles.py
+        # removes with the same number of draws, for one removal and for
+        # whole paths, on every partition of size 1..10 with at most 5 rows:
+        # 40 seeds each, dyadic draws that land exactly on a cumulative
+        # weight, and u = nextafter(1, 0), which must take the last option.
+        # A removal from m boxes makes at most m decisions, so a path of
+        # at most 10 boxes takes at most 55 uniforms.
+        top = float(np.nextafter(1.0, 0.0))
+        patterns = [(0.0, 0.25, 0.5, 0.75), (0.5, 0.75, 0.0, 0.25), (top,), (0.0, top)]
+        streams = [np.random.default_rng(seed).random(55) for seed in range(40)]
+        streams += [np.resize(pattern, 55) for pattern in patterns]
+        walks = 0
+        for m in range(1, 11):
+            for lam in partitions_of(m, min(m, 5)):
+                rows = [e for e in lam.entries if e > 0]
+                for uniforms in streams:
+                    # a whole path's first removal takes the draws of one removal
+                    ref = RowRng(uniforms)
+                    draws = iter(ref.random, None)
+                    row = box_walk_row(rows, draws)
+                    first = (lam.bump(row, -1), ref.count)
+                    rest = _reference_removals(_left(tuple(rows), row), draws, box_walk_row)
+                    rng = RowRng(uniforms)
+                    got = sample_remove_box(lam, rng, mode="alg1")  # type: ignore[arg-type]
+                    assert (got, rng.count) == first, lam
+                    rng = RowRng(uniforms)
+                    got = sample_gt_rows(lam, rng, mode="alg1")  # type: ignore[arg-type]
+                    assert (got, rng.count) == (rest + (row,), ref.count), lam
+                    walks += 1
+        assert walks == 4928
+
     def test_whole_path_walk_matches_reference_removals(self):
         # sample_gt_rows walks a whole path in one loop over the memoised
         # tables; it must remove the rows that repeated reference walks
@@ -357,12 +389,12 @@ def _reference_rows(rows, seed):
     return ref.count, removed
 
 
-def _reference_removals(rows, draws):
-    """Row sequence of repeated squashed_walk_row removals on ``draws``."""
+def _reference_removals(rows, draws, walk=squashed_walk_row):
+    """Row sequence of repeated removals by ``walk`` on ``draws``."""
     rows = list(rows)
     removed = []
     while rows:
-        i = squashed_walk_row(rows, draws)
+        i = walk(rows, draws)
         removed.append(i)
         rows[i] -= 1
         rows = [r for r in rows if r > 0]
