@@ -16,6 +16,7 @@ from math import factorial
 import numpy as np
 
 from equichan.channels import (
+    _tensor_power,
     check_input,
     cloning_spec,
     purity_spec,
@@ -95,10 +96,7 @@ def clone(
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         psi = _unit_vector(state, d, "state")
-        rho = np.array([1.0 + 0j])
-        for _ in range(m):
-            rho = np.kron(rho, np.outer(psi, psi.conj()))
-        rho = rho.reshape(d**m, d**m)
+        rho = _tensor_power(np.outer(psi, psi.conj()), m)
     else:
         rho = state
         check_input(rho, d**m)
@@ -109,9 +107,7 @@ def clone(
     out, ledger = streamed_apply(spec, rho)
     fidelity = None
     if psi is not None:
-        target = np.array([1.0 + 0j])
-        for _ in range(n):
-            target = np.kron(target, psi)
+        target = _tensor_power(psi[:, None], n)[:, 0]
         fidelity = float(np.real(target.conj() @ out @ target))
     return AppResult(out, ledger, fidelity)
 
@@ -183,7 +179,4 @@ def depolarized_copies(psi: np.ndarray, alpha: float, m: int, d: int) -> np.ndar
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     psi = psi / np.linalg.norm(psi)
     single = (1 - alpha) * np.outer(psi, psi.conj()) + (alpha / d) * np.eye(d)
-    rho = np.array([1.0 + 0j])
-    for _ in range(m):
-        rho = np.kron(rho, single)
-    return rho.reshape(d**m, d**m)
+    return _tensor_power(single, m)

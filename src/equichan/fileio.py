@@ -76,6 +76,9 @@ def matrix_to_obj(M: np.ndarray) -> dict:
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
     rows, cols = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols")
+    for key, size in (("rows", rows), ("cols", cols)):
+        if size < 0:
+            raise ValueError(f"{key!r} must be non-negative, got {size}")
     data = _complex_entries(obj["data"], "data")
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
@@ -119,6 +122,8 @@ def spec_from_obj(obj: dict) -> ExtremalSpec:
         lam, mu, gamma = (
             Staircase(_integers(a[key], key)) for key in ("lambda", "mu", "gamma")
         )
+        if lam in assignments:
+            raise ValueError(f"'lambda' {lam} is assigned twice")
         assignments[lam] = ExtremalTriple(mu, gamma, _complex_entries(a["psi"], "psi"))
     m, n, d = (_integer(obj[key], key) for key in "mnd")
     return ExtremalSpec(m, n, d, assignments)

@@ -17,6 +17,13 @@ r distinct row lengths.  Note: the while-loop condition of the box-walk is
 interpreted as moves within the same row or the same column only; the
 squashed variant and the worked removal example pin this down.
 
+Each walk's moves are written once.  ``_box_moves`` is the box walk's move
+rule, read both by the sampler, which takes index ``int(u * n)`` among n
+equally likely boxes, and by the exact recursion ``_dp_boxes``.  The
+memoised ``_walk_table``s are the squashed walk: the samplers walk them, and
+``next_step_distribution(lam, "alg3")`` reads its exact distribution off the
+same table, so the exact identity certifies the tables that are walked.
+
 All probabilities are exact rationals; floating point enters only at the
 final inverse-CDF draw.
 """
@@ -148,33 +155,25 @@ def exact_removal_distribution(lam: Staircase) -> RemovalDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _pick(weights: list[int], u: float) -> int:
-    """Inverse-CDF pick of an index from integer weights, one uniform draw."""
-    target = u * sum(weights)
-    acc = 0
-    for idx, w in enumerate(weights):
-        acc += w
-        if target < acc:
-            return idx
-    return len(weights) - 1
+def _box_moves(rows: list[int], i: int, j: int) -> list[tuple[int, int]]:
+    """Boxes the box walk can jump to from box (i, j): right along its row, then down its column."""
+    right = [(i, jj) for jj in range(j + 1, rows[i])]
+    below = [(ii, j) for ii in range(i + 1, len(rows)) if rows[ii] > j]
+    return right + below
 
 
 def _walk_boxes(rows: list[int], draws) -> int:
     """Box walk on the Young diagram with given row lengths.
 
-    ``draws`` yields uniform [0,1) numbers, one per decision.  Returns the
-    0-based row index of the removable corner the walk ends on.
+    ``draws`` yields uniform [0,1) numbers, one per decision, and each
+    decision among n equally likely boxes takes index ``int(u * n)``.
+    Returns the 0-based row index of the removable corner the walk ends on.
     """
-    m = sum(rows)
     boxes = [(i, j) for i, r in enumerate(rows) for j in range(r)]
-    i, j = boxes[_pick([1] * m, next(draws))]
-    while True:
-        right = [(i, jj) for jj in range(j + 1, rows[i])]
-        below = [(ii, j) for ii in range(i + 1, len(rows)) if rows[ii] > j]
-        options = right + below
-        if not options:
-            return i
-        i, j = options[_pick([1] * len(options), next(draws))]
+    i, j = boxes[int(next(draws) * len(boxes))]
+    while options := _box_moves(rows, i, j):
+        i, j = options[int(next(draws) * len(options))]
+    return i
 
 
 def _squash(rows: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -215,20 +214,12 @@ class _WalkTable(NamedTuple):
     to (right, then down), their cumulative weights and the sum of those;
     or, on the anti-diagonal, a stop ``(corner, after)``: the 0-based
     original row the walk removes a box from and the row lengths that
-    removal leaves.  ``corner`` and ``after`` read the stops back out.
+    removal leaves.
     """
 
     cells: tuple[tuple, ...]
     start: tuple[int, ...]
     total: int
-
-    @property
-    def corner(self) -> tuple[int, ...]:
-        return tuple(cell[0] for cell in self.cells if len(cell) == 2)
-
-    @property
-    def after(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(cell[1] for cell in self.cells if len(cell) == 2)
 
 
 @functools.cache
@@ -450,9 +441,11 @@ def sample_remove_box(
 def next_step_distribution(lam: Staircase, mode: str = "alg1") -> RemovalDistribution:
     """Exact removal distribution induced by the hook walk, by rational DP.
 
-    Solves the end-corner probabilities of the walk recursion exactly; for
-    both modes this reproduces exact_removal_distribution, which is the
-    content of the walk's correctness.
+    Solves the end-corner probabilities of the walk recursion exactly, from
+    the box walk's move rule (alg1) or from the ``_walk_table`` the squashed
+    samplers walk (alg3); for both modes this reproduces
+    exact_removal_distribution, which is the content of the walk's
+    correctness.  Removals are listed by ascending row.
     """
     if not lam.is_partition or lam.size == 0:
         raise ValueError("need a nonempty partition")
@@ -460,69 +453,52 @@ def next_step_distribution(lam: Staircase, mode: str = "alg1") -> RemovalDistrib
     if mode == "alg1":
         probs_by_row = _dp_boxes(rows)
     elif mode == "alg3":
-        probs_by_row = _dp_squashed(rows)
+        probs_by_row = _walk_ends(_walk_table(tuple(rows)), {})
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    probs = {lam.bump(i, -1): p for i, p in probs_by_row.items() if p > 0}
+    probs = {lam.bump(i, -1): p for i, p in sorted(probs_by_row.items())}
     return RemovalDistribution(probs)
+
+
+def _mix(parts) -> dict[int, Fraction]:
+    """Sum of end-corner distributions ``(p, dist)``, each scaled by its probability p."""
+    out: dict[int, Fraction] = {}
+    for p, dist in parts:
+        for c, q in dist.items():
+            out[c] = out.get(c, Fraction(0)) + p * q
+    return out
 
 
 def _dp_boxes(rows: list[int]) -> dict[int, Fraction]:
     """End-corner distribution of the box walk, exactly."""
-    m = sum(rows)
-    nrows = len(rows)
-    corners = [i for i in range(nrows) if i == nrows - 1 or rows[i] > rows[i + 1]]
-    # p[(i, j)][c] = probability of ending at corner row c starting from box (i, j)
-    p: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(nrows - 1, -1, -1):
+    # ends[i, j][c] = probability of ending at corner row c starting from box (i, j)
+    ends: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i in range(len(rows) - 1, -1, -1):
         for j in range(rows[i] - 1, -1, -1):
-            right = [(i, jj) for jj in range(j + 1, rows[i])]
-            below = [(ii, j) for ii in range(i + 1, nrows) if rows[ii] > j]
-            options = right + below
-            if not options:
-                p[(i, j)] = {i: Fraction(1)}
-                continue
-            acc: dict[int, Fraction] = {}
-            share = Fraction(1, len(options))
-            for cell in options:
-                for c, q in p[cell].items():
-                    acc[c] = acc.get(c, Fraction(0)) + share * q
-            p[(i, j)] = acc
-    out = {c: Fraction(0) for c in corners}
-    for cell_probs in p.values():
-        for c, q in cell_probs.items():
-            out[c] += Fraction(1, m) * q
-    return out
+            options = _box_moves(rows, i, j)
+            if options:
+                ends[i, j] = _mix((Fraction(1, len(options)), ends[b]) for b in options)
+            else:
+                ends[i, j] = {i: Fraction(1)}
+    return _mix((Fraction(1, sum(rows)), dist) for dist in ends.values())
 
 
-def _dp_squashed(rows: list[int]) -> dict[int, Fraction]:
-    """End-corner distribution of the squashed weighted walk, exactly."""
-    nu, v, w, corner_rows = _squash(rows)
-    K = len(nu)
-    m = sum(rows)
-    p: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for k in range(K - 1, -1, -1):
-        for l in range(K - k - 1, -1, -1):
-            right = [(k, ll) for ll in range(l + 1, K - k)]
-            below = [(kk, l) for kk in range(k + 1, K - l)]
-            if not right and not below:
-                p[(k, l)] = {corner_rows[k]: Fraction(1)}
-                continue
-            denom = sum(w[ll] for _, ll in right) + sum(v[kk] for kk, _ in below)
-            acc: dict[int, Fraction] = {}
-            for (kk, ll) in right:
-                for c, q in p[(kk, ll)].items():
-                    acc[c] = acc.get(c, Fraction(0)) + Fraction(w[ll], denom) * q
-            for (kk, ll) in below:
-                for c, q in p[(kk, ll)].items():
-                    acc[c] = acc.get(c, Fraction(0)) + Fraction(v[kk], denom) * q
-            p[(k, l)] = acc
-    out: dict[int, Fraction] = {}
-    for (k, l), cell_probs in p.items():
-        start = Fraction(v[k] * w[l], m)
-        for c, q in cell_probs.items():
-            out[c] = out.get(c, Fraction(0)) + start * q
-    return out
+def _walk_ends(node: tuple, memo: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
+    """End-corner distribution of the squashed walk from one node of a ``_walk_table``, exactly.
+
+    A stop ends on its own corner row.  A move, or a whole table as its
+    start move, ends where its targets end, each target weighted by the
+    difference of the move's cumulative weights over their total.  Cells
+    are shared by the moves that reach them, so ``memo`` keeps each move's
+    distribution by ``id``; the table holds every cell for the whole call.
+    """
+    if len(node) == 2:
+        return {node[0]: Fraction(1)}
+    if id(node) not in memo:
+        targets, cum, total = node
+        weights = (Fraction(hi - lo, total) for lo, hi in zip((0,) + cum, cum))
+        memo[id(node)] = _mix((p, _walk_ends(t, memo)) for p, t in zip(weights, targets))
+    return memo[id(node)]
 
 
 def sample_gt_rows(

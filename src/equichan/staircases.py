@@ -14,6 +14,7 @@ LR coefficients and the partition lists are memoised with
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -31,7 +32,10 @@ class Staircase:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        try:
+            entries = tuple(operator.index(e) for e in self.entries)
+        except TypeError:
+            raise ValueError(f"staircase entries must be integers, got {self.entries!r}") from None
         object.__setattr__(self, "entries", entries)
         if len(entries) == 0:
             raise ValueError("staircase needs at least one row")

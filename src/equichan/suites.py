@@ -23,6 +23,7 @@ from equichan.channels import (
     ChoiMatrix,
     ExtremalSpec,
     ExtremalTriple,
+    _tensor_power,
     check_symmetries,
     enumerate_extremal_triples,
     extremal_choi,
@@ -188,10 +189,7 @@ def suite_cloning(seed: int = 1) -> VerificationReport:
     for m, n in [(1, 2), (1, 3), (2, 3), (2, 4)]:
         for d in (2, 3):
             psi = _haar_vector(d, rng)
-            rho_in = np.array([1.0 + 0j])
-            for _ in range(m):
-                rho_in = np.kron(rho_in, np.outer(psi, psi.conj()))
-            rho_in = rho_in.reshape(d**m, d**m)
+            rho_in = _tensor_power(np.outer(psi, psi.conj()), m)
             res = clone(psi, m, n, d)
             P = symmetric_projector(n, d)
             expected = (sym_dim(m, d) / sym_dim(n, d)) * (

@@ -304,6 +304,17 @@ class TestApps:
         assert captured.out == ""
         assert captured.err == "error: 'lambda[0]' must be an integer, got 2.4\n"
 
+    def test_repeated_lambda_spec_is_usage_error(self, tmp_path, state_file, capsys):
+        f_state, _ = state_file
+        obj = fileio.spec_to_obj(symmetrization_spec(2, 2))
+        obj["assignments"].append(dict(obj["assignments"][0]))
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(obj, f_spec)
+        assert run(["simulate", "--spec", str(f_spec), "--state", str(f_state)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'lambda' (2,0) is assigned twice\n"
+
     def test_malformed_spec_is_usage_error(self, tmp_path, state_file, capsys):
         f_state, _ = state_file
         obj = fileio.spec_to_obj(symmetrization_spec(2, 2))

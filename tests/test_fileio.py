@@ -40,6 +40,20 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError, match=f"'{key}' must be an integer, got {value!r}"):
             fileio.matrix_from_obj(obj)
 
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_rejects_negative_dimensions(self, key):
+        # rows = cols = -2 matches the length of four entries, and numpy's
+        # reshape then failed with "can only specify one unknown dimension"
+        obj = {"rows": 2, "cols": 2, "data": [[0.25, 0.0]] * 4}
+        obj["rows"] = obj["cols"] = -2
+        with pytest.raises(ValueError, match="'rows' must be non-negative, got -2"):
+            fileio.matrix_from_obj(obj)
+        obj[key] = 2
+        obj["data"] = [[0.25, 0.0]] * 2
+        other = "cols" if key == "rows" else "rows"
+        with pytest.raises(ValueError, match=f"'{other}' must be non-negative, got -2"):
+            fileio.matrix_from_obj(obj)
+
     def test_rejects_nonfinite(self):
         M = np.array([[np.inf]])
         with pytest.raises(ValueError):
@@ -93,6 +107,13 @@ class TestSpecRoundTrip:
         entries = obj["assignments"][0][key]
         entries[1] = value if isinstance(value, (bool, str)) else entries[1] + value
         with pytest.raises(ValueError, match=rf"'{key}\[1\]' must be an integer"):
+            fileio.spec_from_obj(obj)
+
+    def test_rejects_repeated_lambda(self):
+        # the second assignment of the same lambda used to replace the first
+        obj = fileio.spec_to_obj(symmetrization_spec(2, 2))
+        obj["assignments"].append(dict(obj["assignments"][0]))
+        with pytest.raises(ValueError, match=r"'lambda' \(2,0\) is assigned twice"):
             fileio.spec_from_obj(obj)
 
     def test_choi_rejects_non_integer_size(self):

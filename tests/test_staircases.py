@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from fractions import Fraction
 
@@ -49,6 +50,21 @@ class TestStaircase:
             Staircase((1, 2))
         with pytest.raises(ValueError):
             Staircase(())
+
+    @pytest.mark.parametrize(
+        "entries",
+        [(2.7, 1), (2.0, 1), ("2", 1), (2, None)],
+        ids=["float", "whole-float", "str", "none"],
+    )
+    def test_rejects_non_integer_entries(self, entries):
+        # int() used to truncate: (2.7, 1) was the label (2, 1)
+        with pytest.raises(ValueError, match="staircase entries must be integers"):
+            Staircase(entries)
+
+    def test_accepts_numpy_integers(self):
+        s = Staircase((np.int64(2), np.int32(1)))
+        assert s == staircase(2, 1) and all(type(e) is int for e in s.entries)
+        assert Staircase(np.array([3, 1, 0])) == staircase(3, 1, 0)
 
     def test_dual_involution(self):
         g = staircase(2, 1, 0, -1)
