@@ -96,6 +96,9 @@ def choi_to_obj(choi: ChoiMatrix) -> dict:
 
 def choi_from_obj(obj: dict) -> ChoiMatrix:
     m, n, d = (_integer(obj[key], key) for key in "mnd")
+    for key, value, least in (("m", m, 0), ("n", n, 0), ("d", d, 1)):
+        if value < least:
+            raise ValueError(f"{key!r} must be at least {least}, got {value}")
     return ChoiMatrix(matrix_from_obj(obj), m, n, d)
 
 
@@ -161,7 +164,7 @@ def report_to_obj(r: VerificationReport) -> dict:
 
 
 def report_from_obj(obj: dict) -> VerificationReport:
-    r = VerificationReport(obj["suite"], int(obj["seed"]))
+    r = VerificationReport(obj["suite"], _integer(obj["seed"], "seed"))
     for c in obj["cases"]:
         r.cases.append(CaseResult(c["id"], c["value"], c["threshold"]))
     return r

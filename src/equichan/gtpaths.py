@@ -289,16 +289,20 @@ def _walk(
 
 
 class _FlatWalk(NamedTuple):
-    """Every ``_walk_table`` reachable from one diagram, as node arrays.
+    """Every ``_walk_table`` reachable from some labels' diagrams, as node arrays.
 
-    Node 0 is the start move of the diagram's own table.  A move node has
-    its cumulative weights in a row of ``cum`` padded with +inf, their sum
-    in ``total`` and the nodes it moves to in the same row of ``targets``;
-    its ``row`` is -1.  A stop node has the 0-based row its corner removal
-    takes in ``row`` and the start node of the table that removal leaves in
-    ``after``, or -1 once the diagram is empty.
+    ``start`` holds each label's start node, the start move of its own
+    table, or -1 for an empty label.  A move node has its cumulative
+    weights in a row of ``cum`` padded with +inf, their sum in ``total``
+    and the nodes it moves to in the same row of ``targets``; its ``row``
+    is -1 and its ``after`` its own number.  A stop node has the 0-based
+    row its corner removal takes in ``row`` and the start node of the
+    table that removal leaves in ``after``, or -1 once the diagram is
+    empty.  So a walker that has decided on a node goes on from ``after``
+    of it, whether the node is a move or a stop.
     """
 
+    start: np.ndarray
     cum: np.ndarray
     total: np.ndarray
     targets: np.ndarray
@@ -307,19 +311,31 @@ class _FlatWalk(NamedTuple):
 
 
 @functools.cache
-def _flat_walk(rows: tuple[int, ...]) -> _FlatWalk:
-    """The memoised ``_walk_table``s of ``rows`` and every diagram below it, flattened.
+def _flat_walk(labels: tuple[tuple[int, ...], ...]) -> _FlatWalk:
+    """The memoised ``_walk_table``s of the labels and every diagram below them, flattened.
 
-    Each table is a start move followed by its cells in order; the targets
-    of a move are the cell objects of the same table, which ``node`` maps
-    to their numbers.  Tables are numbered as the diagrams are first met,
-    breadth first from ``rows``.  Unlike a walk, this builds the table of
-    every diagram inside ``rows``, at most prod(r + 1) of them; sample mode
-    flattens only the labels of a Schur transform it has built.
+    ``labels`` holds row tuples.  Each table is a start move followed by
+    its cells in order; the targets of a move are the cell objects of the
+    same table, which ``node`` maps to their numbers.  Tables are numbered
+    as the diagrams are first met, breadth first from the labels in order,
+    so a diagram below several labels is flattened once.  Unlike a walk,
+    this builds the table of every diagram inside the labels, at most
+    prod(r + 1) per label; sample mode flattens only the labels of a Schur
+    transform it has built.  Memoised per tuple of labels.
     """
-    start = {rows: 0}
-    size = 1 + len(_walk_table(rows).cells)
-    order = [rows]
+    start: dict[tuple[int, ...], int] = {}
+    order: list[tuple[int, ...]] = []
+    size = 0
+
+    def meet(diagram: tuple[int, ...]) -> None:
+        nonlocal size
+        if diagram and diagram not in start:
+            start[diagram] = size
+            size += 1 + len(_walk_table(diagram).cells)
+            order.append(diagram)
+
+    for rows in labels:
+        meet(rows)
     moves = []  # (node, target nodes, cumulative weights, total)
     stops = []  # (node, row, start node of the diagram left or -1)
     for diagram in order:
@@ -332,17 +348,14 @@ def _flat_walk(rows: tuple[int, ...]) -> _FlatWalk:
                 moves.append((node[id(cell)], [node[id(c)] for c in cell[0]], *cell[1:]))
                 continue
             corner, left = cell
-            if left and left not in start:
-                start[left] = size
-                size += 1 + len(_walk_table(left).cells)
-                order.append(left)
+            meet(left)
             stops.append((node[id(cell)], corner, start.get(left, -1)))
-    width = max(len(c) for _, _, c, _ in moves)
+    width = max((len(c) for _, _, c, _ in moves), default=0)
     cum = np.full((size, width), np.inf)
     total = np.zeros(size)
     targets = np.zeros((size, width), dtype=np.intp)
     row = np.full(size, -1, dtype=np.intp)
-    after = np.full(size, -1, dtype=np.intp)
+    after = np.arange(size, dtype=np.intp)
     for at, to, c, t in moves:
         cum[at, : len(c)] = c
         total[at] = t
@@ -350,52 +363,74 @@ def _flat_walk(rows: tuple[int, ...]) -> _FlatWalk:
     for at, r, nxt in stops:
         row[at] = r
         after[at] = nxt
-    return _FlatWalk(cum, total, targets, row, after)
+    first = np.array([start.get(rows, -1) for rows in labels], dtype=np.intp)
+    return _FlatWalk(first, cum, total, targets, row, after)
 
 
-def _walk_many(rows: tuple[int, ...], uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-path squashed hook walks of many walkers at once, one per row of ``uniforms``.
+def _walk_many(
+    labels: tuple[tuple[int, ...], ...], uniforms: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Whole-path squashed hook walks of the walkers of several labels in one loop.
 
-    Walker t takes its uniforms in order from ``uniforms[t]``, which needs
-    at most ``sum(rows) * len(rows)`` columns: a removal makes one start
-    decision and at most one move per distinct row length after it.  Every
-    walker still walking makes one decision per step, so all of them read
-    the same column: each gathers its node's cumulative weights, counts
-    those at or below u * total and gathers the target by that count.  The
-    count is ``bisect_right`` on the same float product, so walker t
-    removes the rows and uses the number of uniforms of
-    ``_walk(rows, iter(uniforms[t]))``.  Returns each walker's path as an
-    integer key, sum_j r_j len(rows)^j over the rows r_j the path adds in
-    order, and the number of uniforms each walker used.
+    ``labels`` holds row tuples and ``uniforms`` one block per label, one
+    walker per row of the block.  A walker of ``rows`` takes its uniforms
+    in order from its row, which needs at most ``sum(rows) * len(rows)``
+    columns: a removal makes one start decision and at most one move per
+    distinct row length after it.  All walkers, of every label, walk the
+    tables of ``_flat_walk(labels)``, so the loop runs as many steps as the
+    longest walk.  Every walker still walking makes one decision per step,
+    all at the same column of their rows: each gathers its node's
+    cumulative weights, counts those at or below u * total and gathers the
+    target by that count.  The count is ``bisect_right`` on the same float
+    product, so each walker removes the rows and uses the number of
+    uniforms of ``_walk(rows, iter(row))``.  Returns, per label, each
+    walker's path as an integer key, sum_j r_j len(rows)^j over the rows
+    r_j the path adds in order, and the number of uniforms each walker
+    used; a walker of an empty label gets key 0 and uses none.  Raises
+    ValueError if a block is narrower than that bound, so that no walker
+    can read past its row.
     """
-    walkers = len(uniforms)
-    keys = np.zeros(walkers, dtype=np.int64)
-    used = np.zeros(walkers, dtype=np.intp)
-    if not rows:
-        return keys, used
-    flat = _flat_walk(rows)
-    base = len(rows)
-    live = np.arange(walkers)
-    node = np.zeros(walkers, dtype=np.intp)
-    key = np.zeros(walkers, dtype=np.int64)
+    for rows, block in zip(labels, uniforms):
+        if block.shape[1] < sum(rows) * len(rows):
+            raise ValueError(
+                f"walks of {rows} need {sum(rows) * len(rows)} uniforms per walker,"
+                f" got {block.shape[1]}"
+            )
+    flat = _flat_walk(labels)
+    counts = [len(block) for block in uniforms]
+    widths = np.repeat([block.shape[1] for block in uniforms], counts)
+    draws = np.concatenate([block.ravel() for block in uniforms])
+    keys = np.zeros(len(widths), dtype=np.int64)
+    used = np.zeros(len(widths), dtype=np.intp)
+    node = np.repeat(flat.start, counts)
+    live = np.flatnonzero(node >= 0)
+    node = node[live]
+    base = np.repeat([len(rows) for rows in labels], counts)[live]
+    # walker t's row starts at the sum of the widths before it
+    first = (np.cumsum(widths) - widths)[live]
+    key = np.zeros(live.size, dtype=np.int64)
     col = 0
     while live.size:
-        u = uniforms[live, col]
+        u = draws[first + col]
         col += 1
-        node = flat.targets[node, (flat.cum[node] <= (u * flat.total[node])[:, None]).sum(1)]
+        # np.take gathers the rows of cum in less time than cum[node]
+        pick = (np.take(flat.cum, node, axis=0) <= (u * flat.total[node])[:, None]).sum(1)
+        node = flat.targets[node, pick]
         removed = flat.row[node]
         stop = removed >= 0
         # the walk removes the path's last row first, so the first row
         # removed ends up the most significant digit of the key
         key = np.where(stop, key * base + removed, key)
-        node = np.where(stop, flat.after[node], node)
+        node = flat.after[node]
         done = node < 0
         if done.any():
             keys[live[done]] = key[done]
             used[live[done]] = col
             walking = ~done
             live, node, key = live[walking], node[walking], key[walking]
-    return keys, used
+            base, first = base[walking], first[walking]
+    edges = list(zip(accumulate(counts, initial=0), accumulate(counts)))
+    return [keys[a:b] for a, b in edges], [used[a:b] for a, b in edges]
 
 
 def _remove_rows(

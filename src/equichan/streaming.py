@@ -31,9 +31,11 @@ classes, as every row is a weight vector; the schedule and ledger still
 count the algorithm's n - 1 one-site inverse CG steps.  Sample mode
 draws the GT paths of up to CHUNK trajectories at once, by vectorized hook
 walks over flattened walk tables (``_draw_paths``), each trajectory on its
-own row of uniforms.  Emission also certifies the output on its irrep
-sectors (the sector floor) and the executor then tests its entries and
-trace, so it returns a state or raises ValueError.
+own row of uniforms: one loop walks every label of a batch, and a
+memoised integer array per sector maps the drawn path keys to paths.
+Emission also certifies the output on its irrep sectors (the sector
+floor) and the executor then tests its entries and trace, so it returns
+a state or raises ValueError.
 
 Costs that the streaming model leaves symbolic (gate synthesis accuracy and
 its log-power overhead) stay symbolic here: reports carry the factor
@@ -76,9 +78,9 @@ WEIGHTLESS_NORM = 1e-15
 # irrep channel's embedding that it reconstructs.
 SUPERPOSITION_TOL = 1e-9
 
-# Sample mode walks at most this many trajectories at once, each batch with
-# one block of uniforms per label, so the walkers' memory stays O(CHUNK)
-# for any number of trajectories.
+# Sample mode walks at most this many trajectories at once, each batch in
+# one loop over one block of uniforms per label, so the walkers' memory
+# stays O(CHUNK) for any number of trajectories.
 CHUNK = 8192
 
 
@@ -513,37 +515,37 @@ def _draw_paths(
     seed: int,
     trajectories: int,
     ledger: ResourceLedger,
-) -> dict[Staircase, tuple[list[int], np.ndarray]]:
+) -> dict[Staircase, tuple[np.ndarray, np.ndarray]]:
     """Hook-walk paths per label: drawn path indices and their frequencies.
 
     The trajectories are walked in batches of at most CHUNK walkers.  For
-    each batch and each label mu of tau, in tau's order, one block of
-    ``|mu| * len(mu)`` uniforms per walker is drawn from one
-    ``np.random.default_rng(seed)``, and ``gtpaths._walk_many`` walks the
-    whole path of every walker at once, walker t on row t of the block.
-    Each walker's path is that of ``sample_gt_rows`` fed with its row.  The
-    paths come back as integer keys in base len(mu), below d^n, tallied by
-    one ``np.bincount`` per batch; the ledger records the number of
-    uniforms the walks used.
+    each batch, one block of ``|mu| * len(mu)`` uniforms per walker is
+    drawn for each label mu of tau, in tau's order, from one
+    ``np.random.default_rng(seed)``, and one ``gtpaths._walk_many`` call
+    walks the whole path of every walker of every label in one loop,
+    walker t of mu on row t of mu's block.  Each walker's path is that of
+    ``sample_gt_rows`` fed with its row.  The paths come back as integer
+    keys in base len(mu), below d^n, tallied by one ``np.bincount`` per
+    batch and label; the memoised array ``PathSector.path_of_key`` of each
+    sector maps the drawn keys to path indices.  The ledger records the
+    number of uniforms the walks used.
     """
     gen = np.random.default_rng(seed)
-    labels = [(mu, tuple(e for e in mu.entries if e > 0)) for mu in tau]
-    tallies = {mu: np.zeros(len(rows) ** mu.size, dtype=np.int64) for mu, rows in labels}
+    labels = tuple(tuple(e for e in mu.entries if e > 0) for mu in tau)
+    tallies = [np.zeros(len(rows) ** mu.size, dtype=np.int64) for mu, rows in zip(tau, labels)]
     used = 0
     for done in range(0, trajectories, CHUNK):
         walkers = min(CHUNK, trajectories - done)
-        for mu, rows in labels:
-            keys, n = _walk_many(rows, gen.random((walkers, mu.size * len(rows))))
-            tallies[mu] += np.bincount(keys, minlength=len(tallies[mu]))
+        blocks = [gen.random((walkers, mu.size * len(rows))) for mu, rows in zip(tau, labels)]
+        keys, counts = _walk_many(labels, blocks)
+        for tally, k, n in zip(tallies, keys, counts):
+            tally += np.bincount(k, minlength=len(tally))
             used += int(n.sum())
     ledger.classical_samples = used
     drawn = {}
-    for mu, rows in labels:
-        index = S.sector(mu).row_index
-        keys = np.flatnonzero(tallies[mu])
-        digits = keys[:, None] // len(rows) ** np.arange(mu.size) % len(rows)
-        paths = [index[tuple(path)] for path in digits.tolist()]
-        drawn[mu] = (paths, tallies[mu][keys] / trajectories)
+    for mu, tally in zip(tau, tallies):
+        keys = np.flatnonzero(tally)
+        drawn[mu] = (S.sector(mu).path_of_key[keys], tally[keys] / trajectories)
     return drawn
 
 

@@ -16,9 +16,8 @@ convention.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -205,9 +204,23 @@ class PathSector:
         return self.p_dim * self.q_dim
 
     @functools.cached_property
-    def row_index(self) -> Mapping[tuple[int, ...], int]:
-        """Index in ``paths`` of the path with each row sequence (read-only)."""
-        return MappingProxyType({p.row_sequence(): i for i, p in enumerate(self.paths)})
+    def path_of_key(self) -> np.ndarray:
+        """Index in ``paths`` of the path with each key, -1 where no path has it (read-only).
+
+        A path's key reads its row sequence r_0, r_1, ... as the digits of
+        sum_j r_j b^j, with b one more than the largest row any path of the
+        sector changes.  On a sector whose paths add boxes to the empty
+        staircase, as in ``schur_transform(n, 0, d)``, b is the number of
+        rows of the label, and the key is the one ``gtpaths._walk_many``
+        gives the path.
+        """
+        rows = np.array([p.row_sequence() for p in self.paths], dtype=np.intp)
+        base = int(rows.max(initial=0)) + 1
+        keys = rows @ base ** np.arange(rows.shape[1])
+        index = np.full(base ** rows.shape[1], -1, dtype=np.intp)
+        index[keys] = np.arange(self.p_dim)
+        index.flags.writeable = False
+        return index
 
 
 @dataclass(frozen=True)

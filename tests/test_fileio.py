@@ -122,6 +122,22 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="'n' must be an integer, got 1.0"):
             fileio.choi_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "key,value,least", [("m", -1, 0), ("n", -1, 0), ("d", 0, 1), ("d", -2, 1)]
+    )
+    def test_choi_rejects_out_of_range_size(self, key, value, least):
+        # m = -1 used to fail the shape test with "expected (1.0, 1.0)",
+        # d = 0 with "expected (0, 0)"
+        obj = fileio.choi_to_obj(extremal_choi(symmetrization_spec(1, 2)))
+        obj[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be at least {least}, got {value}"):
+            fileio.choi_from_obj(obj)
+
+    def test_choi_accepts_zero_sizes(self):
+        obj = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]], "m": 0, "n": 0, "d": 2}
+        back = fileio.choi_from_obj(obj)
+        assert (back.m, back.n, back.d) == (0, 0, 2)
+
 
 class TestPathRoundTrip:
     def test_pure_addition(self):
@@ -164,6 +180,16 @@ class TestReportRoundTrip:
             {"id": "a", "value": 1e-12, "threshold": 1e-8, "kind": "residual", "pass": True}
         ]}
         assert fileio.report_from_obj(obj).passed
+
+    @pytest.mark.parametrize(
+        "value", [2.7, True, "3", None], ids=["float", "bool", "str", "null"]
+    )
+    def test_rejects_non_integer_seed(self, value):
+        # int() used to load 2.7 as 2, true as 1 and "3" as 3
+        obj = fileio.report_to_obj(VerificationReport("demo", 7))
+        obj["seed"] = value
+        with pytest.raises(ValueError, match=f"'seed' must be an integer, got {value!r}"):
+            fileio.report_from_obj(obj)
 
 
 class TestLedger:

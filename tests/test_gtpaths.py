@@ -502,7 +502,7 @@ class TestWalkMany:
                 uniforms = rng.random((100, m * len(rows)))
                 uniforms[0], uniforms[1], uniforms[2, 1::2] = 0.0, top, top
                 uniforms[3:7] = (np.arange(uniforms.shape[1]) + np.arange(4)[:, None]) % 4 / 4
-                keys, used = _walk_many(rows, uniforms)
+                [keys], [used] = _walk_many((rows,), [uniforms])
                 for t, row in enumerate(uniforms):
                     path, n = _walk(rows, iter(row.tolist()))
                     key = sum(r * len(rows) ** j for j, r in enumerate(path))
@@ -510,16 +510,82 @@ class TestWalkMany:
                     walkers += 1
         assert walkers == 5200
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ((3, 1), (2, 2)),
+            ((4, 3), (3, 3, 1)),
+            ((2, 2), (), (3, 1), (1,)),
+            ((5, 2), (4, 3), (3, 3, 1), (2, 2, 2, 1)),
+        ],
+        ids=["3,1+2,2", "4,3+3,3,1", "with-empty", "four-labels"],
+    )
+    def test_mixed_labels_walk_like_walk_on_their_rows(self, labels):
+        # the walkers of several labels share one loop, and the diagrams
+        # below two labels one set of nodes; each walker's key, in the base
+        # of its own label, and number of uniforms are those of _walk on its
+        # row.  Rows of zeros, of nextafter(1, 0) and of dyadic quarters put
+        # u * total on the edges of the comparison
+        from equichan.gtpaths import _walk, _walk_many
+
+        top = float(np.nextafter(1.0, 0.0))
+        rng = np.random.default_rng(11)
+        blocks = []
+        for k, rows in enumerate(labels):
+            uniforms = rng.random((40 + 7 * k, sum(rows) * len(rows)))
+            if uniforms.shape[1]:
+                uniforms[0], uniforms[1], uniforms[2, 1::2] = 0.0, top, top
+                uniforms[3:7] = (np.arange(uniforms.shape[1]) + np.arange(4)[:, None]) % 4 / 4
+            blocks.append(uniforms)
+        keys, used = _walk_many(labels, blocks)
+        assert [len(k) for k in keys] == [len(u) for u in used] == [len(b) for b in blocks]
+        for rows, uniforms, label_keys, label_used in zip(labels, blocks, keys, used):
+            for t, row in enumerate(uniforms):
+                path, n = _walk(rows, iter(row.tolist()))
+                key = sum(r * len(rows) ** j for j, r in enumerate(path))
+                assert (label_keys[t], label_used[t]) == (key, n), (rows, t)
+
+    def test_shared_diagrams_are_flattened_once(self):
+        # (3,1) and (2,2) share (2,1), (1,1), (2) and (1): the flat walk
+        # holds one table per distinct diagram, each a start node and its
+        # cells, and one start node per label
+        from equichan.gtpaths import _flat_walk, _walk_table
+
+        def below(rows):
+            out = {rows}
+            for i in range(len(rows)):
+                if i + 1 == len(rows) or rows[i] > rows[i + 1]:
+                    left = rows[:i] + (rows[i] - 1,) + rows[i + 1 :]
+                    left = tuple(r for r in left if r)
+                    if left:
+                        out |= below(left)
+            return out
+
+        labels = ((3, 1), (2, 2), (), (3, 1))
+        flat = _flat_walk(labels)
+        diagrams = below((3, 1)) | below((2, 2))
+        assert len(flat.row) == sum(1 + len(_walk_table(r).cells) for r in diagrams)
+        assert flat.start.tolist() == [0, 1 + len(_walk_table((3, 1)).cells), -1, 0]
+
     def test_empty_diagram_takes_no_uniforms(self):
         from equichan.gtpaths import _walk_many
 
-        keys, used = _walk_many((), np.empty((3, 0)))
+        [keys], [used] = _walk_many(((),), [np.empty((3, 0))])
         assert keys.tolist() == [0, 0, 0] and used.tolist() == [0, 0, 0]
+
+    def test_rejects_a_block_narrower_than_the_bound(self):
+        # every walker reads at the same column of one flat array of draws,
+        # so a narrow block would let a walk read into the next walker's row
+        from equichan.gtpaths import _walk_many
+
+        message = r"walks of \(2, 1\) need 6 uniforms per walker, got 5"
+        with pytest.raises(ValueError, match=message):
+            _walk_many(((1,), (2, 1)), [np.zeros((2, 1)), np.zeros((2, 5))])
 
     def test_flat_tables_are_memoised(self):
         from equichan.gtpaths import _flat_walk
 
-        assert _flat_walk((5, 3, 3, 2)) is _flat_walk((5, 3, 3, 2))
+        assert _flat_walk(((5, 3, 3, 2),)) is _flat_walk(((5, 3, 3, 2),))
 
 
 @st.composite

@@ -708,6 +708,24 @@ class TestEmissionPhase:
         tau = _symmetrization_tau(n, d, rng)
         _check_emission_against_dense(tau, n, d, "sample", seed=10 * n + d, trajectories=37)
 
+    def test_one_walk_loop_per_batch(self, rng, monkeypatch):
+        # all labels of a batch walk in one _walk_many call: with CHUNK = 16,
+        # 40 trajectories make three batches, so the four weighted labels of
+        # symmetrization(4, 3) take three calls, not one per batch and label
+        calls = []
+
+        def counted(labels, uniforms):
+            calls.append(labels)
+            return walk_many(labels, uniforms)
+
+        walk_many = streaming._walk_many
+        monkeypatch.setattr(streaming, "_walk_many", counted)
+        monkeypatch.setattr(streaming, "CHUNK", 16)
+        spec = symmetrization_spec(4, 3)
+        streamed_apply(spec, random_state(81, rng), seed=5, mode="sample", trajectories=40)
+        assert len(calls) == 3
+        assert all(len(labels) == 4 for labels in calls)
+
     def test_clone_tau_matches_dense_reference(self, monkeypatch, rng):
         import equichan.apps as apps
         import equichan.streaming as streaming

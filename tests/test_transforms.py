@@ -232,18 +232,20 @@ class TestSchurTransform:
                         assert np.linalg.norm(moved - heads) < 1e-10, (n, d, path, j)
 
     def test_row_index_inverts_paths(self):
-        # sample-mode emission maps a drawn row sequence to its row block
-        # through sector.row_index, a read-only view shared by every caller
+        # sample-mode emission maps a drawn path key to its row block
+        # through sector.path_of_key, a read-only array shared by every caller
         for m, n, d in [(5, 0, 2), (3, 0, 3), (2, 1, 2)]:
             S = schur_transform(m, n, d)
             for sector in S.sectors:
-                index = sector.row_index
-                assert len(index) == sector.p_dim
+                index = sector.path_of_key
+                assert np.count_nonzero(index >= 0) == sector.p_dim
+                base = 1 + max(max(p.row_sequence(), default=0) for p in sector.paths)
                 for idx, path in enumerate(sector.paths):
-                    assert index[path.row_sequence()] == idx
-                assert sector.row_index is index
-                with pytest.raises(TypeError):
-                    index[()] = 0  # type: ignore[index]
+                    key = sum(r * base**j for j, r in enumerate(path.row_sequence()))
+                    assert index[key] == idx
+                assert sector.path_of_key is index
+                with pytest.raises(ValueError, match="read-only"):
+                    index[0] = 0
 
 
 WEIGHT_BLOCK_TRANSFORMS = [
