@@ -299,6 +299,9 @@ class ExtremalSpec:
     assignments: dict[Staircase, ExtremalTriple]
 
     def __post_init__(self):
+        for key, value, least in (("m", self.m, 0), ("n", self.n, 0), ("d", self.d, 1)):
+            if value < least:
+                raise ValueError(f"need {key} >= {least}, got {key}={value}")
         labels = partitions_of(self.m, self.d)
         if set(self.assignments) != set(labels):
             raise ValueError("assignments must cover every input label exactly once")

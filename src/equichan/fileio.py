@@ -37,6 +37,13 @@ def _integer(value: Any, key: str) -> int:
     return int(value)
 
 
+def _real(value: Any, key: str) -> Real:
+    """``value`` if it is a real number and not a bool, else ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{key!r} must be a real number, got {value!r}")
+    return value
+
+
 def _integers(values: Any, key: str) -> tuple[int, ...]:
     """The entries of the list ``values`` of integers, named ``key``."""
     if not isinstance(values, (list, tuple)):
@@ -166,7 +173,8 @@ def report_to_obj(r: VerificationReport) -> dict:
 def report_from_obj(obj: dict) -> VerificationReport:
     r = VerificationReport(obj["suite"], _integer(obj["seed"], "seed"))
     for c in obj["cases"]:
-        r.cases.append(CaseResult(c["id"], c["value"], c["threshold"]))
+        value, threshold = (_real(c[key], key) for key in ("value", "threshold"))
+        r.cases.append(CaseResult(c["id"], value, threshold))
     return r
 
 

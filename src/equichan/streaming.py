@@ -20,7 +20,9 @@ embeddings and embed steps memoised by ``_path_superposition``,
 contracted with psi and traced down to Q_mu.  Along GT paths the
 embedding is the superposition sum_p a_p iota_p of per-site inverse CG
 chains, one step per site; a one-box mu embeds along the one addition
-gamma_bar -> lam in one step and traces the base.
+gamma_bar -> lam in one step and traces the base.  Every iota_p is
+``transforms._path_isometry`` of its path, the builder whose transposes
+are the rows of the Schur transforms that emission reads.
 
 Emission is the adjoint of Schur sampling: the isometry along a GT path
 into mu is the adjoint of that path's rows in the Schur transform on n
@@ -65,7 +67,13 @@ from equichan.staircases import (
     lr_coeff,
     partitions_of,
 )
-from equichan.transforms import PathTransform, schur_transform, simple_cg
+from equichan.transforms import (
+    PathTransform,
+    _emit_steps,
+    _path_isometry,
+    schur_transform,
+    simple_cg,
+)
 
 # The gate-synthesis exponent appearing in every polylog cost factor; it is
 # kept as a symbol and nothing here evaluates it.
@@ -237,35 +245,24 @@ def _absorb_phase(
     return sigma
 
 
-def _emit_steps(path: GtPath) -> list[tuple[Staircase, Staircase, bool]]:
-    """Reverse path steps (prev label, next label, dual flag), last step first."""
-    steps = []
-    for t in range(len(path.steps) - 1, 0, -1):
-        prev, nxt = path.steps[t - 1], path.steps[t]
-        dual = nxt.size < prev.size
-        steps.append((prev, nxt, dual))
-    return steps
-
-
 def streamed_apply(
     spec: ExtremalSpec,
     rho: np.ndarray,
     seed: int = 0,
     mode: str = "exact",
     trajectories: int = 10_000,
-    return_schedule: bool = False,
 ):
     """Run the streaming schedule of an extremal channel on a state.
 
     mode="exact" sums the uniform path mixture of the emission phase
     exactly; mode="sample" draws GT paths with the hook-walk sampler and
-    averages the given number of trajectories.  Returns (output, ledger),
-    plus the recorded schedule when requested.  The output is a state or
-    ValueError: in sample mode ``trajectories`` must be an int >= 1 that is
-    not a bool, ``rho`` must pass ``channels.check_input`` (positivity is
-    not checked), the emission phase certifies the output's positivity on
-    its irrep sectors, with the threshold and message of
-    ``channels.check_state``, and ``check_finite_unit_trace`` tests it last.
+    averages the given number of trajectories.  Returns (output, ledger).
+    The output is a state or ValueError: in sample mode ``trajectories``
+    must be an int >= 1 that is not a bool, ``rho`` must pass
+    ``channels.check_input`` (positivity is not checked), the emission
+    phase certifies the output's positivity on its irrep sectors, with the
+    threshold and message of ``channels.check_state``, and
+    ``check_finite_unit_trace`` tests it last.
     """
     m, n, d = spec.m, spec.n, spec.d
     if mode not in ("exact", "sample"):
@@ -289,8 +286,6 @@ def streamed_apply(
     check_finite_unit_trace(out)
     validate_schedule(schedule)
     ledger.count(schedule)
-    if return_schedule:
-        return out, ledger, schedule
     return out, ledger
 
 
@@ -341,21 +336,6 @@ class _PathSuperposition(NamedTuple):
     steps: tuple[tuple[str, int, bool], ...]
 
 
-def _path_isometry(path: GtPath) -> np.ndarray:
-    """iota_p: Q_end -> Q_start (x) sites, the chain of the path's inverse CG blocks.
-
-    Each reversed step prev -> nxt applies the adjoint of the rows of nxt in
-    ``simple_cg(prev, dual)`` to the irrep leg; the new site is the leg
-    just after the irrep, so the sites come out in path order.
-    """
-    q_end = dim_gl_irrep(path.end)
-    iso = np.eye(q_end)
-    for prev, nxt, dual in _emit_steps(path):
-        R = simple_cg(prev, dual).block_rows(nxt)
-        iso = (R.conj().T @ iso.reshape(R.shape[0], -1)).reshape(-1, q_end)
-    return iso
-
-
 def _path_amplitudes(iso: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """a_p = tr(iota_p^dag target) / q_lam for one path and a stack of targets."""
     return np.tensordot(targets, iso.conj(), 2) / iso.shape[1]
@@ -367,9 +347,9 @@ def _path_superposition(
 ) -> _PathSuperposition:
     """The embeddings and embed steps that realize the irrep channel lam -> mu.
 
-    Single-box case (mu one box, gamma not empty, so c = 1): the adjoint
-    of lam's rows in ``simple_cg(gamma_bar, False)``, its C^d = Q_mu leg
-    first and Q_gamma_bar traced, in one inverse CG step on no site.
+    Single-box case (mu one box, gamma not empty, so c = 1): the isometry
+    of the one-addition path gamma_bar -> lam, its C^d = Q_mu leg first
+    and Q_gamma_bar traced, in one inverse CG step on no site.
 
     Otherwise one step per site of the GT paths mu -> lam, with k additions
     and l removals for the k positive and l negative boxes of gamma_bar.
@@ -387,10 +367,10 @@ def _path_superposition(
     """
     gamma_bar = gamma.dual()
     if mu == box_label(lam.d) and not gamma.is_empty:
-        R = simple_cg(gamma_bar, False).block_rows(lam)
+        iso = _path_isometry(GtPath((gamma_bar, lam), 1, 0))
         q_base, d = dim_gl_irrep(gamma_bar), lam.d
-        # the rows of R^dag run over (base, site); the site is Q_mu, so it goes first
-        embeddings = R.conj().T.reshape(q_base, d, -1).transpose(1, 0, 2)
+        # the rows of iso run over (base, site); the site is Q_mu, so it goes first
+        embeddings = iso.reshape(q_base, d, -1).transpose(1, 0, 2)
         embeddings = embeddings.reshape(1, d * q_base, -1)
         embeddings.flags.writeable = False
         return _PathSuperposition(embeddings, (("inverse", q_base * d, False),))
@@ -604,8 +584,12 @@ def resource_estimate(
 
     r and r_prime bound the staircase lengths on the absorption and emission
     sides; (k, l) are the middle-phase path steps.  The polylog synthesis
-    factor stays symbolic in every row.
+    factor stays symbolic in every row.  Raises ValueError naming the
+    first of m, n, k and l that is negative.
     """
+    for key, value in (("m", m), ("n", n), ("k", k), ("l", l)):
+        if value < 0:
+            raise ValueError(f"need {key} >= 0, got {key}={value}")
     if not (1 <= r <= d and 1 <= r_prime <= d):
         raise ValueError("need 1 <= r, r_prime <= d")
     import math

@@ -1,9 +1,11 @@
 """Schur and Clebsch-Gordan transforms as dense block isometries.
 
 The simple CG transform decomposes (irrep) (x) C^d by spectral projection
-of the split Casimir; iterating it over all GT paths yields the (mixed)
-Schur transform, whose permutation-register basis is indexed by paths.  The
-general CG transform decomposes a product of two arbitrary irreps, locating
+of the split Casimir.  ``_path_isometry`` chains the adjoints of its blocks
+along one GT path; the iterated CG transform, and with it the (mixed)
+Schur transform, stacks the transposed isometries of every path of
+``enumerate_paths``, so its permutation-register basis is indexed by paths.
+The general CG transform decomposes a product of two arbitrary irreps, locating
 each isotypic component through its highest-weight space; the multiplicity
 basis is the deterministic orthonormalization of that space.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from equichan.gtpaths import GtPath
+from equichan.gtpaths import GtPath, enumerate_paths
 from equichan.limits import check_dense
 from equichan.realize import (
     CONSTRUCTION_TOL,
@@ -310,69 +312,70 @@ class PathTransform:
         return tuple(blocks)
 
 
+def _emit_steps(path: GtPath) -> list[tuple[Staircase, Staircase, bool]]:
+    """Reverse path steps (prev label, next label, dual flag), last step first."""
+    steps = []
+    for t in range(len(path.steps) - 1, 0, -1):
+        prev, nxt = path.steps[t - 1], path.steps[t]
+        dual = nxt.size < prev.size
+        steps.append((prev, nxt, dual))
+    return steps
+
+
+def _path_isometry(path: GtPath) -> np.ndarray:
+    """iota_p: Q_end -> Q_start (x) sites, the chain of the path's inverse CG blocks.
+
+    Each reversed step prev -> nxt applies the adjoint of the rows of nxt in
+    ``simple_cg(prev, dual)`` to the irrep leg; the new site is the leg
+    just after the irrep, so the sites come out in path order.  The result
+    is real, and its transpose is the path's rows in the iterated CG
+    transform.
+    """
+    q_end = dim_gl_irrep(path.end)
+    iso = np.eye(q_end)
+    for prev, nxt, dual in _emit_steps(path):
+        R = simple_cg(prev, dual).block_rows(nxt)
+        iso = (R.conj().T @ iso.reshape(R.shape[0], -1)).reshape(-1, q_end)
+    return iso
+
+
 def iterated_cg(mu: Staircase, flags: Sequence[bool]) -> PathTransform:
     """Iterate simple (dual) CG transforms over every GT path from mu.
 
     ``flags`` lists the site kinds in order (False = defining factor,
-    True = conjugate factor).  The result is a unitary on
+    True = conjugate factor): k defining sites, then l conjugate sites,
+    and any other order raises ValueError.  The result is a unitary on
     Q_mu (x) C^d^(x k) (x) conj C^d^(x l) whose rows are grouped by final
-    label, path-major within each sector.  The dense cap is checked on
-    every call, the transform itself is memoised per (mu, tuple(flags)).
+    label, path-major within each sector: the rows of path p are
+    ``_path_isometry(p).T``, stacked in ``enumerate_paths(mu, k, l)``
+    order.  The dense cap is checked on every call, the transform itself
+    is memoised per (mu, tuple(flags)).
     """
+    flags = tuple(flags)
+    k = flags.count(False)
+    if flags != (False,) * k + (True,) * (len(flags) - k):
+        raise ValueError(f"flags must list defining sites before conjugate sites, got {flags}")
     check_dense(dim_gl_irrep(mu) * mu.d ** len(flags))
-    return _iterated_cg(mu, tuple(flags))
+    return _iterated_cg(mu, flags)
 
 
 @functools.cache
 def _iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
-    d = mu.d
-    q0 = dim_gl_irrep(mu)
-    # running blocks: (path steps, current label, row offset, q)
-    U = np.eye(q0)
-    running: list[tuple[tuple[Staircase, ...], Staircase, int, int]] = [
-        ((mu,), mu, 0, q0)
-    ]
-    for t, dual in enumerate(flags):
-        # the simple CG of each block acts on the (q*d) leg of its rows
-        # U_b (x) 1: column (b, y) of the CG matrix meets row b of U_b on
-        # site value y
-        D = U.shape[1]
-        newU = np.zeros((U.shape[0] * d, D * d))
-        new_running = []
-        offset = 0
-        for steps, label, off, q in running:
-            cg = simple_cg(label, dual)
-            cg_rows = cg.matrix.reshape(q * d, q, d).transpose(0, 2, 1).reshape(q * d * d, q)
-            chunk = (cg_rows @ U[off : off + q, :]).reshape(q * d, d, D)
-            newU[offset : offset + q * d, :] = chunk.transpose(0, 2, 1).reshape(q * d, D * d)
-            for b in cg.blocks:
-                new_running.append(
-                    (steps + (b.label,), b.label, offset + b.offset, b.size)
-                )
-            offset += q * d
-        U = newU
-        running = new_running
-    k = sum(1 for f in flags if not f)
-    l = len(flags) - k
-    by_label: dict[Staircase, list[tuple[tuple[Staircase, ...], int, int]]] = {}
-    for steps, label, off, q in running:
-        by_label.setdefault(label, []).append((steps, off, q))
-    order = sorted(by_label, key=lambda s: s.entries, reverse=True)
-    final = np.zeros_like(U)
+    k = flags.count(False)
+    dim = dim_gl_irrep(mu) * mu.d ** len(flags)
+    # filled path by path: callers slice the matrix by rows, so it is
+    # row-major, where a stack of the transposed isometries would not be
+    matrix = np.zeros((dim, dim))
     sectors = []
     offset = 0
-    for label in order:
-        entries = by_label[label]
-        qdim = entries[0][2]
-        paths = []
-        sector_offset = offset
-        for steps, off, q in entries:  # DFS order = lexicographic path order
-            final[offset : offset + q, :] = U[off : off + q, :]
-            paths.append(GtPath(steps, k, l))
+    for label, paths in enumerate_paths(mu, k, len(flags) - k).items():
+        q = dim_gl_irrep(label)
+        sectors.append(PathSector(label, offset, q, tuple(paths)))
+        for p in paths:
+            matrix[offset : offset + q] = _path_isometry(p).T
             offset += q
-        sectors.append(PathSector(label, sector_offset, qdim, tuple(paths)))
-    final.flags.writeable = False
-    return PathTransform(mu, flags, final, sectors)
+    matrix.flags.writeable = False
+    return PathTransform(mu, flags, matrix, sectors)
 
 
 def schur_transform(m: int, n: int, d: int) -> PathTransform:

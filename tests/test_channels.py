@@ -18,6 +18,7 @@ from equichan.channels import (
     NotSymmetricError,
     block_decompose_choi,
     check_symmetries,
+    cloning_spec,
     classification_isometry,
     direct_sum_layout,
     dual_uss_channel,
@@ -766,6 +767,22 @@ class TestEdgeCases:
             ExtremalSpec(
                 2, 2, 2, {lam: ExtremalTriple(lam, staircase(0, 0), np.ones(1))}
             )
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: symmetrization_spec(-1, 2), "need m >= 0, got m=-1"),
+            (lambda: ExtremalSpec(0, -2, 2, {}), "need n >= 0, got n=-2"),
+            (lambda: cloning_spec(1, 2, 0), "need d >= 1, got d=0"),
+            (lambda: purity_spec(2, 0), "need d >= 1, got d=0"),
+        ],
+        ids=["m", "n", "d-clone", "d-purity"],
+    )
+    def test_shape_out_of_range_rejected_by_name(self, build, message):
+        # these used to build specs with no assignments, which cover the
+        # empty label set of a negative m or of d = 0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 class TestGammaMin:

@@ -211,6 +211,21 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error: --task general needs -r") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["-m", "3", "-l", "-5"], "need l >= 0, got l=-5"),
+            (["-m", "-3"], "need m >= 0, got m=-3"),
+        ],
+        ids=["l", "m"],
+    )
+    def test_negative_count_is_usage_error(self, argv, message, capsys):
+        # -l -5 used to print negative counts and exit 0, -m -3 a math domain error
+        assert run(["estimate", *argv, "-d", "2", "-r", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):
@@ -314,6 +329,24 @@ class TestApps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: 'lambda' (2,0) is assigned twice\n"
+
+    @pytest.mark.parametrize("stream", [[], ["--stream"]], ids=["dense", "stream"])
+    @pytest.mark.parametrize(
+        "key,value,least", [("m", -1, 0), ("d", 0, 1)], ids=["m", "d"]
+    )
+    def test_spec_shape_out_of_range_is_usage_error(
+        self, key, value, least, stream, tmp_path, state_file, capsys
+    ):
+        # a spec of m = -1 or d = 0 has no input labels; it used to load
+        # with no assignments and fail at the input shape
+        f_state, _ = state_file
+        obj = {"m": 2, "n": 2, "d": 2, "assignments": [], key: value}
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(obj, f_spec)
+        assert run(["simulate", "--spec", str(f_spec), "--state", str(f_state), *stream]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need {key} >= {least}, got {key}={value}\n"
 
     def test_malformed_spec_is_usage_error(self, tmp_path, state_file, capsys):
         f_state, _ = state_file

@@ -191,6 +191,22 @@ class TestReportRoundTrip:
         with pytest.raises(ValueError, match=f"'seed' must be an integer, got {value!r}"):
             fileio.report_from_obj(obj)
 
+    @pytest.mark.parametrize("key", ["value", "threshold"])
+    @pytest.mark.parametrize("bad", ["x", True, None], ids=["str", "bool", "null"])
+    def test_rejects_non_real_case_numbers(self, key, bad):
+        # these used to load, and report.passed then raised TypeError
+        r = VerificationReport("demo", 7)
+        r.add("case-a", 1e-12, 1e-8)
+        obj = fileio.report_to_obj(r)
+        obj["cases"][0][key] = bad
+        with pytest.raises(ValueError, match=f"'{key}' must be a real number, got {bad!r}"):
+            fileio.report_from_obj(obj)
+
+    def test_integer_case_numbers_load(self):
+        obj = fileio.report_to_obj(VerificationReport("demo", 7))
+        obj["cases"] = [{"id": "a", "value": 0, "threshold": 1}]
+        assert fileio.report_from_obj(obj).passed
+
 
 class TestLedger:
     def test_record(self):

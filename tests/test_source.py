@@ -123,6 +123,27 @@ def test_no_private_streaming_imports():
     assert set(found) <= TRACER_ALIASES, sorted(set(found) - TRACER_ALIASES)
 
 
+def test_one_gt_path_isometry_builder():
+    # transforms._path_isometry builds every GT-path isometry: the rows of
+    # the iterated CG transforms and the middle phase's embeddings alike,
+    # so streaming.py neither defines a chain of its own nor reads CG rows
+    import equichan.streaming as streaming
+    import equichan.transforms as transforms
+
+    assert streaming._path_isometry is transforms._path_isometry
+    assert streaming._emit_steps is transforms._emit_steps
+    path = Path(equichan.__file__).parent / "streaming.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"_path_isometry", "_emit_steps"}
+    found = [
+        f"streaming.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "block_rows"
+    ]
+    assert not found, f"CG block rows read in streaming.py: {found}"
+
+
 # ResourceLedger fields that are read off the schedule's steps
 STEP_COUNTS = {"num_simple_cg", "num_simple_dual_cg", "num_inverse_cg", "peak_live_dim"}
 

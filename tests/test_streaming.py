@@ -69,6 +69,20 @@ from oracles import (
 CROSSCHECK_SHAPES = [(2, 2, 3), (3, 3, 2), (4, 2, 2), (2, 3, 3), (4, 3, 2), (5, 1, 2)]
 
 
+@pytest.fixture
+def schedules(monkeypatch):
+    """Every schedule streamed_apply validates, in call order."""
+    seen = []
+    check = streaming.validate_schedule
+
+    def recorded(steps):
+        seen.append(steps)
+        return check(steps)
+
+    monkeypatch.setattr(streaming, "validate_schedule", recorded)
+    return seen
+
+
 def _multi_path_triples(shapes):
     """Distinct (lam, mu, gamma, c) of the shapes with more than one GT path mu -> lam."""
     out = {}
@@ -300,16 +314,17 @@ class TestStreamedApply:
             _, ledger = streamed_apply(spec, rho)
             assert ledger.peak_live_dim < 2**m
 
-    def test_schedule_structure(self, rng):
+    def test_schedule_structure(self, rng, schedules):
         spec = symmetrization_spec(3, 2)
         rho = random_state(8, rng)
-        out, ledger, schedule = streamed_apply(spec, rho, return_schedule=True)
+        streamed_apply(spec, rho)
+        (schedule,) = schedules
         validate_schedule(schedule)
         ops = [s.op for s in schedule]
         assert ops.count("absorb") == 3
         assert ops.count("emit") == 2
 
-    def test_weightless_labels_are_skipped(self):
+    def test_weightless_labels_are_skipped(self, schedules):
         # on |0...0> only the single-row label carries weight; the others
         # get no middle step, do not count towards r_prime, and the output
         # is still the channel's
@@ -323,7 +338,8 @@ class TestStreamedApply:
             others = [lam for lam in sigma if lam != row]
             assert others
             assert all(np.linalg.norm(sigma[lam]) < WEIGHTLESS_NORM for lam in others)
-            out, ledger, schedule = streamed_apply(spec, rho, return_schedule=True)
+            out, ledger = streamed_apply(spec, rho)
+            schedule = schedules[-1]
             assert np.abs(out - extremal_choi(spec).apply(rho)).max() < 1e-10
             alone = []
             _middle_phase(spec, {row: sigma[row]}, ResourceLedger(), alone)
@@ -359,15 +375,15 @@ class TestStreamedApply:
         with pytest.raises(ValueError, match="unknown CG kind"):
             validate_schedule([ScheduleStep("absorb", ("Q", "in:1"), 2, "dual")])
 
-    def test_crosscheck_shapes_stream_every_block(self, rng):
+    def test_crosscheck_shapes_stream_every_block(self, rng, schedules):
         # every middle block of the 192 specs is embedded site by site: no
         # schedule has another op, and the output is the Choi matrix's
         nspecs = 0
         for m, n, d in CROSSCHECK_SHAPES:
             for spec in all_specs(m, n, d):
                 rho = random_state(d**m, rng)
-                out, _, schedule = streamed_apply(spec, rho, return_schedule=True)
-                assert {s.op for s in schedule} <= {"absorb", "embed", "emit"}
+                out, _ = streamed_apply(spec, rho)
+                assert {s.op for s in schedules[-1]} <= {"absorb", "embed", "emit"}
                 assert np.abs(out - extremal_choi(spec).apply(rho)).max() < 1e-10
                 nspecs += 1
         assert nspecs == 192
@@ -970,3 +986,12 @@ class TestResourceEstimate:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             resource_estimate(4, 4, 2, 5, 1, 0, 0)
+
+    @pytest.mark.parametrize("key", ["m", "n", "k", "l"])
+    def test_rejects_negative_counts_by_name(self, key):
+        # l = -5 used to give negative transform, memory and gate counts,
+        # and m = -3 a math domain error
+        args = dict(m=3, n=2, d=2, r=1, r_prime=1, k=1, l=1)
+        args[key] = -3
+        with pytest.raises(ValueError, match=f"^need {key} >= 0, got {key}=-3$"):
+            resource_estimate(**args)

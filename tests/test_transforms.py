@@ -316,6 +316,12 @@ class TestIteratedCg:
         assert t.matrix.shape == (dim_gl_irrep(staircase(4, 2, 1)),) * 2
         assert np.allclose(t.matrix, np.eye(t.dim))
 
+    def test_matrix_is_row_major(self):
+        # emission and the weight blocks slice the matrix by rows; a stack of
+        # transposed path isometries would otherwise come out column-major
+        for t in (iterated_cg(staircase(2, 1, 0), (False, True)), schur_transform(6, 0, 3)):
+            assert t.matrix.flags.c_contiguous
+
     def test_path_counts(self):
         t = iterated_cg(staircase(1, 0), (False, True))
         for s in t.sectors:
@@ -424,6 +430,14 @@ class TestBuilderCache:
     def test_iterated_cg_accepts_any_flag_sequence(self):
         mu = staircase(1, 0)
         assert iterated_cg(mu, [False, True]) is iterated_cg(mu, (False, True))
+
+    @pytest.mark.parametrize("flags", [(True, False), (False, True, False)])
+    def test_iterated_cg_takes_defining_sites_first(self, flags, monkeypatch):
+        # the path enumerator adds k boxes, then removes l: a conjugate site
+        # before a defining one is refused before the dense cap is read
+        monkeypatch.setenv("EQUICHAN_MAX_DENSE", "1")
+        with pytest.raises(ValueError, match="defining sites before conjugate sites"):
+            iterated_cg(staircase(1, 0), flags)
 
     def test_classification_isometry_call_forms_share_an_entry(self):
         from equichan.channels import classification_isometry
