@@ -432,6 +432,33 @@ def ambient_generator(d: int, i: int, j: int, factors: tuple[bool, ...]) -> np.n
     return out
 
 
+def commutant_basis(m: int, n: int, d: int) -> np.ndarray:
+    """Orthonormal basis of the Choi matrices on (C^d)^(x m) (x) (C^d)^(x n)
+    that commute with conj U^(x m) (x) U^(x n) and with S_m x S_n.
+
+    The null space of sum_G ad_G^dag ad_G on the D^2-dimensional Choi space,
+    with G running over every E_ij (-E_ji on each input leg, E_ij on each
+    output leg, ``ambient_generator``) and the adjacent transpositions of
+    the inputs and of the outputs.  Row-major vec: ad_G = G (x) 1 - 1 (x) G^T.
+    Returns shape (dim, D, D), orthonormal in the Hilbert-Schmidt product.
+    """
+    factors = (True,) * m + (False,) * n
+    D = d ** (m + n)
+    gens = [ambient_generator(d, i, j, factors) for i in range(d) for j in range(d)]
+    for start, count in ((0, m), (m, n)):
+        for k in range(start, start + count - 1):
+            perm = list(range(m + n))
+            perm[k], perm[k + 1] = k + 1, k
+            gens.append(permutation_matrix(tuple(perm), d))
+    gram = np.zeros((D * D, D * D))
+    for G in gens:
+        ad = np.kron(G, np.eye(D)) - np.kron(np.eye(D), G.T)
+        gram += ad.T @ ad
+    evals, evecs = np.linalg.eigh(gram)
+    null = evecs[:, evals < 1e-9 * max(1.0, evals[-1])]
+    return null.T.reshape(-1, D, D)
+
+
 def restricted_casimir_kron(gens: np.ndarray, d: int, dual: bool) -> np.ndarray:
     """Split Casimir sum_ij G_ij (x) s_ji on (irrep) (x) C^d by kron calls."""
     q = gens.shape[2]

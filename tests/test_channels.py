@@ -40,11 +40,12 @@ from equichan.staircases import (
     partitions_of,
     staircase,
 )
-from equichan.suites import all_specs
+from equichan.suites import SWEEP_SHAPES, all_specs
 from equichan.transforms import schur_transform
 from equichan.verify import haar_unitary
 
 from oracles import (
+    commutant_basis,
     embed_trace_ops,
     group_element,
     random_state,
@@ -393,6 +394,29 @@ class TestBlockDecompose:
             per_lam[lam_dual] = per_lam.get(lam_dual, 0.0) + np.trace(mat).real
         for lam_dual, total in per_lam.items():
             assert abs(total - 1.0) < 1e-3, (str(lam_dual), total)
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_commutant_dimension_is_sum_of_squared_multiplicities(self, shape):
+        # the symmetric channels span the commutant, one c x c block per triple
+        basis = commutant_basis(*shape)
+        assert len(basis) == sum(c * c for *_, c in enumerate_extremal_triples(*shape))
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_exact_twirl_decomposes(self, shape, rng):
+        # the Hilbert-Schmidt projection onto the commutant is the group twirl,
+        # so it keeps a channel a channel and lands in the classified blocks
+        m, n, d = shape
+        basis = commutant_basis(m, n, d)
+        C = random_cptp_choi(m, n, d, rng).matrix
+        C = np.einsum("k,kab->ab", np.einsum("kab,ab->k", basis, C), basis)
+        M = block_decompose_choi(ChoiMatrix(C, m, n, d))
+        per_lam: dict = {}
+        for (gamma, lam_dual, mu), mat in M.items():
+            assert np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() > -1e-12
+            per_lam[lam_dual] = per_lam.get(lam_dual, 0.0) + np.trace(mat).real
+        assert sorted(per_lam) == sorted(lam.dual() for lam in partitions_of(m, d))
+        for lam_dual, total in per_lam.items():
+            assert abs(total - 1.0) < 1e-12, (str(lam_dual), total)
 
 
 def uss_layout(m, n, d):
