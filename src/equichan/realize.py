@@ -1,12 +1,12 @@
-"""Concrete realizations of SU(d) irreps inside mixed tensor spaces.
+"""Concrete realizations of SU(d) irreps in their Gelfand-Tsetlin bases.
 
-An irrep labelled by a staircase gamma is realized as an invariant subspace
-of (C^d)^(x a) (x) (conj C^d)^(x b), where a and b count the positive and
-negative boxes of gamma.  The subspace is grown one tensor factor at a time
-along a fixed path of staircases: at each step the split Casimir
-Omega = sum_ij E_ij (x) E_ji separates the single-box blocks, because its
-eigenvalue on a block is the content of the added box (or minus content
-minus d for a removed one) and those are pairwise distinct integers.
+The irrep labelled by a staircase gamma is realized on its Gelfand-Tsetlin
+(GT) patterns, where the generators E_ij act by closed-form coefficients
+(Gelfand-Tsetlin 1950; Molev, *Gelfand-Tsetlin bases for classical Lie
+algebras*, 2006).  The split-Casimir helpers serve ``transforms.simple_cg``:
+on (irrep) (x) C^d, Omega = sum_ij E_ij (x) E_ji separates the single-box
+blocks, because its eigenvalue on a block is the content of the added box
+(or minus content minus d for a removed one), pairwise distinct integers.
 
 The gl(d) generators E_ij act on C^d as matrix units, on the conjugate
 factor as -E_ji, and on tensor products by the Leibniz rule.  All matrices
@@ -16,10 +16,13 @@ in this module are real; complex numbers appear only downstream.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from equichan.gtpaths import GtPath
 from equichan.staircases import (
     Staircase,
     add_boxes,
@@ -46,20 +49,39 @@ def ambient_weights(d: int, factors: tuple[bool, ...]) -> np.ndarray:
     return out
 
 
+def _check_generators(G: np.ndarray) -> None:
+    """Raise ValueError unless the stack G (d, d, q, q) has diagonal E_ii and
+    satisfies the gl(d) relations, both to CONSTRUCTION_TOL."""
+    d = G.shape[0]
+    for i in range(d):
+        offdiag = G[i, i] - np.diag(np.diag(G[i, i]))
+        if not np.linalg.norm(offdiag) < CONSTRUCTION_TOL:
+            raise ValueError("Cartan not diagonal")
+    # [E_ij, E_kl] = delta_jk E_il - delta_il E_kj, one broadcast
+    # matmul per (i, j) over the whole (k, l) stack
+    for i in range(d):
+        for j in range(d):
+            defect = G[i, j] @ G - G @ G[i, j]
+            defect[j] -= G[i]
+            defect[:, i] += G[:, j]
+            norms = np.linalg.norm(defect.reshape(d * d, -1), axis=1)
+            if not (norms < CONSTRUCTION_TOL).all():
+                raise ValueError("bad commutator")
+
+
 @dataclass(frozen=True)
 class IrrepRealization:
-    """An SU(d) irrep realized as an invariant subspace of a tensor space.
+    """An SU(d) irrep in its Gelfand-Tsetlin basis, with its tensor embedding.
 
-    ``embedding`` is an isometry from the abstract irrep space (dimension q)
-    into the tensor space; ``generators`` holds the d*d matrices of E_ij in
-    the realized basis, shape (d, d, q, q); ``weights`` the integer weight of
-    each basis vector.  The basis diagonalizes all E_ii, is real, and is
-    ordered by weight, lexicographically descending, highest weight first.
+    ``generators`` holds the d*d matrices of E_ij in the GT basis, shape
+    (d, d, q, q); ``weights`` the integer weight of each basis vector.  The
+    basis diagonalizes all E_ii, is real, and is ordered by weight,
+    lexicographically descending, highest weight first.  ``factors`` lists
+    the sites of the embedding (False = C^d, True = conj C^d).
     """
 
     label: Staircase
     factors: tuple[bool, ...]
-    embedding: np.ndarray
     generators: np.ndarray
     weights: np.ndarray
 
@@ -69,29 +91,26 @@ class IrrepRealization:
 
     @property
     def dim(self) -> int:
-        return self.embedding.shape[1]
+        return self.generators.shape[2]
+
+    @functools.cached_property
+    def embedding(self) -> np.ndarray:
+        """Isometry from the irrep into the tensor space of ``factors``: the
+        GT-path isometry of ``canonical_path(label)`` (read-only)."""
+        # built on first access, never by canonical_realization: simple_cg of
+        # the label before gamma needs canonical_realization(gamma)
+        from equichan.transforms import _path_isometry
+
+        g = self.label
+        V = _path_isometry(GtPath(tuple(canonical_path(g)), g.pos_size, g.neg_size))
+        V.flags.writeable = False
+        return V
 
     def validate(self) -> None:
         V = self.embedding
-        q = self.dim
-        if not np.linalg.norm(V.conj().T @ V - np.eye(q)) < CONSTRUCTION_TOL:
+        if not np.linalg.norm(V.conj().T @ V - np.eye(self.dim)) < CONSTRUCTION_TOL:
             raise ValueError("not an isometry")
-        d = self.d
-        G = self.generators
-        for i in range(d):
-            offdiag = G[i, i] - np.diag(np.diag(G[i, i]))
-            if not np.linalg.norm(offdiag) < CONSTRUCTION_TOL:
-                raise ValueError("Cartan not diagonal")
-        # [E_ij, E_kl] = delta_jk E_il - delta_il E_kj, one broadcast
-        # matmul per (i, j) over the whole (k, l) stack
-        for i in range(d):
-            for j in range(d):
-                defect = G[i, j] @ G - G @ G[i, j]
-                defect[j] -= G[i]
-                defect[:, i] += G[:, j]
-                norms = np.linalg.norm(defect.reshape(d * d, -1), axis=1)
-                if not (norms < CONSTRUCTION_TOL).all():
-                    raise ValueError("bad commutator")
+        _check_generators(self.generators)
 
 
 def _restricted_casimir(gens: np.ndarray, d: int, dual: bool) -> np.ndarray:
@@ -128,16 +147,6 @@ def _step_targets(nu: Staircase, dual: bool) -> list[tuple[Staircase, int]]:
     if any(abs(a - b) < 1 for a in eigs for b in eigs if a != b):
         raise RuntimeError(f"split-Casimir eigenvalues of {nu} are not separated: {eigs}")
     return out
-
-
-def _extend_step(gens: np.ndarray, d: int, dual: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose the split Casimir once; callers slice out blocks."""
-    return np.linalg.eigh(_restricted_casimir(gens, d, dual))
-
-
-def _block_columns(evals: np.ndarray, evecs: np.ndarray, target: int) -> np.ndarray:
-    cols = np.abs(evals - target) < 0.25
-    return evecs[:, cols]
 
 
 def lead_phase(M: np.ndarray) -> complex:
@@ -205,92 +214,83 @@ def canonical_path(gamma: Staircase) -> list[Staircase]:
     return path
 
 
-def _canonicalize_basis(
-    V: np.ndarray, amb_weights: np.ndarray
-) -> np.ndarray:
-    """Rotate the subspace basis V to the canonical weight-ordered basis.
+def gt_patterns(gamma: Staircase) -> list[tuple[tuple[int, ...], ...]]:
+    """The GT patterns of gamma, rows from level d (gamma) down to level 1,
+    sorted by (weight, pattern), both descending.
 
-    Within each ambient weight block (taken in lexicographically descending
-    weight order) the basis is the Gram-Schmidt orthonormalization of the
-    projections of the standard basis vectors, in index order, with the
-    leading ambient coordinate made positive.  Each candidate is projected
-    against all accepted columns at once (_residual).  A block is left once
-    it has as many columns as its weight space has dimensions, the squared
-    norm of V's rows in it: every later candidate lies in their span.
-    Returns the rotated V.
+    Row k - 1 interlaces row k: lambda_{k,i} >= lambda_{k-1,i} >=
+    lambda_{k,i+1}.  Entry k of a pattern's weight is the sum of row k
+    minus the sum of row k - 1.
     """
-    q = V.shape[1]
-    _, cls = np.unique(amb_weights, axis=0, return_inverse=True)
-    weight_dims = np.rint(np.bincount(cls, weights=np.sum(np.abs(V) ** 2, axis=1)))
-    R = np.zeros((q, q), dtype=V.dtype)
-    found = 0
-    for c in np.flatnonzero(weight_dims)[::-1]:
-        full = found + int(weight_dims[c])
-        for k in np.flatnonzero(cls == c):
-            # V^dag e_k (coordinates in the subspace) off the accepted columns
-            u = _residual(R[:, :found], V[k, :].conj())
-            nrm = np.linalg.norm(u)
-            if nrm > RANK_TOL:
-                R[:, found] = u / nrm
-                found += 1
-                if found == full:
-                    break
-    if found != q:
-        raise RuntimeError("weight sweep did not exhaust the subspace")
-    Vnew = V @ R
-    lead = np.argmax(np.abs(Vnew) > RANK_TOL, axis=0)
-    Vnew[:, Vnew[lead, np.arange(q)].real < 0] *= -1
-    return Vnew
+    patterns = [(gamma.entries,)]
+    for _ in range(gamma.d - 1):
+        patterns = [
+            pat + (low,)
+            for pat in patterns
+            for low in itertools.product(*map(range, pat[-1][1:], [x + 1 for x in pat[-1]]))
+        ]
+    return sorted(patterns, key=lambda pat: (_pattern_weight(pat), pat), reverse=True)
+
+
+def _pattern_weight(pattern: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    sums = [0] + [sum(row) for row in reversed(pattern)]
+    return tuple(b - a for a, b in zip(sums, sums[1:]))
+
+
+def _raising_coefficient(pattern: tuple[tuple[int, ...], ...], k: int, i: int) -> float:
+    """<pattern + delta_{k,i}| E_{k,k+1} |pattern> for 0-based level k.
+
+    With l_{k,i} = lambda_{k,i} - i, the square root of
+    -prod_j (l_{k,i} - l_{k+1,j}) prod_j (l_{k,i} - l_{k-1,j} + 1)
+    / prod_{j != i} (l_{k,i} - l_{k,j}) (l_{k,i} - l_{k,j} + 1).
+    """
+    # level 0 first, and an empty row after level d - 1 that ls[-1] reads at k = 0
+    ls = [[x - j for j, x in enumerate(row)] for row in reversed(pattern)] + [[]]
+    li = ls[k][i]
+    num = -math.prod(li - x for x in ls[k + 1]) * math.prod(li - x + 1 for x in ls[k - 1])
+    den = math.prod((li - x) * (li - x + 1) for j, x in enumerate(ls[k]) if j != i)
+    return math.sqrt(num / den)
 
 
 @functools.cache
 def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
-    """Deterministic realization of the irrep labelled by gamma.
+    """The irrep labelled by gamma on its GT patterns, in ``gt_patterns`` order.
 
-    Grown along canonical_path(gamma) by split-Casimir projection, then the
-    basis is canonicalized to be real, weight-diagonal and weight-ordered.
-    Results are memoised per label.
+    E_kk is diagonal with the pattern weights; E_{k,k+1} raises one entry
+    of row k by ``_raising_coefficient``; for j > i + 1, E_ij is
+    [E_{i,i+1}, E_{i+1,j}]; and E_ji = E_ij^T.  The generators are checked
+    against the gl(d) relations.  No eigensolver runs and no embedding is
+    built.  Memoised per label.
     """
     d = gamma.d
-    path = canonical_path(gamma)
-    V = np.ones((1, 1))
-    gens = np.zeros((d, d, 1, 1))
-    factors: tuple[bool, ...] = ()
-    for prev, nxt in zip(path, path[1:]):
-        dual = nxt.size < prev.size
-        targets = dict()
-        for s, eig in _step_targets(prev, dual):
-            targets[s] = eig
-        evals, evecs = _extend_step(gens, d, dual)
-        C = _block_columns(evals, evecs, targets[nxt])
-        if C.shape[1] != dim_gl_irrep(nxt):
-            raise RuntimeError(f"Casimir block {prev} -> {nxt} has shape {C.shape}")
-        # kron(V, 1) C: V acts on the leg of C that the new site leaves
-        V = (V @ C.reshape(-1, d * C.shape[1])).reshape(-1, C.shape[1])
-        gens = _step_generators(gens, d, dual, C)
-        factors = factors + (dual,)
-    amb_w = ambient_weights(d, factors)
-    q = V.shape[1]
-    Vc = _canonicalize_basis(V, amb_w)
-    R = V.conj().T @ Vc  # rotation in abstract coordinates
-    gens_c = R.conj().T @ gens @ R
-    weights = np.zeros((q, d), dtype=int)
+    patterns = gt_patterns(gamma)
+    q = len(patterns)
+    if q != dim_gl_irrep(gamma):
+        raise RuntimeError(f"{q} GT patterns of {gamma}, expected {dim_gl_irrep(gamma)}")
+    index = {pat: a for a, pat in enumerate(patterns)}
+    weights = np.array([_pattern_weight(pat) for pat in patterns], dtype=int)
+    gens = np.zeros((d, d, q, q))
     for i in range(d):
-        diag = np.diag(gens_c[i, i])
-        weights[:, i] = np.round(diag.real)
-        if np.max(np.abs(diag - weights[:, i])) >= CONSTRUCTION_TOL:
-            raise RuntimeError(f"weights of {gamma} are not integral")
-    real = IrrepRealization(
-        label=gamma,
-        factors=factors,
-        embedding=Vc,
-        generators=gens_c,
-        weights=weights,
-    )
-    real.validate()
-    for arr in (Vc, gens_c, weights):
+        gens[i, i] = np.diag(weights[:, i])
+    for a, pat in enumerate(patterns):
+        for k in range(d - 1):
+            for i in range(k + 1):
+                raised = list(map(list, pat))
+                raised[d - 1 - k][i] += 1
+                b = index.get(tuple(map(tuple, raised)))
+                if b is not None:
+                    gens[k, k + 1, b, a] = _raising_coefficient(pat, k, i)
+    for gap in range(1, d):
+        for i in range(d - gap):
+            j = i + gap
+            if gap > 1:
+                gens[i, j] = gens[i, i + 1] @ gens[i + 1, j] - gens[i + 1, j] @ gens[i, i + 1]
+            gens[j, i] = gens[i, j].T
+    _check_generators(gens)
+    for arr in (gens, weights):
         arr.flags.writeable = False
-    return real
+    factors = (False,) * gamma.pos_size + (True,) * gamma.neg_size
+    return IrrepRealization(gamma, factors, gens, weights)
 
 
 def _simple_generators(d: int) -> list[tuple[int, int]]:
@@ -420,12 +420,7 @@ def dual_generators(gens: np.ndarray) -> np.ndarray:
 
     Matches the conjugate-site action -e_ji used on conj C^d factors.
     """
-    d = gens.shape[0]
-    out = np.zeros_like(gens)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = -gens[i, j].T
-    return out
+    return -gens.swapaxes(2, 3)
 
 
 @functools.cache

@@ -29,9 +29,8 @@ from equichan.realize import (
     CONSTRUCTION_TOL,
     IrrepRealization,
     RANK_TOL,
-    _block_columns,
-    _extend_step,
     _residual,
+    _restricted_casimir,
     _step_generators,
     _step_targets,
     ambient_weights,
@@ -158,12 +157,12 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     nu = canonical_realization(label)
     d = nu.d
     q = nu.dim
-    evals, evecs = _extend_step(nu.generators, d, dual)
+    evals, evecs = np.linalg.eigh(_restricted_casimir(nu.generators, d, dual))
     rows = []
     blocks = []
     offset = 0
     for s, eig in _step_targets(label, dual):
-        C = _block_columns(evals, evecs, eig)
+        C = evecs[:, np.abs(evals - eig) < 0.25]
         qs = dim_gl_irrep(s)
         if C.shape[1] != qs:
             raise RuntimeError(f"Casimir block for {s} has wrong dimension")

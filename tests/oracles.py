@@ -492,36 +492,6 @@ def product_generators_kron(gens_a: np.ndarray, gens_b: np.ndarray) -> np.ndarra
     return out
 
 
-def canonical_basis_loop(V: np.ndarray, amb_weights: np.ndarray) -> np.ndarray:
-    """The canonical weight-ordered basis of span(V), one vector at a time.
-
-    Weight blocks in lexicographically descending order; within a block the
-    projections V^dag e_k in index order, each orthogonalized against every
-    accepted vector in turn and kept if its norm exceeds 1e-8; then each
-    column of V R is signed so that its first entry above 1e-8 is positive.
-    """
-    q = V.shape[1]
-    weight_of = [tuple(w) for w in amb_weights]
-    cols: list[np.ndarray] = []
-    for wt in sorted(set(weight_of), reverse=True):
-        for k in [k for k, w in enumerate(weight_of) if w == wt]:
-            if len(cols) == q:
-                break
-            u = V[k, :].conj().copy()
-            for c in cols:
-                u -= c * (c.conj() @ u)
-            if np.linalg.norm(u) > 1e-8:
-                cols.append(u / np.linalg.norm(u))
-    if len(cols) != q:
-        raise ValueError("weight sweep did not exhaust the subspace")
-    Vnew = V @ np.stack(cols, axis=1)
-    for c in range(q):
-        lead = np.argmax(np.abs(Vnew[:, c]) > 1e-8)
-        if Vnew[lead, c].real < 0:
-            Vnew[:, c] = -Vnew[:, c]
-    return Vnew
-
-
 def choi_channel_defects(C: np.ndarray, din: int, dout: int) -> tuple[float, float, float]:
     """How far a Choi matrix on in (x) out is from a channel's.
 

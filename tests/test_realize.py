@@ -6,7 +6,6 @@ import pytest
 from equichan.realize import (
     CONSTRUCTION_TOL,
     IrrepRealization,
-    _canonicalize_basis,
     _restricted_casimir,
     _step_generators,
     ambient_weights,
@@ -27,7 +26,6 @@ from equichan.verify import haar_unitary
 from oracles import (
     ambient_generator,
     bad_commutators,
-    canonical_basis_loop,
     expm_antihermitian,
     group_element,
     restricted_casimir_kron,
@@ -156,6 +154,55 @@ class TestCanonicalRealization:
                 assert resid < 1e-8
 
 
+    def test_basis_diagonalizes_chain_casimirs(self):
+        # each basis vector is the GT pattern of gt_patterns at its index:
+        # the Casimir C_k = sum_{i,j<k} E_ij E_ji of gl(k) acts on it by
+        # sum_i lambda_{k,i} (lambda_{k,i} + k + 1 - 2i) of its row k
+        from equichan.realize import gt_patterns
+
+        # q <= 150: the build's gl(d) check costs d^4 q^3, and the 13 larger
+        # labels of this range would take most of a second each
+        labels = {
+            s
+            for d in (2, 3, 4)
+            for m in range(5)
+            for k in range(4)
+            for s in enumerate_staircases(m, k, d)
+            if dim_gl_irrep(s) <= 150
+        }
+        assert len(labels) == 130
+        worst = 0.0
+        for label in labels:
+            r = canonical_realization(label)
+            d = label.d
+            patterns = gt_patterns(label)
+            for k in range(1, d + 1):
+                G = r.generators[:k, :k]
+                casimir = (G @ G.transpose(1, 0, 2, 3)).sum(axis=(0, 1))
+                expected = [
+                    sum(x * (x + k + 1 - 2 * i) for i, x in enumerate(pat[d - k], start=1))
+                    for pat in patterns
+                ]
+                worst = max(worst, np.abs(casimir - np.diag(expected)).max())
+        assert worst < 1e-10, worst
+
+    def test_cold_build_runs_no_eigensolver(self, monkeypatch):
+        import equichan.transforms
+
+        def forbidden(*args):
+            raise AssertionError("called during a cold realization build")
+
+        labels = ALL_LABELS + [staircase(5, 2, -3), staircase(2, 1, 0, -1)]
+        warm = {label: canonical_realization(label) for label in labels}
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(equichan.transforms, "simple_cg", forbidden)
+        for label in labels:
+            cold = canonical_realization.__wrapped__(label)
+            assert "embedding" not in vars(cold)
+            assert np.array_equal(cold.generators, warm[label].generators)
+            assert np.array_equal(cold.weights, warm[label].weights)
+
+
 class TestIntertwiner:
     def test_identity_on_same_realization(self):
         r = canonical_realization(staircase(2, 1))
@@ -262,43 +309,6 @@ class TestLegwiseBuilders:
         C = _orthonormal_columns(q * d, qnew, rng)
         got = _step_generators(gens, d, dual, C)
         assert np.abs(got - step_generators_kron(gens, d, dual, C)).max() < 1e-12
-
-    @pytest.mark.parametrize("label", ALL_LABELS, ids=str)
-    def test_canonical_basis_is_the_loop_basis(self, label, rng):
-        # the canonical basis depends only on the subspace: the one-vector
-        # Gram-Schmidt reproduces the embedding from itself, and the block
-        # projections reproduce it from any rotated basis of the subspace
-        r = canonical_realization(label)
-        weights = ambient_weights(label.d, r.factors)
-        assert np.abs(canonical_basis_loop(r.embedding, weights) - r.embedding).max() < 1e-12
-        rotated = r.embedding @ _orthonormal_columns(r.dim, r.dim, rng)
-        assert np.abs(_canonicalize_basis(rotated, weights) - r.embedding).max() < 1e-12
-
-    def test_canonical_basis_of_near_parallel_candidates(self, rng):
-        # rows 0 and 1 of V share a weight and differ by eps = 1e-7 in
-        # direction, so one projection pass leaves a component of about
-        # 1e-16 / eps along the first column; the second pass removes it
-        eps = 1e-7
-        c2 = np.sqrt(1 - eps**2)
-        a = 1 / np.sqrt(2 + (eps / c2) ** 2)
-        V = np.array([[a, 0.0], [a, eps], [-a * eps / c2, c2]])
-        V = V @ _orthonormal_columns(2, 2, rng)
-        out = _canonicalize_basis(V, np.zeros((3, 2), dtype=int))
-        assert np.abs(out.T @ out - np.eye(2)).max() < 1e-12
-        assert np.abs(out @ out.T - V @ V.T).max() < 1e-12
-
-    def test_canonical_basis_sign_fix(self, rng):
-        # on a weight-invariant subspace the Gram-Schmidt column grown from
-        # candidate k leads with a positive entry at k, so the sign fix only
-        # acts on a subspace that is not weight-invariant: here column 0
-        # grows from index 1 (weight 2) and leads with -1/sqrt(6) at index 0
-        x = np.array([-1.0, 2.0, 1.0]) / np.sqrt(6)
-        y = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
-        weights = np.array([[0], [2], [1]])
-        expected = np.stack([-x, y], axis=1)
-        V = np.stack([x, y], axis=1) @ _orthonormal_columns(2, 2, rng)
-        assert np.abs(_canonicalize_basis(V, weights) - expected).max() < 1e-12
-        assert np.abs(canonical_basis_loop(V, weights) - expected).max() < 1e-12
 
 
 class TestValidate:
