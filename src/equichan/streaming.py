@@ -585,11 +585,13 @@ def resource_estimate(
     r and r_prime bound the staircase lengths on the absorption and emission
     sides; (k, l) are the middle-phase path steps.  The polylog synthesis
     factor stays symbolic in every row.  Raises ValueError naming the
-    first of m, n, k and l that is negative.
+    first of m, n, k and l that is negative, then d if it is below 1.
     """
     for key, value in (("m", m), ("n", n), ("k", k), ("l", l)):
         if value < 0:
             raise ValueError(f"need {key} >= 0, got {key}={value}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     if not (1 <= r <= d and 1 <= r_prime <= d):
         raise ValueError("need 1 <= r, r_prime <= d")
     import math

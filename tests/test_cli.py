@@ -212,6 +212,22 @@ class TestEstimate:
         assert err.startswith("error: --task general needs -r") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-m", "3", "-d", "0", "-r", "1"],
+            ["--task", "purify", "-m", "3", "-d", "0"],
+            ["--task", "symmetrize", "-m", "3", "-d", "0"],
+        ],
+        ids=["general", "purify", "symmetrize"],
+    )
+    def test_d_below_one_is_usage_error(self, argv, capsys):
+        # these used to blame r: "need 1 <= r, r_prime <= d"
+        assert run(["estimate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need d >= 1, got d=0\n"
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (["-m", "3", "-l", "-5"], "need l >= 0, got l=-5"),

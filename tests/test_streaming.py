@@ -987,6 +987,15 @@ class TestResourceEstimate:
         with pytest.raises(ValueError):
             resource_estimate(4, 4, 2, 5, 1, 0, 0)
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_rejects_d_below_one_by_name(self, d):
+        # d < 1 used to be reported as "need 1 <= r, r_prime <= d"
+        with pytest.raises(ValueError, match=f"^need d >= 1, got d={d}$"):
+            resource_estimate(3, 2, d, 1, 1, 0, 0)
+        for task in ("symmetrize", "clone", "purify"):
+            with pytest.raises(ValueError, match=f"^need d >= 1, got d={d}$"):
+                application_estimate(task, m=3, n=4, d=d)
+
     @pytest.mark.parametrize("key", ["m", "n", "k", "l"])
     def test_rejects_negative_counts_by_name(self, key):
         # l = -5 used to give negative transform, memory and gate counts,
