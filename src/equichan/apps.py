@@ -9,9 +9,7 @@ oracles for all three live in the test suite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -22,12 +20,12 @@ from equichan.channels import (
     purity_spec,
     symmetrization_spec,
 )
-from equichan.staircases import sym_dim
+from equichan.staircases import Staircase, sym_dim
 from equichan.streaming import ResourceLedger, streamed_apply
 
 # bound only because perfbench/tracer.py's REQUIRED_ALIASES demands them
 from equichan.streaming import _absorb_phase, _emission_phase  # noqa: F401
-from equichan.transforms import permutation_operator
+from equichan.transforms import schur_transform
 
 SYMMETRIC_SUPPORT_TOL = 1e-8
 
@@ -63,13 +61,6 @@ def symmetrize(
         spec, rho, seed=seed, mode=mode, trajectories=trajectories
     )
     return AppResult(out, ledger)
-
-
-def symmetric_projector(n: int, d: int) -> np.ndarray:
-    acc = np.zeros((d**n, d**n))
-    for perm in itertools.permutations(range(n)):
-        acc += permutation_operator(perm, n, d)
-    return acc / factorial(n)
 
 
 def clone(
@@ -118,16 +109,19 @@ def _check_symmetric_support(rho: np.ndarray, m: int, d: int) -> None:
     Runs before any streaming, after ``channels.check_input``: the
     off-mass |rho - P rho P| and the weight tr((1 - P) rho), which
     absorption would put on labels other than (m), must each be at most
-    SYMMETRIC_SUPPORT_TOL.
+    SYMMETRIC_SUPPORT_TOL.  P = R^T R for R the rows of label (m) in
+    ``schur_transform(m, 0, d)``; the off-mass is the norm of a difference,
+    as |rho|^2 - |R rho R^T|^2 would lose the tolerance to cancellation.
     """
-    P = symmetric_projector(m, d)
-    off = np.linalg.norm(rho - P @ rho @ P)
+    R = schur_transform(m, 0, d).sector_rows(Staircase((m,) + (0,) * (d - 1)))
+    inner = R @ rho @ R.T
+    off = np.linalg.norm(rho - R.T @ inner @ R)
     if off > SYMMETRIC_SUPPORT_TOL:
         raise ValueError(
             f"input has mass {off:.2e} outside the symmetric subspace; "
             "the cloning map is only trace preserving on it"
         )
-    stray = float(np.trace(rho - P @ rho).real)
+    stray = float((np.trace(rho) - np.trace(inner)).real)
     if stray > SYMMETRIC_SUPPORT_TOL:
         raise ValueError(f"non-symmetric weight {stray:.2e} after absorption")
 

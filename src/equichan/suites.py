@@ -9,6 +9,7 @@ child stream per case from the suite seed.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from equichan.apps import (
     cloning_fidelity,
     depolarized_copies,
     purity_amplify,
-    symmetric_projector,
 )
 from equichan.channels import (
     ChoiMatrix,
@@ -49,7 +49,7 @@ from equichan.staircases import (
     sym_dim,
 )
 from equichan.streaming import streamed_apply
-from equichan.transforms import vec
+from equichan.transforms import permutation_operator, vec
 from equichan.verify import VerificationReport, tv_distance
 
 SWEEP_SHAPES = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3)]
@@ -158,6 +158,15 @@ def _symmetrize_brute(rho: np.ndarray, m: int, d: int) -> np.ndarray:
     perms = list(itertools.permutations(range(m)))
     acc = sum(T.transpose(list(p) + [m + k for k in p]) for p in perms)
     return acc.reshape(rho.shape) / len(perms)
+
+
+def symmetric_projector(n: int, d: int) -> np.ndarray:
+    """The n!-term projector onto the symmetric subspace of n qudits: the
+    average of every site permutation, the oracle of ``suite_cloning``."""
+    acc = np.zeros((d**n, d**n))
+    for perm in itertools.permutations(range(n)):
+        acc += permutation_operator(perm, n, d)
+    return acc / factorial(n)
 
 
 def suite_state_symmetrization(seed: int = 1) -> VerificationReport:
