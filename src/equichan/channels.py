@@ -29,6 +29,7 @@ from equichan.limits import check_dense
 from equichan.realize import dual_structure
 from equichan.staircases import (
     Staircase,
+    check_shape,
     dim_gl_irrep,
     dim_perm_irrep,
     lr_coeff,
@@ -455,9 +456,11 @@ def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     Block (lam, mu, gamma) is one contraction of the gamma rows of
     general_cg(dual lam, mu) with the conjugated lam rows of the m-site
     Schur transform, rotated by dual_structure(lam)^dag, and the mu rows of
-    the n-site one.  The dense cap is checked on every call, the isometry
-    itself is memoised per (m, n, d).
+    the n-site one.  Bad arguments raise as in ``staircases.check_shape``;
+    the dense cap is checked on every call, the isometry itself is memoised
+    per (m, n, d).
     """
+    m, n, d = check_shape(m, n, d)
     check_dense(d ** (m + n))
     return _classification_isometry(m, n, d)
 

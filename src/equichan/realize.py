@@ -3,10 +3,10 @@
 The irrep labelled by a staircase gamma is realized on its Gelfand-Tsetlin
 (GT) patterns, where the generators E_ij act by closed-form coefficients
 (Gelfand-Tsetlin 1950; Molev, *Gelfand-Tsetlin bases for classical Lie
-algebras*, 2006).  The split-Casimir helpers serve ``transforms.simple_cg``:
-on (irrep) (x) C^d, Omega = sum_ij E_ij (x) E_ji separates the single-box
-blocks, because its eigenvalue on a block is the content of the added box
-(or minus content minus d for a removed one), pairwise distinct integers.
+algebras*, 2006).  The single-box Clebsch-Gordan blocks are closed-form
+too, one reduced Wigner factor per level (Biedenharn-Louck pattern
+calculus), and the dual structures are signed permutations of patterns;
+the Krylov ``intertwiner`` serves only ``transforms.general_cg``.
 
 The gl(d) generators E_ij act on C^d as matrix units, on the conjugate
 factor as -E_ji, and on tensor products by the Leibniz rule.  All matrices
@@ -25,10 +25,8 @@ import numpy as np
 from equichan.gtpaths import GtPath
 from equichan.staircases import (
     Staircase,
-    add_boxes,
     dim_gl_irrep,
     empty_staircase,
-    remove_boxes,
 )
 
 CONSTRUCTION_TOL = 1e-10
@@ -57,16 +55,20 @@ def _check_generators(G: np.ndarray) -> None:
         offdiag = G[i, i] - np.diag(np.diag(G[i, i]))
         if not np.linalg.norm(offdiag) < CONSTRUCTION_TOL:
             raise ValueError("Cartan not diagonal")
-    # [E_ij, E_kl] = delta_jk E_il - delta_il E_kj, one broadcast
-    # matmul per (i, j) over the whole (k, l) stack
-    for i in range(d):
-        for j in range(d):
-            defect = G[i, j] @ G - G @ G[i, j]
-            defect[j] -= G[i]
-            defect[:, i] += G[:, j]
-            norms = np.linalg.norm(defect.reshape(d * d, -1), axis=1)
-            if not (norms < CONSTRUCTION_TOL).all():
-                raise ValueError("bad commutator")
+    # [E_ij, E_kl] = delta_jk E_il - delta_il E_kj, one broadcast matmul
+    # per (i, j) over the (k, l) >= (i, j) of the flattened stack: the
+    # relation for ((k, l), (i, j)) is minus the one for ((i, j), (k, l))
+    flat = G.reshape(d * d, *G.shape[2:])
+    for p in range(d * d):
+        i, j = divmod(p, d)
+        rest = flat[p:]
+        defect = G[i, j] @ rest - rest @ G[i, j]
+        k, l = np.divmod(np.arange(p, d * d), d)
+        defect[k == j] -= G[i, l[k == j]]
+        defect[l == i] += G[k[l == i], j]
+        norms = np.linalg.norm(defect.reshape(len(rest), -1), axis=1)
+        if not (norms < CONSTRUCTION_TOL).all():
+            raise ValueError("bad commutator")
 
 
 @dataclass(frozen=True)
@@ -113,42 +115,6 @@ class IrrepRealization:
         _check_generators(self.generators)
 
 
-def _restricted_casimir(gens: np.ndarray, d: int, dual: bool) -> np.ndarray:
-    """Split Casimir on (current irrep) (x) C^d in restricted coordinates.
-
-    sum_ij G_ij (x) s_ji is a transpose of the legs of the generator stack:
-    entry ((a, x), (b, y)) is G_yx[a, b] on a defining site and -G_xy[a, b]
-    on a conjugate one, each a single term.
-    """
-    q = gens.shape[2]
-    if dual:
-        return -gens.transpose(2, 0, 3, 1).reshape(q * d, q * d)
-    return gens.transpose(2, 1, 3, 0).reshape(q * d, q * d)
-
-
-def _step_targets(nu: Staircase, dual: bool) -> list[tuple[Staircase, int]]:
-    """Single-box moves from nu with their split-Casimir eigenvalues.
-
-    Adding a box in row r (0-based) has eigenvalue nu_r - r (the content of
-    the new box); removing one has eigenvalue -(nu_r - 1 - r) - d.
-    """
-    out = []
-    if not dual:
-        for s in add_boxes(nu):
-            r = next(i for i in range(nu.d) if s.entries[i] != nu.entries[i])
-            out.append((s, nu.entries[r] - r))
-    else:
-        for s in remove_boxes(nu):
-            r = next(i for i in range(nu.d) if s.entries[i] != nu.entries[i])
-            out.append((s, -(nu.entries[r] - 1 - r) - nu.d))
-    eigs = [e for _, e in out]
-    if len(set(eigs)) != len(eigs):
-        raise RuntimeError(f"split-Casimir eigenvalues of {nu} are not distinct: {eigs}")
-    if any(abs(a - b) < 1 for a in eigs for b in eigs if a != b):
-        raise RuntimeError(f"split-Casimir eigenvalues of {nu} are not separated: {eigs}")
-    return out
-
-
 def lead_phase(M: np.ndarray) -> complex:
     """|p| / p for p the first entry of M (row-major) of modulus > 1e-8, or
     1 if there is none: the factor that makes that entry real positive.
@@ -168,24 +134,6 @@ def _residual(B: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     u = u - B @ (B.conj().T @ u)
     return u - B @ (B.conj().T @ u)
-
-
-def _step_generators(gens: np.ndarray, d: int, dual: bool, C: np.ndarray) -> np.ndarray:
-    """Generators restricted to the selected block of (irrep) (x) C^d.
-
-    C^T (G_ij (x) 1 + 1 (x) s_ij) C in two parts: one GEMM applies all d^2
-    generators to the irrep leg of C, and the site leg gives the products
-    C_i^T C_j of the row slices C_i = C[(., i), :], negated and with i, j
-    swapped on a conjugate site.
-    """
-    q = gens.shape[2]
-    qnew = C.shape[1]
-    irrep = (gens.reshape(d * d * q, q) @ C.reshape(q, d * qnew)).reshape(d, d, q * d, qnew)
-    rows = C.reshape(q, d, qnew).transpose(1, 2, 0).reshape(d * qnew, q)
-    site = (rows @ C.reshape(q, d * qnew)).reshape(d, qnew, d, qnew).transpose(0, 2, 1, 3)
-    if dual:
-        site = -site.transpose(1, 0, 2, 3)
-    return C.T @ irrep + site
 
 
 def canonical_path(gamma: Staircase) -> list[Staircase]:
@@ -252,6 +200,49 @@ def _raising_coefficient(pattern: tuple[tuple[int, ...], ...], k: int, i: int) -
     return math.sqrt(num / den)
 
 
+def box_block(lam: Staircase, s: Staircase) -> np.ndarray:
+    """The block of Q_lam (x) C^d onto Q_s, s being lam plus a box, up to
+    sign: rows ``gt_patterns(s)``, columns (pattern of lam, site).
+
+    Site e_x adds a box at entry a_k of every level k = x..d of a pattern P,
+    a_d being the row where s and lam differ, and each choice whose result
+    P' is a pattern of s gives <s, P'| (lam, P) (x) e_x> = E prod_{k > x} T_k.
+    With p_{k,i} = lambda_{k,i} + k - i of P (i 1-based), a = a_k, b = a_{k-1}:
+    E^2 = prod_c (p_{x,a} - p_{x-1,c}) / prod_{c != a} (p_{x,a} - p_{x,c}),
+    T_k^2 = prod_{c != a} (p_{k-1,b} - p_{k,c} + 1) prod_{c != b} (p_{k,a} - p_{k-1,c})
+    / [prod_{c != a} (p_{k,a} - p_{k,c}) prod_{c != b} (p_{k-1,b} - p_{k-1,c} + 1)],
+    and T_k < 0 exactly when b < a.  Only the final square root rounds.
+    """
+    d = lam.d
+    index = {pat: b for b, pat in enumerate(gt_patterns(s))}
+    W = np.zeros((len(index), dim_gl_irrep(lam) * d))
+    r = next(i for i in range(d) if s.entries[i] != lam.entries[i])
+    for col, pat in enumerate(gt_patterns(lam)):
+        # p[k] is level k; E reads the empty p[0] at x = 1
+        p = [[]] + [[v + k - i for i, v in enumerate(pat[d - k], 1)] for k in range(1, d + 1)]
+
+        def prod(u, k, skip=None):
+            return math.prod(u - c for i, c in enumerate(p[k]) if i != skip)
+
+        # walk down from level d, raising entry a of level k under the raised
+        # rows `top`; num / den is the integer square of the T_j, j > k, and
+        # den takes E's and T_k's common prod_{c != a} (p_{k,a} - p_{k,c})
+        stack = [(d, r, (), 1, 1, 1)]
+        while stack:
+            k, a, top, num, den, sign = stack.pop()
+            top += (tuple(v + (i == a) for i, v in enumerate(pat[d - k])),)
+            u = p[k][a]
+            den *= prod(u, k, a)
+            b = index.get(top + pat[d - k + 1 :])
+            if b is not None:
+                W[b, col * d + k - 1] = sign * math.sqrt(num * prod(u, k - 1) / den)
+            for c in range(k - 1):
+                v = p[k - 1][c] + 1
+                num_c, den_c = num * prod(v, k, a) * prod(u, k - 1, c), den * prod(v, k - 1, c)
+                stack.append((k - 1, c, top, num_c, den_c, -sign if c < a else sign))
+    return W
+
+
 @functools.cache
 def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
     """The irrep labelled by gamma on its GT patterns, in ``gt_patterns`` order.
@@ -293,15 +284,22 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
     return IrrepRealization(gamma, factors, gens, weights)
 
 
-def _simple_generators(d: int) -> list[tuple[int, int]]:
-    """Index pairs generating gl(d): raising/lowering neighbours plus Cartan."""
-    pairs = []
-    for i in range(d - 1):
-        pairs.append((i, i + 1))
-        pairs.append((i + 1, i))
-    for i in range(d):
-        pairs.append((i, i))
-    return pairs
+def check_intertwining(T: np.ndarray, legs: list[np.ndarray], gens_b: np.ndarray) -> None:
+    """Raise ValueError unless T E_ij = E_ij^(b) T on every simple generator,
+    to 1e-8 in Frobenius norm.  The columns of T are a tensor product with
+    one generator stack per factor in ``legs``; E_ij acts on them by the
+    Leibniz rule, each term applied to its own tensor leg."""
+    d = gens_b.shape[0]
+    # the simple generators: E_{a,a+1}, E_{a+1,a} and the Cartan E_aa
+    i, j = [*range(d - 1), *range(1, d), *range(d)], [*range(1, d), *range(d - 1), *range(d)]
+    Tt = T.reshape(len(T), *(g.shape[2] for g in legs))
+    TA = sum(
+        np.moveaxis(np.tensordot(Tt, g[i, j], axes=(leg, 1)), (-2, -1), (0, leg + 1))
+        for leg, g in enumerate(legs, start=1)
+    )
+    resid = np.linalg.norm(TA.reshape(len(i), *T.shape) - gens_b[i, j] @ T, axis=(1, 2)).max()
+    if resid > 1e-8:
+        raise ValueError(f"intertwining residual {resid:.2e}; labels differ?")
 
 
 def highest_weight_vector(gens: np.ndarray, d: int) -> np.ndarray:
@@ -403,12 +401,7 @@ def intertwiner(gens_a: np.ndarray, gens_b: np.ndarray, d: int) -> np.ndarray:
     if np.linalg.norm(Bb.conj().T @ Bb - np.eye(qb)) > 1e-8:
         raise ValueError("second copy failed to mirror: not the same irrep?")
     T = Bb @ Ba.conj().T
-    resid = max(
-        np.linalg.norm(T @ gens_a[i, j] - gens_b[i, j] @ T)
-        for (i, j) in _simple_generators(d)
-    )
-    if resid > 1e-8:
-        raise ValueError(f"intertwining residual {resid:.2e}; labels differ?")
+    check_intertwining(T, [gens_a], gens_b)
     T = T * lead_phase(T)
     if np.iscomplexobj(T) and np.linalg.norm(T.imag) < CONSTRUCTION_TOL:
         T = T.real
@@ -425,14 +418,22 @@ def dual_generators(gens: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def dual_structure(nu: Staircase, /) -> np.ndarray:
-    """Real orthogonal Z with Z E_ij^(dual(nu)) = -(E_ji^(nu))^T Z.
+    """Real orthogonal Z with Z E_ij^(dual(nu)) = -(E_ij^(nu))^T Z.
 
     Z identifies the canonical realization of the dual label with the dual
     of the canonical realization of nu; it converts conjugate-transforming
-    coordinates into canonical ones and is unique up to sign.
+    coordinates into canonical ones.  It is the signed permutation
+    Z[P, P*] = (-1)^(sum of P below its top row), P* being P with every row
+    reversed and negated, up to the sign ``lead_phase`` fixes; the
+    intertwining relation is checked.
     """
-    a = canonical_realization(nu.dual())
-    b_gens = dual_generators(canonical_realization(nu).generators)
-    Z = intertwiner(a.generators, b_gens, nu.d)
+    index = {pat: b for b, pat in enumerate(gt_patterns(nu.dual()))}
+    Z = np.zeros((len(index), len(index)))
+    for a, pat in enumerate(gt_patterns(nu)):
+        star = tuple(tuple(-v for v in reversed(row)) for row in pat)
+        Z[a, index[star]] = (-1) ** sum(map(sum, pat[1:]))
+    Z *= lead_phase(Z)
+    gens_a = canonical_realization(nu.dual()).generators
+    check_intertwining(Z, [gens_a], dual_generators(canonical_realization(nu).generators))
     Z.flags.writeable = False
     return Z

@@ -280,15 +280,32 @@ def _partitions_of(m: int, d: int) -> tuple[Staircase, ...]:
     return tuple(sorted(out, key=lambda s: s.entries, reverse=True))
 
 
+def check_shape(m: int, n: int, d: int) -> tuple[int, int, int]:
+    """(m, n, d) read through ``operator.index``, as ``Staircase`` reads its
+    entries.  Raises ValueError naming the first of m, n and d that is not
+    an integer, or that is below its least value: 0 for m and n, 1 for d.
+    """
+    out = []
+    for key, value, least in (("m", m, 0), ("n", n, 0), ("d", d, 1)):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"need an integer {key}, got {key}={value!r}") from None
+        if value < least:
+            raise ValueError(f"need {key} >= {least}, got {key}={value}")
+        out.append(value)
+    return tuple(out)
+
+
 def enumerate_staircases(m: int, n: int, d: int) -> list[Staircase]:
     """All staircases gamma over d rows with positive part <= m boxes,
     negative part <= n boxes and total m - n, in lexicographic descending order.
 
     These are exactly the labels appearing in the mixed Schur-Weyl
-    decomposition of m upper and n lower tensor factors of C^d.
+    decomposition of m upper and n lower tensor factors of C^d.  Bad
+    arguments raise as in ``check_shape``.
     """
-    if m < 0 or n < 0 or d < 1:
-        raise ValueError("need m, n >= 0 and d >= 1")
+    m, n, d = check_shape(m, n, d)
     found = set()
     for p in range(max(0, m - n), m + 1):
         q = p - (m - n)

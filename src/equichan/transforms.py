@@ -1,10 +1,11 @@
 """Schur and Clebsch-Gordan transforms as dense block isometries.
 
-The simple CG transform decomposes (irrep) (x) C^d by spectral projection
-of the split Casimir.  ``_path_isometry`` chains the adjoints of its blocks
-along one GT path; the iterated CG transform, and with it the (mixed)
-Schur transform, stacks the transposed isometries of every path of
-``enumerate_paths``, so its permutation-register basis is indexed by paths.
+The simple CG transform decomposes (irrep) (x) C^d into single-box blocks
+in closed form (``realize.box_block``).  ``_path_isometry`` chains the
+adjoints of its blocks along one GT path; the iterated CG transform, and
+with it the (mixed) Schur transform, stacks the transposed isometries of
+every path of ``enumerate_paths``, so its permutation-register basis is
+indexed by paths.
 The general CG transform decomposes a product of two arbitrary irreps, locating
 each isotypic component through its highest-weight space; the multiplicity
 basis is the deterministic orthonormalization of that space.
@@ -30,21 +31,24 @@ from equichan.realize import (
     IrrepRealization,
     RANK_TOL,
     _residual,
-    _restricted_casimir,
-    _step_generators,
-    _step_targets,
     ambient_weights,
     apply_recipe,
+    box_block,
     canonical_realization,
+    check_intertwining,
+    dual_generators,
     intertwiner,
     krylov_recipe,
     lead_phase,
 )
 from equichan.staircases import (
     Staircase,
+    add_boxes,
+    check_shape,
     dim_gl_irrep,
     empty_staircase,
     lr_coeff,
+    remove_boxes,
 )
 
 
@@ -145,32 +149,34 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     """Decompose Q_label (x) C^d (or (x) conj C^d) into single-box blocks.
 
     ``label`` is a staircase; the source irrep is its canonical realization.
-    Blocks are separated by the split Casimir, whose eigenvalues for
-    single-box moves are distinct integers, and each block is rotated onto
-    the canonical realization of its label by the unique intertwiner.
-    Block order follows add_boxes/remove_boxes order.  The matrix is real
-    float64 and read-only: the canonical realizations are real, and the
-    build raises RuntimeError otherwise, so callers may apply it in real
-    arithmetic (streamed absorption does).  Memoised per (label, dual);
-    both arguments are positional so every call shares one cache entry.
+    A block is ``box_block(label, s)`` for an added box, and for a removed
+    one sqrt(q_s / q_label) ``box_block(s, label)`` with its irrep legs
+    swapped (the box contracted with its conjugate site); ``lead_phase``
+    fixes its sign, and its intertwining relation is checked.  Block order
+    follows add_boxes/remove_boxes order.  The matrix is real float64 and
+    read-only, and the build raises RuntimeError otherwise, so callers may
+    apply it in real arithmetic (streamed absorption does).  Memoised per
+    (label, dual); both arguments are positional so every call shares one
+    cache entry.
     """
     nu = canonical_realization(label)
     d = nu.d
     q = nu.dim
-    evals, evecs = np.linalg.eigh(_restricted_casimir(nu.generators, d, dual))
+    site = np.eye(d * d).reshape(d, d, d, d)  # E_ij = e_ij on C^d
+    legs = [nu.generators, dual_generators(site) if dual else site]
     rows = []
     blocks = []
     offset = 0
-    for s, eig in _step_targets(label, dual):
-        C = evecs[:, np.abs(evals - eig) < 0.25]
+    for s in remove_boxes(label) if dual else add_boxes(label):
         qs = dim_gl_irrep(s)
-        if C.shape[1] != qs:
-            raise RuntimeError(f"Casimir block for {s} has wrong dimension")
-        target = canonical_realization(s)
-        H = _step_generators(nu.generators, d, dual, C)
-        T = intertwiner(H, target.generators, d)
-        block_map = T @ C.conj().T
-        rows.append(block_map * lead_phase(block_map))
+        if dual:
+            W = box_block(s, label).reshape(q, qs, d)
+            R = np.sqrt(qs / q) * W.transpose(1, 0, 2).reshape(qs, q * d)
+        else:
+            R = box_block(label, s)
+        R = R * lead_phase(R)
+        check_intertwining(R, legs, canonical_realization(s).generators)
+        rows.append(R)
         blocks.append(Block(s, 0, offset, qs))
         offset += qs
     iso = BlockIsometry(np.concatenate(rows, axis=0), blocks)
@@ -382,10 +388,10 @@ def schur_transform(m: int, n: int, d: int) -> PathTransform:
 
     Unitary with block layout (paths to gamma) (x) Q_gamma over all
     staircases gamma reachable with m additions then n removals; built by
-    iterating the simple CG transform m times and its dual n times.
+    iterating the simple CG transform m times and its dual n times.  Bad
+    arguments raise as in ``staircases.check_shape``.
     """
-    if m < 0 or n < 0 or d < 1:
-        raise ValueError("need m, n >= 0 and d >= 1")
+    m, n, d = check_shape(m, n, d)
     return iterated_cg(empty_staircase(d), (False,) * m + (True,) * n)
 
 

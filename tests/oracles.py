@@ -459,27 +459,32 @@ def commutant_basis(m: int, n: int, d: int) -> np.ndarray:
     return null.T.reshape(-1, D, D)
 
 
-def restricted_casimir_kron(gens: np.ndarray, d: int, dual: bool) -> np.ndarray:
-    """Split Casimir sum_ij G_ij (x) s_ji on (irrep) (x) C^d by kron calls."""
-    q = gens.shape[2]
-    omega = np.zeros((q * d, q * d))
-    for i in range(d):
-        for j in range(d):
-            omega += np.kron(gens[i, j], site_generator(d, j, i, dual))
-    return omega
+def generator_covariance_residual(C: np.ndarray, m: int, n: int, d: int) -> float:
+    """max |[C, G]| over G = E_{a,a+1} and E_{a+1,a}, a < d - 1, for a Choi
+    matrix C on (C^d)^(x m) (x) (C^d)^(x n).
 
-
-def step_generators_kron(gens: np.ndarray, d: int, dual: bool, C: np.ndarray) -> np.ndarray:
-    """C^T (G_ij (x) 1 + 1 (x) s_ij) C with both terms formed densely."""
-    q = gens.shape[2]
-    out = np.zeros((d, d, C.shape[1], C.shape[1]))
-    for i in range(d):
-        for j in range(d):
-            big = np.kron(gens[i, j], np.eye(d)) + np.kron(
-                np.eye(q), site_generator(d, i, j, dual)
-            )
-            out[i, j] = C.T @ big @ C
-    return out
+    G acts by the Leibniz rule, as -X^T on each input leg and as X on each
+    output leg, and each term is applied by contracting one tensor leg of
+    C: no operator on the whole space is formed.  The E_{a,a+1} and
+    E_{a+1,a} generate sl(d) as a Lie algebra, so the residual vanishes
+    exactly when C commutes with conj U^(x m) (x) U^(x n) for every U in
+    SU(d); it reads nothing about permutations.
+    """
+    legs = m + n
+    T = np.asarray(C).reshape((d,) * (2 * legs))
+    worst = 0.0
+    for a in range(d - 1):
+        for b, c in ((a, a + 1), (a + 1, a)):
+            X = np.zeros((d, d))
+            X[b, c] = 1.0
+            comm = np.zeros(T.shape, dtype=T.dtype)
+            for leg in range(legs):
+                g = -X.T if leg < m else X
+                # G C on row leg `leg`, C G on column leg `legs + leg`
+                comm += np.moveaxis(np.tensordot(g, T, axes=(1, leg)), 0, leg)
+                comm -= np.moveaxis(np.tensordot(T, g, axes=(legs + leg, 0)), -1, legs + leg)
+            worst = max(worst, float(np.abs(comm).max()))
+    return worst
 
 
 def product_generators_kron(gens_a: np.ndarray, gens_b: np.ndarray) -> np.ndarray:

@@ -468,7 +468,7 @@ class TestAppResult:
         # the output of streamed_apply itself
         "rho = np.diag([0.4, 0.3, 0.2, 0.1 + 5e-9]) + 0j\n"
         "msg = refused(lambda: streamed_apply(symmetrization_spec(2, 2), rho))\n"
-        "check(msg == 'output trace (1.000000005+0j), expected 1', repr(msg))\n"
+        "check(msg == 'output trace (1.0000000050000002+0j), expected 1', repr(msg))\n"
     )
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
@@ -647,7 +647,7 @@ class TestSectorCertificate:
             return wrapped
 
         rho, psi = random_state(3**6, rng), haar_vector(3, rng)
-        # cold transform builds diagonalize Casimirs; warm them first
+        # warm the transform caches first, so the spies see only the ops' own calls
         symmetrize(rho, 6, 3)
         clone(psi, 2, 6, 3)
         for name in ("cholesky", "eigvalsh", "eigh"):

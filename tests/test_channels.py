@@ -47,6 +47,7 @@ from equichan.verify import haar_unitary
 from oracles import (
     commutant_basis,
     embed_trace_ops,
+    generator_covariance_residual,
     group_element,
     random_state,
     symmetrize_brute,
@@ -417,6 +418,38 @@ class TestBlockDecompose:
         assert sorted(per_lam) == sorted(lam.dual() for lam in partitions_of(m, d))
         for lam_dual, total in per_lam.items():
             assert abs(total - 1.0) < 1e-12, (str(lam_dual), total)
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_extremal_chois_commute_with_the_generators(self, shape):
+        worst = max(
+            generator_covariance_residual(extremal_choi(spec).matrix, *shape)
+            for spec in all_specs(*shape)
+        )
+        assert worst <= 1e-12, worst
+
+    def test_generator_residual_sees_a_permutation_symmetric_perturbation(self, rng):
+        # the perturbation passes every permutation check, so only the
+        # unitary covariance can see it: the generators and the Haar trials
+        # of check_symmetries both do
+        m, n, d = 2, 1, 2
+        C = extremal_choi(all_specs(m, n, d)[0]).matrix
+        D = d ** (m + n)
+        H = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        H = H + H.conj().T
+        from equichan.transforms import permutation_operator
+
+        perms = [
+            np.kron(permutation_operator(si, m, d), permutation_operator(so, n, d))
+            for si in itertools.permutations(range(m))
+            for so in itertools.permutations(range(n))
+        ]
+        S = sum(P @ H @ P.T for P in perms)
+        perturbed = C + 1e-6 * S / np.abs(S).max()
+        assert generator_covariance_residual(C, m, n, d) <= 1e-12
+        assert generator_covariance_residual(perturbed, m, n, d) > 1e-8
+        report = check_symmetries(ChoiMatrix(perturbed, m, n, d), trials=3)
+        assert max(report.permutation_residuals) < 1e-12
+        assert min(report.unitary_residuals) > 1e-8
 
 
 def uss_layout(m, n, d):

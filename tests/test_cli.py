@@ -113,7 +113,7 @@ BAD_INPUTS = {
     "trace-20": (20 * np.eye(4) / 4, "input trace 20+0j, expected 1"),
     # within the input's STATE_TOL, outside the output's 1e-10
     "trace-1+5e-9": (np.diag([0.4, 0.3, 0.2, 0.1 + 5e-9]),
-                     "output trace (1.000000005+0j), expected 1"),
+                     "output trace (1.0000000050000002+0j), expected 1"),
     "non-hermitian": (_with_entry(np.eye(4) / 4, (0, 1), 0.1), "input is not Hermitian"),
     # eigenvalue -0.1 on the symmetric vector |00>, which symmetrization keeps
     "negative-eigenvalue": (np.diag([-0.1, 0.5, 0.3, 0.3]),

@@ -6,8 +6,6 @@ import pytest
 from equichan.realize import (
     CONSTRUCTION_TOL,
     IrrepRealization,
-    _restricted_casimir,
-    _step_generators,
     ambient_weights,
     canonical_path,
     canonical_realization,
@@ -28,8 +26,6 @@ from oracles import (
     bad_commutators,
     expm_antihermitian,
     group_element,
-    restricted_casimir_kron,
-    step_generators_kron,
 )
 
 
@@ -285,30 +281,6 @@ def test_four_row_realizations():
     cg = simple_cg(staircase(1, 1, 0, 0), False)
     assert [str(b.label) for b in cg.blocks] == ["(2,1,0,0)", "(1,1,1,0)"]
     cg.validate()
-
-
-def _orthonormal_columns(rows, cols, rng):
-    Q, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
-    return Q[:, :cols]
-
-
-class TestLegwiseBuilders:
-    """The tensor-leg builders against their dense kron references."""
-
-    @pytest.mark.parametrize("dual", [False, True])
-    @pytest.mark.parametrize("d,q", [(2, 3), (3, 4)])
-    def test_restricted_casimir(self, d, q, dual, rng):
-        gens = rng.normal(size=(d, d, q, q))
-        got = _restricted_casimir(gens, d, dual)
-        assert np.abs(got - restricted_casimir_kron(gens, d, dual)).max() < 1e-12
-
-    @pytest.mark.parametrize("dual", [False, True])
-    @pytest.mark.parametrize("d,q,qnew", [(2, 3, 2), (3, 4, 5)])
-    def test_step_generators(self, d, q, qnew, dual, rng):
-        gens = rng.normal(size=(d, d, q, q))
-        C = _orthonormal_columns(q * d, qnew, rng)
-        got = _step_generators(gens, d, dual, C)
-        assert np.abs(got - step_generators_kron(gens, d, dual, C)).max() < 1e-12
 
 
 class TestValidate:

@@ -1,6 +1,8 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from equichan.staircases import (
     staircase,
     sym_dim,
 )
+from equichan.channels import classification_isometry
+from equichan.transforms import schur_transform
 
 from oracles import lr_count, ssyt_count, syt_count
 
@@ -237,6 +241,38 @@ class TestEnumerateStaircases:
     def test_lex_descending(self):
         got = enumerate_staircases(3, 2, 3)
         assert got == sorted(got, key=lambda s: s.entries, reverse=True)
+
+
+# (m, n, d) and the one error line naming the first bad argument; m = -1
+# with n = 40 would pass 2^39 to the dense cap if the cap came first
+BAD_SHAPES = [
+    ((2.0, 0, 2), "need an integer m, got m=2.0"),
+    (("2", 0, 2), "need an integer m, got m='2'"),
+    ((1, 1, 2.0), "need an integer d, got d=2.0"),
+    ((1, None, 2), "need an integer n, got n=None"),
+    ((-1, 0, 2), "need m >= 0, got m=-1"),
+    ((-1, 40, 2), "need m >= 0, got m=-1"),
+    ((1, -1, 0), "need n >= 0, got n=-1"),
+    ((1, 1, 0), "need d >= 1, got d=0"),
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [enumerate_staircases, schur_transform, classification_isometry],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("args,message", BAD_SHAPES, ids=lambda x: repr(x))
+def test_shape_builders_name_a_bad_argument(build, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(*args)
+
+
+def test_shape_builders_read_integer_types():
+    # numpy integers pass operator.index and share the int cache entries
+    assert enumerate_staircases(np.int64(2), 0, 2) == enumerate_staircases(2, 0, 2)
+    assert schur_transform(2, np.int64(0), 2) is schur_transform(2, 0, 2)
+    assert classification_isometry(1, 1, np.int64(2)) is classification_isometry(1, 1, 2)
 
 
 class TestMemoised:

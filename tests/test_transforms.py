@@ -7,11 +7,13 @@ from equichan.apps import symmetrize
 from equichan.limits import ResourceError
 from equichan.realize import canonical_realization, dual_structure
 from equichan.staircases import (
+    add_boxes,
     dim_gl_irrep,
     dim_perm_irrep,
     empty_staircase,
     enumerate_staircases,
     partitions_of,
+    remove_boxes,
     staircase,
 )
 from equichan.transforms import (
@@ -29,6 +31,7 @@ from oracles import (
     group_element,
     permutation_matrix,
     product_generators_kron,
+    site_generator,
     symmetrize_brute,
 )
 
@@ -112,6 +115,105 @@ class TestSimpleCg:
             for dual in (False, True):
                 cg = simple_cg(label, dual)
                 assert np.isrealobj(cg.matrix) or np.linalg.norm(cg.matrix.imag) < 1e-10
+
+
+# d = 2-4, up to 5 positive and 3 negative boxes (3 and 2 at d = 4), and four
+# labels of 10 or 11 sites at d = 3, where a Krylov construction of the
+# blocks intertwines only to about 1e-8
+CLOSED_FORM_LABELS = sorted(
+    {
+        s
+        for d in (2, 3, 4)
+        for m in range(6 if d < 4 else 4)
+        for k in range(4 if d < 4 else 3)
+        for s in enumerate_staircases(m, k, d)
+    },
+    key=lambda s: (s.d, s.entries),
+) + [staircase(5, 2, -3), staircase(6, 2, -3), staircase(6, 2, -2), staircase(7, 1, -2)]
+
+
+def _first_sizable(M):
+    flat = M.reshape(-1)
+    return flat[np.argmax(np.abs(flat) > 1e-8)]
+
+
+class TestClosedFormBlocks:
+    """Schur's lemma pins each single-box block and each dual structure up
+    to sign: the intertwining relation on every generator, orthonormality
+    and a positive first sizable entry leave exactly one matrix."""
+
+    def test_simple_cg_blocks_are_the_unique_intertwiners(self):
+        assert len(CLOSED_FORM_LABELS) == 128
+        worst = {"intertwining": 0.0, "orthonormality": 0.0}
+        for label in CLOSED_FORM_LABELS:
+            d = label.d
+            G = canonical_realization(label).generators
+            q = G.shape[2]
+            for dual in (False, True):
+                cg = simple_cg(label, dual)
+                for i in range(d):
+                    for j in range(d):
+                        source = np.kron(G[i, j], np.eye(d)) + np.kron(
+                            np.eye(q), site_generator(d, i, j, dual)
+                        )
+                        moved = cg.matrix @ source
+                        for b in cg.blocks:
+                            R = cg.block_rows(b.label)
+                            Gs = canonical_realization(b.label).generators[i, j]
+                            rows = moved[b.offset : b.offset + b.size]
+                            gap = np.abs(rows - Gs @ R).max()
+                            worst["intertwining"] = max(worst["intertwining"], gap)
+                for b in cg.blocks:
+                    R = cg.block_rows(b.label)
+                    gap = np.abs(R @ R.T - np.eye(b.size)).max()
+                    worst["orthonormality"] = max(worst["orthonormality"], gap)
+                    assert _first_sizable(R) > 0, (label, dual, b.label)
+        assert max(worst.values()) < 1e-12, worst
+
+    def test_dual_structure_is_the_unique_intertwiner(self):
+        worst = {"intertwining": 0.0, "orthonormality": 0.0}
+        for label in CLOSED_FORM_LABELS:
+            Z = dual_structure(label)
+            a = canonical_realization(label.dual()).generators
+            b = canonical_realization(label).generators
+            for i in range(label.d):
+                for j in range(label.d):
+                    gap = np.abs(Z @ a[i, j] + b[i, j].T @ Z).max()
+                    worst["intertwining"] = max(worst["intertwining"], gap)
+            gap = np.abs(Z @ Z.T - np.eye(len(Z))).max()
+            worst["orthonormality"] = max(worst["orthonormality"], gap)
+            assert _first_sizable(Z) > 0, label
+        assert max(worst.values()) < 1e-12, worst
+
+    def test_cold_builds_run_no_eigensolver(self, monkeypatch):
+        import equichan.realize
+        import equichan.transforms
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called during a cold closed-form build")
+
+        labels = [
+            staircase(1, 0),
+            staircase(1, -1),
+            staircase(2, 1, 0),
+            staircase(1, 1, -1),
+            staircase(2, 1, 0, -1),
+            staircase(6, 2, -2),
+            staircase(6, 2, -3),
+        ]
+        for label in labels:
+            canonical_realization(label)
+            for s in add_boxes(label) + remove_boxes(label):
+                canonical_realization(s)
+            canonical_realization(label.dual())
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(equichan.realize, "intertwiner", forbidden)
+        monkeypatch.setattr(equichan.transforms, "intertwiner", forbidden)
+        for label in labels:
+            for dual in (False, True):
+                simple_cg.__wrapped__(label, dual).validate()
+            dual_structure.__wrapped__(label)
 
 
 class TestSchurTransform:
