@@ -233,13 +233,13 @@ def box_block(lam: Staircase, s: Staircase) -> np.ndarray:
             top += (tuple(v + (i == a) for i, v in enumerate(pat[d - k])),)
             u = p[k][a]
             den *= prod(u, k, a)
-            b = index.get(top + pat[d - k + 1 :])
-            if b is not None:
-                W[b, col * d + k - 1] = sign * math.sqrt(num * prod(u, k - 1) / den)
-            for c in range(k - 1):
-                v = p[k - 1][c] + 1
-                num_c, den_c = num * prod(v, k, a) * prod(u, k - 1, c), den * prod(v, k - 1, c)
-                stack.append((k - 1, c, top, num_c, den_c, -sign if c < a else sign))
+            row = index.get(top + pat[d - k + 1 :])
+            if row is not None:
+                W[row, col * d + k - 1] = sign * math.sqrt(num * prod(u, k - 1) / den)
+            for b in range(k - 1):
+                v = p[k - 1][b] + 1
+                num_b, den_b = num * prod(v, k, a) * prod(u, k - 1, b), den * prod(v, k - 1, b)
+                stack.append((k - 1, b, top, num_b, den_b, -sign if b < a else sign))
     return W
 
 
