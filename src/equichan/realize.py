@@ -5,8 +5,8 @@ The irrep labelled by a staircase gamma is realized on its Gelfand-Tsetlin
 (Gelfand-Tsetlin 1950; Molev, *Gelfand-Tsetlin bases for classical Lie
 algebras*, 2006).  The single-box Clebsch-Gordan blocks are closed-form
 too, one reduced Wigner factor per level (Biedenharn-Louck pattern
-calculus), and the dual structures are signed permutations of patterns;
-the Krylov ``intertwiner`` serves only ``transforms.general_cg``.
+calculus), and the dual structures are signed permutations of patterns.
+No eigensolver runs in this module.
 
 The gl(d) generators E_ij act on C^d as matrix units, on the conjugate
 factor as -E_ji, and on tensor products by the Leibniz rule.  All matrices
@@ -30,7 +30,6 @@ from equichan.staircases import (
 )
 
 CONSTRUCTION_TOL = 1e-10
-RANK_TOL = 1e-8
 
 
 def ambient_weights(d: int, factors: tuple[bool, ...]) -> np.ndarray:
@@ -126,16 +125,6 @@ def lead_phase(M: np.ndarray) -> complex:
     return abs(pivot) / pivot
 
 
-def _residual(B: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u less its projection on the orthonormal columns of B, in two passes.
-
-    One pass u - B (B^dag u) leaves about eps / |residual| of u along B; the
-    second brings that down to rounding.
-    """
-    u = u - B @ (B.conj().T @ u)
-    return u - B @ (B.conj().T @ u)
-
-
 def canonical_path(gamma: Staircase) -> list[Staircase]:
     """Deterministic GT path from the empty staircase to gamma.
 
@@ -162,9 +151,11 @@ def canonical_path(gamma: Staircase) -> list[Staircase]:
     return path
 
 
-def gt_patterns(gamma: Staircase) -> list[tuple[tuple[int, ...], ...]]:
+@functools.cache
+def gt_patterns(gamma: Staircase, /) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The GT patterns of gamma, rows from level d (gamma) down to level 1,
-    sorted by (weight, pattern), both descending.
+    sorted by (weight, pattern), both descending.  Memoised per label; the
+    tuple cannot be mutated through the cache.
 
     Row k - 1 interlaces row k: lambda_{k,i} >= lambda_{k-1,i} >=
     lambda_{k,i+1}.  Entry k of a pattern's weight is the sum of row k
@@ -177,7 +168,7 @@ def gt_patterns(gamma: Staircase) -> list[tuple[tuple[int, ...], ...]]:
             for pat in patterns
             for low in itertools.product(*map(range, pat[-1][1:], [x + 1 for x in pat[-1]]))
         ]
-    return sorted(patterns, key=lambda pat: (_pattern_weight(pat), pat), reverse=True)
+    return tuple(sorted(patterns, key=lambda pat: (_pattern_weight(pat), pat), reverse=True))
 
 
 def _pattern_weight(pattern: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -300,112 +291,6 @@ def check_intertwining(T: np.ndarray, legs: list[np.ndarray], gens_b: np.ndarray
     resid = np.linalg.norm(TA.reshape(len(i), *T.shape) - gens_b[i, j] @ T, axis=(1, 2)).max()
     if resid > 1e-8:
         raise ValueError(f"intertwining residual {resid:.2e}; labels differ?")
-
-
-def highest_weight_vector(gens: np.ndarray, d: int) -> np.ndarray:
-    """The (unique up to phase) joint kernel of the raising operators.
-
-    Raises if the kernel is not one-dimensional, which signals that the
-    generator stack does not describe a single irrep copy.
-    """
-    q = gens.shape[2]
-    raisers = [gens[i, i + 1] for i in range(d - 1)]
-    if not raisers:
-        M = np.zeros((1, q))
-    else:
-        M = np.concatenate(raisers, axis=0)
-    u, s, vh = np.linalg.svd(M)
-    tol = RANK_TOL * max(1.0, s[0] if len(s) else 1.0)
-    nnull = int(np.sum(s < tol)) + (q - len(s))
-    if nnull != 1:
-        raise ValueError(f"highest-weight space has dimension {nnull}, expected 1")
-    v = vh[-1].conj()
-    return v * lead_phase(v)
-
-
-def krylov_recipe(
-    gens: np.ndarray, seed: np.ndarray, qdim: int, d: int
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Lowering words spanning the irrep generated by seed, and their basis.
-
-    recipe[t] = (source index, lowering row i) means
-    raw[t+1] = E_{i+1,i} raw[source] normalized, and a raw vector is kept
-    only if it leaves a residual off the ones before it.  Returns
-    (recipe, basis), basis being ``apply_recipe(gens, seed, recipe)``.  The
-    raw-vector norms and Gram matrix depend only on the abstract irrep, so
-    replaying the recipe in any other copy yields the mirrored orthonormal
-    basis.
-    """
-    raw = [seed / np.linalg.norm(seed)]
-    ortho = np.zeros((len(seed), qdim), dtype=np.result_type(seed, gens))
-    ortho[:, 0] = raw[0]
-    recipe: list[tuple[int, int]] = []
-    src = 0
-    while len(raw) < qdim:
-        if src >= len(raw):
-            raise RuntimeError("Krylov sweep exhausted before reaching irrep dim")
-        for i in range(d - 1):
-            cand = gens[i + 1, i] @ raw[src]
-            nrm = np.linalg.norm(cand)
-            if nrm < RANK_TOL:
-                continue
-            cand = cand / nrm
-            resid = _residual(ortho[:, : len(raw)], cand)
-            if np.linalg.norm(resid) > RANK_TOL:
-                ortho[:, len(raw)] = resid / np.linalg.norm(resid)
-                raw.append(cand)
-                recipe.append((src, i))
-                if len(raw) == qdim:
-                    break
-        src += 1
-    return recipe, ortho
-
-
-def apply_recipe(
-    gens: np.ndarray, seed: np.ndarray, recipe: list[tuple[int, int]]
-) -> np.ndarray:
-    """Replay a lowering recipe from a new seed; returns the orthonormal basis.
-
-    Column t is the two-pass Gram-Schmidt residual (_residual) of raw
-    vector t off the columns before it, normalized, so its component along
-    raw vector t is positive.  The first column is the normalized seed.
-    """
-    raw = [seed / np.linalg.norm(seed)]
-    basis = np.zeros((len(seed), len(recipe) + 1), dtype=np.result_type(seed, gens))
-    basis[:, 0] = raw[0]
-    for t, (src, i) in enumerate(recipe, start=1):
-        cand = gens[i + 1, i] @ raw[src]
-        raw.append(cand / np.linalg.norm(cand))
-        resid = _residual(basis[:, :t], raw[t])
-        basis[:, t] = resid / np.linalg.norm(resid)
-    return basis
-
-
-def intertwiner(gens_a: np.ndarray, gens_b: np.ndarray, d: int) -> np.ndarray:
-    """The unitary intertwiner T with T E_ij^(a) = E_ij^(b) T, up to phase.
-
-    Both generator stacks must realize a single copy of the same irrep.
-    The highest-weight vectors are matched and extended along a shared
-    lowering recipe, giving mirrored orthonormal bases B_a, B_b in the two
-    copies; T = B_b B_a^dag.  The residual of the intertwining relation is
-    checked, and a non-unique highest weight raises.
-    """
-    qa = gens_a.shape[2]
-    qb = gens_b.shape[2]
-    if qa != qb:
-        raise ValueError("dimension mismatch: not the same irrep")
-    va = highest_weight_vector(gens_a, d)
-    vb = highest_weight_vector(gens_b, d)
-    recipe, Ba = krylov_recipe(gens_a, va, qa, d)
-    Bb = apply_recipe(gens_b, vb, recipe)
-    if np.linalg.norm(Bb.conj().T @ Bb - np.eye(qb)) > 1e-8:
-        raise ValueError("second copy failed to mirror: not the same irrep?")
-    T = Bb @ Ba.conj().T
-    check_intertwining(T, [gens_a], gens_b)
-    T = T * lead_phase(T)
-    if np.iscomplexobj(T) and np.linalg.norm(T.imag) < CONSTRUCTION_TOL:
-        T = T.real
-    return T
 
 
 def dual_generators(gens: np.ndarray) -> np.ndarray:

@@ -6,9 +6,11 @@ adjoints of its blocks along one GT path; the iterated CG transform, and
 with it the (mixed) Schur transform, stacks the transposed isometries of
 every path of ``enumerate_paths``, so its permutation-register basis is
 indexed by paths.
-The general CG transform decomposes a product of two arbitrary irreps, locating
-each isotypic component through its highest-weight space; the multiplicity
-basis is the deterministic orthonormalization of that space.
+The general CG transform decomposes a product of two arbitrary irreps by
+growing the second factor one box at a time along its canonical path: every
+candidate block is a product of simple CG blocks, and a Gram-Schmidt over
+the candidates gives the multiplicity basis.  No builder here runs an
+eigensolver.
 
 All block maps land in the canonical realization coordinates of their
 label, with the sign of each block fixed by its first sizable entry, so
@@ -28,17 +30,12 @@ from equichan.gtpaths import GtPath, enumerate_paths
 from equichan.limits import check_dense
 from equichan.realize import (
     CONSTRUCTION_TOL,
-    IrrepRealization,
-    RANK_TOL,
-    _residual,
     ambient_weights,
-    apply_recipe,
     box_block,
+    canonical_path,
     canonical_realization,
     check_intertwining,
     dual_generators,
-    intertwiner,
-    krylov_recipe,
     lead_phase,
 )
 from equichan.staircases import (
@@ -400,115 +397,69 @@ def schur_transform(m: int, n: int, d: int) -> PathTransform:
 # ---------------------------------------------------------------------------
 
 
-def _product_generators(a: IrrepRealization, b: IrrepRealization) -> np.ndarray:
-    """E_ij on Q_a (x) Q_b by Leibniz, each term broadcast onto its own leg."""
-    d = a.d
-    qa, qb = a.dim, b.dim
-    out = np.zeros((d, d, qa, qb, qa, qb))
-    for v in range(qb):
-        out[:, :, :, v, :, v] += a.generators
-    for u in range(qa):
-        out[:, :, u, :, u, :] += b.generators
-    return out.reshape(d, d, qa * qb, qa * qb)
-
-
-def _highest_weight_space(
-    gens: np.ndarray, weight_index: np.ndarray, wt: tuple[int, ...], d: int
-) -> np.ndarray:
-    """Orthonormal basis (columns) of the highest-weight space of weight wt.
-
-    Deterministic: Gram-Schmidt of the null-space projections of the weight
-    block's standard basis vectors, in index order, each projected against
-    all accepted columns at once.
-    """
-    S = np.nonzero([tuple(w) == wt for w in weight_index])[0]
-    if len(S) == 0:
-        return np.zeros((gens.shape[2], 0))
-    raisers = [gens[i, i + 1][:, S] for i in range(d - 1)]
-    M = np.concatenate(raisers, axis=0) if raisers else np.zeros((0, len(S)))
-    if M.shape[0] == 0:
-        null = np.eye(len(S))
-    else:
-        u, s, vh = np.linalg.svd(M)
-        rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if len(s) else 1.0)))
-        null = vh[rank:].conj().T  # (|S|, c)
-    c = null.shape[1]
-    if c == 0:
-        return np.zeros((gens.shape[2], 0))
-    P = null @ null.conj().T
-    block = np.zeros((len(S), c), dtype=P.dtype)
-    found = 0
-    for kpos in range(len(S)):
-        u_vec = _residual(block[:, :found], P[:, kpos])
-        nrm = np.linalg.norm(u_vec)
-        if nrm > RANK_TOL:
-            block[:, found] = u_vec / nrm
-            found += 1
-            if found == c:
-                break
-    if found != c:
-        raise RuntimeError(f"found {found} of {c} highest-weight vectors")
-    out = np.zeros((gens.shape[2], c))
-    out[S, :] = block
-    return out
-
-
 @functools.cache
 def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
     """Decompose Q_a (x) Q_b into irreps with multiplicity.
 
     ``a_label`` and ``b_label`` are staircases over the same d; the factors
     are their canonical realizations, and the result is memoised per label
-    pair.  Each isotypic component is located through its highest-weight
-    space; copy j of label gamma is spanned by applying one shared lowering recipe
-    to the j-th canonical highest-weight vector, so the multiplicity slots
-    of all copies correspond exactly.  Block dimensions are checked against
-    the Littlewood-Richardson coefficients.
+    pair.  Q_b is grown one box at a time along ``canonical_path(b)``, as
+    in the iterated single-box CG steps of Bacon-Chuang-Harrow (PRL 97,
+    170502, 2006).  At a step prev -> b' every held copy gamma' of
+    Q_a (x) Q_prev, pulled back to Q_a (x) Q_b' through the block of b' in
+    ``simple_cg(prev, dual)``, is split by ``simple_cg(gamma', dual)``: each
+    candidate so found intertwines Q_a (x) Q_b' into the canonical
+    realization of its label.  A two-pass Gram-Schmidt over the candidates,
+    held blocks in block order and then simple CG blocks in block order,
+    stopped at the Littlewood-Richardson coefficient, gives the copies of
+    each label, and ``lead_phase`` fixes the sign of each.  Labels come in
+    descending order, copies in the order found; fewer copies than the LR
+    coefficient raise RuntimeError.  No eigensolver runs.
     """
     if a_label.d != b_label.d:
         raise ValueError(f"labels live over different d: {a_label}, {b_label}")
-    a = canonical_realization(a_label)
-    b = canonical_realization(b_label)
-    d = a.d
-    Q = a.dim * b.dim
-    gens = _product_generators(a, b)
-    weight_index = [
-        tuple(a.weights[u] + b.weights[v]) for u in range(a.dim) for v in range(b.dim)
-    ]
-    dominant = sorted(
-        {w for w in weight_index if all(x >= y for x, y in zip(w, w[1:]))},
-        reverse=True,
-    )
-    rows = []
+    d = a_label.d
+    qa = dim_gl_irrep(a_label)
+    held = {a_label: [np.eye(qa)]}  # the copies of each label in Q_a (x) Q_empty
+    path = canonical_path(b_label)
+    for prev, nxt in zip(path, path[1:]):
+        dual = nxt.size < prev.size
+        qp, qn = dim_gl_irrep(prev), dim_gl_irrep(nxt)
+        # R^T embeds Q_nxt in Q_prev (x) site
+        lift = simple_cg(prev, dual).block_rows(nxt).T.reshape(qp, d, qn)
+        found: dict[Staircase, list[np.ndarray]] = {}
+        for label, copies in held.items():
+            cg = simple_cg(label, dual)
+            for rows in copies:
+                # (rows (x) 1_site)(1_a (x) R^T): Q_a (x) Q_nxt -> Q_label (x) site
+                Y = np.tensordot(rows.reshape(-1, qa, qp), lift, axes=(2, 0))
+                Y = Y.transpose(0, 2, 1, 3).reshape(-1, qa * qn)
+                for bl in cg.blocks:
+                    basis = found.setdefault(bl.label, [])
+                    if len(basis) == lr_coeff(a_label, nxt, bl.label):
+                        continue
+                    X = cg.block_rows(bl.label) @ Y
+                    for _ in range(2):
+                        for B in basis:
+                            X = X - (np.vdot(B, X) / bl.size) * B
+                    norm = np.linalg.norm(X)
+                    if norm > 1e-8 * np.sqrt(bl.size):
+                        X = X * (np.sqrt(bl.size) / norm)
+                        basis.append(X * lead_phase(X))
+        for label, basis in found.items():
+            c = lr_coeff(a_label, nxt, label)
+            if len(basis) < c:
+                raise RuntimeError(f"found {len(basis)} of {c} copies of {label}")
+        order = sorted(found, key=lambda s: s.entries, reverse=True)
+        held = {label: found[label] for label in order if found[label]}
     blocks = []
     offset = 0
-    for wt in dominant:
-        hw = _highest_weight_space(gens, weight_index, wt, d)
-        c = hw.shape[1]
-        label = Staircase(wt)
-        expected = lr_coeff(a_label, b_label, label)
-        if c != expected:
-            raise RuntimeError(
-                f"multiplicity mismatch for {label}: highest-weight space has "
-                f"dim {c}, LR coefficient is {expected}"
-            )
-        if c == 0:
-            continue
-        qdim = dim_gl_irrep(label)
-        target = canonical_realization(label)
-        recipe, B0 = krylov_recipe(gens, hw[:, 0], qdim, d)
-        H = B0.conj().T @ gens @ B0
-        T = intertwiner(H, target.generators, d)
-        T = T * lead_phase(T @ B0.conj().T)
-        for j in range(c):
-            Bj = B0 if j == 0 else apply_recipe(gens, hw[:, j], recipe)
-            if np.linalg.norm(Bj.conj().T @ Bj - np.eye(qdim)) >= 1e-9:
-                raise RuntimeError("copy basis failed to mirror")
-            rows.append(T @ Bj.conj().T)
-            blocks.append(Block(label, j, offset, qdim))
-            offset += qdim
-    iso = BlockIsometry(np.concatenate(rows, axis=0), blocks)
-    if iso.target_dim != Q:
+    for label, copies in held.items():
+        for j, X in enumerate(copies):
+            blocks.append(Block(label, j, offset, len(X)))
+            offset += len(X)
+    iso = BlockIsometry(np.concatenate([X for copies in held.values() for X in copies]), blocks)
+    if iso.target_dim != qa * dim_gl_irrep(b_label):
         raise RuntimeError("isotypic blocks do not exhaust the product space")
     iso.validate()
     iso.matrix.flags.writeable = False

@@ -487,16 +487,6 @@ def generator_covariance_residual(C: np.ndarray, m: int, n: int, d: int) -> floa
     return worst
 
 
-def product_generators_kron(gens_a: np.ndarray, gens_b: np.ndarray) -> np.ndarray:
-    """A_ij (x) 1 + 1 (x) B_ij for two generator stacks, by kron calls."""
-    d, qa, qb = gens_a.shape[0], gens_a.shape[2], gens_b.shape[2]
-    out = np.zeros((d, d, qa * qb, qa * qb))
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = np.kron(gens_a[i, j], np.eye(qb)) + np.kron(np.eye(qa), gens_b[i, j])
-    return out
-
-
 def choi_channel_defects(C: np.ndarray, din: int, dout: int) -> tuple[float, float, float]:
     """How far a Choi matrix on in (x) out is from a channel's.
 

@@ -583,9 +583,9 @@ class TestIrrepChannel:
 
     @pytest.mark.parametrize("form", ["choi", "embed-trace", "sandwich"])
     def test_identity_through_ill_conditioned_lowering(self, form, rng):
-        # general_cg((0,0,-4), (4,0,0)) lowers a highest-weight vector into
-        # the 125-dimensional block (4,0,-4) along raw vectors of condition
-        # number about 2e4; the copy bases must still be orthonormal
+        # the 125-dimensional block (4,0,-4) of general_cg((0,0,-4), (4,0,0))
+        # is a product of four single-box CG blocks; the channel through it
+        # must still be the identity
         lam = staircase(4, 0, 0)
         ch = irrep_channel(lam, lam, staircase(0, 0, 0), form=form)
         X = rng.normal(size=(ch.in_dim,) * 2) + 1j * rng.normal(size=(ch.in_dim,) * 2)

@@ -11,7 +11,7 @@ from equichan.realize import (
     canonical_realization,
     dual_generators,
     dual_structure,
-    intertwiner,
+    gt_patterns,
 )
 from equichan.staircases import (
     dim_gl_irrep,
@@ -154,8 +154,6 @@ class TestCanonicalRealization:
         # each basis vector is the GT pattern of gt_patterns at its index:
         # the Casimir C_k = sum_{i,j<k} E_ij E_ji of gl(k) acts on it by
         # sum_i lambda_{k,i} (lambda_{k,i} + k + 1 - 2i) of its row k
-        from equichan.realize import gt_patterns
-
         # q <= 150: the build's gl(d) check costs d^4 q^3, and the 13 larger
         # labels of this range would take most of a second each
         labels = {
@@ -182,6 +180,13 @@ class TestCanonicalRealization:
                 worst = max(worst, np.abs(casimir - np.diag(expected)).max())
         assert worst < 1e-10, worst
 
+    def test_gt_patterns_are_memoised(self):
+        # box_block reads the patterns of two labels per block: a second call
+        # returns the cached tuple, which no caller can mutate
+        first = gt_patterns(staircase(2, 1, -1))
+        assert isinstance(first, tuple)
+        assert gt_patterns(staircase(2, 1, -1)) is first
+
     def test_cold_build_runs_no_eigensolver(self, monkeypatch):
         import equichan.transforms
 
@@ -197,41 +202,6 @@ class TestCanonicalRealization:
             assert "embedding" not in vars(cold)
             assert np.array_equal(cold.generators, warm[label].generators)
             assert np.array_equal(cold.weights, warm[label].weights)
-
-
-class TestIntertwiner:
-    def test_identity_on_same_realization(self):
-        r = canonical_realization(staircase(2, 1))
-        T = intertwiner(r.generators, r.generators, r.d)
-        assert np.linalg.norm(T - np.eye(r.dim)) < 1e-10
-
-    def test_label_mismatch(self):
-        a = canonical_realization(staircase(2, 0))
-        b = canonical_realization(staircase(1, 1))
-        with pytest.raises(ValueError):
-            intertwiner(a.generators, b.generators, 2)
-
-    def test_reordered_copy(self):
-        # a rotated copy of (2,0) inside C^2 (x) C^2 maps back orthogonally
-        r = canonical_realization(staircase(2, 0))
-        rng = np.random.default_rng(5)
-        M = rng.normal(size=(3, 3))
-        Q, _ = np.linalg.qr(M)
-        gens_rot = np.einsum("ab,ijbc,cd->ijad", Q.T, r.generators, Q)
-        T = intertwiner(gens_rot, r.generators, 2)
-        resid = max(
-            np.linalg.norm(T @ gens_rot[i, j] - r.generators[i, j] @ T)
-            for i in range(2)
-            for j in range(2)
-        )
-        assert resid < 1e-10
-        assert np.linalg.norm(T @ T.T - np.eye(3)) < 1e-10
-
-    def test_one_dimensional(self):
-        r = canonical_realization(staircase(1, 1))
-        T = intertwiner(r.generators, r.generators, r.d)
-        assert T.shape == (1, 1)
-        assert abs(T[0, 0] - 1.0) < 1e-12
 
 
 class TestDualStructure:

@@ -214,6 +214,27 @@ def test_no_scipy_imports():
     assert not found, f"scipy imports in the library: {found}"
 
 
+def test_builders_call_no_linalg_but_norm():
+    # the transform builders are closed form: of numpy.linalg they use only
+    # norm, and no eigensolver, SVD or solver runs while they build
+    found = []
+    for path in SOURCES:
+        if path.name not in ("realize.py", "transforms.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and node.attr != "norm"
+            ):
+                found.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
+    assert not found, f"numpy.linalg beyond norm in the builders: {found}"
+
+
 def test_public_names_resolve():
     # a deletion that leaves its name in __all__ breaks `from equichan import *`
     missing = [name for name in equichan.__all__ if not hasattr(equichan, name)]

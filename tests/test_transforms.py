@@ -30,7 +30,6 @@ from equichan.verify import haar_unitary
 from oracles import (
     group_element,
     permutation_matrix,
-    product_generators_kron,
     site_generator,
     symmetrize_brute,
 )
@@ -186,9 +185,6 @@ class TestClosedFormBlocks:
         assert max(worst.values()) < 1e-12, worst
 
     def test_cold_builds_run_no_eigensolver(self, monkeypatch):
-        import equichan.realize
-        import equichan.transforms
-
         def forbidden(*args, **kwargs):
             raise AssertionError("called during a cold closed-form build")
 
@@ -206,14 +202,16 @@ class TestClosedFormBlocks:
             for s in add_boxes(label) + remove_boxes(label):
                 canonical_realization(s)
             canonical_realization(label.dual())
+        # c = 2 at (3,2,1) in the first product, a mixed-sign one in the second
+        products = [(staircase(2, 1, 0),) * 2, (staircase(1, 0, -1),) * 2]
         for name in ("eigh", "svd"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        monkeypatch.setattr(equichan.realize, "intertwiner", forbidden)
-        monkeypatch.setattr(equichan.transforms, "intertwiner", forbidden)
         for label in labels:
             for dual in (False, True):
                 simple_cg.__wrapped__(label, dual).validate()
             dual_structure.__wrapped__(label)
+        for a, b in products:
+            general_cg.__wrapped__(a, b).validate()
 
 
 class TestSchurTransform:
@@ -451,17 +449,28 @@ class TestGeneralCg:
         assert g.target_dim == 6
 
     def test_block_action(self, rng):
-        # each block intertwines the product action with the canonical one
-        a = canonical_realization(staircase(2, 0))
-        b = canonical_realization(staircase(1, 1))
-        g = general_cg(a.label, b.label)
-        for _ in range(3):
-            U = haar_unitary(2, rng)
-            prod = np.kron(group_element(a, U), group_element(b, U))
+        # each block intertwines the product action with the canonical one,
+        # and distinct copies of one label are orthogonal; c is the largest
+        # multiplicity of the product
+        for a_label, b_label, c in [
+            (staircase(2, 0), staircase(1, 1), 1),
+            (staircase(2, 1, 0), staircase(2, 1, 0), 2),
+            (staircase(1, 0, -1), staircase(2, 1, 0), 2),
+        ]:
+            a, b = canonical_realization(a_label), canonical_realization(b_label)
+            g = general_cg(a_label, b_label)
+            assert max(g.multiplicity(label) for label in g.labels()) == c
+            for _ in range(3):
+                U = haar_unitary(a.d, rng)
+                prod = np.kron(group_element(a, U), group_element(b, U))
+                for bl in g.blocks:
+                    rows = g.block_rows(bl.label, bl.mult)
+                    r = group_element(canonical_realization(bl.label), U)
+                    assert np.linalg.norm(rows @ prod - r @ rows) < 1e-12, (a_label, b_label)
             for bl in g.blocks:
-                rows = g.block_rows(bl.label, bl.mult)
-                r = group_element(canonical_realization(bl.label), U)
-                assert np.linalg.norm(rows @ prod - r @ rows) < 1e-8
+                for other in range(bl.mult):
+                    cross = g.block_rows(bl.label, bl.mult) @ g.block_rows(bl.label, other).T
+                    assert np.abs(cross).max() < 1e-12, (a_label, b_label, bl.label)
 
     def test_multiplicities_match_lr_exhaustively(self):
         # the construction raises on any mismatch with the LR coefficient;
@@ -476,19 +485,6 @@ class TestGeneralCg:
                             g = general_cg(lam, mu)
                             for label in g.labels():
                                 assert g.multiplicity(label) == lr_coeff(lam, mu, label)
-
-    @pytest.mark.parametrize("d,qa,qb", [(2, 3, 2), (3, 2, 4)])
-    def test_product_generators(self, d, qa, qb, rng):
-        from types import SimpleNamespace
-
-        from equichan.transforms import _product_generators
-
-        gens_a = rng.normal(size=(d, d, qa, qa))
-        gens_b = rng.normal(size=(d, d, qb, qb))
-        a = SimpleNamespace(d=d, dim=qa, generators=gens_a)
-        b = SimpleNamespace(d=d, dim=qb, generators=gens_b)
-        got = _product_generators(a, b)
-        assert np.abs(got - product_generators_kron(gens_a, gens_b)).max() < 1e-12
 
 
 class TestBuilderCache:
