@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -205,17 +206,23 @@ class SymmetryReport:
 
     @property
     def max_unitary_residual(self) -> float:
-        return max(self.unitary_residuals, default=0.0)
+        return _max_residual(self.unitary_residuals)
 
     @property
     def max_permutation_residual(self) -> float:
-        return max(self.permutation_residuals, default=0.0)
+        return _max_residual(self.permutation_residuals)
 
     def passed(self, tol: float) -> bool:
         return (
             self.max_unitary_residual <= tol
             and self.max_permutation_residual <= tol
         )
+
+
+def _max_residual(residuals: list[float]) -> float:
+    """The largest residual, 0.0 for none and NaN if any is NaN: the builtin
+    ``max`` skips a NaN that follows a number, and a NaN must fail ``passed``."""
+    return float(np.max(residuals)) if len(residuals) else 0.0
 
 
 def check_symmetries(
@@ -226,22 +233,33 @@ def check_symmetries(
     """Residuals of the Choi commuting with conj U^(x m) (x) U^(x n) for Haar
     unitaries and with all adjacent input/output transpositions.
 
-    ``trials`` Haar unitaries are drawn from ``rng``; fewer than one raises
-    ValueError, as the empty residual list would certify covariance
-    without a single draw.  The rotation
-    W = A (x) B, with A = conj U^(x m) and B = U^(x n), is applied leg group
-    by leg group to the Choi matrix C viewed as a (d^m, d^n, d^m, d^n)
-    tensor: W C and C W cost O(D^2 (d^m + d^n)) for D = d^(m+n), and W is
-    never formed; A and B are grown by broadcasting, one factor at a time.
-    A transposition P of two adjacent sites is an involutive permutation of
-    tensor legs, so its residual |P C - C P| = |P C P - C| is a leg
-    transpose of the 2(m+n)-leg tensor C minus C, with no arithmetic beyond
-    the norm.  The report holds residuals only; the
-    caller picks the threshold with ``SymmetryReport.passed(tol)``.
+    ``trials`` Haar unitaries are drawn from ``rng``, one per trial.  A
+    ``trials`` that is not an integer (or is a bool) raises ValueError, and
+    so does one below one, as the empty residual list would certify
+    covariance without a single draw; an ``rng`` that is not a
+    ``numpy.random.Generator`` raises TypeError.  With W = A (x) B,
+    A = conj U^(x m) and B = U^(x n), the unitary residual is
+    |W C W^dag - C|, which equals |W C - C W| as W is unitary.  W is never
+    formed: the Choi matrix C is the tensor of legs (row in, row out,
+    column in, column out) of sizes (d^m, d^n, d^m, d^n), and each of four
+    plain GEMMs applies A, B, conj A, conj B to its leading leg and leaves
+    the result at the back, so after the fourth the legs are in their
+    original order.  BLAS reads the transposed operand in place, with no
+    copy and no batched matmul, for O(D^2 (d^m + d^n)) flops at
+    D = d^(m+n).  A transposition P of two adjacent sites is an involutive
+    permutation of tensor legs, so its residual |P C - C P| = |P C P - C| is
+    a leg transpose of the 2(m+n)-leg tensor C minus C, with no arithmetic
+    beyond the norm.  The report holds residuals only; the caller picks the
+    threshold with ``SymmetryReport.passed(tol)``.
     """
+    if isinstance(trials, bool) or not isinstance(trials, Integral):
+        raise ValueError(f"trials must be an integer Haar trial count, got {trials!r}")
     if trials < 1:
         raise ValueError(f"need at least one Haar trial, got {trials}")
-    rng = np.random.default_rng(7) if rng is None else rng
+    if rng is None:
+        rng = np.random.default_rng(7)
+    elif not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {rng!r}")
     m, n, d = choi.m, choi.n, choi.d
     dm, dn = d**m, d**n
     C = choi.matrix
@@ -250,11 +268,11 @@ def check_symmetries(
         U = haar_unitary(d, rng)
         A = _tensor_power(U.conj(), m)
         B = _tensor_power(U, n)
-        # W C: A on the row input leg, then B on the row output leg
-        WC = np.matmul(B, (A @ C.reshape(dm, -1)).reshape(dm, dn, -1))
-        # C W: B on the column output leg, then A on the column input leg
-        CW = np.matmul(A.T, (C.reshape(-1, dn) @ B).reshape(-1, dm, dn))
-        unitary.append(float(np.linalg.norm(WC.reshape(-1) - CW.reshape(-1))))
+        # W C W^dag: each GEMM rotates the leading leg and moves it to the back
+        X = C
+        for M, dim in ((A, dm), (B, dn), (A.conj(), dm), (B.conj(), dn)):
+            X = X.reshape(dim, -1).T @ M.T
+        unitary.append(float(np.linalg.norm(X.reshape(-1) - C.reshape(-1))))
     T = C.reshape((d,) * (2 * (m + n)))
     perm = []
     for a in [*range(m - 1), *range(m, m + n - 1)]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,14 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
     QR of a complex Gaussian matrix with the R diagonal made positive gives
     Haar on U(d); dividing by the d-th root of the determinant lands in SU(d).
+    A ``d`` that is not an integer (or is a bool) raises TypeError.
     """
+    if isinstance(d, bool):
+        raise TypeError(f"d must be an integer, got {d!r}")
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise TypeError(f"d must be an integer, got {d!r}") from None
     if d < 1:
         raise ValueError("need d >= 1")
     if d == 1:

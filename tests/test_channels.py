@@ -16,6 +16,7 @@ from equichan.channels import (
     ExtremalTriple,
     KrausChannel,
     NotSymmetricError,
+    SymmetryReport,
     block_decompose_choi,
     check_symmetries,
     cloning_spec,
@@ -162,6 +163,23 @@ class TestCheckSymmetries:
         with pytest.raises(TypeError, match="tol"):
             check_symmetries(C, trials=2, tol=1e-30)
 
+    @pytest.mark.parametrize("trials", [True, False, 2.0, "3", None])
+    def test_non_integer_trials_rejected(self, trials):
+        C = extremal_choi(symmetrization_spec(2, 2))
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            check_symmetries(C, trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        C = extremal_choi(symmetrization_spec(2, 2))
+        rep = check_symmetries(C, trials=np.int64(2))
+        assert len(rep.unitary_residuals) == 2
+
+    @pytest.mark.parametrize("rng", [5, np.random.RandomState(0), "seed"])
+    def test_non_generator_rng_rejected(self, rng):
+        C = extremal_choi(symmetrization_spec(2, 2))
+        with pytest.raises(TypeError, match="rng must be a numpy.random.Generator"):
+            check_symmetries(C, trials=2, rng=rng)
+
     @staticmethod
     def _check_against_kron(choi, seed):
         rng = np.random.default_rng(seed)
@@ -192,6 +210,19 @@ class TestCheckSymmetries:
         assert min(rep.unitary_residuals) > 1.0
         assert min(rep.permutation_residuals, default=2.0) > 1.0
 
+    @pytest.mark.parametrize("m,n,d", [(2, 3, 3), (4, 3, 2)])
+    def test_workload_shapes_match_kron_reference(self, m, n, d, rng):
+        # d^m < d^n and d^m > d^n: applying one leg group's operator to the
+        # other, or skipping the conjugate on the column legs, moves every
+        # unitary residual away from the oracle's
+        rep = self._check_against_kron(extremal_choi(all_specs(m, n, d)[0]), seed=0)
+        assert rep.passed(1e-10)
+        D = d ** (m + n)
+        M = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        rep = self._check_against_kron(ChoiMatrix(M, m, n, d), seed=m + n + d)
+        assert min(rep.unitary_residuals) > 1.0
+        assert min(rep.permutation_residuals) > 1.0
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_tensor_power_is_kron_chain(self, d, rng):
         U = haar_unitary(d, rng)
@@ -214,6 +245,24 @@ class TestCheckSymmetries:
         for rep, ref in zip(got, reports(), strict=True):
             assert rep.unitary_residuals == ref.unitary_residuals
             assert rep.permutation_residuals == ref.permutation_residuals
+
+
+class TestSymmetryReport:
+    @pytest.mark.parametrize("residuals", [[1e-15, np.nan], [np.nan, 1e-15]])
+    def test_nan_residual_propagates_and_fails(self, residuals):
+        for rep, field in (
+            (SymmetryReport(residuals, [0.0]), "max_unitary_residual"),
+            (SymmetryReport([0.0], residuals), "max_permutation_residual"),
+        ):
+            assert np.isnan(getattr(rep, field))
+            assert not rep.passed(1e-8)
+
+    def test_max_and_empty_lists(self):
+        rep = SymmetryReport([1e-15, 3e-9, 2e-12], [])
+        assert rep.max_unitary_residual == 3e-9
+        assert rep.max_permutation_residual == 0.0
+        assert rep.passed(1e-8)
+        assert not rep.passed(1e-9)
 
 
 class TestChoiValidate:

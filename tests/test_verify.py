@@ -13,6 +13,20 @@ class TestHaarUnitary:
         U = haar_unitary(1, rng)
         assert np.allclose(U, [[1.0]])
 
+    @pytest.mark.parametrize("d", [True, False, 2.0, "2", None])
+    def test_non_integer_d_rejected(self, d, rng):
+        with pytest.raises(TypeError, match="d must be an integer"):
+            haar_unitary(d, rng)
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_d_below_one_rejected(self, d, rng):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            haar_unitary(d, rng)
+
+    def test_numpy_integer_d(self):
+        U = haar_unitary(np.int64(3), np.random.default_rng(5))
+        assert np.array_equal(U, haar_unitary(3, np.random.default_rng(5)))
+
     def test_special_unitary(self, rng):
         for d in (2, 3, 4):
             U = haar_unitary(d, rng)
