@@ -169,8 +169,10 @@ def purity_amplify(
 
 
 def depolarized_copies(psi: np.ndarray, alpha: float, m: int, d: int) -> np.ndarray:
-    """(1-alpha) psi psi + alpha/d, tensored m times."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    """(1-alpha) psi psi + alpha/d, tensored m times; psi is read as by
+    ``clone``, and an alpha outside [0, 1] or NaN raises ValueError."""
+    psi = _unit_vector(np.reshape(psi, -1), d, "psi")
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must be in [0, 1], got alpha={alpha!r}")
     single = (1 - alpha) * np.outer(psi, psi.conj()) + (alpha / d) * np.eye(d)
     return _tensor_power(single, m)

@@ -30,6 +30,7 @@ from equichan.limits import check_dense
 from equichan.realize import dual_structure
 from equichan.staircases import (
     Staircase,
+    box_label,
     check_shape,
     dim_gl_irrep,
     dim_perm_irrep,
@@ -258,8 +259,6 @@ def check_symmetries(
         raise ValueError(f"need at least one Haar trial, got {trials}")
     if rng is None:
         rng = np.random.default_rng(7)
-    elif not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy.random.Generator, got {rng!r}")
     m, n, d = choi.m, choi.n, choi.d
     dm, dn = d**m, d**n
     C = choi.matrix
@@ -318,9 +317,7 @@ class ExtremalSpec:
     assignments: dict[Staircase, ExtremalTriple]
 
     def __post_init__(self):
-        for key, value, least in (("m", self.m, 0), ("n", self.n, 0), ("d", self.d, 1)):
-            if value < least:
-                raise ValueError(f"need {key} >= {least}, got {key}={value}")
+        self.m, self.n, self.d = check_shape(self.m, self.n, self.d)
         labels = partitions_of(self.m, self.d)
         if set(self.assignments) != set(labels):
             raise ValueError("assignments must cover every input label exactly once")
@@ -334,6 +331,8 @@ class ExtremalSpec:
                 raise ValueError(
                     f"psi for {lam} has length {t.psi.shape[0]}, multiplicity is {c}"
                 )
+            if not np.isfinite(t.psi).all():
+                raise ValueError(f"psi for {lam} has non-finite entries")
             if abs(np.linalg.norm(t.psi) - 1.0) > 1e-10:
                 raise ValueError(f"psi for {lam} is not normalized")
 
@@ -356,10 +355,9 @@ def enumerate_extremal_triples(
 ) -> list[tuple[Staircase, Staircase, Staircase, int]]:
     """All admissible (lambda, mu, gamma) with the multiplicity dimension.
 
-    Raises ValueError for d < 1, which has no staircases.
+    Bad arguments raise as in ``staircases.check_shape``.
     """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
+    m, n, d = check_shape(m, n, d)
     return [
         (lam, mu, gamma, c)
         for lam in partitions_of(m, d)
@@ -370,6 +368,7 @@ def enumerate_extremal_triples(
 
 def symmetrization_spec(m: int, d: int) -> ExtremalSpec:
     """The spec of the permutation-averaging channel: identity on every label."""
+    m, _, d = check_shape(m, m, d)
     zero = Staircase((0,) * d)
     assignments = {
         lam: ExtremalTriple(lam, zero, np.ones(1)) for lam in partitions_of(m, d)
@@ -384,6 +383,7 @@ def cloning_spec(m: int, n: int, d: int) -> ExtremalSpec:
     every other label takes its first admissible triple in
     ``enumerate_extremal_triples`` order, which has mu = (n).
     """
+    m, n, d = check_shape(m, n, d)
     if not 0 < m < n:
         raise ValueError("need 0 < m < n")
     pad = (0,) * (d - 1)
@@ -412,8 +412,7 @@ def gamma_min(lam: Staircase) -> Staircase:
 
 def purity_spec(m: int, d: int) -> ExtremalSpec:
     """Spec of the purity amplification channel: keep one box per label."""
-    from equichan.staircases import box_label
-
+    m, _, d = check_shape(m, 1, d)
     box = box_label(d)
     assignments = {}
     for lam in partitions_of(m, d):
@@ -668,19 +667,24 @@ def _cg_restriction_tensor(lam: Staircase, mu: Staircase, gamma: Staircase):
 
 @functools.cache
 def _embed_trace_tensor(lam: Staircase, mu: Staircase, gamma: Staircase) -> np.ndarray:
-    """The psi-free embed-trace isometry of lam -> mu through gamma.
+    """The psi-free embed-trace isometry T of lam -> mu through gamma.
 
     Entry ((y, h), z, a) is sqrt(q_lam / q_gamma) times the restricted
     inverse CG tensor with its dual-lam slot rotated to a conjugate-lam slot
     (dual_structure(lam)) and its conjugate-gamma slot to a canonical
     dual-gamma ket (dual_structure(gamma)^dag): contracting the last leg with
     psi gives the embedding Q_lam -> Q_mu (x) Q_dualgamma.  Shape
-    (q_mu * q_gamma, q_lam, mult), read-only; memoised per label triple.
+    (q_mu * q_gamma, q_lam, mult), read-only; memoised per label triple and
+    certified once, when built: RuntimeError unless T_a^dag T_b = delta_ab 1.
     """
     K0, c, qg, q_lam, q_mu = _cg_restriction_tensor(lam, mu, gamma)
     Zl, Zg = dual_structure(lam), dual_structure(gamma)
     T = np.einsum("zx,xyga,hg->yhza", Zl, K0, Zg.conj().T, optimize=True)
     T = np.ascontiguousarray(np.sqrt(q_lam / qg) * T.reshape(q_mu * qg, q_lam, c))
+    M = T.reshape(-1, q_lam * c)  # columns (z, a)
+    resid = np.linalg.norm(M.conj().T @ M - np.eye(q_lam * c))
+    if resid >= 1e-8:
+        raise RuntimeError(f"embedding not isometric: {resid:.2e}")
     T.flags.writeable = False
     return T
 
@@ -699,28 +703,23 @@ def irrep_channel(
     Q_mu (x) Q_dualgamma and traces out the second factor; "sandwich"
     conjugates by the embedding of Q_mu into Q_lam (x) Q_gamma with the
     conjugated multiplicity vector.  All agree to numerical precision.
-    "embed-trace" contracts psi into the memoised psi-free isometry of the
-    label triple; the other two forms are built afresh on every call.
+    "embed-trace" contracts psi into ``_embed_trace_tensor``, certified
+    once per triple; the other two forms are built afresh on every call.
     """
     c = lr_coeff(lam.dual(), mu, gamma)
     if c < 1:
         raise ValueError(f"gamma {gamma} not admissible for {lam} -> {mu}")
-    if psi is None:
-        psi = np.zeros(c)
-        psi[0] = 1.0
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = np.asarray(np.eye(c)[0] if psi is None else psi, dtype=complex).reshape(-1)
     if psi.shape != (c,):
         raise ValueError(f"psi must have length {c}")
+    if not np.isfinite(psi).all():
+        raise ValueError("psi has non-finite entries")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("psi must be normalized")
     if form == "embed-trace":
-        iota = np.tensordot(_embed_trace_tensor(lam, mu, gamma), psi, 1)
-        q_lam, q_mu = iota.shape[1], dim_gl_irrep(mu)
-        resid = np.linalg.norm(iota.conj().T @ iota - np.eye(q_lam))
-        if resid >= 1e-8:
-            raise RuntimeError(f"embedding not isometric: {resid:.2e}")
-        V = iota.reshape(q_mu, -1, q_lam)
-        return KrausChannel([V[:, h, :] for h in range(V.shape[1])], q_lam, q_mu)
+        q_lam, q_mu = dim_gl_irrep(lam), dim_gl_irrep(mu)
+        V = np.tensordot(_embed_trace_tensor(lam, mu, gamma), psi, 1).reshape(q_mu, -1, q_lam)
+        return KrausChannel(list(V.transpose(1, 0, 2)), q_lam, q_mu)
 
     K0, c, qg, q_lam, q_mu = _cg_restriction_tensor(lam, mu, gamma)
     scale_lg = dim_gl_irrep(lam) / dim_gl_irrep(gamma)
@@ -763,7 +762,8 @@ def factored_channel(spec: ExtremalSpec) -> ChoiMatrix:
     This is the executable form of the factorization theorem.  Every stage
     is a Kraus map: Schur sampling on the m inputs (A_i, path i's rows of
     sector lam of ``schur_transform(m, 0, d)``), the embed-trace irrep
-    channel lam -> mu (K_h) and mixed reverse sampling on the n outputs
+    channel lam -> mu (K_h, slices of ``_embed_trace_tensor`` times psi)
+    and mixed reverse sampling on the n outputs
     (C_j = R_(mu,j)^dag / sqrt(p_mu)).  Stages of different sectors compose
     to zero, so only the products C_j K_h A_i of matching sectors are
     formed.  The Choi matrix is V V^dag with one vectorized product per
@@ -776,10 +776,11 @@ def factored_channel(spec: ExtremalSpec) -> ChoiMatrix:
     for s in Sm.sectors:
         t = spec.triple(s.label)
         A = Sm.sector_rows(s.label).reshape(s.p_dim, s.q_dim, Sm.dim)
-        K = irrep_channel(s.label, t.mu, t.gamma, t.psi, form="embed-trace").ops
         p_mu = Sn.sector(t.mu).p_dim
         C = Sn.sector_rows(t.mu).conj().reshape(p_mu, -1, Sn.dim) / np.sqrt(p_mu)
-        KA = np.matmul(np.stack(K)[:, None], A)  # (h, i, q_mu, in)
+        iota = np.tensordot(_embed_trace_tensor(s.label, t.mu, t.gamma), t.psi, 1)
+        K = iota.reshape(C.shape[1], -1, s.q_dim).transpose(1, 0, 2)  # K[h] = K_h
+        KA = np.matmul(K[:, None], A)  # (h, i, q_mu, in)
         # row (j, h, i) is (C_j K_h A_i)^T flattened, indexed (in, out)
         ops.append(np.einsum("jby,hibx->jhixy", C, KA).reshape(-1, Sm.dim * Sn.dim))
     W = np.concatenate(ops)  # V^T

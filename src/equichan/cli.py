@@ -47,6 +47,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.mode == "sample" and not args.stream:
+        raise ValueError("--mode sample needs --stream; the dense route is exact")
     spec = fileio.spec_from_obj(fileio.load_json(args.spec))
     rho = fileio.matrix_from_obj(fileio.load_json(args.state))
     if args.stream:
@@ -133,6 +135,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apps(args) -> int:
+    if args.mode == "sample" and args.app != "symmetrize":
+        raise ValueError(f"--mode sample applies to symmetrize only, not {args.app}")
     rho = fileio.matrix_from_obj(fileio.load_json(args.state))
     reference = None
     if args.reference:

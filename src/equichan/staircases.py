@@ -282,15 +282,14 @@ def _partitions_of(m: int, d: int) -> tuple[Staircase, ...]:
 
 def check_shape(m: int, n: int, d: int) -> tuple[int, int, int]:
     """(m, n, d) read through ``operator.index``, as ``Staircase`` reads its
-    entries.  Raises ValueError naming the first of m, n and d that is not
-    an integer, or that is below its least value: 0 for m and n, 1 for d.
+    entries, to ints.  Raises ValueError naming the first of m, n and d that
+    is a bool or no integer, or below its least value: 0 for m and n, 1 for d.
     """
     out = []
     for key, value, least in (("m", m, 0), ("n", n, 0), ("d", d, 1)):
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise ValueError(f"need an integer {key}, got {key}={value!r}") from None
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ValueError(f"need an integer {key}, got {key}={value!r}")
+        value = operator.index(value)
         if value < least:
             raise ValueError(f"need {key} >= {least}, got {key}={value}")
         out.append(value)

@@ -19,10 +19,12 @@ The emulator runs the middle phase of every block by one route: the
 embeddings and embed steps memoised by ``_path_superposition``,
 contracted with psi and traced down to Q_mu.  Along GT paths the
 embedding is the superposition sum_p a_p iota_p of per-site inverse CG
-chains, one step per site; a one-box mu embeds along the one addition
-gamma_bar -> lam in one step and traces the base.  Every iota_p is
-``transforms._path_isometry`` of its path, the builder whose transposes
-are the rows of the Schur transforms that emission reads.
+chains, one step per site, certified where there are several paths
+against ``channels._embed_trace_tensor``, which the memo then holds; a
+one-box mu embeds along the one addition gamma_bar -> lam in one step and
+traces the base.  Every iota_p is ``transforms._path_isometry`` of its
+path, the builder whose transposes are the rows of the Schur transforms
+that emission reads.
 
 Emission is the adjoint of Schur sampling: the isometry along a GT path
 into mu is the adjoint of that path's rows in the Schur transform on n
@@ -56,17 +58,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from equichan.channels import PSD_TOL, ExtremalSpec, irrep_channel
+from equichan.channels import PSD_TOL, ExtremalSpec, _embed_trace_tensor
 from equichan.channels import check_finite_unit_trace, check_input
 from equichan.gtpaths import GtPath, _walk_many, enumerate_paths
 from equichan.realize import canonical_realization
-from equichan.staircases import (
-    Staircase,
-    box_label,
-    dim_gl_irrep,
-    lr_coeff,
-    partitions_of,
-)
+from equichan.staircases import Staircase, box_label, dim_gl_irrep, partitions_of
 from equichan.transforms import (
     PathTransform,
     _emit_steps,
@@ -326,7 +322,7 @@ def _middle_phase(
 class _PathSuperposition(NamedTuple):
     """The middle-phase embeddings of one triple (lam, mu, gamma).
 
-    ``embeddings[a]`` is the isometry Q_lam -> Q_mu (x) traced legs of the
+    ``embeddings[a]`` is the isometry Q_lam -> Q_mu (x) traced leg of the
     multiplicity basis vector e_a, shape (c, q_mu * dim traced, q_lam),
     read-only; ``steps`` holds (CG kind, live dimension, on a site) per
     embed step, in emission order.
@@ -353,17 +349,17 @@ def _path_superposition(
 
     Otherwise one step per site of the GT paths mu -> lam, with k additions
     and l removals for the k positive and l negative boxes of gamma_bar.
-    The channel of (lam, mu, gamma, psi) traces the sites of
-    iota' = (1 (x) J) iota, where iota is the embed-trace isometry of
-    ``irrep_channel`` and J the embedding of the canonical realization of
-    gamma_bar, whose sites are those of the paths.  By Schur's lemma iota' = sum_p a_p iota_p over
-    those paths, with a_p = tr(iota_p^dag iota') / q_lam; iota is linear in
-    psi, so the superposition is stored for each multiplicity basis vector
-    e_a.  The paths are taken one at a time, so only one iota_p is held.
     A sector with one path (every block with gamma empty, whose path has no
     step) is that path: its phase leaves the channel unchanged and no
-    overlap is taken.  Raises RuntimeError if a superposition is farther
-    than SUPERPOSITION_TOL from iota'.  Memoised per label triple.
+    overlap is taken.  With several paths the embeddings E_a are
+    ``channels._embed_trace_tensor`` at each basis vector e_a, Q_gamma_bar
+    traced.  For J the isometric embedding of gamma_bar's canonical
+    realization into the sites, Schur's lemma gives (1 (x) J) E_a =
+    sum_p a_p iota_p, a_p = tr(iota_p^dag (1 (x) J) E_a) / q_lam; that sum
+    is built one path at a time and certified against (1 (x) J) E_a:
+    RuntimeError if farther than SUPERPOSITION_TOL.  J is an isometry, so
+    tracing E_a over Q_gamma_bar traces the certified superposition over
+    the sites.  Memoised per label triple.
     """
     gamma_bar = gamma.dual()
     if mu == box_label(lam.d) and not gamma.is_empty:
@@ -378,20 +374,16 @@ def _path_superposition(
     if len(paths) == 1:
         embeddings = _path_isometry(paths[0])[None]
     else:
-        c = lr_coeff(lam.dual(), mu, gamma)
+        embeddings = np.ascontiguousarray(np.moveaxis(_embed_trace_tensor(lam, mu, gamma), -1, 0))
+        c, _, q_lam = embeddings.shape
         J = canonical_realization(gamma_bar).embedding
-        q_lam = dim_gl_irrep(lam)
-        targets = np.stack(
-            [
-                np.matmul(J, np.stack(irrep_channel(lam, mu, gamma, e).ops, axis=1))
-                for e in np.eye(c)
-            ]
-        ).reshape(c, -1, q_lam)
-        embeddings = np.zeros_like(targets)
+        # (1 (x) J) E_a: Q_gamma_bar, the inner row leg of E_a, embedded in the sites
+        targets = np.matmul(J, embeddings.reshape(-1, J.shape[1], q_lam)).reshape(c, -1, q_lam)
+        superposition = np.zeros_like(targets)
         for p in paths:
             iso = _path_isometry(p)
-            embeddings += _path_amplitudes(iso, targets)[:, None, None] * iso
-        resid = max(np.linalg.norm(e - t) for e, t in zip(embeddings, targets))
+            superposition += _path_amplitudes(iso, targets)[:, None, None] * iso
+        resid = max(np.linalg.norm(e - t) for e, t in zip(superposition, targets))
         if resid > SUPERPOSITION_TOL:
             raise RuntimeError(
                 f"path superposition {lam} -> {mu} misses the irrep channel by {resid:.2e}"

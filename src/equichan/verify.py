@@ -16,16 +16,16 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
     QR of a complex Gaussian matrix with the R diagonal made positive gives
     Haar on U(d); dividing by the d-th root of the determinant lands in SU(d).
-    A ``d`` that is not an integer (or is a bool) raises TypeError.
+    A ``d`` that is not an integer (or is a bool) raises TypeError, and so
+    does an ``rng`` that is not a ``numpy.random.Generator``, even at d = 1.
     """
-    if isinstance(d, bool):
+    if isinstance(d, bool) or not hasattr(type(d), "__index__"):
         raise TypeError(f"d must be an integer, got {d!r}")
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise TypeError(f"d must be an integer, got {d!r}") from None
+    d = operator.index(d)
     if d < 1:
         raise ValueError("need d >= 1")
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {rng!r}")
     if d == 1:
         return np.ones((1, 1), dtype=complex)
     Z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)

@@ -318,8 +318,9 @@ _PSI = np.array([1.0, 1.0j]) / np.sqrt(2)
             "reference",
             lambda v: purity_amplify(depolarized_copies(_PSI, 0.3, 3, 2), 3, 2, reference=v),
         ),
+        ("psi", lambda v: depolarized_copies(v, 0.3, 3, 2)),
     ],
-    ids=["clone-state", "clone-reference", "purity-reference"],
+    ids=["clone-state", "clone-reference", "purity-reference", "depolarized-psi"],
 )
 @pytest.mark.parametrize(
     "vec,problem",
@@ -394,6 +395,12 @@ class TestPurityAmplify:
             rho = depolarized_copies(psi, alpha, m, d)
             fids.append(purity_amplify(rho, m, d, reference=psi).fidelity)
         assert all(b >= a - 1e-12 for a, b in zip(fids, fids[1:])), fids
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, np.nan, np.inf])
+    def test_depolarized_copies_reject_alpha_out_of_range(self, alpha):
+        # these used to return a non-state, or an all-NaN matrix
+        with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got alpha="):
+            depolarized_copies(_PSI, alpha, 2, 2)
 
     def test_channel_never_references_alpha(self, rng):
         # the construction takes no alpha; applying it to inputs built at

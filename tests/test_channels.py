@@ -729,6 +729,25 @@ class TestEmbedTraceTensor:
             psi = rng.normal(size=2) + 1j * rng.normal(size=2)
             self._assert_matches_oracle(lam, mu, gamma, psi / np.linalg.norm(psi))
 
+    def test_perturbed_restriction_is_not_isometric(self, monkeypatch):
+        # the isometry test runs once, when the tensor is built
+        exact = channels._cg_restriction_tensor
+
+        def perturbed(lam, mu, gamma):
+            K0, *rest = exact(lam, mu, gamma)
+            return (K0 * (1 + 1e-6), *rest)
+
+        lam, mu, gamma = staircase(2, 0), staircase(2, 0), staircase(1, -1)
+        channels._embed_trace_tensor.cache_clear()
+        monkeypatch.setattr(channels, "_cg_restriction_tensor", perturbed)
+        try:
+            with pytest.raises(RuntimeError, match="^embedding not isometric: "):
+                channels._embed_trace_tensor(lam, mu, gamma)
+        finally:
+            monkeypatch.undo()
+            channels._embed_trace_tensor.cache_clear()
+        assert channels._embed_trace_tensor(lam, mu, gamma).shape == (9, 3, 1)
+
     def test_cached_tensor_is_read_only(self):
         adjoint, lam = staircase(1, 0, -1), staircase(2, 1, 0)
         T = channels._embed_trace_tensor(lam, lam, adjoint)
@@ -867,6 +886,16 @@ class TestEdgeCases:
                 1, 1, 2, {lam: ExtremalTriple(lam, staircase(0, 0), np.array([2.0]))}
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_psi_non_finite_rejected(self, bad):
+        # |norm(psi) - 1| > tol is False for NaN, so a NaN psi used to build
+        # a spec, and an irrep channel that returned NaN
+        lam = staircase(1, 0)
+        with pytest.raises(ValueError, match=r"^psi for \(1,0\) has non-finite entries$"):
+            ExtremalSpec(1, 1, 2, {lam: ExtremalTriple(lam, staircase(0, 0), np.array([bad]))})
+        with pytest.raises(ValueError, match="^psi has non-finite entries$"):
+            irrep_channel(lam, lam, staircase(0, 0), psi=np.array([bad]))
+
     def test_missing_label_rejected(self):
         lam = staircase(2, 0)
         with pytest.raises(ValueError, match="every input label"):
@@ -881,8 +910,17 @@ class TestEdgeCases:
             (lambda: ExtremalSpec(0, -2, 2, {}), "need n >= 0, got n=-2"),
             (lambda: cloning_spec(1, 2, 0), "need d >= 1, got d=0"),
             (lambda: purity_spec(2, 0), "need d >= 1, got d=0"),
+            (lambda: symmetrization_spec(2.0, 2), "need an integer m, got m=2.0"),
+            (lambda: symmetrization_spec(True, 2), "need an integer m, got m=True"),
+            (lambda: cloning_spec(1, 2.0, 2), "need an integer n, got n=2.0"),
+            (lambda: purity_spec(2, True), "need an integer d, got d=True"),
+            (lambda: enumerate_extremal_triples(2.0, 1, 2), "need an integer m, got m=2.0"),
+            (lambda: enumerate_extremal_triples(-1, 1, 2), "need m >= 0, got m=-1"),
         ],
-        ids=["m", "n", "d-clone", "d-purity"],
+        ids=[
+            "m", "n", "d-clone", "d-purity", "float-m", "bool-m", "float-n-clone",
+            "bool-d-purity", "float-m-triples", "m-triples",
+        ],
     )
     def test_shape_out_of_range_rejected_by_name(self, build, message):
         # these used to build specs with no assignments, which cover the

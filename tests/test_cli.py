@@ -33,6 +33,13 @@ class TestClassify:
         assert "(1,-1)" in out and "(0,0)" in out
 
 
+    def test_negative_m_is_usage_error(self, capsys):
+        # used to print "0 admissible triples" and exit 0
+        assert run(["classify", "-1", "1", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need m >= 0, got m=-1\n"
+
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_d_below_one_is_usage_error(self, d, capsys):
         assert run(["classify", "2", "1", d]) == 2
@@ -58,6 +65,18 @@ class TestSimulate:
         streamed = fileio.matrix_from_obj(rec["output"])
         assert np.linalg.norm(dense - streamed) < 1e-9
         assert rec["ledger"]["num_simple_cg"] == 1
+
+    def test_sample_mode_without_stream_is_usage_error(self, tmp_path, state_file, capsys):
+        # the dense route used to run, exact, and exit 0
+        f_state, _ = state_file
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(fileio.spec_to_obj(symmetrization_spec(2, 2)), f_spec)
+        argv = ["simulate", "--spec", str(f_spec), "--state", str(f_state),
+                "--mode", "sample", "--trajectories", "0"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --mode sample needs --stream; the dense route is exact\n"
 
     def test_dense_prints_output_record(self, tmp_path, state_file, capsys):
         f_state, rho = state_file
@@ -302,6 +321,18 @@ class TestApps:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["apps", "symmetrize", "--state", str(tmp_path / "nope.json"),
                     "-m", "2", "-d", "2"]) == 2
+
+    @pytest.mark.parametrize("app", ["clone", "purify"])
+    def test_sample_mode_outside_symmetrize_is_usage_error(self, app, tmp_path, capsys):
+        # used to run exact mode and exit 0
+        f_state = tmp_path / "psi.json"
+        fileio.save_json(fileio.matrix_to_obj(np.array([[1.0], [0.0]])), f_state)
+        argv = ["apps", app, "--state", str(f_state), "-m", "1", "-n", "2", "-d", "2",
+                "--mode", "sample"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --mode sample applies to symmetrize only, not {app}\n"
 
     def test_clone_without_n_is_usage_error(self, tmp_path, capsys):
         f_state = tmp_path / "psi.json"

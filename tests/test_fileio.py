@@ -82,6 +82,12 @@ class TestSpecRoundTrip:
         assert t.mu == lam and t.gamma == staircase(1, -1)
         assert np.array_equal(t.psi, psi)
 
+    def test_numpy_integer_shape_saves(self, tmp_path):
+        # json cannot write numpy integers; the spec stores Python ints
+        spec = symmetrization_spec(np.int64(2), np.int64(2))
+        assert type(spec.m) is int and type(spec.d) is int
+        fileio.save_json(fileio.spec_to_obj(spec), tmp_path / "spec.json")
+
     def test_rejects_malformed_psi(self):
         lam = staircase(1, 0)
         spec = ExtremalSpec(1, 1, 2, {lam: ExtremalTriple(lam, staircase(1, -1), [1.0])})

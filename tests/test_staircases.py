@@ -21,7 +21,7 @@ from equichan.staircases import (
     staircase,
     sym_dim,
 )
-from equichan.channels import classification_isometry
+from equichan.channels import ExtremalSpec, classification_isometry, enumerate_extremal_triples
 from equichan.transforms import schur_transform
 
 from oracles import lr_count, ssyt_count, syt_count
@@ -254,12 +254,24 @@ BAD_SHAPES = [
     ((-1, 40, 2), "need m >= 0, got m=-1"),
     ((1, -1, 0), "need n >= 0, got n=-1"),
     ((1, 1, 0), "need d >= 1, got d=0"),
+    ((True, 0, 2), "need an integer m, got m=True"),
+    ((1, 1, False), "need an integer d, got d=False"),
 ]
+
+
+def extremal_spec(m, n, d):
+    return ExtremalSpec(m, n, d, {})
 
 
 @pytest.mark.parametrize(
     "build",
-    [enumerate_staircases, schur_transform, classification_isometry],
+    [
+        enumerate_staircases,
+        schur_transform,
+        classification_isometry,
+        enumerate_extremal_triples,
+        extremal_spec,
+    ],
     ids=lambda f: f.__name__,
 )
 @pytest.mark.parametrize("args,message", BAD_SHAPES, ids=lambda x: repr(x))

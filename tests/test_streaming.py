@@ -231,6 +231,22 @@ class TestMiddlePhase:
             counts = ledger.num_simple_cg, ledger.num_simple_dual_cg, ledger.num_inverse_cg
             assert counts == (0, 0, 1)
 
+    def test_multi_path_memo_holds_the_embed_trace_tensor(self, rng):
+        # (1,1,0) -> (6,0,0) through (6,-1,-1), a triple of cloning_spec(2, 6, 3):
+        # 13 GT paths over 8 sites, whose superposition has 28 * 3^8 rows;
+        # the memo holds the 28 * 36 rows of the certified embed-trace tensor
+        spec = channels.cloning_spec(2, 6, 3)
+        lam = staircase(1, 1, 0)
+        t = spec.triple(lam)
+        assert (t.mu, t.gamma) == (staircase(6, 0, 0), staircase(6, -1, -1))
+        sup = _path_superposition(lam, t.mu, t.gamma)
+        assert sup.embeddings.shape == (1, 1008, 3)
+        assert not sup.embeddings.flags.writeable
+        blk = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        tau = _middle_phase(spec, {lam: blk}, ResourceLedger(), [])
+        expected = irrep_channel(lam, t.mu, t.gamma, t.psi).apply(blk)
+        assert np.abs(tau[t.mu] - expected).max() < 1e-10
+
     def test_mutated_coefficient_raises(self, monkeypatch):
         import equichan.streaming as streaming
 

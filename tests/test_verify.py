@@ -23,6 +23,12 @@ class TestHaarUnitary:
         with pytest.raises(ValueError, match="need d >= 1"):
             haar_unitary(d, rng)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_generator_rng_rejected(self, d):
+        # an int used to raise AttributeError at d = 2 and pass at d = 1
+        with pytest.raises(TypeError, match="^rng must be a numpy.random.Generator, got 5$"):
+            haar_unitary(d, 5)
+
     def test_numpy_integer_d(self):
         U = haar_unitary(np.int64(3), np.random.default_rng(5))
         assert np.array_equal(U, haar_unitary(3, np.random.default_rng(5)))
