@@ -245,13 +245,20 @@ def check_symmetries(
     column in, column out) of sizes (d^m, d^n, d^m, d^n), and each of four
     plain GEMMs applies A, B, conj A, conj B to its leading leg and leaves
     the result at the back, so after the fourth the legs are in their
-    original order.  BLAS reads the transposed operand in place, with no
-    copy and no batched matmul, for O(D^2 (d^m + d^n)) flops at
-    D = d^(m+n).  A transposition P of two adjacent sites is an involutive
-    permutation of tensor legs, so its residual |P C - C P| = |P C P - C| is
-    a leg transpose of the 2(m+n)-leg tensor C minus C, with no arithmetic
-    beyond the norm.  The report holds residuals only; the caller picks the
-    threshold with ``SymmetryReport.passed(tol)``.
+    original order, for O(D^2 (d^m + d^n)) flops at D = d^(m+n).  A
+    transposition P of two adjacent sites a, a+1 is an involutive
+    permutation of tensor legs, so its residual |P C - C P| = |P C P - C|
+    is C, viewed as (d^a, d, d, rest) x (d^a, d, d, rest), with the two
+    middle legs of each half swapped, minus C: no arithmetic beyond the
+    difference and its norm.
+
+    Every Choi-sized intermediate lives in one workspace of two halves,
+    allocated once per call: each GEMM writes into the half it does not
+    read, and each difference is taken in place, so a trial allocates
+    nothing of the size of C.  ``choi.matrix`` is only read; a matrix that
+    is not C-contiguous complex is converted once.  The report holds
+    residuals only; the caller picks the threshold with
+    ``SymmetryReport.passed(tol)``.
     """
     if isinstance(trials, bool) or not isinstance(trials, Integral):
         raise ValueError(f"trials must be an integer Haar trial count, got {trials!r}")
@@ -261,7 +268,8 @@ def check_symmetries(
         rng = np.random.default_rng(7)
     m, n, d = choi.m, choi.n, choi.d
     dm, dn = d**m, d**n
-    C = choi.matrix
+    C = np.ascontiguousarray(choi.matrix, dtype=complex).reshape(-1)
+    work = np.empty((2, C.size), dtype=complex)
     unitary = []
     for _ in range(trials):
         U = haar_unitary(d, rng)
@@ -269,17 +277,24 @@ def check_symmetries(
         B = _tensor_power(U, n)
         # W C W^dag: each GEMM rotates the leading leg and moves it to the back
         X = C
-        for M, dim in ((A, dm), (B, dn), (A.conj(), dm), (B.conj(), dn)):
-            X = X.reshape(dim, -1).T @ M.T
-        unitary.append(float(np.linalg.norm(X.reshape(-1) - C.reshape(-1))))
-    T = C.reshape((d,) * (2 * (m + n)))
+        for Y, M, dim in zip((work[0], work[1]) * 2, (A, B, A.conj(), B.conj()), (dm, dn) * 2):
+            np.matmul(X.reshape(dim, -1).T, M.T, out=Y.reshape(-1, dim))
+            X = Y
+        unitary.append(_residual(np.subtract(X, C, out=X)))
     perm = []
     for a in [*range(m - 1), *range(m, m + n - 1)]:
-        legs = list(range(2 * (m + n)))
-        for row in (a, m + n + a):
-            legs[row], legs[row + 1] = legs[row + 1], legs[row]
-        perm.append(float(np.linalg.norm(T.transpose(legs) - T)))
+        legs = (d**a, d, d, d ** (m + n - a - 2)) * 2
+        T = C.reshape(legs)
+        diff = np.subtract(T.transpose(0, 2, 1, 3, 4, 6, 5, 7), T, out=work[0].reshape(legs))
+        perm.append(_residual(diff.reshape(-1)))
     return SymmetryReport(unitary, perm)
+
+
+def _residual(diff: np.ndarray) -> float:
+    """The 2-norm of a flat contiguous complex difference, read as its real
+    and imaginary parts with no copy: NaN if it holds a NaN, inf for an inf."""
+    parts = diff.view(float)
+    return float(np.sqrt(parts @ parts))
 
 
 def _tensor_power(U: np.ndarray, k: int) -> np.ndarray:

@@ -37,6 +37,19 @@ def _parse_shape(text: str) -> Staircase:
         raise ValueError(f"bad shape {text!r}: {exc}")
 
 
+def _given(args, *names: str) -> dict:
+    """The named options given on the command line, as keyword arguments;
+    an option left out is None and keeps the library's default."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
+def _refuse_unread(args, route: str, *names: str) -> None:
+    """A usage error for each named option given to a route that ignores it."""
+    given = [f"--{k.replace('_', '-')}" for k in _given(args, *names)]
+    if given:
+        raise ValueError(f"{' and '.join(given)} not read by {route}")
+
+
 def _cmd_classify(args) -> int:
     triples = enumerate_extremal_triples(args.m, args.n, args.d)
     print(f"extremal triples for m={args.m}, n={args.n}, d={args.d}:")
@@ -47,13 +60,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.mode == "sample" and not args.stream:
-        raise ValueError("--mode sample needs --stream; the dense route is exact")
+    if not args.stream:
+        if args.mode == "sample":
+            raise ValueError("--mode sample needs --stream; the dense route is exact")
+        _refuse_unread(args, "the dense route, which draws nothing", "trajectories", "seed")
     spec = fileio.spec_from_obj(fileio.load_json(args.spec))
     rho = fileio.matrix_from_obj(fileio.load_json(args.state))
     if args.stream:
         out, ledger = streamed_apply(
-            spec, rho, seed=args.seed, mode=args.mode, trajectories=args.trajectories
+            spec, rho, mode=args.mode, **_given(args, "seed", "trajectories")
         )
         record = fileio.app_result_to_obj(out, ledger)
     else:
@@ -117,12 +132,14 @@ def _cmd_verify(args) -> int:
     if names == [None]:
         print("error: pass --all or --suite NAME", file=sys.stderr)
         return 2
+    if "symmetry-certification" not in names:
+        _refuse_unread(args, f"suite {args.suite}", "trials")
     records = []
     ok = True
     for name in names:
         kwargs = {}
         if name == "symmetry-certification":
-            kwargs = {"trials": args.trials}
+            kwargs = _given(args, "trials")
         report = run_suite(name, seed=args.seed, **kwargs)
         for line in report.summary_lines():
             print(line)
@@ -135,8 +152,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apps(args) -> int:
-    if args.mode == "sample" and args.app != "symmetrize":
-        raise ValueError(f"--mode sample applies to symmetrize only, not {args.app}")
+    if args.app != "symmetrize":
+        if args.mode == "sample":
+            raise ValueError(f"--mode sample applies to symmetrize only, not {args.app}")
+        _refuse_unread(args, f"{args.app}, which draws nothing", "trajectories", "seed")
     rho = fileio.matrix_from_obj(fileio.load_json(args.state))
     reference = None
     if args.reference:
@@ -144,8 +163,7 @@ def _cmd_apps(args) -> int:
         reference = ref.reshape(-1)
     if args.app == "symmetrize":
         res = symmetrize(
-            rho, args.m, args.d, mode=args.mode, seed=args.seed,
-            trajectories=args.trajectories,
+            rho, args.m, args.d, mode=args.mode, **_given(args, "seed", "trajectories")
         )
     elif args.app == "clone":
         if args.n is None:
@@ -183,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--state", required=True)
     s.add_argument("--stream", action="store_true")
     s.add_argument("--mode", choices=["exact", "sample"], default="exact")
-    s.add_argument("--trajectories", type=int, default=10_000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--trajectories", type=int, default=None,
+                   help="streamed runs only (default 10000)")
+    s.add_argument("--seed", type=int, default=None, help="streamed runs only (default 0)")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_simulate)
 
@@ -212,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--all", action="store_true")
     v.add_argument("--suite", choices=sorted(SUITES), default=None)
     v.add_argument("--seed", type=int, default=1)
-    v.add_argument("--trials", type=int, default=20)
+    v.add_argument("--trials", type=int, default=None,
+                   help="Haar trials of symmetry-certification (default 20)")
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 
@@ -223,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("-n", type=int, default=None)
     a.add_argument("-d", type=int, required=True)
     a.add_argument("--mode", choices=["exact", "sample"], default="exact")
-    a.add_argument("--trajectories", type=int, default=10_000)
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--trajectories", type=int, default=None,
+                   help="symmetrize only (default 10000)")
+    a.add_argument("--seed", type=int, default=None, help="symmetrize only (default 0)")
     a.add_argument("--reference", help="matrix file with a reference vector")
     a.add_argument("--out")
     a.set_defaults(func=_cmd_apps)

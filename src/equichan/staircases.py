@@ -285,15 +285,19 @@ def check_shape(m: int, n: int, d: int) -> tuple[int, int, int]:
     entries, to ints.  Raises ValueError naming the first of m, n and d that
     is a bool or no integer, or below its least value: 0 for m and n, 1 for d.
     """
-    out = []
-    for key, value, least in (("m", m, 0), ("n", n, 0), ("d", d, 1)):
-        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-            raise ValueError(f"need an integer {key}, got {key}={value!r}")
-        value = operator.index(value)
-        if value < least:
-            raise ValueError(f"need {key} >= {least}, got {key}={value}")
-        out.append(value)
-    return tuple(out)
+    return check_count("m", m), check_count("n", n), check_count("d", d, least=1)
+
+
+def check_count(key: str, value: int, least: int | None = 0) -> int:
+    """``value`` read through ``operator.index`` to an int.  Raises ValueError
+    naming ``key`` if it is a bool or no integer, or below ``least`` unless
+    that is None."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"need an integer {key}, got {key}={value!r}")
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"need {key} >= {least}, got {key}={value}")
+    return value
 
 
 def enumerate_staircases(m: int, n: int, d: int) -> list[Staircase]:

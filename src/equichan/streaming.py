@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count
@@ -62,7 +63,14 @@ from equichan.channels import PSD_TOL, ExtremalSpec, _embed_trace_tensor
 from equichan.channels import check_finite_unit_trace, check_input
 from equichan.gtpaths import GtPath, _walk_many, enumerate_paths
 from equichan.realize import canonical_realization
-from equichan.staircases import Staircase, box_label, dim_gl_irrep, partitions_of
+from equichan.staircases import (
+    Staircase,
+    box_label,
+    check_count,
+    check_shape,
+    dim_gl_irrep,
+    partitions_of,
+)
 from equichan.transforms import (
     PathTransform,
     _emit_steps,
@@ -576,17 +584,15 @@ def resource_estimate(
 
     r and r_prime bound the staircase lengths on the absorption and emission
     sides; (k, l) are the middle-phase path steps.  The polylog synthesis
-    factor stays symbolic in every row.  Raises ValueError naming the
-    first of m, n, k and l that is negative, then d if it is below 1.
+    factor stays symbolic in every row.  (m, n, d) are read through
+    ``check_shape``, then r, r_prime, k and l in turn: ValueError names the
+    first that is a bool or no integer, or k or l if negative.
     """
-    for key, value in (("m", m), ("n", n), ("k", k), ("l", l)):
-        if value < 0:
-            raise ValueError(f"need {key} >= 0, got {key}={value}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
+    m, n, d = check_shape(m, n, d)
+    r, r_prime = check_count("r", r, least=None), check_count("r_prime", r_prime, least=None)
+    k, l = check_count("k", k), check_count("l", l)
     if not (1 <= r <= d and 1 <= r_prime <= d):
         raise ValueError("need 1 <= r, r_prime <= d")
-    import math
 
     r_mid = min(d, max(r, r_prime) + k)
     bits_in = r * max(1, math.ceil(math.log2(m + 1))) if m else 0
@@ -624,11 +630,14 @@ def resource_estimate(
 def application_estimate(task: str, m: int, n: int, d: int, r: int | None = None):
     """The headline (memory factor, gate factor) pair for the three tasks.
 
-    Raises ValueError naming m for m < 1: every task streams at least one
-    input site.
+    (m, n, d) are read through ``check_shape``; n may be None for the
+    symmetrize and purify tasks, which do not read it.  Raises ValueError
+    naming m for m < 1: every task streams at least one input site.  A
+    given r is read by ``resource_estimate``.
     """
-    if m < 1:
+    if check_count("m", m, least=None) < 1:
         raise ValueError(f"need m >= 1 input sites, got m={m}")
+    m, _, d = check_shape(m, 0 if n is None else n, d)
     if task == "symmetrize":
         r = min(m, d) if r is None else r
         report = resource_estimate(m, m, d, r, r, 0, 0)

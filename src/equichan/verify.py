@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -38,10 +39,14 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def tv_distance(empirical: dict[Staircase, float], exact: RemovalDistribution) -> float:
     """Total variation distance between an empirical histogram and an exact
-    distribution; empirical counts are normalized first."""
+    distribution; empirical counts are normalized first.  Raises ValueError
+    naming the label of the first count that is negative or not finite."""
     extra = set(empirical) - set(exact.probs)
     if extra:
         raise ValueError(f"empirical support outside exact support: {extra}")
+    for mu, c in empirical.items():
+        if not (math.isfinite(c) and c >= 0):
+            raise ValueError(f"count for {mu} is {c!r}, need a finite count >= 0")
     total = sum(empirical.values())
     if total <= 0:
         raise ValueError("empty histogram")

@@ -223,6 +223,43 @@ class TestCheckSymmetries:
         assert min(rep.unitary_residuals) > 1.0
         assert min(rep.permutation_residuals) > 1.0
 
+    @pytest.mark.parametrize("m,n,d", [(2, 3, 3), (4, 3, 2)])
+    def test_matrix_is_never_written(self, m, n, d, rng):
+        # the workspace holds every intermediate; the Choi matrix is only read
+        D = d ** (m + n)
+        for M in (
+            extremal_choi(all_specs(m, n, d)[0]).matrix,
+            rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)),
+        ):
+            before = M.copy()
+            check_symmetries(ChoiMatrix(M, m, n, d), trials=2, rng=rng)
+            assert M.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("m,n,d", [(2, 3, 3), (4, 3, 2)])
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "real"])
+    def test_any_layout_gives_its_contiguous_report(self, m, n, d, layout, rng):
+        D = d ** (m + n)
+        for M in (
+            extremal_choi(all_specs(m, n, d)[0]).matrix,
+            rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)),
+        ):
+            M = {
+                "fortran": np.asfortranarray(M),
+                "transposed": M.T,
+                "real": M.real,
+            }[layout]
+            assert not M.flags.c_contiguous or M.dtype != complex
+            plain = np.ascontiguousarray(M, dtype=complex)
+            rep, ref = (
+                check_symmetries(ChoiMatrix(A, m, n, d), trials=2, rng=np.random.default_rng(5))
+                for A in (M, plain)
+            )
+            for got, want in (
+                (rep.unitary_residuals, ref.unitary_residuals),
+                (rep.permutation_residuals, ref.permutation_residuals),
+            ):
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_tensor_power_is_kron_chain(self, d, rng):
         U = haar_unitary(d, rng)

@@ -1,9 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from equichan import fileio
+from equichan import cli, fileio, suites
 from equichan.apps import depolarized_copies
 from equichan.channels import (
     ExtremalSpec,
@@ -13,6 +14,8 @@ from equichan.channels import (
 )
 from equichan.cli import run
 from equichan.staircases import staircase
+from equichan.streaming import streamed_apply
+from equichan.verify import VerificationReport
 
 
 @pytest.fixture
@@ -21,6 +24,14 @@ def state_file(tmp_path, rng):
     rho = A @ A.conj().T
     rho /= np.trace(rho)
     f = tmp_path / "state.json"
+    fileio.save_json(fileio.matrix_to_obj(rho), f)
+    return f, rho
+
+
+def _three_qubit_state(tmp_path):
+    rho = np.diag([0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]).astype(complex)
+    rho[0, 5] = rho[5, 0] = 0.05
+    f = tmp_path / "state3.json"
     fileio.save_json(fileio.matrix_to_obj(rho), f)
     return f, rho
 
@@ -89,7 +100,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "form",
-        [[], ["--stream", "--mode", "exact"], ["--stream", "--mode", "sample"]],
+        [
+            [],
+            ["--stream", "--mode", "exact", "--trajectories", "50"],
+            ["--stream", "--mode", "sample", "--trajectories", "50"],
+        ],
         ids=["dense", "exact", "sample"],
     )
     def test_non_positive_output_is_usage_error(self, form, tmp_path, capsys):
@@ -101,12 +116,50 @@ class TestSimulate:
         fileio.save_json(fileio.matrix_to_obj(rho), f_state)
         f_spec = tmp_path / "spec.json"
         fileio.save_json(fileio.spec_to_obj(symmetrization_spec(2, 2)), f_spec)
-        argv = ["simulate", "--spec", str(f_spec), "--state", str(f_state),
-                *form, "--trajectories", "50"]
+        argv = ["simulate", "--spec", str(f_spec), "--state", str(f_state), *form]
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: output not positive semidefinite: -1.00e-01\n"
+
+    @pytest.mark.parametrize(
+        "given,message",
+        [
+            (["--trajectories", "50"], "--trajectories"),
+            (["--seed", "3"], "--seed"),
+            (["--seed", "3", "--trajectories", "50"], "--trajectories and --seed"),
+        ],
+        ids=["trajectories", "seed", "both"],
+    )
+    def test_dense_route_refuses_draw_options(
+        self, given, message, tmp_path, state_file, capsys
+    ):
+        # the dense route used to ignore them and exit 0
+        f_state, _ = state_file
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(fileio.spec_to_obj(symmetrization_spec(2, 2)), f_spec)
+        assert run(["simulate", "--spec", str(f_spec), "--state", str(f_state), *given]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {message} not read by the dense route, which draws nothing\n"
+        )
+
+    def test_streamed_defaults_are_seed_0_and_10000_trajectories(self, tmp_path, capsys):
+        # at m = 2 every sampled path is the only one, so m = 3 tells seeds apart
+        f_state, rho = _three_qubit_state(tmp_path)
+        spec = symmetrization_spec(3, 2)
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(fileio.spec_to_obj(spec), f_spec)
+        base = ["simulate", "--spec", str(f_spec), "--state", str(f_state),
+                "--stream", "--mode", "sample"]
+        outputs = []
+        for extra in ([], ["--seed", "0", "--trajectories", "10000"], ["--seed", "1"]):
+            assert run([*base, *extra]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1] != outputs[2]
+        out, ledger = streamed_apply(spec, rho, seed=0, mode="sample", trajectories=10_000)
+        assert outputs[0] == fileio.app_result_to_obj(out, ledger)
 
 
 def _write_matrix(M, path):
@@ -285,6 +338,38 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "SOME SUITES FAILED" in out
 
+    @pytest.mark.parametrize("suite", ["vectorization", "classification"])
+    def test_trials_outside_symmetry_certification_is_usage_error(self, suite, capsys):
+        # --trials used to be ignored, with exit 0
+        assert run(["verify", "--suite", suite, "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trials not read by suite {suite}\n"
+
+    @pytest.mark.parametrize(
+        "argv,trials",
+        [
+            (["--suite", "symmetry-certification"], 20),
+            (["--suite", "symmetry-certification", "--trials", "3"], 3),
+            (["--all", "--trials", "4"], 4),
+        ],
+        ids=["default", "suite", "all"],
+    )
+    def test_trials_reach_symmetry_certification(self, argv, trials, monkeypatch, capsys):
+        seen = {}
+
+        def fake_run_suite(name, seed, **kwargs):
+            seen[name] = kwargs
+            return VerificationReport(name, seed)
+
+        monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+        assert run(["verify", *argv]) == 0
+        capsys.readouterr()
+        got = seen.pop("symmetry-certification")
+        default = inspect.signature(suites.suite_symmetry_certification).parameters["trials"]
+        assert got.get("trials", default.default) == trials
+        assert all(kwargs == {} for kwargs in seen.values())
+
 
 class TestApps:
     def test_symmetrize(self, tmp_path, state_file):
@@ -333,6 +418,39 @@ class TestApps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --mode sample applies to symmetrize only, not {app}\n"
+
+    @pytest.mark.parametrize("app", ["clone", "purify"])
+    @pytest.mark.parametrize(
+        "given,message",
+        [
+            (["--trajectories", "50"], "--trajectories"),
+            (["--seed", "3"], "--seed"),
+            (["--trajectories", "50", "--seed", "3"], "--trajectories and --seed"),
+        ],
+        ids=["trajectories", "seed", "both"],
+    )
+    def test_draw_options_outside_symmetrize_are_usage_errors(
+        self, app, given, message, tmp_path, capsys
+    ):
+        # clone and purify used to ignore them and exit 0
+        f_state = tmp_path / "psi.json"
+        fileio.save_json(fileio.matrix_to_obj(np.array([[1.0], [0.0]])), f_state)
+        argv = ["apps", app, "--state", str(f_state), "-m", "1", "-n", "2", "-d", "2",
+                *given]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} not read by {app}, which draws nothing\n"
+
+    def test_symmetrize_sample_defaults(self, tmp_path, capsys):
+        f_state, _ = _three_qubit_state(tmp_path)
+        base = ["apps", "symmetrize", "--state", str(f_state), "-m", "3", "-d", "2",
+                "--mode", "sample"]
+        outputs = []
+        for extra in ([], ["--seed", "0", "--trajectories", "10000"], ["--seed", "2"]):
+            assert run([*base, *extra]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1] != outputs[2]
 
     def test_clone_without_n_is_usage_error(self, tmp_path, capsys):
         f_state = tmp_path / "psi.json"

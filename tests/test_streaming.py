@@ -1020,3 +1020,40 @@ class TestResourceEstimate:
         args[key] = -3
         with pytest.raises(ValueError, match=f"^need {key} >= 0, got {key}=-3$"):
             resource_estimate(**args)
+
+    @pytest.mark.parametrize("key", ["m", "n", "d", "r", "r_prime", "k", "l"])
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 2.5])
+    def test_rejects_bool_and_float_counts_by_name(self, key, bad):
+        # m = True with n = 2.5 used to return a report
+        args = dict(m=3, n=2, d=2, r=1, r_prime=1, k=1, l=1)
+        args[key] = bad
+        with pytest.raises(ValueError, match=f"^need an integer {key}, got {key}={bad!r}$"):
+            resource_estimate(**args)
+
+    @pytest.mark.parametrize("task", ["symmetrize", "clone", "purify"])
+    @pytest.mark.parametrize("key", ["m", "n", "d"])
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_application_rejects_bool_and_float_shape_by_name(self, task, key, bad):
+        # symmetrize with m = 2.0 used to return the float gate_factor 32.0
+        args = dict(m=2, n=3, d=2)
+        args[key] = bad
+        with pytest.raises(ValueError, match=f"^need an integer {key}, got {key}={bad!r}$"):
+            application_estimate(task, **args)
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_application_rejects_bool_and_float_r_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"^need an integer r, got r={bad!r}$"):
+            application_estimate("symmetrize", m=4, n=None, d=2, r=bad)
+
+    @pytest.mark.parametrize("task", ["symmetrize", "purify"])
+    def test_n_optional_where_unread(self, task):
+        est = application_estimate(task, m=np.int64(3), n=None, d=np.int64(2))
+        assert est == application_estimate(task, m=3, n=1, d=2)
+        assert type(est["gate_factor"]) is int
+
+    def test_clone_still_needs_n_above_m(self):
+        for n in (None, 2):
+            with pytest.raises(ValueError, match="^cloning needs 0 < m < n$"):
+                application_estimate("clone", m=2, n=n, d=2)
+        with pytest.raises(ValueError, match="^need 1 <= r, r_prime <= d$"):
+            resource_estimate(3, 2, 2, 0, 1, 0, 0)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,23 @@ class TestTvDistance:
         exact = RemovalDistribution({staircase(1, 0): Fraction(1)})
         with pytest.raises(ValueError):
             tv_distance({}, exact)
+
+    @pytest.mark.parametrize("bad", [-1, -0.5, np.nan, np.inf, -np.inf])
+    def test_bad_count_rejected_by_label(self, bad):
+        # {(2,0): 3, (1,1): -1} used to give 1.0, and a NaN or inf count nan
+        exact = exact_removal_distribution(staircase(2, 1))
+        first, second = exact.support()[:2]
+        emp = {first: 3, second: bad}
+        with pytest.raises(ValueError, match=rf"^count for {re.escape(str(second))} is "):
+            tv_distance(emp, exact)
+        # the first bad count is named
+        with pytest.raises(ValueError, match=rf"^count for {re.escape(str(first))} is "):
+            tv_distance({first: bad, second: bad}, exact)
+
+    def test_zero_count_accepted(self):
+        exact = exact_removal_distribution(staircase(2, 1))
+        first, second = exact.support()[:2]
+        assert tv_distance({first: 1, second: 0}, exact) == tv_distance({first: 1}, exact)
 
 
 class TestReport:
