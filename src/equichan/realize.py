@@ -46,27 +46,30 @@ def ambient_weights(d: int, factors: tuple[bool, ...]) -> np.ndarray:
     return out
 
 
-def _check_generators(G: np.ndarray) -> None:
-    """Raise ValueError unless the stack G (d, d, q, q) has diagonal E_ii and
-    satisfies the gl(d) relations, both to CONSTRUCTION_TOL."""
-    d = G.shape[0]
-    for i in range(d):
-        offdiag = G[i, i] - np.diag(np.diag(G[i, i]))
-        if not np.linalg.norm(offdiag) < CONSTRUCTION_TOL:
-            raise ValueError("Cartan not diagonal")
-    # [E_ij, E_kl] = delta_jk E_il - delta_il E_kj, one broadcast matmul
-    # per (i, j) over the (k, l) >= (i, j) of the flattened stack: the
-    # relation for ((k, l), (i, j)) is minus the one for ((i, j), (k, l))
-    flat = G.reshape(d * d, *G.shape[2:])
-    for p in range(d * d):
-        i, j = divmod(p, d)
-        rest = flat[p:]
-        defect = G[i, j] @ rest - rest @ G[i, j]
-        k, l = np.divmod(np.arange(p, d * d), d)
-        defect[k == j] -= G[i, l[k == j]]
-        defect[l == i] += G[k[l == i], j]
-        norms = np.linalg.norm(defect.reshape(len(rest), -1), axis=1)
-        if not (norms < CONSTRUCTION_TOL).all():
+def _check_simple_generators(raising: np.ndarray, weights: np.ndarray) -> None:
+    """Raise ValueError unless e_k = raising[k], f_k = e_k^T and E_ii =
+    diag(weights[:, i]) satisfy the Chevalley-Serre relations to
+    CONSTRUCTION_TOL: the Cartan action on e_k, as its weight support;
+    [e_k, f_l] = delta_kl (E_kk - E_{k+1,k+1}); [e_k, e_l] = 0 for |k - l| > 1;
+    ad(e_k)^2 e_l = 0 for |k - l| = 1; the other relations are transposes.
+    They present sl(d) (Serre's theorem; Humphreys, *Introduction to Lie
+    Algebras*, 18.3) and sum_i E_ii is central, so the commutators E_ij
+    then satisfy every gl(d) relation."""
+    d = weights.shape[1]
+    gap = weights[:, None, :] - weights[None, :, :]  # [b, a]: weight of b minus that of a
+
+    def ad(x, y):
+        return x @ y - y @ x
+
+    for k, e in enumerate(raising):
+        root = np.eye(d, dtype=int)[k] - np.eye(d, dtype=int)[k + 1]
+        h = np.diag(weights[:, k] - weights[:, k + 1])
+        defects = [e[(gap != root).any(axis=2)], ad(e, e.T) - h]
+        for l, e_l in enumerate(raising[k + 1 :], start=k + 1):
+            c = ad(e, e_l)
+            # ad(e_l)^2 e_k = -[e_l, [e_k, e_l]]
+            defects += [ad(e, e_l.T)] + ([ad(e, c), ad(e_l, c)] if l == k + 1 else [c])
+        if not all(np.linalg.norm(x) < CONSTRUCTION_TOL for x in defects):
             raise ValueError("bad commutator")
 
 
@@ -74,16 +77,17 @@ def _check_generators(G: np.ndarray) -> None:
 class IrrepRealization:
     """An SU(d) irrep in its Gelfand-Tsetlin basis, with its tensor embedding.
 
-    ``generators`` holds the d*d matrices of E_ij in the GT basis, shape
-    (d, d, q, q); ``weights`` the integer weight of each basis vector.  The
-    basis diagonalizes all E_ii, is real, and is ordered by weight,
+    ``raising`` holds the raising operators E_{k,k+1} in the GT basis, shape
+    (d-1, q, q); ``weights`` the integer weight of each basis vector.  The
+    lowering operator E_{k+1,k} is the transpose of E_{k,k+1}, and E_kk is
+    diag(weights[:, k]).  The basis is real and ordered by weight,
     lexicographically descending, highest weight first.  ``factors`` lists
     the sites of the embedding (False = C^d, True = conj C^d).
     """
 
     label: Staircase
     factors: tuple[bool, ...]
-    generators: np.ndarray
+    raising: np.ndarray
     weights: np.ndarray
 
     @property
@@ -92,7 +96,13 @@ class IrrepRealization:
 
     @property
     def dim(self) -> int:
-        return self.generators.shape[2]
+        return len(self.weights)
+
+    @property
+    def simple_generators(self) -> np.ndarray:
+        """The stack (3d-2, q, q) of E_{k,k+1}, then E_{k+1,k}, then E_kk."""
+        cartan = self.weights.T[:, :, None] * np.eye(self.dim)
+        return np.concatenate([self.raising, self.raising.swapaxes(1, 2), cartan])
 
     @functools.cached_property
     def embedding(self) -> np.ndarray:
@@ -111,7 +121,7 @@ class IrrepRealization:
         V = self.embedding
         if not np.linalg.norm(V.conj().T @ V - np.eye(self.dim)) < CONSTRUCTION_TOL:
             raise ValueError("not an isometry")
-        _check_generators(self.generators)
+        _check_simple_generators(self.raising, self.weights)
 
 
 def lead_phase(M: np.ndarray) -> complex:
@@ -238,11 +248,9 @@ def box_block(lam: Staircase, s: Staircase) -> np.ndarray:
 def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
     """The irrep labelled by gamma on its GT patterns, in ``gt_patterns`` order.
 
-    E_kk is diagonal with the pattern weights; E_{k,k+1} raises one entry
-    of row k by ``_raising_coefficient``; for j > i + 1, E_ij is
-    [E_{i,i+1}, E_{i+1,j}]; and E_ji = E_ij^T.  The generators are checked
-    against the gl(d) relations.  No eigensolver runs and no embedding is
-    built.  Memoised per label.
+    E_{k,k+1} raises one entry of row k by ``_raising_coefficient``, and the
+    raising operators are checked against the Chevalley-Serre relations.
+    No eigensolver runs and no embedding is built.  Memoised per label.
     """
     d = gamma.d
     patterns = gt_patterns(gamma)
@@ -251,9 +259,7 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
         raise RuntimeError(f"{q} GT patterns of {gamma}, expected {dim_gl_irrep(gamma)}")
     index = {pat: a for a, pat in enumerate(patterns)}
     weights = np.array([_pattern_weight(pat) for pat in patterns], dtype=int)
-    gens = np.zeros((d, d, q, q))
-    for i in range(d):
-        gens[i, i] = np.diag(weights[:, i])
+    raising = np.zeros((d - 1, q, q))
     for a, pat in enumerate(patterns):
         for k in range(d - 1):
             for i in range(k + 1):
@@ -261,44 +267,36 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
                 raised[d - 1 - k][i] += 1
                 b = index.get(tuple(map(tuple, raised)))
                 if b is not None:
-                    gens[k, k + 1, b, a] = _raising_coefficient(pat, k, i)
-    for gap in range(1, d):
-        for i in range(d - gap):
-            j = i + gap
-            if gap > 1:
-                gens[i, j] = gens[i, i + 1] @ gens[i + 1, j] - gens[i + 1, j] @ gens[i, i + 1]
-            gens[j, i] = gens[i, j].T
-    _check_generators(gens)
-    for arr in (gens, weights):
+                    raising[k, b, a] = _raising_coefficient(pat, k, i)
+    _check_simple_generators(raising, weights)
+    for arr in (raising, weights):
         arr.flags.writeable = False
     factors = (False,) * gamma.pos_size + (True,) * gamma.neg_size
-    return IrrepRealization(gamma, factors, gens, weights)
+    return IrrepRealization(gamma, factors, raising, weights)
 
 
 def check_intertwining(T: np.ndarray, legs: list[np.ndarray], gens_b: np.ndarray) -> None:
-    """Raise ValueError unless T E_ij = E_ij^(b) T on every simple generator,
-    to 1e-8 in Frobenius norm.  The columns of T are a tensor product with
-    one generator stack per factor in ``legs``; E_ij acts on them by the
-    Leibniz rule, each term applied to its own tensor leg."""
-    d = gens_b.shape[0]
-    # the simple generators: E_{a,a+1}, E_{a+1,a} and the Cartan E_aa
-    i, j = [*range(d - 1), *range(1, d), *range(d)], [*range(1, d), *range(d - 1), *range(d)]
+    """Raise ValueError unless T X = X^(b) T on every simple generator X, to
+    1e-8 in Frobenius norm; all stacks are ``simple_generators`` stacks.  The
+    columns of T are a tensor product with one stack per factor in ``legs``;
+    X acts on them by the Leibniz rule, each term on its own tensor leg."""
     Tt = T.reshape(len(T), *(g.shape[2] for g in legs))
     TA = sum(
-        np.moveaxis(np.tensordot(Tt, g[i, j], axes=(leg, 1)), (-2, -1), (0, leg + 1))
+        np.moveaxis(np.tensordot(Tt, g, axes=(leg, 1)), (-2, -1), (0, leg + 1))
         for leg, g in enumerate(legs, start=1)
     )
-    resid = np.linalg.norm(TA.reshape(len(i), *T.shape) - gens_b[i, j] @ T, axis=(1, 2)).max()
+    resid = np.linalg.norm(TA.reshape(len(gens_b), *T.shape) - gens_b @ T, axis=(1, 2)).max()
     if resid > 1e-8:
         raise ValueError(f"intertwining residual {resid:.2e}; labels differ?")
 
 
 def dual_generators(gens: np.ndarray) -> np.ndarray:
-    """Generators of the dual representation: E_ij -> -(E_ij)^T.
+    """Generators of the dual representation: X -> -X^T on every matrix of
+    the stack.
 
     Matches the conjugate-site action -e_ji used on conj C^d factors.
     """
-    return -gens.swapaxes(2, 3)
+    return -gens.swapaxes(-2, -1)
 
 
 @functools.cache
@@ -318,7 +316,7 @@ def dual_structure(nu: Staircase, /) -> np.ndarray:
         star = tuple(tuple(-v for v in reversed(row)) for row in pat)
         Z[a, index[star]] = (-1) ** sum(map(sum, pat[1:]))
     Z *= lead_phase(Z)
-    gens_a = canonical_realization(nu.dual()).generators
-    check_intertwining(Z, [gens_a], dual_generators(canonical_realization(nu).generators))
+    gens_a = canonical_realization(nu.dual()).simple_generators
+    check_intertwining(Z, [gens_a], dual_generators(canonical_realization(nu).simple_generators))
     Z.flags.writeable = False
     return Z

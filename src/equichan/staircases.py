@@ -83,6 +83,8 @@ class Staircase:
 
     def bump(self, row: int, delta: int) -> "Staircase":
         """Return a copy with entries[row] changed by delta (validates)."""
+        if not 0 <= row < len(self.entries):
+            raise IndexError(f"row {row} of a staircase with {len(self.entries)} rows")
         e = list(self.entries)
         e[row] += delta
         return Staircase(tuple(e))

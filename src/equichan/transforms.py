@@ -41,6 +41,7 @@ from equichan.realize import (
 from equichan.staircases import (
     Staircase,
     add_boxes,
+    box_label,
     check_shape,
     dim_gl_irrep,
     empty_staircase,
@@ -156,11 +157,13 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     (label, dual); both arguments are positional so every call shares one
     cache entry.
     """
+    if dual not in (False, True):
+        raise TypeError(f"dual must be False or True, not {dual!r}")
     nu = canonical_realization(label)
     d = nu.d
     q = nu.dim
-    site = np.eye(d * d).reshape(d, d, d, d)  # E_ij = e_ij on C^d
-    legs = [nu.generators, dual_generators(site) if dual else site]
+    site = canonical_realization(box_label(d)).simple_generators  # matrix units on C^d
+    legs = [nu.simple_generators, dual_generators(site) if dual else site]
     rows = []
     blocks = []
     offset = 0
@@ -172,7 +175,7 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
         else:
             R = box_block(label, s)
         R = R * lead_phase(R)
-        check_intertwining(R, legs, canonical_realization(s).generators)
+        check_intertwining(R, legs, canonical_realization(s).simple_generators)
         rows.append(R)
         blocks.append(Block(s, 0, offset, qs))
         offset += qs
@@ -272,6 +275,8 @@ class PathTransform:
 
     def path_rows(self, label: Staircase, path_index: int) -> np.ndarray:
         s = self.sector(label)
+        if not 0 <= path_index < s.p_dim:
+            raise IndexError(f"path index {path_index} of sector {label} with p_dim {s.p_dim}")
         start = s.offset + path_index * s.q_dim
         return self.matrix[start : start + s.q_dim, :]
 

@@ -554,3 +554,22 @@ def bad_commutators(G: np.ndarray, tol: float) -> list[tuple[int, int, int, int]
         if not np.linalg.norm(comm - expect) < tol:
             bad.append((i, j, k, l))
     return bad
+
+
+def full_generators(real) -> np.ndarray:
+    """The (d, d, q, q) stack of every E_ij of a realization: E_kk from its
+    weights, E_{k,k+1} its raising operators, E_ij = [E_{i,i+1}, E_{i+1,j}]
+    for j > i + 1, and E_ji = E_ij^T."""
+    q, d = real.weights.shape
+    gens = np.zeros((d, d, q, q))
+    for i in range(d):
+        gens[i, i] = np.diag(real.weights[:, i])
+    for gap in range(1, d):
+        for i in range(d - gap):
+            j = i + gap
+            if gap > 1:
+                gens[i, j] = gens[i, i + 1] @ gens[i + 1, j] - gens[i + 1, j] @ gens[i, i + 1]
+            else:
+                gens[i, j] = real.raising[i]
+            gens[j, i] = gens[i, j].T
+    return gens

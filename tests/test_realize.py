@@ -25,6 +25,7 @@ from oracles import (
     ambient_generator,
     bad_commutators,
     expm_antihermitian,
+    full_generators,
     group_element,
 )
 
@@ -68,11 +69,12 @@ class TestCanonicalRealization:
         assert np.isrealobj(r.embedding)
         # embedding consistent with explicit ambient generators
         d = label.d
+        G = full_generators(r)
         for i in range(d):
             for j in range(d):
                 amb = ambient_generator(d, i, j, r.factors)
                 got = r.embedding.T @ amb @ r.embedding
-                assert np.linalg.norm(got - r.generators[i, j]) < 1e-10
+                assert np.linalg.norm(got - G[i, j]) < 1e-10
 
     def test_defining_rep_is_identity_embedding(self):
         r = canonical_realization(staircase(1, 0, 0))
@@ -131,7 +133,7 @@ class TestCanonicalRealization:
                 H = H + H.conj().T
                 X = 1j * (H - np.trace(H) / d * np.eye(d))
                 U = expm_antihermitian(X)
-                A = np.einsum("ij,ijab->ab", X, r.generators)
+                A = np.einsum("ij,ijab->ab", X, full_generators(r))
                 gap = np.linalg.norm(group_element(r, U) - expm_antihermitian(A))
                 worst = max(worst, gap)
         assert len(labels) == 56
@@ -154,8 +156,9 @@ class TestCanonicalRealization:
         # each basis vector is the GT pattern of gt_patterns at its index:
         # the Casimir C_k = sum_{i,j<k} E_ij E_ji of gl(k) acts on it by
         # sum_i lambda_{k,i} (lambda_{k,i} + k + 1 - 2i) of its row k
-        # q <= 150: the build's gl(d) check costs d^4 q^3, and the 13 larger
-        # labels of this range would take most of a second each
+        # q <= 150: the 13 larger labels of this range (q up to 540) would
+        # add about 2 s, half in cold builds and half in the dense stacks and
+        # Casimirs, to the 0.4 s of the 130 kept
         labels = {
             s
             for d in (2, 3, 4)
@@ -170,8 +173,9 @@ class TestCanonicalRealization:
             r = canonical_realization(label)
             d = label.d
             patterns = gt_patterns(label)
+            full = full_generators(r)
             for k in range(1, d + 1):
-                G = r.generators[:k, :k]
+                G = full[:k, :k]
                 casimir = (G @ G.transpose(1, 0, 2, 3)).sum(axis=(0, 1))
                 expected = [
                     sum(x * (x + k + 1 - 2 * i) for i, x in enumerate(pat[d - k], start=1))
@@ -200,7 +204,7 @@ class TestCanonicalRealization:
         for label in labels:
             cold = canonical_realization.__wrapped__(label)
             assert "embedding" not in vars(cold)
-            assert np.array_equal(cold.generators, warm[label].generators)
+            assert np.array_equal(cold.raising, warm[label].raising)
             assert np.array_equal(cold.weights, warm[label].weights)
 
 
@@ -214,10 +218,11 @@ class TestDualStructure:
     def test_defining_relation(self, label):
         Z = dual_structure(label)
         a = canonical_realization(label.dual())
-        bg = dual_generators(canonical_realization(label).generators)
+        ag = full_generators(a)
+        bg = dual_generators(full_generators(canonical_realization(label)))
         for i in range(label.d):
             for j in range(label.d):
-                assert np.linalg.norm(Z @ a.generators[i, j] - bg[i, j] @ Z) < 1e-9
+                assert np.linalg.norm(Z @ ag[i, j] - bg[i, j] @ Z) < 1e-9
         assert np.linalg.norm(Z @ Z.T - np.eye(Z.shape[0])) < 1e-10
 
     def test_group_level(self, rng):
@@ -258,14 +263,35 @@ class TestValidate:
     def test_passes_on_canonical_realizations(self, label):
         r = canonical_realization(label)
         r.validate()
-        assert bad_commutators(r.generators, CONSTRUCTION_TOL) == []
+        assert bad_commutators(full_generators(r), CONSTRUCTION_TOL) == []
 
     @pytest.mark.parametrize("label", ALL_LABELS, ids=str)
     def test_rejects_one_perturbed_generator_entry(self, label):
+        # the entry of largest modulus of the last raising operator, on its root
         r = canonical_realization(label)
-        G = r.generators.copy()
-        G[-1, 0, -1, 0] += 1e-6  # a lowering operator, so the Cartan check passes
-        bad = dataclasses.replace(r, generators=G)
-        assert bad_commutators(G, CONSTRUCTION_TOL)
+        R = r.raising.copy()
+        R[-1].flat[np.argmax(np.abs(R[-1]))] += 1e-6
+        bad = dataclasses.replace(r, raising=R)
+        assert bad_commutators(full_generators(bad), CONSTRUCTION_TOL)
         with pytest.raises(ValueError, match="bad commutator"):
             bad.validate()
+
+    @pytest.mark.parametrize("label", ALL_LABELS, ids=str)
+    def test_rejects_an_entry_off_the_root(self, label):
+        # entry (q - 1, 0) of e_0 takes the highest weight vector to the
+        # lowest, off the root e_0 - e_1: at d = 2 it moves [e_0, f_0] by
+        # only 1e-12, and the Cartan action is what fails
+        r = canonical_realization(label)
+        R = r.raising.copy()
+        R[0, -1, 0] += 1e-6
+        bad = dataclasses.replace(r, raising=R)
+        assert bad_commutators(full_generators(bad), CONSTRUCTION_TOL)
+        with pytest.raises(ValueError, match="bad commutator"):
+            bad.validate()
+
+    def test_holds_only_the_raising_operators(self):
+        fields = [f.name for f in dataclasses.fields(IrrepRealization)]
+        assert fields == ["label", "factors", "raising", "weights"]
+        for label in ALL_LABELS:
+            r = canonical_realization(label)
+            assert r.raising.shape == (label.d - 1, r.dim, r.dim)

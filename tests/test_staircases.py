@@ -114,6 +114,11 @@ class TestBoxMoves:
             staircase(5, 3, 3, 1),
         ]
 
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_bump_refuses_a_row_outside_the_label(self, row):
+        with pytest.raises(IndexError, match=f"row {row} of a staircase with 2 rows"):
+            staircase(1, 0).bump(row, 1)
+
     @given(staircases())
     def test_add_remove_adjoint(self, nu):
         for mu in add_boxes(nu):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from equichan.transforms import (
 from equichan.verify import haar_unitary
 
 from oracles import (
+    full_generators,
     group_element,
     permutation_matrix,
     site_generator,
@@ -146,10 +149,13 @@ class TestClosedFormBlocks:
         worst = {"intertwining": 0.0, "orthonormality": 0.0}
         for label in CLOSED_FORM_LABELS:
             d = label.d
-            G = canonical_realization(label).generators
+            G = full_generators(canonical_realization(label))
             q = G.shape[2]
             for dual in (False, True):
                 cg = simple_cg(label, dual)
+                target = {
+                    b.label: full_generators(canonical_realization(b.label)) for b in cg.blocks
+                }
                 for i in range(d):
                     for j in range(d):
                         source = np.kron(G[i, j], np.eye(d)) + np.kron(
@@ -158,7 +164,7 @@ class TestClosedFormBlocks:
                         moved = cg.matrix @ source
                         for b in cg.blocks:
                             R = cg.block_rows(b.label)
-                            Gs = canonical_realization(b.label).generators[i, j]
+                            Gs = target[b.label][i, j]
                             rows = moved[b.offset : b.offset + b.size]
                             gap = np.abs(rows - Gs @ R).max()
                             worst["intertwining"] = max(worst["intertwining"], gap)
@@ -173,8 +179,8 @@ class TestClosedFormBlocks:
         worst = {"intertwining": 0.0, "orthonormality": 0.0}
         for label in CLOSED_FORM_LABELS:
             Z = dual_structure(label)
-            a = canonical_realization(label.dual()).generators
-            b = canonical_realization(label).generators
+            a = full_generators(canonical_realization(label.dual()))
+            b = full_generators(canonical_realization(label))
             for i in range(label.d):
                 for j in range(label.d):
                     gap = np.abs(Z @ a[i, j] + b[i, j].T @ Z).max()
@@ -330,6 +336,14 @@ class TestSchurTransform:
                         heads = rows.reshape(-1, d**j, d ** (n - j))
                         moved = np.einsum("ab,rbc->rac", P, heads)
                         assert np.linalg.norm(moved - heads) < 1e-10, (n, d, path, j)
+
+    @pytest.mark.parametrize("label,index", [((2, 0), 1), ((1, 1), -1), ((2, 0), 5)])
+    def test_path_rows_refuse_an_index_outside_the_sector(self, label, index):
+        # each sector of schur_transform(2, 0, 2) has one path
+        S = schur_transform(2, 0, 2)
+        message = re.escape(f"{index} of sector {staircase(*label)} with p_dim 1")
+        with pytest.raises(IndexError, match=message):
+            S.path_rows(staircase(*label), index)
 
     def test_row_index_inverts_paths(self):
         # sample-mode emission maps a drawn path key to its row block
@@ -514,6 +528,13 @@ class TestBuilderCache:
             simple_cg(label, dual=False)
         with pytest.raises(TypeError):
             simple_cg(label)
+        # a dual that is neither False nor True opens none either; 1 and
+        # np.True_ equal True and share its entry
+        for bad in ("no", None, 2):
+            with pytest.raises(TypeError, match="dual"):
+                simple_cg(label, bad)
+        assert simple_cg.cache_info().currsize == size
+        assert simple_cg(label, 1) is simple_cg(label, True) is simple_cg(label, np.True_)
 
     def test_builders_take_labels_not_realizations(self):
         label = staircase(1, 0)
@@ -558,7 +579,7 @@ class TestBuilderCache:
             "schur_transform": schur_transform(2, 1, 2).matrix,
             "path_rows": schur_transform(2, 0, 2).path_rows(staircase(1, 1), 0),
             "embedding": real.embedding,
-            "generators": real.generators,
+            "raising": real.raising,
             "weights": real.weights,
             "dual_structure": dual_structure(lam),
             "classification_isometry": classification_isometry(1, 1, 2).matrix,
