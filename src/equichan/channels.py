@@ -51,7 +51,7 @@ TP_TOL = 1e-8
 # Tolerance on an input state's unit trace and Hermiticity.
 STATE_TOL = 1e-8
 
-# Rows of rho^dag - rho that check_input holds at once.
+# Edge of the square tiles of rho^dag - rho that check_input holds at once.
 HERMITICITY_BAND = 64
 
 
@@ -60,11 +60,15 @@ def check_input(rho: np.ndarray, dim: int) -> None:
     """ValueError unless rho is a finite dim x dim matrix whose trace and
     rho^dag - rho are within STATE_TOL of 1 and 0; positivity is not tested.
 
-    Finiteness comes first, as every comparison with a NaN is False.  The
-    Frobenius norm of rho^dag - rho is summed over bands of
-    HERMITICITY_BAND rows in one reused band buffer, so the test never
-    holds a dim x dim copy of rho.
+    rho is read through ``np.asarray``.  Finiteness comes first, as every
+    comparison with a NaN is False.  The squared Frobenius norm of
+    A = rho^dag - rho is summed over the pairs (I, J), I <= J, of square
+    tiles of edge HERMITICITY_BAND, in one reused tile buffer: A is
+    anti-Hermitian, so tile (J, I) of A has the norm of tile (I, J), and
+    the off-diagonal pairs are weighted by 2, the diagonal tiles by 1.
+    The test never holds a dim x dim copy of rho.
     """
+    rho = np.asarray(rho)
     if not np.isfinite(rho).all():
         raise ValueError("input has non-finite entries")
     if rho.shape != (dim, dim):
@@ -72,15 +76,18 @@ def check_input(rho: np.ndarray, dim: int) -> None:
     trace = np.trace(rho)
     if abs(trace - 1.0) > STATE_TOL:
         raise ValueError(f"input trace {trace:.6g}, expected 1")
-    band = np.empty((min(HERMITICITY_BAND, dim), dim), dtype=rho.dtype)
+    buf = np.empty(min(HERMITICITY_BAND, dim) ** 2, dtype=rho.dtype)
+    starts = range(0, dim, HERMITICITY_BAND)
     squared = 0.0
-    for start in range(0, dim, HERMITICITY_BAND):
-        stop = min(start + HERMITICITY_BAND, dim)
-        # rows start:stop of rho^dag - rho
-        rows = band[: stop - start]
-        np.conjugate(rho[:, start:stop].T, out=rows)
-        rows -= rho[start:stop]
-        squared += np.vdot(rows, rows).real
+    for i in starts:
+        rows = slice(i, min(i + HERMITICITY_BAND, dim))
+        for j in starts[i // HERMITICITY_BAND :]:
+            cols = slice(j, min(j + HERMITICITY_BAND, dim))
+            # tile (I, J) of rho^dag - rho
+            tile = buf[: (rows.stop - i) * (cols.stop - j)].reshape(rows.stop - i, -1)
+            np.conjugate(rho[cols, rows].T, out=tile)
+            tile -= rho[rows, cols]
+            squared += (1 if i == j else 2) * np.vdot(tile, tile).real
     if np.sqrt(squared) > STATE_TOL:
         raise ValueError("input is not Hermitian")
 

@@ -208,16 +208,19 @@ def _absorb_phase(
     registers are only Q (x) one site.
 
     Each step contracts the CG matrix C on the (q_nu * d) tensor legs of
-    the block and never forms C (x) 1 on the unconsumed sites: one GEMM
-    applies C to the row leg, then each output block's rows C_b apply
-    C_b to the column leg of that block's rows alone, so the off-diagonal
-    blocks, which the label measurement discards, are never computed.
-    ``simple_cg`` matrices are real, so conj(C_b) = C_b, and both
-    contractions are real products on the ``view(float)`` of the complex
-    block, its real and imaginary parts interleaved on the last axis; the
-    results are viewed back as complex.  Absorption never writes into a
+    the block and never forms C (x) 1 on the unconsumed sites: for each
+    output block b, the rows C_b of C apply to the row leg of the block,
+    then to the column leg of those rows alone, so the off-diagonal
+    blocks, which the label measurement discards, are never computed, and
+    no product of C with the whole block is held: the largest transient is
+    one block's rows.  ``simple_cg`` matrices are real, so
+    conj(C_b) = C_b, and both contractions are real products on the
+    ``view(float)`` of the complex block, its real and imaginary parts
+    interleaved on the last axis; the results are viewed back as complex.
+    rho is read through ``np.asarray``.  Absorption never writes into a
     block, so a complex C-ordered rho is absorbed as it is, not copied.
     """
+    rho = np.asarray(rho)
     check_input(rho, d**m)
     box = box_label(d)
     sigma: dict[Staircase, np.ndarray] = {box: np.ascontiguousarray(rho, dtype=complex)}
@@ -231,14 +234,12 @@ def _absorb_phase(
         for nu, blk in sigma.items():
             qd = dim_gl_irrep(nu) * d
             cg = simple_cg(nu, False)
-            # C on the row (q.d) leg: one real GEMM over the rows of blk
-            left = (cg.matrix @ blk.reshape(qd, -1).view(float)).view(complex)
-            left = left.reshape(qd * rest, qd, rest)
+            flat = blk.reshape(qd, -1).view(float)
             for b in cg.blocks:
                 ledger.r = max(ledger.r, b.label.length)
-                rows = left[b.offset * rest : (b.offset + b.size) * rest]
-                # C_b on the column (q.d) leg of this block's rows only
                 c_b = cg.matrix[b.offset : b.offset + b.size]
+                # C_b on the row (q.d) leg, then on the column leg of those rows
+                rows = (c_b @ flat).view(complex).reshape(b.size * rest, qd, rest)
                 piece = np.matmul(c_b, rows.view(float)).view(complex)
                 piece = piece.reshape(b.size * rest, -1)
                 if b.label in nxt:
@@ -262,7 +263,8 @@ def streamed_apply(
     exactly; mode="sample" draws GT paths with the hook-walk sampler and
     averages the given number of trajectories.  Returns (output, ledger).
     The output is a state or ValueError: in sample mode ``trajectories``
-    must be an int >= 1 that is not a bool, ``rho`` must pass
+    must be an int >= 1 and ``seed`` an int >= 0, neither a bool (exact
+    mode draws nothing and ignores ``seed``), ``rho`` must pass
     ``channels.check_input`` (positivity is not checked), the emission
     phase certifies the output's positivity on its irrep sectors, with the
     threshold and message of ``channels.check_state``, and
@@ -271,14 +273,16 @@ def streamed_apply(
     m, n, d = spec.m, spec.n, spec.d
     if mode not in ("exact", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sample" and (
-        isinstance(trajectories, bool)
-        or not isinstance(trajectories, Integral)
-        or trajectories < 1
-    ):
-        raise ValueError(
-            f"trajectories must be an integer trajectory count >= 1, got {trajectories!r}"
-        )
+    if mode == "sample":
+        if (
+            isinstance(trajectories, bool)
+            or not isinstance(trajectories, Integral)
+            or trajectories < 1
+        ):
+            raise ValueError(
+                f"trajectories must be an integer trajectory count >= 1, got {trajectories!r}"
+            )
+        seed = check_count("seed", seed)
     ledger = ResourceLedger()
     schedule: list[ScheduleStep] = []
 
@@ -432,8 +436,16 @@ def _emission_phase(
     w_a tau_mu R_a in the rows of path a: one batched matmul per sector
     fills T.  S is real and block diagonal by torus weight
     (``PathTransform.weight_blocks``), so the output rows of each weight
-    class are U_c^T T[rows_c], one real GEMM over the class's filled rows;
-    S is never applied as a dense d^n x d^n product.
+    class are U_c^T T[rows_c], one real product over the class's filled
+    rows; S is never applied as a dense d^n x d^n product.
+
+    T lives inside the output buffer, which comes from ``np.empty``: row r
+    of T is stored in output row ``S.slots[r]``, a column of r's own
+    class, one-to-one as every class is square.  Each class then
+    overwrites its own output rows from its filled rows, gathered before
+    the write: an outer product where one row is filled, a GEMM where
+    several are, and explicit zeros where none is.  No separate T is held
+    and nothing is zeroed in advance.
 
     The output is certified on the same sectors.  S is real orthogonal, so
     the Hermitian part of the output is sum_a w_a R_a^T H_mu R_a with
@@ -453,8 +465,9 @@ def _emission_phase(
     S = schur_transform(n, 0, d)
     if mode == "sample":
         drawn = _draw_paths(tau, S, seed, trajectories, ledger)
-    # T is indexed by the rows of S; only the rows marked filled are written
-    T = np.empty((out_dim, out_dim), dtype=complex)
+    # T lives inside the output, row r at output row S.slots[r]; only the
+    # rows marked filled are written
+    out = np.empty((out_dim, out_dim), dtype=complex)
     filled = np.zeros(out_dim, dtype=bool)
     floor = np.inf
     for mu, blk in tau.items():
@@ -472,20 +485,25 @@ def _emission_phase(
         # stacked, so that the batched matmul is real
         scaled = np.concatenate([blk.real, blk.imag]) * weights[:, None, None]
         X = np.matmul(scaled, rows)
-        slab = T[span].reshape(p, q, out_dim)
-        slab.real[paths] = X[:, :q]
-        slab.imag[paths] = X[:, q:]
+        dest = S.slots[span].reshape(p, q)[paths]
+        out.real[dest] = X[:, :q]
+        out.imag[dest] = X[:, q:]
         filled[span].reshape(p, q)[paths] = True
         lowest = np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0]
         floor = min(floor, (weights * lowest).min())
     if floor <= -PSD_TOL:
         raise ValueError(f"output not positive semidefinite: {floor:.2e}")
-    out = np.zeros((out_dim, out_dim), dtype=complex)
-    T_re, out_re = T.view(float), out.view(float)
+    out_re = out.view(float)
     for wb in S.weight_blocks:
-        live = filled[wb.rows]
-        if live.any():
-            out_re[wb.cols] = wb.matrix[live].T @ T_re[wb.rows[live]]
+        live = np.flatnonzero(filled[wb.rows])
+        if len(live) == 0:
+            out_re[wb.cols] = 0
+        elif len(live) == 1:
+            # an outer product, not a GEMM with an inner dimension of 1
+            out_re[wb.cols] = np.multiply.outer(wb.matrix[live[0]], out_re[wb.cols[live[0]]])
+        else:
+            # the right side is gathered before the class's rows are written
+            out_re[wb.cols] = wb.matrix[live].T @ out_re[wb.cols[live]]
     return out
 
 

@@ -318,6 +318,20 @@ class PathTransform:
             blocks.append(WeightBlock(tuple(int(x) for x in wt), rows, cols, block))
         return tuple(blocks)
 
+    @functools.cached_property
+    def slots(self) -> np.ndarray:
+        """A column of each row's own weight class, one-to-one (read-only).
+
+        Row ``wb.rows[i]`` of each weight block wb maps to ``wb.cols[i]``;
+        every block is square, so the map is a bijection of the row indices
+        onto the column indices.
+        """
+        slot = np.empty(self.dim, dtype=np.intp)
+        for wb in self.weight_blocks:
+            slot[wb.rows] = wb.cols
+        slot.flags.writeable = False
+        return slot
+
 
 def _emit_steps(path: GtPath) -> list[tuple[Staircase, Staircase, bool]]:
     """Reverse path steps (prev label, next label, dual flag), last step first."""

@@ -65,6 +65,14 @@ class TestSymmetrize:
         res = symmetrize(rho, 3, 2)
         assert np.linalg.norm(res.output - rho) < 1e-10
 
+    def test_nested_list_state(self, rng):
+        # a list used to fail in the input gate with AttributeError
+        rho = random_state(16, rng)
+        got = symmetrize(rho.tolist(), 4, 2)
+        want = symmetrize(rho, 4, 2)
+        assert got.output.tobytes() == want.output.tobytes()
+        assert got.ledger == want.ledger
+
     @pytest.mark.parametrize("trajectories", [2.5, True])
     def test_sample_mode_rejects_bad_trajectories(self, trajectories, rng):
         with pytest.raises(ValueError, match="trajectories must be an integer"):
@@ -347,6 +355,13 @@ class TestPurityAmplify:
         rho = random_state(2, rng)
         res = purity_amplify(rho, 1, 2)
         assert np.linalg.norm(res.output - rho) < 1e-12
+
+    def test_nested_list_state(self, rng):
+        rho = random_state(16, rng)
+        got = purity_amplify(rho.tolist(), 4, 2)
+        want = purity_amplify(rho, 4, 2)
+        assert got.output.tobytes() == want.output.tobytes()
+        assert got.ledger == want.ledger
 
     def test_equals_direct_choi(self, rng):
         for m, d in [(2, 2), (3, 2), (2, 3)]:

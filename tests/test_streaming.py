@@ -83,6 +83,21 @@ def schedules(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def poisoned_empty(monkeypatch):
+    """np.empty fills float and complex arrays with NaN, so that an entry
+    the code reads or returns without writing it shows."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        arr = empty(*args, **kwargs)
+        if np.issubdtype(arr.dtype, np.inexact):
+            arr.fill(np.nan)
+        return arr
+
+    monkeypatch.setattr(np, "empty", poisoned)
+
+
 def _multi_path_triples(shapes):
     """Distinct (lam, mu, gamma, c) of the shapes with more than one GT path mu -> lam."""
     out = {}
@@ -429,6 +444,40 @@ class TestStreamedApply:
             with pytest.raises(ValueError, match="trajectory"):
                 streamed_apply(spec, rho, mode="sample", trajectories=trajectories)
 
+    def test_bad_seed_rejected(self, monkeypatch, rng):
+        # a sample-mode seed must name one stream: None drew fresh entropy,
+        # True ran as seed 1, and 2.7 and -1 failed inside numpy without
+        # naming the seed; absorption never runs on a bad seed
+        spec = symmetrization_spec(3, 2)
+        rho = random_state(8, rng)
+
+        def absorbed(*args, **kwargs):
+            raise AssertionError("absorption ran")
+
+        monkeypatch.setattr(streaming, "_absorb_phase", absorbed)
+        for seed in (None, True, False, 2.7, 2.0, "5", -1):
+            with pytest.raises(ValueError, match="seed"):
+                streamed_apply(spec, rho, mode="sample", seed=seed, trajectories=5)
+
+    def test_integer_seeds_accepted(self, rng):
+        # numpy integers name the same stream as the int
+        spec = symmetrization_spec(4, 2)
+        rho = random_state(16, rng)
+        a, la = streamed_apply(spec, rho, mode="sample", seed=4, trajectories=20)
+        for seed in (np.int64(4), np.uint32(4)):
+            b, lb = streamed_apply(spec, rho, mode="sample", seed=seed, trajectories=20)
+            assert a.tobytes() == b.tobytes()
+            assert la == lb
+
+    def test_exact_mode_ignores_seed(self, rng):
+        # exact mode draws nothing, so it reads no seed
+        spec = symmetrization_spec(4, 2)
+        rho = random_state(16, rng)
+        want, _ = streamed_apply(spec, rho)
+        for seed in (None, True, 2.7, -1):
+            got, _ = streamed_apply(spec, rho, seed=seed)
+            assert got.tobytes() == want.tobytes()
+
     def test_integer_trajectories_accepted(self, rng):
         # numpy integers are integers, as for fileio
         spec = symmetrization_spec(3, 2)
@@ -740,6 +789,41 @@ class TestEmissionPhase:
         tau = _symmetrization_tau(n, d, rng)
         _check_emission_against_dense(tau, n, d, "sample", seed=10 * n + d, trajectories=37)
 
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_classes_without_live_rows_are_zero(self, mode, rng, poisoned_empty):
+        # tau on label (3,2) alone: its rows carry the weights (3,2) and
+        # (2,3), so the classes (5,0), (4,1), (1,4) and (0,5) have no live
+        # row and are set to 0 in an output buffer that np.empty, here
+        # filled with NaN, hands over unwritten
+        n, d = 5, 2
+        lam = staircase(3, 2)
+        tau = {lam: _symmetrization_tau(n, d, rng)[lam]}
+        out = _check_emission_against_dense(tau, n, d, mode, seed=3, trajectories=25)
+        S = schur_transform(n, 0, d)
+        dead = [wb for wb in S.weight_blocks if wb.weight not in ((3, 2), (2, 3))]
+        assert sorted(wb.weight for wb in dead) == [(0, 5), (1, 4), (4, 1), (5, 0)]
+        for wb in dead:
+            assert not out[wb.cols].any() and not out[:, wb.cols].any()
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (3, 3)])
+    def test_single_trajectory_partly_live_classes(self, n, d, rng, poisoned_empty):
+        # one drawn path per label leaves classes with one live row (an outer
+        # product), classes with several and classes with some rows unfilled
+        tau = _symmetrization_tau(n, d, rng)
+        _check_emission_against_dense(tau, n, d, "sample", seed=7, trajectories=1)
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    @pytest.mark.parametrize("n,d", [(5, 2), (4, 3)])
+    def test_one_live_row_per_class(self, n, d, mode, rng, poisoned_empty):
+        # tau on the symmetric label alone, as in cloning: its one path puts
+        # one live row in every class, most of which hold rows of other
+        # labels too, and each class is one outer product
+        sym = staircase(n, *([0] * (d - 1)))
+        tau = {sym: _symmetrization_tau(n, d, rng)[sym]}
+        S = schur_transform(n, 0, d)
+        assert any(len(wb.rows) > 1 for wb in S.weight_blocks)
+        _check_emission_against_dense(tau, n, d, mode, seed=5, trajectories=3)
+
     def test_one_walk_loop_per_batch(self, rng, monkeypatch):
         # all labels of a batch walk in one _walk_many call: with CHUNK = 16,
         # 40 trajectories make three batches, so the four weighted labels of
@@ -887,22 +971,45 @@ def test_hermiticity_check_boundary(m, d, rng):
         (729, (0, 728)),  # the two sides in the first and the last band
         (27, (20, 25)),  # one band, shorter than HERMITICITY_BAND
         (27, (0, 26)),
+        (729, (700, 700)),  # one diagonal entry, in diagonal tile 10 of weight 1
+        (729, (728, 5)),  # below the diagonal, its mirror in tile pair (0, 11)
+        (64, (0, 63)),  # one tile, the defect at its corners
+        (64, (63, 63)),
+        (65, (63, 64)),  # tile pair (0, 1), the second tile one entry wide
+        (65, (64, 64)),  # the last diagonal tile, of one entry
     ],
 )
 def test_hermiticity_check_band_edges(dim, entry, rng):
-    # one off-diagonal defect e: rho - rho^dag holds e on the entry and
-    # -conj(e) on its mirror, so its norm is sqrt(2) |e|; a norm of 2e-8 is
-    # rejected and one of 5e-9 accepted
+    # one defect e: off the diagonal, rho - rho^dag holds e on the entry
+    # and -conj(e) on its mirror, so its norm is sqrt(2) |e|; on the
+    # diagonal e is imaginary and the norm is 2 |e|.  The squared norm is
+    # summed over tile pairs, those off the diagonal weighted by 2, the
+    # diagonal tiles by 1: norms of 2e-8 and 1.2e-8 are rejected, and 8e-9
+    # and 5e-9 accepted, so a weight of 1 off the diagonal or of 2 on it
+    # fails.  On the diagonal a norm of 2e-8 would move the trace by 1e-8,
+    # which the trace test may refuse first, so it is not tried there.
     assert channels.HERMITICITY_BAND == 64
+    diagonal = entry[0] == entry[1]
     rho = random_state(dim, rng)
-    for defect, hermitian in ((2e-8, False), (5e-9, True)):
+    for defect, hermitian in ((2e-8, False), (1.2e-8, False), (8e-9, True), (5e-9, True)):
+        if diagonal and defect / 2 >= STATE_TOL:
+            continue
         bad = rho.copy()
-        bad[entry] += defect / np.sqrt(2) * np.exp(0.3j)
+        bad[entry] += 0.5j * defect if diagonal else defect / np.sqrt(2) * np.exp(0.3j)
         if hermitian:
             check_input(bad, dim)
         else:
             with pytest.raises(ValueError, match="input is not Hermitian"):
                 check_input(bad, dim)
+
+
+def test_input_check_reads_nested_lists():
+    # a list used to fail with AttributeError; it is read as an array
+    with pytest.raises(ValueError, match="input trace 2, expected 1"):
+        check_input([[1, 0], [0, 1]], 2)
+    with pytest.raises(ValueError, match="input is not Hermitian"):
+        check_input([[0.5, 1], [0, 0.5]], 2)
+    check_input([[0.5, 0.5j], [-0.5j, 0.5]], 2)
 
 
 def test_input_check_holds_no_dense_copy(rng):
@@ -917,6 +1024,46 @@ def test_input_check_holds_no_dense_copy(rng):
     finally:
         tracemalloc.stop()
     assert peak < rho.nbytes / 4, peak
+
+
+def _warm_peak(call):
+    """Peak tracemalloc memory of call() on warm caches: of a second call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_exact_phases_hold_one_output_sized_buffer(rng):
+    # emission holds T inside its output and absorption contracts one
+    # output block at a time, so neither phase holds two full-size arrays
+    # (2.0 times the output); peaks are multiples of the D x D output's
+    # nbytes, counted by tracemalloc and so free of the allocator
+    m = n = 6
+    d = 3
+    rho = random_state(d**m, rng)
+    nbytes = rho.nbytes
+    peak = _warm_peak(lambda: _absorb_phase(rho, m, d, ResourceLedger(), []))
+    assert peak < 1.6 * nbytes, peak / nbytes
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    pure = np.outer(psi, psi.conj())
+    for spec, state, bound in (
+        (symmetrization_spec(m, d), rho, 1.75),
+        (channels.cloning_spec(2, n, d), np.kron(pure, pure), 1.3),
+    ):
+        ledger = ResourceLedger()
+        sigma = _absorb_phase(state, spec.m, d, ledger, [])
+        tau = _middle_phase(spec, sigma, ledger, [])
+        peak = _warm_peak(
+            lambda: _emission_phase(
+                tau, n, d, ResourceLedger(), [], mode="exact", seed=0, trajectories=0
+            )
+        )
+        assert peak < bound * nbytes, (spec.m, peak / nbytes)
 
 
 PROPERTY_SHAPES = [(m, n, d) for m in (1, 2, 3) for n in (1, 2, 3) for d in (2, 3)]

@@ -393,6 +393,19 @@ class TestWeightBlocks:
         # the blocks carry the whole matrix: nothing sizable lies outside
         assert np.abs(rebuilt - t.matrix).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "build", [b for _, b in WEIGHT_BLOCK_TRANSFORMS], ids=[n for n, _ in WEIGHT_BLOCK_TRANSFORMS]
+    )
+    def test_slots_biject_rows_onto_their_class_columns(self, build):
+        # emission stores row r of T in output row slots[r]: a column of r's
+        # own weight class, with no two rows sharing one
+        t = build()
+        slots = t.slots
+        assert t.slots is slots
+        assert np.array_equal(np.sort(slots), np.arange(t.dim))
+        for wb in t.weight_blocks:
+            assert np.array_equal(np.sort(slots[wb.rows]), wb.cols)
+
     def test_rows_carry_their_block_weight(self):
         # the weight of a block is that of every computational basis state
         # in its columns: sum over sites of e_(digit)
@@ -578,6 +591,7 @@ class TestBuilderCache:
             "iterated_cg": iterated_cg(lam, (False, True)).matrix,
             "schur_transform": schur_transform(2, 1, 2).matrix,
             "path_rows": schur_transform(2, 0, 2).path_rows(staircase(1, 1), 0),
+            "slots": schur_transform(2, 0, 2).slots,
             "embedding": real.embedding,
             "raising": real.raising,
             "weights": real.weights,
