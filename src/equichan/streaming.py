@@ -443,9 +443,8 @@ def _emission_phase(
     of T is stored in output row ``S.slots[r]``, a column of r's own
     class, one-to-one as every class is square.  Each class then
     overwrites its own output rows from its filled rows, gathered before
-    the write: an outer product where one row is filled, a GEMM where
-    several are, and explicit zeros where none is.  No separate T is held
-    and nothing is zeroed in advance.
+    the write, by one GEMM, or with explicit zeros where no row is
+    filled.  No separate T is held and nothing is zeroed in advance.
 
     The output is certified on the same sectors.  S is real orthogonal, so
     the Hermitian part of the output is sum_a w_a R_a^T H_mu R_a with
@@ -498,9 +497,6 @@ def _emission_phase(
         live = np.flatnonzero(filled[wb.rows])
         if len(live) == 0:
             out_re[wb.cols] = 0
-        elif len(live) == 1:
-            # an outer product, not a GEMM with an inner dimension of 1
-            out_re[wb.cols] = np.multiply.outer(wb.matrix[live[0]], out_re[wb.cols[live[0]]])
         else:
             # the right side is gathered before the class's rows are written
             out_re[wb.cols] = wb.matrix[live].T @ out_re[wb.cols[live]]

@@ -966,10 +966,10 @@ def test_hermiticity_check_boundary(m, d, rng):
 @pytest.mark.parametrize(
     "dim,entry",
     [
-        (729, (710, 725)),  # both sides in the last band, of 729 - 11 * 64 = 25 rows
-        (729, (63, 64)),  # the two sides in adjacent bands
-        (729, (0, 728)),  # the two sides in the first and the last band
-        (27, (20, 25)),  # one band, shorter than HERMITICITY_BAND
+        (729, (710, 725)),  # both sides in the last diagonal tile, 729 - 11 * 64 = 25 wide
+        (729, (63, 64)),  # the two sides in tile pair (0, 1)
+        (729, (0, 728)),  # the two sides in tile pair (0, 11)
+        (27, (20, 25)),  # one tile, narrower than HERMITICITY_BAND
         (27, (0, 26)),
         (729, (700, 700)),  # one diagonal entry, in diagonal tile 10 of weight 1
         (729, (728, 5)),  # below the diagonal, its mirror in tile pair (0, 11)
@@ -1013,8 +1013,9 @@ def test_input_check_reads_nested_lists():
 
 
 def test_input_check_holds_no_dense_copy(rng):
-    # the Hermiticity test sums rho^dag - rho over bands of rows; a dense
-    # D x D copy of the input would take rho.nbytes at once
+    # the Hermiticity test sums rho^dag - rho over 64 x 64 tile pairs I <= J
+    # in one tile buffer; a dense D x D copy of the input would take
+    # rho.nbytes at once
     dim = 729
     rho = random_state(dim, rng)
     tracemalloc.start()
