@@ -12,6 +12,11 @@ factored channel's Kraus operators are the products of one operator per
 stage over matching sectors, and its Choi matrix is V V^dag with one
 vectorized operator per column of V.
 
+The classification isometry keys its rows by label triple: ``blocks``
+maps (lambda, mu, gamma) to the read-only view of the triple's rows,
+shaped (p_lambda, p_mu, mult, q_gamma, D), as ``transforms`` keys the
+rows of its CG transforms by label.
+
 Conventions: the Choi matrix of Phi is sum_ij |i><j| (x) Phi(|i><j|), so
 its first tensor slot carries the conjugate action on the input space.
 Conjugate-transforming coordinates are rotated into canonical realizations
@@ -21,8 +26,8 @@ of the dual label with the dual_structure intertwiners.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from equichan.realize import dual_structure
 from equichan.staircases import (
     Staircase,
     box_label,
+    check_count,
     check_shape,
     dim_gl_irrep,
     dim_perm_irrep,
@@ -39,6 +45,7 @@ from equichan.staircases import (
 )
 from equichan.transforms import (
     PathTransform,
+    _row_views,
     general_cg,
     schur_transform,
 )
@@ -241,13 +248,14 @@ def check_symmetries(
     """Residuals of the Choi commuting with conj U^(x m) (x) U^(x n) for Haar
     unitaries and with all adjacent input/output transpositions.
 
-    ``trials`` Haar unitaries are drawn from ``rng``, one per trial.  A
-    ``trials`` that is not an integer (or is a bool) raises ValueError, and
-    so does one below one, as the empty residual list would certify
-    covariance without a single draw; an ``rng`` that is not a
-    ``numpy.random.Generator`` raises TypeError.  With W = A (x) B,
-    A = conj U^(x m) and B = U^(x n), the unitary residual is
-    |W C W^dag - C|, which equals |W C - C W| as W is unitary.  W is never
+    ``trials`` Haar unitaries are drawn from ``rng``, one per trial.
+    ``trials`` is read by ``staircases.check_count`` with least 1: a bool,
+    a non-integer or a count below one raises ValueError, as the empty
+    residual list would certify covariance without a single draw; an
+    ``rng`` that is not a ``numpy.random.Generator`` raises TypeError.
+    With W = A (x) B, A = conj U^(x m) and B = U^(x n), the unitary
+    residual is |W C W^dag - C|, which equals |W C - C W| as W is
+    unitary.  W is never
     formed: the Choi matrix C is the tensor of legs (row in, row out,
     column in, column out) of sizes (d^m, d^n, d^m, d^n), and each of four
     plain GEMMs applies A, B, conj A, conj B to its leading leg and leaves
@@ -267,10 +275,7 @@ def check_symmetries(
     residuals only; the caller picks the threshold with
     ``SymmetryReport.passed(tol)``.
     """
-    if isinstance(trials, bool) or not isinstance(trials, Integral):
-        raise ValueError(f"trials must be an integer Haar trial count, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"need at least one Haar trial, got {trials}")
+    trials = check_count("trials", trials, least=1)
     if rng is None:
         rng = np.random.default_rng(7)
     m, n, d = choi.m, choi.n, choi.d
@@ -447,44 +452,20 @@ def purity_spec(m: int, d: int) -> ExtremalSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassBlock:
-    lam: Staircase
-    mu: Staircase
-    gamma: Staircase
-    offset: int
-    p_lam: int
-    p_mu: int
-    mult: int
-    q_gamma: int
-
-    @property
-    def size(self) -> int:
-        return self.p_lam * self.p_mu * self.mult * self.q_gamma
-
-
 @dataclass
 class ClassificationIsometry:
     """The unitary bringing every symmetric Choi matrix to block form.
 
-    Rows are grouped per (lam, mu, gamma) with index nesting
-    (p_lam, p_mu, mult, q_gamma).
+    ``blocks[(lam, mu, gamma)]`` is the read-only view of the triple's
+    contiguous rows, shaped (p_lam, p_mu, mult, q_gamma, D); the views run
+    over the rows in order.
     """
 
     m: int
     n: int
     d: int
     matrix: np.ndarray
-    blocks: list[ClassBlock]
-
-    def block(self, lam: Staircase, mu: Staircase, gamma: Staircase) -> ClassBlock:
-        for b in self.blocks:
-            if (b.lam, b.mu, b.gamma) == (lam, mu, gamma):
-                return b
-        raise KeyError(f"no block ({lam}, {mu}, {gamma})")
-
-    def block_rows(self, b: ClassBlock) -> np.ndarray:
-        return self.matrix[b.offset : b.offset + b.size, :]
+    blocks: dict[tuple[Staircase, Staircase, Staircase], np.ndarray]
 
 
 def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
@@ -510,39 +491,33 @@ def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     Sn = schur_transform(n, 0, d)
     D = d ** (m + n)
     out = np.zeros((D, D), dtype=complex)
-    blocks: list[ClassBlock] = []
+    shapes = {}
     offset = 0
-    for sl in Sm.sectors:
-        lam = sl.label
+    for lam, sl in Sm.sectors.items():
         # conjugate-lambda rows rotated to canonical dual-lambda coordinates
         Zl = dual_structure(lam)  # canonical(dual lam) -> conj-of-canonical(lam)
         L = Zl.conj().T @ Sm.sector_rows(lam).conj().reshape(sl.p_dim, sl.q_dim, -1)
-        for sn_ in Sn.sectors:
-            mu = sn_.label
+        for mu, sn_ in Sn.sectors.items():
             N = Sn.sector_rows(mu).reshape(sn_.p_dim, sn_.q_dim, -1)
-            cg = general_cg(lam.dual(), mu)
-            for g in cg.labels():
-                qg = dim_gl_irrep(g)
-                mult = cg.multiplicity(g)
-                G = np.stack([cg.block_rows(g, j) for j in range(mult)])
-                G = G.reshape(mult, qg, sl.q_dim, sn_.q_dim)
-                size = sl.p_dim * sn_.p_dim * mult * qg
+            for g, G in general_cg(lam.dual(), mu).blocks.items():
+                shape = (sl.p_dim, sn_.p_dim, *G.shape[:2])
+                size = math.prod(shape)
                 # rows nest as (p_lam, p_mu, mult, q_gamma), columns as (in, out)
                 out[offset : offset + size, :] = np.einsum(
-                    "jgab,pax,qby->pqjgxy", G, L, N, optimize=True
+                    "jgab,pax,qby->pqjgxy",
+                    G.reshape(*shape[2:], sl.q_dim, sn_.q_dim),
+                    L,
+                    N,
+                    optimize=True,
                 ).reshape(size, D)
-                blocks.append(
-                    ClassBlock(lam, mu, g, offset, sl.p_dim, sn_.p_dim, mult, qg)
-                )
+                shapes[(lam, mu, g)] = shape
                 offset += size
     if offset != D:
         raise RuntimeError(f"classification blocks fill {offset} of {D} rows")
-    iso = ClassificationIsometry(m, n, d, out, blocks)
     resid = np.linalg.norm(out @ out.conj().T - np.eye(D))
     if resid >= 1e-9:
         raise RuntimeError(f"classification isometry not unitary: {resid:.2e}")
-    out.flags.writeable = False
-    return iso
+    return ClassificationIsometry(m, n, d, out, _row_views(out, shapes))
 
 
 def extremal_choi(spec: ExtremalSpec) -> ChoiMatrix:
@@ -556,8 +531,8 @@ def extremal_choi(spec: ExtremalSpec) -> ChoiMatrix:
     D = spec.d ** (spec.m + spec.n)
     rows = []
     for lam, t in spec.assignments.items():
-        b = iso.block(lam, t.mu, t.gamma)
-        R = iso.block_rows(b).reshape(b.p_lam * b.p_mu, b.mult, b.q_gamma * D)
+        R = iso.blocks[(lam, t.mu, t.gamma)]
+        R = R.reshape(-1, R.shape[2], R.shape[3] * D)  # (paths, mult, q_gamma * D)
         scale = (dim_gl_irrep(lam) / dim_gl_irrep(t.gamma)) / dim_perm_irrep(t.mu)
         rows.append(np.sqrt(scale) * (t.psi.conj() @ R).reshape(-1, D))
     V = np.concatenate(rows)
@@ -582,23 +557,21 @@ def block_decompose_choi(
     Dmat = iso.matrix @ choi.matrix @ iso.matrix.conj().T
     out: dict[tuple[Staircase, Staircase, Staircase], np.ndarray] = {}
     rebuilt = np.zeros_like(Dmat)
-    for b in iso.blocks:
-        sl = slice(b.offset, b.offset + b.size)
-        blk = Dmat[sl, sl]
-        shape = (b.p_lam * b.p_mu, b.mult, b.q_gamma)
-        six = blk.reshape(*shape, *shape)
-        q_lam = dim_gl_irrep(b.lam)
-        p_lam = b.p_lam
+    start = 0
+    for (lam, mu, gamma), rows in iso.blocks.items():
+        p_lam, p_mu, mult, q_gamma, _ = rows.shape
+        size = p_lam * p_mu * mult * q_gamma
+        sl = slice(start, start + size)
+        start += size
+        shape = (p_lam * p_mu, mult, q_gamma)
+        six = Dmat[sl, sl].reshape(*shape, *shape)
+        q_lam = dim_gl_irrep(lam)
         M = np.einsum("paqpbq->ab", six) / (p_lam * q_lam)
-        out[(b.gamma, b.lam.dual(), b.mu)] = M
-        scale = (q_lam / b.q_gamma) / dim_perm_irrep(b.mu)
-        rec = scale * np.einsum(
-            "pq,ab,cd->pacqbd",
-            np.eye(b.p_lam * b.p_mu),
-            M,
-            np.eye(b.q_gamma),
-        ).reshape(b.size, b.size)
-        rebuilt[sl, sl] = rec
+        out[(gamma, lam.dual(), mu)] = M
+        scale = (q_lam / q_gamma) / dim_perm_irrep(mu)
+        rebuilt[sl, sl] = scale * np.einsum(
+            "pq,ab,cd->pacqbd", np.eye(p_lam * p_mu), M, np.eye(q_gamma)
+        ).reshape(size, size)
     resid = np.linalg.norm(Dmat - rebuilt)
     if resid > tol:
         raise NotSymmetricError(
@@ -612,20 +585,15 @@ def block_decompose_choi(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SumBlock:
-    label: Staircase
-    offset: int
-    size: int
-
-
-def direct_sum_layout(transform: PathTransform) -> list[SumBlock]:
-    blocks = []
-    offset = 0
-    for s in transform.sectors:
-        blocks.append(SumBlock(s.label, offset, s.q_dim))
-        offset += s.q_dim
-    return blocks
+def direct_sum_layout(transform: PathTransform) -> dict[Staircase, slice]:
+    """The slice of each sector's irrep space in the direct sum of the
+    irrep spaces of ``transform``, in sector order."""
+    layout = {}
+    start = 0
+    for label, s in transform.sectors.items():
+        layout[label] = slice(start, start + s.q_dim)
+        start += s.q_dim
+    return layout
 
 
 def uss_channel(m: int, n: int, d: int) -> KrausChannel:
@@ -637,12 +605,12 @@ def uss_channel(m: int, n: int, d: int) -> KrausChannel:
     """
     S = schur_transform(m, n, d)
     layout = direct_sum_layout(S)
-    out_dim = sum(b.size for b in layout)
+    out_dim = sum(s.q_dim for s in S.sectors.values())
     ops = []
-    for s, blk in zip(S.sectors, layout):
+    for label, s in S.sectors.items():
         for i in range(s.p_dim):
             K = np.zeros((out_dim, S.dim))
-            K[blk.offset : blk.offset + blk.size, :] = S.path_rows(s.label, i)
+            K[layout[label]] = S.path_rows(label, i)
             ops.append(K)
     return KrausChannel(ops, S.dim, out_dim)
 
@@ -656,7 +624,9 @@ def dual_uss_channel(m: int, n: int, d: int) -> KrausChannel:
     """
     ch = uss_channel(m, n, d)
     scales = [
-        np.sqrt(1.0 / s.p_dim) for s in schur_transform(m, n, d).sectors for _ in range(s.p_dim)
+        np.sqrt(1.0 / s.p_dim)
+        for s in schur_transform(m, n, d).sectors.values()
+        for _ in range(s.p_dim)
     ]
     return KrausChannel(
         [w * K.conj().T for w, K in zip(scales, ch.ops, strict=True)], ch.out_dim, ch.in_dim
@@ -674,17 +644,13 @@ def _cg_restriction_tensor(lam: Staircase, mu: Staircase, gamma: Staircase):
     Returns K0 with K0[x, y, g, a] the matrix element of the restriction of
     the inverse CG transform on Q_duallam (x) Q_mu at (x, y; g, mult a).
     """
-    cg = general_cg(lam.dual(), mu)
-    c = cg.multiplicity(gamma)
-    if c == 0:
+    rows = general_cg(lam.dual(), mu).blocks.get(gamma)  # (c, qg, qlam*qmu)
+    if rows is None:
         raise ValueError(f"gamma {gamma} does not occur in {lam.dual()} (x) {mu}")
-    qg = dim_gl_irrep(gamma)
+    c, qg, _ = rows.shape
     q_lam, q_mu = dim_gl_irrep(lam), dim_gl_irrep(mu)
-    K0 = np.zeros((q_lam, q_mu, qg, c), dtype=complex)
-    for a in range(c):
-        rows = cg.block_rows(gamma, a)  # (qg, qlam*qmu)
-        K0[:, :, :, a] = rows.conj().T.reshape(q_lam, q_mu, qg)
-    return K0, c, qg, q_lam, q_mu
+    K0 = np.ascontiguousarray(rows.conj().transpose(2, 1, 0), dtype=complex)
+    return K0.reshape(q_lam, q_mu, qg, c), c, qg, q_lam, q_mu
 
 
 @functools.cache
@@ -795,12 +761,12 @@ def factored_channel(spec: ExtremalSpec) -> ChoiMatrix:
     Sm = schur_transform(spec.m, 0, spec.d)
     Sn = schur_transform(spec.n, 0, spec.d)
     ops = []
-    for s in Sm.sectors:
-        t = spec.triple(s.label)
-        A = Sm.sector_rows(s.label).reshape(s.p_dim, s.q_dim, Sm.dim)
-        p_mu = Sn.sector(t.mu).p_dim
+    for lam, s in Sm.sectors.items():
+        t = spec.triple(lam)
+        A = Sm.sector_rows(lam).reshape(s.p_dim, s.q_dim, Sm.dim)
+        p_mu = Sn.sectors[t.mu].p_dim
         C = Sn.sector_rows(t.mu).conj().reshape(p_mu, -1, Sn.dim) / np.sqrt(p_mu)
-        iota = np.tensordot(_embed_trace_tensor(s.label, t.mu, t.gamma), t.psi, 1)
+        iota = np.tensordot(_embed_trace_tensor(lam, t.mu, t.gamma), t.psi, 1)
         K = iota.reshape(C.shape[1], -1, s.q_dim).transpose(1, 0, 2)  # K[h] = K_h
         KA = np.matmul(K[:, None], A)  # (h, i, q_mu, in)
         # row (j, h, i) is (C_j K_h A_i)^T flattened, indexed (in, out)

@@ -109,7 +109,8 @@ class IrrepRealization:
         """Isometry from the irrep into the tensor space of ``factors``: the
         GT-path isometry of ``canonical_path(label)`` (read-only)."""
         # built on first access, never by canonical_realization: simple_cg of
-        # the label before gamma needs canonical_realization(gamma)
+        # the label before gamma needs canonical_realization(gamma); and
+        # transforms imports this module, so the import waits for the call
         from equichan.transforms import _path_isometry
 
         g = self.label

@@ -54,7 +54,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -235,17 +234,16 @@ def _absorb_phase(
             qd = dim_gl_irrep(nu) * d
             cg = simple_cg(nu, False)
             flat = blk.reshape(qd, -1).view(float)
-            for b in cg.blocks:
-                ledger.r = max(ledger.r, b.label.length)
-                c_b = cg.matrix[b.offset : b.offset + b.size]
+            for label, (c_b,) in cg.blocks.items():
+                ledger.r = max(ledger.r, label.length)
                 # C_b on the row (q.d) leg, then on the column leg of those rows
-                rows = (c_b @ flat).view(complex).reshape(b.size * rest, qd, rest)
+                rows = (c_b @ flat).view(complex).reshape(len(c_b) * rest, qd, rest)
                 piece = np.matmul(c_b, rows.view(float)).view(complex)
-                piece = piece.reshape(b.size * rest, -1)
-                if b.label in nxt:
-                    nxt[b.label] += piece
+                piece = piece.reshape(len(c_b) * rest, -1)
+                if label in nxt:
+                    nxt[label] += piece
                 else:
-                    nxt[b.label] = piece
+                    nxt[label] = piece
         sigma = nxt
     return sigma
 
@@ -274,14 +272,7 @@ def streamed_apply(
     if mode not in ("exact", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sample":
-        if (
-            isinstance(trajectories, bool)
-            or not isinstance(trajectories, Integral)
-            or trajectories < 1
-        ):
-            raise ValueError(
-                f"trajectories must be an integer trajectory count >= 1, got {trajectories!r}"
-            )
+        trajectories = check_count("trajectories", trajectories, least=1)
         seed = check_count("seed", seed)
     ledger = ResourceLedger()
     schedule: list[ScheduleStep] = []
@@ -472,7 +463,7 @@ def _emission_phase(
     for mu, blk in tau.items():
         if np.linalg.norm(blk) < WEIGHTLESS_NORM:
             continue
-        sector = S.sector(mu)
+        sector = S.sectors[mu]
         p, q = sector.p_dim, sector.q_dim
         if mode == "exact":
             paths, weights = slice(None), np.full(p, 1 / p)
@@ -539,7 +530,7 @@ def _draw_paths(
     drawn = {}
     for mu, tally in zip(tau, tallies):
         keys = np.flatnonzero(tally)
-        drawn[mu] = (S.sector(mu).path_of_key[keys], tally[keys] / trajectories)
+        drawn[mu] = (S.sectors[mu].path_of_key[keys], tally[keys] / trajectories)
     return drawn
 
 

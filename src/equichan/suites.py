@@ -28,6 +28,7 @@ from equichan.channels import (
     enumerate_extremal_triples,
     extremal_choi,
     factored_channel,
+    irrep_channel,
     purity_spec,
     symmetrization_spec,
 )
@@ -120,8 +121,6 @@ def suite_symmetry_certification(seed: int = 1, trials: int = 20) -> Verificatio
 
 def suite_irrep_forms(seed: int = 1) -> VerificationReport:
     """Criterion 3: the three computations of the irrep channel agree."""
-    from equichan.channels import irrep_channel
-
     report = VerificationReport("irrep-form-equivalence", seed)
     rng = np.random.default_rng(seed)
     for d in (2, 3):

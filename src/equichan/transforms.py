@@ -16,11 +16,18 @@ All block maps land in the canonical realization coordinates of their
 label, with the sign of each block fixed by its first sizable entry, so
 transforms built along different routes agree exactly and not just up to
 convention.
+
+Each transform keys its rows by label in one dict: a ``BlockIsometry``
+maps a label to the read-only view of its contiguous rows, shaped
+(copies, q, source), and a ``PathTransform`` maps a label to its
+``PathSector``.  ``_row_views`` freezes a matrix and cuts it into such
+views.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -83,22 +90,17 @@ def permutation_operator(sigma: tuple[int, ...], m: int, d: int) -> np.ndarray:
     return P
 
 
-@dataclass(frozen=True)
-class Block:
-    """One target block of a block isometry."""
-
-    label: Staircase
-    mult: int
-    offset: int
-    size: int
-
-
 @dataclass
 class BlockIsometry:
-    """Dense isometry with an indexed block layout on its rows."""
+    """Dense isometry whose rows are keyed by label.
+
+    ``blocks[label]`` is the read-only view of the label's contiguous rows,
+    shaped (copies, q_label, source_dim), and the views follow each other
+    down the rows in dict order.  A label without a key has multiplicity 0.
+    """
 
     matrix: np.ndarray
-    blocks: list[Block]
+    blocks: dict[Staircase, np.ndarray]
 
     @property
     def source_dim(self) -> int:
@@ -108,38 +110,27 @@ class BlockIsometry:
     def target_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def labels(self) -> list[Staircase]:
-        seen = []
-        for b in self.blocks:
-            if b.label not in seen:
-                seen.append(b.label)
-        return seen
-
-    def block(self, label: Staircase, mult: int = 0) -> Block:
-        for b in self.blocks:
-            if b.label == label and b.mult == mult:
-                return b
-        raise KeyError(f"no block ({label}, {mult})")
-
-    def block_rows(self, label: Staircase, mult: int = 0) -> np.ndarray:
-        b = self.block(label, mult)
-        return self.matrix[b.offset : b.offset + b.size, :]
-
-    def multiplicity(self, label: Staircase) -> int:
-        return sum(1 for b in self.blocks if b.label == label)
-
     def validate(self) -> None:
         got = self.matrix.conj().T @ self.matrix
         if not np.linalg.norm(got - np.eye(self.source_dim)) < CONSTRUCTION_TOL:
             raise ValueError("not an isometry")
-        covered = sorted((b.offset, b.size) for b in self.blocks)
-        pos = 0
-        for off, size in covered:
-            if off != pos:
-                raise ValueError("blocks do not tile the rows")
-            pos += size
-        if pos != self.target_dim:
-            raise ValueError("blocks do not cover the rows")
+
+
+def _row_views(matrix: np.ndarray, shapes: dict) -> dict:
+    """Make ``matrix`` read-only and cut its rows into consecutive views.
+
+    The view of key k takes the next prod(shapes[k]) rows, shaped
+    (*shapes[k], columns), in the order of ``shapes``; every view is
+    read-only, as its base is.
+    """
+    matrix.flags.writeable = False
+    views = {}
+    start = 0
+    for key, shape in shapes.items():
+        stop = start + math.prod(shape)
+        views[key] = matrix[start:stop].reshape(*shape, -1)
+        start = stop
+    return views
 
 
 @functools.cache
@@ -150,8 +141,9 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     A block is ``box_block(label, s)`` for an added box, and for a removed
     one sqrt(q_s / q_label) ``box_block(s, label)`` with its irrep legs
     swapped (the box contracted with its conjugate site); ``lead_phase``
-    fixes its sign, and its intertwining relation is checked.  Block order
-    follows add_boxes/remove_boxes order.  The matrix is real float64 and
+    fixes its sign, and its intertwining relation is checked.  Each label
+    has one copy, ``blocks[s]`` shaped (1, q_s, q_label * d), in
+    add_boxes/remove_boxes order.  The matrix is real float64 and
     read-only, and the build raises RuntimeError otherwise, so callers may
     apply it in real arithmetic (streamed absorption does).  Memoised per
     (label, dual); both arguments are positional so every call shares one
@@ -164,9 +156,7 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     q = nu.dim
     site = canonical_realization(box_label(d)).simple_generators  # matrix units on C^d
     legs = [nu.simple_generators, dual_generators(site) if dual else site]
-    rows = []
-    blocks = []
-    offset = 0
+    rows = {}
     for s in remove_boxes(label) if dual else add_boxes(label):
         qs = dim_gl_irrep(s)
         if dual:
@@ -176,16 +166,14 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
             R = box_block(label, s)
         R = R * lead_phase(R)
         check_intertwining(R, legs, canonical_realization(s).simple_generators)
-        rows.append(R)
-        blocks.append(Block(s, 0, offset, qs))
-        offset += qs
-    iso = BlockIsometry(np.concatenate(rows, axis=0), blocks)
-    if iso.target_dim != q * d:
+        rows[s] = R
+    matrix = np.concatenate(list(rows.values()), axis=0)
+    if len(matrix) != q * d:
         raise RuntimeError("CG blocks do not exhaust Q (x) C^d")
-    if iso.matrix.dtype != np.float64:
-        raise RuntimeError(f"simple CG of {label} is {iso.matrix.dtype}, not real")
+    if matrix.dtype != np.float64:
+        raise RuntimeError(f"simple CG of {label} is {matrix.dtype}, not real")
+    iso = BlockIsometry(matrix, _row_views(matrix, {s: (1, len(R)) for s, R in rows.items()}))
     iso.validate()
-    iso.matrix.flags.writeable = False
     return iso
 
 
@@ -251,30 +239,25 @@ class PathTransform:
     Every row is a GT basis vector and so a weight vector of the torus: it
     is supported on the columns of its own weight, and the matrix is block
     diagonal by weight up to a permutation of rows and columns
-    (``weight_blocks``).
+    (``weight_blocks``).  ``sectors`` maps each final label to its
+    ``PathSector``, in row order.
     """
 
     base: Staircase
     flags: tuple[bool, ...]
     matrix: np.ndarray
-    sectors: list[PathSector]
+    sectors: dict[Staircase, PathSector]
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def sector(self, label: Staircase) -> PathSector:
-        for s in self.sectors:
-            if s.label == label:
-                return s
-        raise KeyError(f"no sector {label}")
-
     def sector_rows(self, label: Staircase) -> np.ndarray:
-        s = self.sector(label)
+        s = self.sectors[label]
         return self.matrix[s.offset : s.offset + s.size, :]
 
     def path_rows(self, label: Staircase, path_index: int) -> np.ndarray:
-        s = self.sector(label)
+        s = self.sectors[label]
         if not 0 <= path_index < s.p_dim:
             raise IndexError(f"path index {path_index} of sector {label} with p_dim {s.p_dim}")
         start = s.offset + path_index * s.q_dim
@@ -295,7 +278,7 @@ class PathTransform:
         row_w = np.concatenate(
             [
                 np.tile(canonical_realization(s.label).weights, (s.p_dim, 1))
-                for s in self.sectors
+                for s in self.sectors.values()
             ]
         )
         base_w = canonical_realization(self.base).weights
@@ -355,7 +338,7 @@ def _path_isometry(path: GtPath) -> np.ndarray:
     q_end = dim_gl_irrep(path.end)
     iso = np.eye(q_end)
     for prev, nxt, dual in _emit_steps(path):
-        R = simple_cg(prev, dual).block_rows(nxt)
+        (R,) = simple_cg(prev, dual).blocks[nxt]
         iso = (R.conj().T @ iso.reshape(R.shape[0], -1)).reshape(-1, q_end)
     return iso
 
@@ -387,11 +370,11 @@ def _iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
     # filled path by path: callers slice the matrix by rows, so it is
     # row-major, where a stack of the transposed isometries would not be
     matrix = np.zeros((dim, dim))
-    sectors = []
+    sectors = {}
     offset = 0
     for label, paths in enumerate_paths(mu, k, len(flags) - k).items():
         q = dim_gl_irrep(label)
-        sectors.append(PathSector(label, offset, q, tuple(paths)))
+        sectors[label] = PathSector(label, offset, q, tuple(paths))
         for p in paths:
             matrix[offset : offset + q] = _path_isometry(p).T
             offset += q
@@ -433,7 +416,8 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
     stopped at the Littlewood-Richardson coefficient, gives the copies of
     each label, and ``lead_phase`` fixes the sign of each.  Labels come in
     descending order, copies in the order found; fewer copies than the LR
-    coefficient raise RuntimeError.  No eigensolver runs.
+    coefficient raise RuntimeError.  ``blocks[label]`` holds the copies,
+    shaped (copies, q_label, q_a * q_b).  No eigensolver runs.
     """
     if a_label.d != b_label.d:
         raise ValueError(f"labels live over different d: {a_label}, {b_label}")
@@ -445,7 +429,7 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
         dual = nxt.size < prev.size
         qp, qn = dim_gl_irrep(prev), dim_gl_irrep(nxt)
         # R^T embeds Q_nxt in Q_prev (x) site
-        lift = simple_cg(prev, dual).block_rows(nxt).T.reshape(qp, d, qn)
+        lift = simple_cg(prev, dual).blocks[nxt][0].T.reshape(qp, d, qn)
         found: dict[Staircase, list[np.ndarray]] = {}
         for label, copies in held.items():
             cg = simple_cg(label, dual)
@@ -453,17 +437,17 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
                 # (rows (x) 1_site)(1_a (x) R^T): Q_a (x) Q_nxt -> Q_label (x) site
                 Y = np.tensordot(rows.reshape(-1, qa, qp), lift, axes=(2, 0))
                 Y = Y.transpose(0, 2, 1, 3).reshape(-1, qa * qn)
-                for bl in cg.blocks:
-                    basis = found.setdefault(bl.label, [])
-                    if len(basis) == lr_coeff(a_label, nxt, bl.label):
+                for nu, (R,) in cg.blocks.items():
+                    basis = found.setdefault(nu, [])
+                    if len(basis) == lr_coeff(a_label, nxt, nu):
                         continue
-                    X = cg.block_rows(bl.label) @ Y
+                    X = R @ Y
                     for _ in range(2):
                         for B in basis:
-                            X = X - (np.vdot(B, X) / bl.size) * B
+                            X = X - (np.vdot(B, X) / len(R)) * B
                     norm = np.linalg.norm(X)
-                    if norm > 1e-8 * np.sqrt(bl.size):
-                        X = X * (np.sqrt(bl.size) / norm)
+                    if norm > 1e-8 * np.sqrt(len(R)):
+                        X = X * (np.sqrt(len(R)) / norm)
                         basis.append(X * lead_phase(X))
         for label, basis in found.items():
             c = lr_coeff(a_label, nxt, label)
@@ -471,15 +455,10 @@ def general_cg(a_label: Staircase, b_label: Staircase, /) -> BlockIsometry:
                 raise RuntimeError(f"found {len(basis)} of {c} copies of {label}")
         order = sorted(found, key=lambda s: s.entries, reverse=True)
         held = {label: found[label] for label in order if found[label]}
-    blocks = []
-    offset = 0
-    for label, copies in held.items():
-        for j, X in enumerate(copies):
-            blocks.append(Block(label, j, offset, len(X)))
-            offset += len(X)
-    iso = BlockIsometry(np.concatenate([X for copies in held.values() for X in copies]), blocks)
-    if iso.target_dim != qa * dim_gl_irrep(b_label):
+    matrix = np.concatenate([X for copies in held.values() for X in copies])
+    if len(matrix) != qa * dim_gl_irrep(b_label):
         raise RuntimeError("isotypic blocks do not exhaust the product space")
+    shapes = {label: (len(copies), len(copies[0])) for label, copies in held.items()}
+    iso = BlockIsometry(matrix, _row_views(matrix, shapes))
     iso.validate()
-    iso.matrix.flags.writeable = False
     return iso

@@ -252,10 +252,11 @@ def absorb_kron(rho: np.ndarray, m: int, d: int, first_label, cg_of):
     """Absorption of m input sites by the dense operator C (x) 1 per step.
 
     ``cg_of(label)`` gives the one-site CG isometry of a label: ``.matrix``
-    with its rows grouped into ``.blocks``, each with ``.label``,
-    ``.offset`` and ``.size``.  At step t every block state sigma_nu is
-    conjugated by kron(C, eye(d^(m-t))) and cut into its diagonal blocks,
-    summed per label.  Returns the final block states, the steps as
+    and ``.blocks``, which maps each target label to the view of its rows,
+    shaped (1, size, columns); the views follow each other down the rows
+    in dict order, so the oracle reads only their sizes.  At step t every
+    block state sigma_nu is conjugated by kron(C, eye(d^(m-t))) and cut
+    into its diagonal blocks, summed per label.  Returns the final block states, the steps as
     (op, registers, live dimension) tuples and the ledger counts, each
     derived from the blocks reached: the label register after t-1 sites
     holds the largest irrep dimension among them.
@@ -274,11 +275,13 @@ def absorb_kron(rho: np.ndarray, m: int, d: int, first_label, cg_of):
             cg = cg_of(nu)
             big = np.kron(cg.matrix, np.eye(rest))
             moved = big @ blk @ big.conj().T
-            for b in cg.blocks:
-                rows = sum(1 for e in b.label.entries if e != 0)
+            start = 0
+            for label, view in cg.blocks.items():
+                rows = sum(1 for e in label.entries if e != 0)
                 counts["r"] = max(counts["r"], rows)
-                sl = slice(b.offset * rest, (b.offset + b.size) * rest)
-                nxt[b.label] = nxt.get(b.label, 0) + moved[sl, sl]
+                stop = start + view.shape[1] * rest
+                nxt[label] = nxt.get(label, 0) + moved[start:stop, start:stop]
+                start = stop
         sigma = nxt
     return sigma, steps, counts
 

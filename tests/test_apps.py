@@ -75,7 +75,7 @@ class TestSymmetrize:
 
     @pytest.mark.parametrize("trajectories", [2.5, True])
     def test_sample_mode_rejects_bad_trajectories(self, trajectories, rng):
-        with pytest.raises(ValueError, match="trajectories must be an integer"):
+        with pytest.raises(ValueError, match="need an integer trajectories"):
             symmetrize(random_state(8, rng), 3, 2, mode="sample", trajectories=trajectories)
 
     def test_ledger_counts(self, rng):

@@ -154,7 +154,7 @@ class TestCheckSymmetries:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_rejected(self, trials):
         C = extremal_choi(symmetrization_spec(2, 2))
-        with pytest.raises(ValueError, match="at least one Haar trial"):
+        with pytest.raises(ValueError, match=f"need trials >= 1, got trials={trials}"):
             check_symmetries(C, trials=trials)
 
     def test_tol_argument_removed(self):
@@ -166,7 +166,7 @@ class TestCheckSymmetries:
     @pytest.mark.parametrize("trials", [True, False, 2.0, "3", None])
     def test_non_integer_trials_rejected(self, trials):
         C = extremal_choi(symmetrization_spec(2, 2))
-        with pytest.raises(ValueError, match="trials must be an integer"):
+        with pytest.raises(ValueError, match="need an integer trials"):
             check_symmetries(C, trials=trials)
 
     def test_numpy_integer_trials_accepted(self):
@@ -547,8 +547,8 @@ class TestUssChannels:
         ch = uss_channel(2, 0, 2)
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
         out = ch.apply(np.outer(singlet, singlet))
-        blk = next(b for b in uss_layout(2, 0, 2) if b.label == staircase(1, 1))
-        assert abs(out[blk.offset, blk.offset] - 1.0) < 1e-12
+        blk = uss_layout(2, 0, 2)[staircase(1, 1)]
+        assert abs(out[blk.start, blk.start] - 1.0) < 1e-12
         assert abs(np.trace(out) - 1.0) < 1e-12
 
     def test_product_state_lands_in_symmetric_block(self):
@@ -558,8 +558,8 @@ class TestUssChannels:
         v = np.zeros(4)
         v[0] = 1.0
         out = ch.apply(np.outer(v, v))
-        blk = next(b for b in uss_layout(2, 0, 2) if b.label == staircase(2, 0))
-        sub = out[blk.offset : blk.offset + blk.size, blk.offset : blk.offset + blk.size]
+        blk = uss_layout(2, 0, 2)[staircase(2, 0)]
+        sub = out[blk, blk]
         assert abs(np.trace(sub) - 1.0) < 1e-12
         # the block state is the canonical-coordinate image of |00><00|
         V = canonical_realization(staircase(2, 0)).embedding
@@ -623,7 +623,7 @@ class TestUssChannels:
         rho = random_state(4, rng)
         out = ch.apply(rho)
         assert abs(np.trace(out) - 1.0) < 1e-10
-        assert set(b.label for b in uss_layout(1, 1, 2)) == {staircase(1, -1), staircase(0, 0)}
+        assert set(uss_layout(1, 1, 2)) == {staircase(1, -1), staircase(0, 0)}
         # the mixed reverse channel is trace preserving as well
         dual = dual_uss_channel(1, 1, 2)
         back = dual.apply(out)
@@ -851,12 +851,10 @@ def test_factored_equals_composed_stage_objects(shape, pick, rng):
     rho = random_state(d**m, rng)
     sampled = uss.apply(rho)
     middle = np.zeros((dual.in_dim,) * 2, dtype=complex)
-    for src in uss_layout(m, 0, d):
-        t = spec.triple(src.label)
-        dst = next(b for b in uss_layout(n, 0, d) if b.label == t.mu)
-        ch = irrep_channel(src.label, t.mu, t.gamma, t.psi)
-        i = slice(src.offset, src.offset + src.size)
-        o = slice(dst.offset, dst.offset + dst.size)
+    for lam, i in uss_layout(m, 0, d).items():
+        t = spec.triple(lam)
+        o = uss_layout(n, 0, d)[t.mu]
+        ch = irrep_channel(lam, t.mu, t.gamma, t.psi)
         middle[o, o] += ch.apply(sampled[i, i])
     out = dual.apply(middle)
     assert np.abs(out - factored_channel(spec).apply(rho)).max() < 1e-10

@@ -329,7 +329,7 @@ class TestVerify:
         argv = ["verify", "--suite", "symmetry-certification", "--trials", trials]
         assert run(argv) == 2
         captured = capsys.readouterr()
-        assert "at least one Haar trial" in captured.err
+        assert f"need trials >= 1, got trials={trials}" in captured.err
         assert "ALL SUITES PASSED" not in captured.out
 
     def test_failure_exit_code(self, capsys):

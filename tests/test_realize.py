@@ -254,7 +254,7 @@ def test_four_row_realizations():
         r.validate()
         assert r.dim == dim_gl_irrep(staircase(*entries))
     cg = simple_cg(staircase(1, 1, 0, 0), False)
-    assert [str(b.label) for b in cg.blocks] == ["(2,1,0,0)", "(1,1,1,0)"]
+    assert [str(label) for label in cg.blocks] == ["(2,1,0,0)", "(1,1,1,0)"]
     cg.validate()
 
 

@@ -50,7 +50,13 @@ from equichan.streaming import (
     validate_schedule,
 )
 from equichan.suites import SWEEP_SHAPES, all_specs
-from equichan.transforms import BlockIsometry, iterated_cg, schur_transform, simple_cg
+from equichan.transforms import (
+    BlockIsometry,
+    _row_views,
+    iterated_cg,
+    schur_transform,
+    simple_cg,
+)
 
 from oracles import (
     RowRng,
@@ -158,7 +164,7 @@ class TestPathEmbedding:
         # iota_p is the adjoint of path p's rows in the iterated CG transform
         t = iterated_cg(mu, (False,) * k + (True,) * l)
         for end, paths in enumerate_paths(mu, k, l).items():
-            sector = t.sector(end)
+            sector = t.sectors[end]
             assert sector.paths == tuple(paths)
             for idx, p in enumerate(paths):
                 ref = t.path_rows(end, idx).conj().T
@@ -188,7 +194,7 @@ class TestPathEmbedding:
         # the transformed embedding is supported on a single sector and
         # splits as |path> (x) equivariant embedding
         gamma = staircase(0, -2)
-        sec = S.sector(gamma)
+        sec = S.sectors[gamma]
         cube = big.reshape(q_mu, 4, 2)
         sub = cube[:, sec.offset : sec.offset + sec.size, :]
         assert np.linalg.norm(cube) - np.linalg.norm(sub) < 1e-10
@@ -238,7 +244,7 @@ class TestMiddlePhase:
             blk = random_state(dim_gl_irrep(lam), rng)
             ledger, schedule = ResourceLedger(), []
             tau = _middle_phase(spec, {lam: blk}, ledger, schedule)
-            R = simple_cg(base, False).block_rows(lam)
+            (R,) = simple_cg(base, False).blocks[lam]
             expected = embed_trace_base(R, blk, q_base, d)
             assert np.abs(tau[t.mu] - expected).max() < 1e-12, lam
             assert schedule == [ScheduleStep("embed", ("Q", "path"), q_base * d, "inverse")]
@@ -441,7 +447,7 @@ class TestStreamedApply:
 
         monkeypatch.setattr(streaming, "_absorb_phase", absorbed)
         for trajectories in (0, -5, 2.5, 1e3, True, False, "5", None):
-            with pytest.raises(ValueError, match="trajectory"):
+            with pytest.raises(ValueError, match="trajectories"):
                 streamed_apply(spec, rho, mode="sample", trajectories=trajectories)
 
     def test_bad_seed_rejected(self, monkeypatch, rng):
@@ -514,7 +520,7 @@ class TestStreamedApply:
             expected = np.zeros_like(out)
             for mu, blk in tau.items():
                 for path in redrawn[mu]:
-                    idx = S.sector(mu).paths.index(path)
+                    idx = S.sectors[mu].paths.index(path)
                     drawn_later_paths |= idx > 0
                     rows = S.path_rows(mu, idx)
                     expected += rows.conj().T @ blk @ rows / trajectories
@@ -638,12 +644,13 @@ class TestAbsorbPhase:
         def gauged_cg(nu, dual):
             if nu not in gauged:
                 cg = simple_cg(nu, dual)
-                M = cg.matrix.copy()
-                for b in cg.blocks:
-                    W = np.linalg.qr(rng.normal(size=(b.size, b.size)))[0]
-                    rows = slice(b.offset, b.offset + b.size)
-                    M[rows] = W @ M[rows]
-                gauged[nu] = BlockIsometry(M, cg.blocks)
+                rows = {}
+                for label, (R,) in cg.blocks.items():
+                    W = np.linalg.qr(rng.normal(size=(len(R), len(R))))[0]
+                    rows[label] = W @ R
+                M = np.concatenate(list(rows.values()))
+                shapes = {label: (1, len(R)) for label, R in rows.items()}
+                gauged[nu] = BlockIsometry(M, _row_views(M, shapes))
             return gauged[nu]
 
         monkeypatch.setattr("equichan.streaming.simple_cg", gauged_cg)
@@ -731,14 +738,14 @@ def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0):
     samples = 0
     if mode == "exact":
         for mu, blk in tau.items():
-            sec = S.sector(mu)
+            sec = S.sectors[mu]
             rows = S.sector_rows(mu).reshape(sec.p_dim, sec.q_dim, -1)
             sectors.append((blk, rows, np.full(sec.p_dim, 1 / sec.p_dim)))
     else:
         redrawn, samples = _redraw_paths(tau, seed, trajectories)
         for mu, blk in tau.items():
             counts = Counter(redrawn[mu])
-            paths = S.sector(mu).paths
+            paths = S.sectors[mu].paths
             rows = np.stack([S.path_rows(mu, paths.index(p)) for p in counts])
             weights = np.array(list(counts.values())) / trajectories
             sectors.append((blk, rows, weights))

@@ -14,6 +14,7 @@ from equichan.staircases import (
     dim_perm_irrep,
     empty_staircase,
     enumerate_staircases,
+    lr_coeff,
     partitions_of,
     remove_boxes,
     staircase,
@@ -93,23 +94,29 @@ class TestPermutationOperator:
 class TestSimpleCg:
     def test_box_blocks(self):
         cg = simple_cg(staircase(1, 0), False)
-        assert [(str(b.label), b.size) for b in cg.blocks] == [("(2,0)", 3), ("(1,1)", 1)]
+        assert [(str(label), rows.shape) for label, rows in cg.blocks.items()] == [
+            ("(2,0)", (1, 3, 4)),
+            ("(1,1)", (1, 1, 4)),
+        ]
         # the (1,1) row is the singlet
-        row = cg.block_rows(staircase(1, 1))[0]
+        row = cg.blocks[staircase(1, 1)][0, 0]
         expected = np.array([0, 1, -1, 0]) / np.sqrt(2)
         assert min(np.linalg.norm(row - expected), np.linalg.norm(row + expected)) < 1e-10
 
     def test_dual_box_blocks(self):
         cg = simple_cg(staircase(1, 0), True)
-        assert [(str(b.label), b.size) for b in cg.blocks] == [("(0,0)", 1), ("(1,-1)", 3)]
-        row = cg.block_rows(staircase(0, 0))[0]
+        assert [(str(label), rows.shape) for label, rows in cg.blocks.items()] == [
+            ("(0,0)", (1, 1, 4)),
+            ("(1,-1)", (1, 3, 4)),
+        ]
+        row = cg.blocks[staircase(0, 0)][0, 0]
         expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
         assert min(np.linalg.norm(row - expected), np.linalg.norm(row + expected)) < 1e-10
 
     def test_single_row_dims(self):
         for m in (1, 2, 3):
             cg = simple_cg(staircase(m, 0), False)
-            sizes = {str(b.label): b.size for b in cg.blocks}
+            sizes = {str(label): rows.shape[1] for label, rows in cg.blocks.items()}
             assert sizes == {f"({m+1},0)": m + 2, f"({m},1)": m}
 
     def test_real_entries(self):
@@ -153,26 +160,19 @@ class TestClosedFormBlocks:
             q = G.shape[2]
             for dual in (False, True):
                 cg = simple_cg(label, dual)
-                target = {
-                    b.label: full_generators(canonical_realization(b.label)) for b in cg.blocks
-                }
+                target = {s: full_generators(canonical_realization(s)) for s in cg.blocks}
                 for i in range(d):
                     for j in range(d):
                         source = np.kron(G[i, j], np.eye(d)) + np.kron(
                             np.eye(q), site_generator(d, i, j, dual)
                         )
-                        moved = cg.matrix @ source
-                        for b in cg.blocks:
-                            R = cg.block_rows(b.label)
-                            Gs = target[b.label][i, j]
-                            rows = moved[b.offset : b.offset + b.size]
-                            gap = np.abs(rows - Gs @ R).max()
+                        for s, (R,) in cg.blocks.items():
+                            gap = np.abs(R @ source - target[s][i, j] @ R).max()
                             worst["intertwining"] = max(worst["intertwining"], gap)
-                for b in cg.blocks:
-                    R = cg.block_rows(b.label)
-                    gap = np.abs(R @ R.T - np.eye(b.size)).max()
+                for s, (R,) in cg.blocks.items():
+                    gap = np.abs(R @ R.T - np.eye(len(R))).max()
                     worst["orthonormality"] = max(worst["orthonormality"], gap)
-                    assert _first_sizable(R) > 0, (label, dual, b.label)
+                    assert _first_sizable(R) > 0, (label, dual, s)
         assert max(worst.values()) < 1e-12, worst
 
     def test_dual_structure_is_the_unique_intertwiner(self):
@@ -223,21 +223,21 @@ class TestClosedFormBlocks:
 class TestSchurTransform:
     def test_layout_m2(self):
         S = schur_transform(2, 0, 2)
-        assert [(str(s.label), s.p_dim, s.q_dim) for s in S.sectors] == [
+        assert [(str(s.label), s.p_dim, s.q_dim) for s in S.sectors.values()] == [
             ("(2,0)", 1, 3),
             ("(1,1)", 1, 1),
         ]
 
     def test_layout_m3(self):
         S = schur_transform(3, 0, 2)
-        assert [(str(s.label), s.p_dim, s.q_dim) for s in S.sectors] == [
+        assert [(str(s.label), s.p_dim, s.q_dim) for s in S.sectors.values()] == [
             ("(3,0)", 1, 4),
             ("(2,1)", 2, 2),
         ]
 
     def test_layout_mixed(self):
         S = schur_transform(1, 1, 2)
-        assert [(str(s.label), s.p_dim, s.q_dim) for s in S.sectors] == [
+        assert [(str(s.label), s.p_dim, s.q_dim) for s in S.sectors.values()] == [
             ("(1,-1)", 1, 3),
             ("(0,0)", 1, 1),
         ]
@@ -254,7 +254,7 @@ class TestSchurTransform:
         for m, n, d in [(4, 0, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3)]:
             S = schur_transform(m, n, d)
             total = 0
-            for s in S.sectors:
+            for s in S.sectors.values():
                 assert s.q_dim == dim_gl_irrep(s.label)
                 total += s.p_dim * s.q_dim
                 for p in s.paths:
@@ -265,7 +265,7 @@ class TestSchurTransform:
         for d in (2, 3):
             for m in range(1, 5):
                 S = schur_transform(m, 0, d)
-                for s in S.sectors:
+                for s in S.sectors.values():
                     assert s.p_dim == dim_perm_irrep(s.label)
 
     def test_intertwines_haar(self, rng):
@@ -280,7 +280,7 @@ class TestSchurTransform:
                 for k in range(n):
                     big = np.kron(big, U.conj())
                 block = np.zeros((dim, dim), dtype=complex)
-                for s in S.sectors:
+                for s in S.sectors.values():
                     r = group_element(canonical_realization(s.label), U)
                     blk = np.kron(np.eye(s.p_dim), r)
                     block[s.offset : s.offset + s.size, s.offset : s.offset + s.size] = blk
@@ -297,14 +297,14 @@ class TestSchurTransform:
                 perm[a], perm[a + 1] = perm[a + 1], perm[a]
                 P = permutation_operator(tuple(perm), m, d)
                 C = S.matrix @ P @ S.matrix.T
-                for s in S.sectors:
+                for s in S.sectors.values():
                     blk = C[s.offset : s.offset + s.size, s.offset : s.offset + s.size]
                     four = blk.reshape(s.p_dim, s.q_dim, s.p_dim, s.q_dim)
                     M = np.einsum("iaja->ij", four) / s.q_dim
                     assert np.linalg.norm(four - np.einsum("ij,ab->iajb", M, np.eye(s.q_dim))) < 1e-9
                 # off-diagonal sector blocks vanish
                 mask = np.ones((dim, dim), dtype=bool)
-                for s in S.sectors:
+                for s in S.sectors.values():
                     mask[s.offset : s.offset + s.size, s.offset : s.offset + s.size] = False
                 assert np.max(np.abs(C[mask])) < 1e-10
 
@@ -326,7 +326,7 @@ class TestSchurTransform:
         # order of sector.paths to the row blocks without using that order
         for n, d in [(4, 2), (5, 2), (3, 3)]:
             S = schur_transform(n, 0, d)
-            for sector in S.sectors:
+            for sector in S.sectors.values():
                 for idx, path in enumerate(sector.paths):
                     rows = S.path_rows(sector.label, idx)
                     for j in range(1, n):
@@ -350,7 +350,7 @@ class TestSchurTransform:
         # through sector.path_of_key, a read-only array shared by every caller
         for m, n, d in [(5, 0, 2), (3, 0, 3), (2, 1, 2)]:
             S = schur_transform(m, n, d)
-            for sector in S.sectors:
+            for sector in S.sectors.values():
                 index = sector.path_of_key
                 assert np.count_nonzero(index >= 0) == sector.p_dim
                 base = 1 + max(max(p.row_sequence(), default=0) for p in sector.paths)
@@ -451,9 +451,9 @@ class TestIteratedCg:
 
     def test_path_counts(self):
         t = iterated_cg(staircase(1, 0), (False, True))
-        for s in t.sectors:
+        for s in t.sectors.values():
             assert s.p_dim == len(s.paths)
-        total = sum(s.p_dim * s.q_dim for s in t.sectors)
+        total = sum(s.p_dim * s.q_dim for s in t.sectors.values())
         assert total == 2 * 4
 
 
@@ -467,11 +467,11 @@ class TestGeneralCg:
     def test_multiplicity_two(self):
         a = staircase(2, 1, 0)
         g = general_cg(a, a)
-        assert g.multiplicity(staircase(3, 2, 1)) == 2
+        assert len(g.blocks[staircase(3, 2, 1)]) == 2
 
     def test_negative_labels(self):
         g = general_cg(staircase(1, -1), staircase(1, 0))
-        sizes = {(str(bl.label)): bl.size for bl in g.blocks}
+        sizes = {str(label): rows.shape[1] for label, rows in g.blocks.items()}
         assert sizes == {"(2,-1)": 4, "(1,0)": 2}
         assert g.target_dim == 6
 
@@ -486,32 +486,31 @@ class TestGeneralCg:
         ]:
             a, b = canonical_realization(a_label), canonical_realization(b_label)
             g = general_cg(a_label, b_label)
-            assert max(g.multiplicity(label) for label in g.labels()) == c
+            assert max(len(copies) for copies in g.blocks.values()) == c
             for _ in range(3):
                 U = haar_unitary(a.d, rng)
                 prod = np.kron(group_element(a, U), group_element(b, U))
-                for bl in g.blocks:
-                    rows = g.block_rows(bl.label, bl.mult)
-                    r = group_element(canonical_realization(bl.label), U)
-                    assert np.linalg.norm(rows @ prod - r @ rows) < 1e-12, (a_label, b_label)
-            for bl in g.blocks:
-                for other in range(bl.mult):
-                    cross = g.block_rows(bl.label, bl.mult) @ g.block_rows(bl.label, other).T
-                    assert np.abs(cross).max() < 1e-12, (a_label, b_label, bl.label)
+                for label, copies in g.blocks.items():
+                    r = group_element(canonical_realization(label), U)
+                    for rows in copies:
+                        assert np.linalg.norm(rows @ prod - r @ rows) < 1e-12, (a_label, b_label)
+            for label, copies in g.blocks.items():
+                for j, rows in enumerate(copies):
+                    for other in copies[:j]:
+                        cross = rows @ other.T
+                        assert np.abs(cross).max() < 1e-12, (a_label, b_label, label)
 
     def test_multiplicities_match_lr_exhaustively(self):
         # the construction raises on any mismatch with the LR coefficient;
         # sweep all products with up to 5 boxes total, d <= 3
-        from equichan.staircases import lr_coeff
-
         for d in (2, 3):
             for a in range(0, 6):
                 for b in range(0, 6 - a):
                     for lam in partitions_of(a, d):
                         for mu in partitions_of(b, d):
                             g = general_cg(lam, mu)
-                            for label in g.labels():
-                                assert g.multiplicity(label) == lr_coeff(lam, mu, label)
+                            for label, copies in g.blocks.items():
+                                assert len(copies) == lr_coeff(lam, mu, label)
 
 
 class TestBuilderCache:
@@ -598,6 +597,13 @@ class TestBuilderCache:
             "dual_structure": dual_structure(lam),
             "classification_isometry": classification_isometry(1, 1, 2).matrix,
         }
+        keyed = {
+            "simple_cg": simple_cg(lam, True).blocks,
+            "general_cg": general_cg(lam, staircase(1, 0, 0)).blocks,
+            "classification_isometry": classification_isometry(2, 1, 2).blocks,
+        }
+        for name, blocks in keyed.items():
+            arrays.update({f"{name} rows {key}": rows for key, rows in blocks.items()})
         for name, arr in arrays.items():
             assert not arr.flags.writeable, name
             idx = (0,) * arr.ndim
@@ -616,10 +622,45 @@ def _invariant_triple_vec(lam, mu, nu):
     """vec of the CG restriction to Q_nu, with the conjugate slot rotated to
     canonical dual coordinates; an invariant vector in Q_lam (x) Q_mu (x) Q_nubar."""
     g = general_cg(lam, mu)
-    rows = g.block_rows(nu, 0)  # (q_nu, q_lam*q_mu)
+    rows = g.blocks[nu][0]  # (q_nu, q_lam*q_mu)
     T = rows.conj().T.reshape(dim_gl_irrep(lam), dim_gl_irrep(mu), dim_gl_irrep(nu))
     Z = dual_structure(nu)
     return np.einsum("abg,hg->abh", T, Z.conj().T)
+
+
+class TestKeyedLayout:
+    def test_absent_key_raises_key_error(self):
+        from equichan.channels import classification_isometry, direct_sum_layout
+
+        # (3,0) is no one-box step from (1,0), no label of (1,0) (x) (1,0),
+        # no sector of two sites and no gamma at (m, n, d) = (2, 1, 2)
+        absent = staircase(3, 0)
+        S = schur_transform(2, 0, 2)
+        keyed = {
+            "simple_cg": simple_cg(staircase(1, 0), False).blocks,
+            "general_cg": general_cg(staircase(1, 0), staircase(1, 0)).blocks,
+            "schur sector": S.sectors,
+            "direct sum": direct_sum_layout(S),
+        }
+        for name, blocks in keyed.items():
+            with pytest.raises(KeyError):
+                blocks[absent]
+        with pytest.raises(KeyError):
+            S.path_rows(absent, 0)
+        iso = classification_isometry(2, 1, 2)
+        with pytest.raises(KeyError):
+            iso.blocks[(staircase(2, 0), staircase(1, 0), absent)]
+
+    def test_absent_label_has_multiplicity_zero(self):
+        # the copies of a label are the first axis of its view; a label
+        # with LR coefficient 0 has no key, so no copy
+        a = staircase(2, 1, 0)
+        g = general_cg(a, a)
+        labels = partitions_of(6, 3)
+        assert any(lr_coeff(a, a, label) == 0 for label in labels)
+        for label in labels:
+            assert len(g.blocks.get(label, ())) == lr_coeff(a, a, label), label
+            assert (label in g.blocks) == (lr_coeff(a, a, label) > 0), label
 
 
 class TestMultiplicityConsistency:
