@@ -45,6 +45,7 @@ from equichan.staircases import (
 )
 from equichan.transforms import (
     PathTransform,
+    _row_slices,
     _row_views,
     general_cg,
     schur_transform,
@@ -557,12 +558,11 @@ def block_decompose_choi(
     Dmat = iso.matrix @ choi.matrix @ iso.matrix.conj().T
     out: dict[tuple[Staircase, Staircase, Staircase], np.ndarray] = {}
     rebuilt = np.zeros_like(Dmat)
-    start = 0
+    slices = _row_slices({key: rows.shape[:-1] for key, rows in iso.blocks.items()})
     for (lam, mu, gamma), rows in iso.blocks.items():
         p_lam, p_mu, mult, q_gamma, _ = rows.shape
-        size = p_lam * p_mu * mult * q_gamma
-        sl = slice(start, start + size)
-        start += size
+        sl = slices[(lam, mu, gamma)]
+        size = sl.stop - sl.start
         shape = (p_lam * p_mu, mult, q_gamma)
         six = Dmat[sl, sl].reshape(*shape, *shape)
         q_lam = dim_gl_irrep(lam)
@@ -588,12 +588,7 @@ def block_decompose_choi(
 def direct_sum_layout(transform: PathTransform) -> dict[Staircase, slice]:
     """The slice of each sector's irrep space in the direct sum of the
     irrep spaces of ``transform``, in sector order."""
-    layout = {}
-    start = 0
-    for label, s in transform.sectors.items():
-        layout[label] = slice(start, start + s.q_dim)
-        start += s.q_dim
-    return layout
+    return _row_slices({label: (s.q_dim,) for label, s in transform.sectors.items()})
 
 
 def uss_channel(m: int, n: int, d: int) -> KrausChannel:

@@ -20,8 +20,9 @@ convention.
 Each transform keys its rows by label in one dict: a ``BlockIsometry``
 maps a label to the read-only view of its contiguous rows, shaped
 (copies, q, source), and a ``PathTransform`` maps a label to its
-``PathSector``.  ``_row_views`` freezes a matrix and cuts it into such
-views.
+``PathSector``.  ``_row_slices`` holds the one layout rule, consecutive
+row slices in dict order, and ``_row_views`` freezes a matrix and cuts it
+into views by those slices.
 """
 
 from __future__ import annotations
@@ -116,21 +117,26 @@ class BlockIsometry:
             raise ValueError("not an isometry")
 
 
-def _row_views(matrix: np.ndarray, shapes: dict) -> dict:
-    """Make ``matrix`` read-only and cut its rows into consecutive views.
-
-    The view of key k takes the next prod(shapes[k]) rows, shaped
-    (*shapes[k], columns), in the order of ``shapes``; every view is
-    read-only, as its base is.
-    """
-    matrix.flags.writeable = False
-    views = {}
+def _row_slices(shapes: dict) -> dict[object, slice]:
+    """The consecutive row slices that ``shapes`` cuts a matrix into: key k
+    takes the next prod(shapes[k]) rows, in the order of ``shapes``."""
+    slices = {}
     start = 0
     for key, shape in shapes.items():
         stop = start + math.prod(shape)
-        views[key] = matrix[start:stop].reshape(*shape, -1)
+        slices[key] = slice(start, stop)
         start = stop
-    return views
+    return slices
+
+
+def _row_views(matrix: np.ndarray, shapes: dict) -> dict:
+    """Make ``matrix`` read-only and cut its rows into consecutive views.
+
+    The view of key k holds the rows of ``_row_slices(shapes)[k]``, shaped
+    (*shapes[k], columns); every view is read-only, as its base is.
+    """
+    matrix.flags.writeable = False
+    return {k: matrix[sl].reshape(*shapes[k], -1) for k, sl in _row_slices(shapes).items()}
 
 
 @functools.cache

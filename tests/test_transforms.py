@@ -20,6 +20,7 @@ from equichan.staircases import (
     staircase,
 )
 from equichan.transforms import (
+    _row_slices,
     general_cg,
     iterated_cg,
     permutation_operator,
@@ -661,6 +662,35 @@ class TestKeyedLayout:
         for label in labels:
             assert len(g.blocks.get(label, ())) == lr_coeff(a, a, label), label
             assert (label in g.blocks) == (lr_coeff(a, a, label) > 0), label
+
+
+    def test_views_are_the_row_slices(self):
+        # every keyed form follows the one layout rule of _row_slices: each
+        # view is the block of rows its slice names, and the slices tile
+        # the rows in dict order
+        from equichan.channels import classification_isometry, direct_sum_layout
+
+        isometries = {
+            "simple_cg": simple_cg(staircase(2, 1, 0), True),
+            "general_cg": general_cg(staircase(2, 1, 0), staircase(2, 1, 0)),
+            "classification_isometry": classification_isometry(2, 1, 2),
+        }
+        for name, iso in isometries.items():
+            slices = _row_slices({k: v.shape[:-1] for k, v in iso.blocks.items()})
+            stops = [0] + [sl.stop for sl in slices.values()]
+            assert [sl.start for sl in slices.values()] == stops[:-1], name
+            assert stops[-1] == iso.matrix.shape[0], name
+            for key, view in iso.blocks.items():
+                rows = iso.matrix[slices[key]]
+                assert np.shares_memory(view, rows), (name, key)
+                assert np.array_equal(view.reshape(rows.shape), rows), (name, key)
+        S = schur_transform(3, 0, 2)
+        layout = direct_sum_layout(S)
+        assert list(layout) == list(S.sectors)
+        start = 0
+        for label, s in S.sectors.items():
+            assert layout[label] == slice(start, start + s.q_dim), label
+            start += s.q_dim
 
 
 class TestMultiplicityConsistency:
