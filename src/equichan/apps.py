@@ -113,7 +113,7 @@ def _check_symmetric_support(rho: np.ndarray, m: int, d: int) -> None:
     ``schur_transform(m, 0, d)``; the off-mass is the norm of a difference,
     as |rho|^2 - |R rho R^T|^2 would lose the tolerance to cancellation.
     """
-    R = schur_transform(m, 0, d).sector_rows(Staircase((m,) + (0,) * (d - 1)))
+    (R,) = schur_transform(m, 0, d).sectors[Staircase((m,) + (0,) * (d - 1))].rows
     inner = R @ rho @ R.T
     off = np.linalg.norm(rho - R.T @ inner @ R)
     if off > SYMMETRIC_SUPPORT_TOL:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,20 +454,20 @@ def purity_spec(m: int, d: int) -> ExtremalSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ClassificationIsometry:
     """The unitary bringing every symmetric Choi matrix to block form.
 
     ``blocks[(lam, mu, gamma)]`` is the read-only view of the triple's
     contiguous rows, shaped (p_lam, p_mu, mult, q_gamma, D); the views run
-    over the rows in order.
+    over the rows in order, and the mapping is read-only too.
     """
 
     m: int
     n: int
     d: int
     matrix: np.ndarray
-    blocks: dict[tuple[Staircase, Staircase, Staircase], np.ndarray]
+    blocks: Mapping[tuple[Staircase, Staircase, Staircase], np.ndarray]
 
 
 def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
@@ -497,9 +498,8 @@ def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     for lam, sl in Sm.sectors.items():
         # conjugate-lambda rows rotated to canonical dual-lambda coordinates
         Zl = dual_structure(lam)  # canonical(dual lam) -> conj-of-canonical(lam)
-        L = Zl.conj().T @ Sm.sector_rows(lam).conj().reshape(sl.p_dim, sl.q_dim, -1)
+        L = Zl.conj().T @ sl.rows.conj()
         for mu, sn_ in Sn.sectors.items():
-            N = Sn.sector_rows(mu).reshape(sn_.p_dim, sn_.q_dim, -1)
             for g, G in general_cg(lam.dual(), mu).blocks.items():
                 shape = (sl.p_dim, sn_.p_dim, *G.shape[:2])
                 size = math.prod(shape)
@@ -508,7 +508,7 @@ def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
                     "jgab,pax,qby->pqjgxy",
                     G.reshape(*shape[2:], sl.q_dim, sn_.q_dim),
                     L,
-                    N,
+                    sn_.rows,
                     optimize=True,
                 ).reshape(size, D)
                 shapes[(lam, mu, g)] = shape
@@ -603,9 +603,9 @@ def uss_channel(m: int, n: int, d: int) -> KrausChannel:
     out_dim = sum(s.q_dim for s in S.sectors.values())
     ops = []
     for label, s in S.sectors.items():
-        for i in range(s.p_dim):
+        for rows in s.rows:
             K = np.zeros((out_dim, S.dim))
-            K[layout[label]] = S.path_rows(label, i)
+            K[layout[label]] = rows
             ops.append(K)
     return KrausChannel(ops, S.dim, out_dim)
 
@@ -758,12 +758,11 @@ def factored_channel(spec: ExtremalSpec) -> ChoiMatrix:
     ops = []
     for lam, s in Sm.sectors.items():
         t = spec.triple(lam)
-        A = Sm.sector_rows(lam).reshape(s.p_dim, s.q_dim, Sm.dim)
-        p_mu = Sn.sectors[t.mu].p_dim
-        C = Sn.sector_rows(t.mu).conj().reshape(p_mu, -1, Sn.dim) / np.sqrt(p_mu)
+        mu_sector = Sn.sectors[t.mu]
+        C = mu_sector.rows.conj() / np.sqrt(mu_sector.p_dim)
         iota = np.tensordot(_embed_trace_tensor(lam, t.mu, t.gamma), t.psi, 1)
         K = iota.reshape(C.shape[1], -1, s.q_dim).transpose(1, 0, 2)  # K[h] = K_h
-        KA = np.matmul(K[:, None], A)  # (h, i, q_mu, in)
+        KA = np.matmul(K[:, None], s.rows)  # (h, i, q_mu, in)
         # row (j, h, i) is (C_j K_h A_i)^T flattened, indexed (in, out)
         ops.append(np.einsum("jby,hibx->jhixy", C, KA).reshape(-1, Sm.dim * Sn.dim))
     W = np.concatenate(ops)  # V^T

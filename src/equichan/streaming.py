@@ -430,12 +430,14 @@ def _emission_phase(
     class are U_c^T T[rows_c], one real product over the class's filled
     rows; S is never applied as a dense d^n x d^n product.
 
-    T lives inside the output buffer, which comes from ``np.empty``: row r
-    of T is stored in output row ``S.slots[r]``, a column of r's own
-    class, one-to-one as every class is square.  Each class then
-    overwrites its own output rows from its filled rows, gathered before
-    the write, by one GEMM, or with explicit zeros where no row is
-    filled.  No separate T is held and nothing is zeroed in advance.
+    T lives inside the output buffer, which comes from ``np.empty``: the
+    rows of path a of sector mu, ``S.sectors[mu].rows[a]``, are stored in
+    output rows ``S.slots[mu][a]``, columns of their own classes,
+    one-to-one as every class is square.  The filled output rows are
+    marked, and each class then overwrites its own output rows from its
+    filled rows, gathered before the write, by one GEMM, or with explicit
+    zeros where no row is filled.  No separate T is held and nothing is
+    zeroed in advance.
 
     The output is certified on the same sectors.  S is real orthogonal, so
     the Hermitian part of the output is sum_a w_a R_a^T H_mu R_a with
@@ -455,8 +457,8 @@ def _emission_phase(
     S = schur_transform(n, 0, d)
     if mode == "sample":
         drawn = _draw_paths(tau, S, seed, trajectories, ledger)
-    # T lives inside the output, row r at output row S.slots[r]; only the
-    # rows marked filled are written
+    # T lives inside the output, path a of mu at output rows S.slots[mu][a];
+    # only the output rows marked filled are written
     out = np.empty((out_dim, out_dim), dtype=complex)
     filled = np.zeros(out_dim, dtype=bool)
     floor = np.inf
@@ -469,23 +471,21 @@ def _emission_phase(
             paths, weights = slice(None), np.full(p, 1 / p)
         else:
             paths, weights = drawn[mu]
-        span = slice(sector.offset, sector.offset + sector.size)
-        rows = S.matrix[span].reshape(p, q, out_dim)[paths]
         # w_a tau_mu on the q leg of each path, real and imaginary parts
         # stacked, so that the batched matmul is real
         scaled = np.concatenate([blk.real, blk.imag]) * weights[:, None, None]
-        X = np.matmul(scaled, rows)
-        dest = S.slots[span].reshape(p, q)[paths]
+        X = np.matmul(scaled, sector.rows[paths])
+        dest = S.slots[mu][paths]
         out.real[dest] = X[:, :q]
         out.imag[dest] = X[:, q:]
-        filled[span].reshape(p, q)[paths] = True
+        filled[dest] = True
         lowest = np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0]
         floor = min(floor, (weights * lowest).min())
     if floor <= -PSD_TOL:
         raise ValueError(f"output not positive semidefinite: {floor:.2e}")
     out_re = out.view(float)
     for wb in S.weight_blocks:
-        live = np.flatnonzero(filled[wb.rows])
+        live = np.flatnonzero(filled[wb.cols])
         if len(live) == 0:
             out_re[wb.cols] = 0
         else:

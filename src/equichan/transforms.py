@@ -17,20 +17,23 @@ label, with the sign of each block fixed by its first sizable entry, so
 transforms built along different routes agree exactly and not just up to
 convention.
 
-Each transform keys its rows by label in one dict: a ``BlockIsometry``
-maps a label to the read-only view of its contiguous rows, shaped
-(copies, q, source), and a ``PathTransform`` maps a label to its
-``PathSector``.  ``_row_slices`` holds the one layout rule, consecutive
-row slices in dict order, and ``_row_views`` freezes a matrix and cuts it
-into views by those slices.
+Each transform keys its rows by label in one read-only mapping: a
+``BlockIsometry`` maps a label to the read-only view of its contiguous
+rows, shaped (copies, q, source), and a ``PathTransform`` maps a label to
+its ``PathSector``, whose ``rows`` is the view shaped (paths, q, dim).
+``_row_slices`` holds the one layout rule, consecutive row slices in
+mapping order, and ``_row_views`` freezes an array and cuts it into views
+by those slices.  The records themselves are frozen dataclasses, so a
+cached transform cannot be edited in place.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -91,17 +94,17 @@ def permutation_operator(sigma: tuple[int, ...], m: int, d: int) -> np.ndarray:
     return P
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BlockIsometry:
     """Dense isometry whose rows are keyed by label.
 
     ``blocks[label]`` is the read-only view of the label's contiguous rows,
     shaped (copies, q_label, source_dim), and the views follow each other
-    down the rows in dict order.  A label without a key has multiplicity 0.
+    down the rows in key order.  A label without a key has multiplicity 0.
     """
 
     matrix: np.ndarray
-    blocks: dict[Staircase, np.ndarray]
+    blocks: Mapping[Staircase, np.ndarray]
 
     @property
     def source_dim(self) -> int:
@@ -129,14 +132,17 @@ def _row_slices(shapes: dict) -> dict[object, slice]:
     return slices
 
 
-def _row_views(matrix: np.ndarray, shapes: dict) -> dict:
+def _row_views(matrix: np.ndarray, shapes: dict) -> Mapping:
     """Make ``matrix`` read-only and cut its rows into consecutive views.
 
     The view of key k holds the rows of ``_row_slices(shapes)[k]``, shaped
-    (*shapes[k], columns); every view is read-only, as its base is.
+    (*shapes[k], *matrix.shape[1:]), so a 1-D array is cut as well; every
+    view is read-only, as its base is, and so is the mapping.
     """
     matrix.flags.writeable = False
-    return {k: matrix[sl].reshape(*shapes[k], -1) for k, sl in _row_slices(shapes).items()}
+    rest = matrix.shape[1:]
+    views = {k: matrix[sl].reshape(*shapes[k], *rest) for k, sl in _row_slices(shapes).items()}
+    return MappingProxyType(views)
 
 
 @functools.cache
@@ -183,26 +189,25 @@ def simple_cg(label: Staircase, dual: bool, /) -> BlockIsometry:
     return iso
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSector:
     """One isotypic sector of an iterated CG transform.
 
-    Rows are path-major: path p of the sector's path list occupies rows
-    [offset + p*q_dim, offset + (p+1)*q_dim).
+    ``rows`` is the read-only view of the sector's rows of the transform,
+    shaped (p_dim, q_dim, dim): ``rows[a]`` are the rows of ``paths[a]``.
     """
 
     label: Staircase
-    offset: int
-    q_dim: int
     paths: tuple[GtPath, ...]
+    rows: np.ndarray
 
     @property
     def p_dim(self) -> int:
         return len(self.paths)
 
     @property
-    def size(self) -> int:
-        return self.p_dim * self.q_dim
+    def q_dim(self) -> int:
+        return self.rows.shape[1]
 
     @functools.cached_property
     def path_of_key(self) -> np.ndarray:
@@ -238,7 +243,7 @@ class WeightBlock:
     matrix: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PathTransform:
     """Unitary decomposing Q_mu (x) sites into path (x) irrep sectors.
 
@@ -246,28 +251,18 @@ class PathTransform:
     is supported on the columns of its own weight, and the matrix is block
     diagonal by weight up to a permutation of rows and columns
     (``weight_blocks``).  ``sectors`` maps each final label to its
-    ``PathSector``, in row order.
+    ``PathSector``, in row order: the sectors' views follow each other down
+    the rows as ``_row_slices`` lays them out.
     """
 
     base: Staircase
     flags: tuple[bool, ...]
     matrix: np.ndarray
-    sectors: dict[Staircase, PathSector]
+    sectors: Mapping[Staircase, PathSector]
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def sector_rows(self, label: Staircase) -> np.ndarray:
-        s = self.sectors[label]
-        return self.matrix[s.offset : s.offset + s.size, :]
-
-    def path_rows(self, label: Staircase, path_index: int) -> np.ndarray:
-        s = self.sectors[label]
-        if not 0 <= path_index < s.p_dim:
-            raise IndexError(f"path index {path_index} of sector {label} with p_dim {s.p_dim}")
-        start = s.offset + path_index * s.q_dim
-        return self.matrix[start : start + s.q_dim, :]
 
     @functools.cached_property
     def weight_blocks(self) -> tuple[WeightBlock, ...]:
@@ -308,18 +303,19 @@ class PathTransform:
         return tuple(blocks)
 
     @functools.cached_property
-    def slots(self) -> np.ndarray:
-        """A column of each row's own weight class, one-to-one (read-only).
+    def slots(self) -> Mapping[Staircase, np.ndarray]:
+        """A column of each row's own weight class, one-to-one, per sector.
 
         Row ``wb.rows[i]`` of each weight block wb maps to ``wb.cols[i]``;
         every block is square, so the map is a bijection of the row indices
-        onto the column indices.
+        onto the column indices.  ``slots[label]`` is the read-only view of
+        that map on the sector's rows, shaped (p_dim, q_dim) as its
+        ``rows`` are without their column axis.
         """
         slot = np.empty(self.dim, dtype=np.intp)
         for wb in self.weight_blocks:
             slot[wb.rows] = wb.cols
-        slot.flags.writeable = False
-        return slot
+        return _row_views(slot, {label: s.rows.shape[:2] for label, s in self.sectors.items()})
 
 
 def _emit_steps(path: GtPath) -> list[tuple[Staircase, Staircase, bool]]:
@@ -373,19 +369,16 @@ def iterated_cg(mu: Staircase, flags: Sequence[bool]) -> PathTransform:
 def _iterated_cg(mu: Staircase, flags: tuple[bool, ...]) -> PathTransform:
     k = flags.count(False)
     dim = dim_gl_irrep(mu) * mu.d ** len(flags)
-    # filled path by path: callers slice the matrix by rows, so it is
+    paths = enumerate_paths(mu, k, len(flags) - k)
+    shapes = {label: (len(ps), dim_gl_irrep(label)) for label, ps in paths.items()}
+    # filled sector by sector: callers read rows, so the matrix is
     # row-major, where a stack of the transposed isometries would not be
     matrix = np.zeros((dim, dim))
-    sectors = {}
-    offset = 0
-    for label, paths in enumerate_paths(mu, k, len(flags) - k).items():
-        q = dim_gl_irrep(label)
-        sectors[label] = PathSector(label, offset, q, tuple(paths))
-        for p in paths:
-            matrix[offset : offset + q] = _path_isometry(p).T
-            offset += q
-    matrix.flags.writeable = False
-    return PathTransform(mu, flags, matrix, sectors)
+    for label, sl in _row_slices(shapes).items():
+        np.concatenate([_path_isometry(p).T for p in paths[label]], out=matrix[sl])
+    views = _row_views(matrix, shapes)
+    sectors = {label: PathSector(label, tuple(ps), views[label]) for label, ps in paths.items()}
+    return PathTransform(mu, flags, matrix, MappingProxyType(sectors))
 
 
 def schur_transform(m: int, n: int, d: int) -> PathTransform:

@@ -156,6 +156,31 @@ def test_one_gt_path_isometry_builder():
     assert not found, f"one label's CG rows read in streaming.py: {found}"
 
 
+# The row-offset interface that the sectors' row views replace
+ROW_OFFSET_NAMES = {"offset", "sector_rows", "path_rows"}
+
+
+def test_no_sector_row_offsets():
+    # a Schur sector hands out its rows as the view PathSector.rows and
+    # their slots as PathTransform.slots[label]: no library code defines,
+    # reads or writes an attribute that locates rows by offset
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.ClassDef):
+                fields = [f.target for f in node.body if isinstance(f, ast.AnnAssign)]
+                names = [f.id for f in fields if isinstance(f, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in ROW_OFFSET_NAMES]
+    assert not found, f"row offsets in the library: {found}"
+
+
 # ResourceLedger fields that are read off the schedule's steps
 STEP_COUNTS = {"num_simple_cg", "num_simple_dual_cg", "num_inverse_cg", "peak_live_dim"}
 

@@ -52,6 +52,7 @@ from equichan.streaming import (
 from equichan.suites import SWEEP_SHAPES, all_specs
 from equichan.transforms import (
     BlockIsometry,
+    _row_slices,
     _row_views,
     iterated_cg,
     schur_transform,
@@ -167,7 +168,7 @@ class TestPathEmbedding:
             sector = t.sectors[end]
             assert sector.paths == tuple(paths)
             for idx, p in enumerate(paths):
-                ref = t.path_rows(end, idx).conj().T
+                ref = sector.rows[idx].conj().T
                 assert np.abs(_path_isometry(p) - ref).max() < 1e-12, p
 
     def test_superposition_is_isometric(self, rng):
@@ -194,11 +195,11 @@ class TestPathEmbedding:
         # the transformed embedding is supported on a single sector and
         # splits as |path> (x) equivariant embedding
         gamma = staircase(0, -2)
-        sec = S.sectors[gamma]
+        span = _row_slices({g: s.rows.shape[:2] for g, s in S.sectors.items()})[gamma]
         cube = big.reshape(q_mu, 4, 2)
-        sub = cube[:, sec.offset : sec.offset + sec.size, :]
+        sub = cube[:, span, :]
         assert np.linalg.norm(cube) - np.linalg.norm(sub) < 1e-10
-        ch_rows = sub.reshape(q_mu * sec.size, 2)
+        ch_rows = sub.reshape(-1, 2)
         assert np.linalg.norm(ch_rows.conj().T @ ch_rows - np.eye(2)) < 1e-8
 
 
@@ -522,7 +523,7 @@ class TestStreamedApply:
                 for path in redrawn[mu]:
                     idx = S.sectors[mu].paths.index(path)
                     drawn_later_paths |= idx > 0
-                    rows = S.path_rows(mu, idx)
+                    rows = S.sectors[mu].rows[idx]
                     expected += rows.conj().T @ blk @ rows / trajectories
             drawn = [p for paths in redrawn.values() for p in paths]
             drawn_twice |= any(
@@ -739,14 +740,13 @@ def _check_emission_against_dense(tau, n, d, mode, seed=0, trajectories=0):
     if mode == "exact":
         for mu, blk in tau.items():
             sec = S.sectors[mu]
-            rows = S.sector_rows(mu).reshape(sec.p_dim, sec.q_dim, -1)
-            sectors.append((blk, rows, np.full(sec.p_dim, 1 / sec.p_dim)))
+            sectors.append((blk, sec.rows, np.full(sec.p_dim, 1 / sec.p_dim)))
     else:
         redrawn, samples = _redraw_paths(tau, seed, trajectories)
         for mu, blk in tau.items():
             counts = Counter(redrawn[mu])
-            paths = S.sectors[mu].paths
-            rows = np.stack([S.path_rows(mu, paths.index(p)) for p in counts])
+            sec = S.sectors[mu]
+            rows = np.stack([sec.rows[sec.paths.index(p)] for p in counts])
             weights = np.array(list(counts.values())) / trajectories
             sectors.append((blk, rows, weights))
     expected = emit_dense(sectors, d**n)
@@ -783,7 +783,8 @@ class TestEmissionPhase:
         tau[staircase(3, 2)] = np.zeros_like(tau[staircase(3, 2)])
         out = _check_emission_against_dense(tau, n, d, mode, seed=3, trajectories=25)
         S = schur_transform(n, 0, d)
-        assert np.linalg.norm(out @ S.sector_rows(staircase(3, 2)).T) < 1e-12
+        rows = S.sectors[staircase(3, 2)].rows
+        assert np.linalg.norm(out @ rows.reshape(-1, 2**n).T) < 1e-12
 
     @pytest.mark.parametrize("n,d", [(4, 2), (3, 3), (7, 2)])
     def test_sample_draws_span_several_blocks(self, n, d, rng, monkeypatch):

@@ -1,4 +1,5 @@
-import re
+import operator
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -273,6 +274,7 @@ class TestSchurTransform:
         for m, n, d in [(3, 0, 2), (2, 1, 2), (1, 1, 3)]:
             S = schur_transform(m, n, d)
             dim = d ** (m + n)
+            slices = _row_slices({label: s.rows.shape[:2] for label, s in S.sectors.items()})
             for _ in range(20):
                 U = haar_unitary(d, rng)
                 big = np.eye(1, dtype=complex)
@@ -281,10 +283,10 @@ class TestSchurTransform:
                 for k in range(n):
                     big = np.kron(big, U.conj())
                 block = np.zeros((dim, dim), dtype=complex)
-                for s in S.sectors.values():
+                for label, s in S.sectors.items():
                     r = group_element(canonical_realization(s.label), U)
                     blk = np.kron(np.eye(s.p_dim), r)
-                    block[s.offset : s.offset + s.size, s.offset : s.offset + s.size] = blk
+                    block[slices[label], slices[label]] = blk
                 resid = np.linalg.norm(S.matrix @ big - block @ S.matrix)
                 assert resid < 1e-8, (m, n, d, resid)
 
@@ -293,20 +295,21 @@ class TestSchurTransform:
         for m, d in [(3, 2), (4, 2), (3, 3), (4, 3)]:
             S = schur_transform(m, 0, d)
             dim = d**m
+            slices = _row_slices({label: s.rows.shape[:2] for label, s in S.sectors.items()})
             for a in range(m - 1):
                 perm = list(range(m))
                 perm[a], perm[a + 1] = perm[a + 1], perm[a]
                 P = permutation_operator(tuple(perm), m, d)
                 C = S.matrix @ P @ S.matrix.T
-                for s in S.sectors.values():
-                    blk = C[s.offset : s.offset + s.size, s.offset : s.offset + s.size]
+                for label, s in S.sectors.items():
+                    blk = C[slices[label], slices[label]]
                     four = blk.reshape(s.p_dim, s.q_dim, s.p_dim, s.q_dim)
                     M = np.einsum("iaja->ij", four) / s.q_dim
                     assert np.linalg.norm(four - np.einsum("ij,ab->iajb", M, np.eye(s.q_dim))) < 1e-9
                 # off-diagonal sector blocks vanish
                 mask = np.ones((dim, dim), dtype=bool)
-                for s in S.sectors.values():
-                    mask[s.offset : s.offset + s.size, s.offset : s.offset + s.size] = False
+                for sl in slices.values():
+                    mask[sl, sl] = False
                 assert np.max(np.abs(C[mask])) < 1e-10
 
     def test_dense_cap(self, monkeypatch):
@@ -329,22 +332,14 @@ class TestSchurTransform:
             S = schur_transform(n, 0, d)
             for sector in S.sectors.values():
                 for idx, path in enumerate(sector.paths):
-                    rows = S.path_rows(sector.label, idx)
+                    rows = sector.rows[idx]
                     for j in range(1, n):
                         Sj = schur_transform(j, 0, d)
-                        Rj = Sj.sector_rows(path.steps[j])
+                        Rj = Sj.sectors[path.steps[j]].rows.reshape(-1, d**j)
                         P = Rj.conj().T @ Rj
                         heads = rows.reshape(-1, d**j, d ** (n - j))
                         moved = np.einsum("ab,rbc->rac", P, heads)
                         assert np.linalg.norm(moved - heads) < 1e-10, (n, d, path, j)
-
-    @pytest.mark.parametrize("label,index", [((2, 0), 1), ((1, 1), -1), ((2, 0), 5)])
-    def test_path_rows_refuse_an_index_outside_the_sector(self, label, index):
-        # each sector of schur_transform(2, 0, 2) has one path
-        S = schur_transform(2, 0, 2)
-        message = re.escape(f"{index} of sector {staircase(*label)} with p_dim 1")
-        with pytest.raises(IndexError, match=message):
-            S.path_rows(staircase(*label), index)
 
     def test_row_index_inverts_paths(self):
         # sample-mode emission maps a drawn path key to its row block
@@ -398,14 +393,19 @@ class TestWeightBlocks:
         "build", [b for _, b in WEIGHT_BLOCK_TRANSFORMS], ids=[n for n, _ in WEIGHT_BLOCK_TRANSFORMS]
     )
     def test_slots_biject_rows_onto_their_class_columns(self, build):
-        # emission stores row r of T in output row slots[r]: a column of r's
-        # own weight class, with no two rows sharing one
+        # emission stores row r of T in output row slot[r]: a column of r's
+        # own weight class, with no two rows sharing one; slots[label] is
+        # the map on the sector's rows, shaped as they are per path
         t = build()
         slots = t.slots
         assert t.slots is slots
-        assert np.array_equal(np.sort(slots), np.arange(t.dim))
+        assert list(slots) == list(t.sectors)
+        for label, s in t.sectors.items():
+            assert slots[label].shape == s.rows.shape[:2], label
+        slot = np.concatenate([v.reshape(-1) for v in slots.values()])
+        assert np.array_equal(np.sort(slot), np.arange(t.dim))
         for wb in t.weight_blocks:
-            assert np.array_equal(np.sort(slots[wb.rows]), wb.cols)
+            assert np.array_equal(np.sort(slot[wb.rows]), wb.cols)
 
     def test_rows_carry_their_block_weight(self):
         # the weight of a block is that of every computational basis state
@@ -590,8 +590,8 @@ class TestBuilderCache:
             "general_cg": general_cg(lam, staircase(1, 0, 0)).matrix,
             "iterated_cg": iterated_cg(lam, (False, True)).matrix,
             "schur_transform": schur_transform(2, 1, 2).matrix,
-            "path_rows": schur_transform(2, 0, 2).path_rows(staircase(1, 1), 0),
-            "slots": schur_transform(2, 0, 2).slots,
+            "path rows": schur_transform(2, 0, 2).sectors[staircase(1, 1)].rows[0],
+            "slots": schur_transform(2, 0, 2).slots[staircase(1, 1)],
             "embedding": real.embedding,
             "raising": real.raising,
             "weights": real.weights,
@@ -605,6 +605,14 @@ class TestBuilderCache:
         }
         for name, blocks in keyed.items():
             arrays.update({f"{name} rows {key}": rows for key, rows in blocks.items()})
+        transforms = {
+            "schur_transform": schur_transform(2, 1, 2),
+            "iterated_cg": iterated_cg(lam, (False, True)),
+        }
+        for name, t in transforms.items():
+            for label, s in t.sectors.items():
+                arrays[f"{name} sector {label}"] = s.rows
+                arrays[f"{name} slots {label}"] = t.slots[label]
         for name, arr in arrays.items():
             assert not arr.flags.writeable, name
             idx = (0,) * arr.ndim
@@ -612,8 +620,32 @@ class TestBuilderCache:
                 arr[idx] = arr[idx]  # a no-op, were the write allowed
 
     def test_cache_edit_fails_at_the_write(self):
+        # the cached records are frozen and their mappings read-only, so
+        # every edit raises where it is made and the cache stays intact
+        from equichan.channels import classification_isometry
+
         with pytest.raises(ValueError, match="read-only"):
             simple_cg(staircase(1, 0), False).matrix[:] = 0
+        S = schur_transform(2, 0, 2)
+        cg = simple_cg(staircase(1, 0), False)
+        iso = classification_isometry(1, 1, 2)
+        label, key = staircase(1, 1), next(iter(iso.blocks))
+        edits = [
+            (AttributeError, lambda: S.sectors.pop(label)),
+            (AttributeError, lambda: cg.blocks.clear()),
+            (TypeError, lambda: operator.setitem(S.sectors, label, S.sectors[label])),
+            (TypeError, lambda: operator.delitem(cg.blocks, staircase(2, 0))),
+            (TypeError, lambda: operator.setitem(S.slots, label, S.slots[label])),
+            (TypeError, lambda: operator.delitem(iso.blocks, key)),
+            (FrozenInstanceError, lambda: setattr(S, "matrix", np.zeros((4, 4)))),
+            (FrozenInstanceError, lambda: setattr(S, "slots", {})),
+            (FrozenInstanceError, lambda: setattr(S.sectors[label], "rows", np.zeros((1, 1, 4)))),
+            (FrozenInstanceError, lambda: setattr(cg, "blocks", {})),
+            (FrozenInstanceError, lambda: setattr(iso, "matrix", np.eye(8))),
+        ]
+        for error, edit in edits:
+            with pytest.raises(error):
+                edit()
         rho = np.eye(4) / 4
         out = symmetrize(rho, 2, 2).output
         assert np.linalg.norm(out - symmetrize_brute(rho, 2, 2)) < 1e-10
@@ -641,13 +673,12 @@ class TestKeyedLayout:
             "simple_cg": simple_cg(staircase(1, 0), False).blocks,
             "general_cg": general_cg(staircase(1, 0), staircase(1, 0)).blocks,
             "schur sector": S.sectors,
+            "schur slots": S.slots,
             "direct sum": direct_sum_layout(S),
         }
         for name, blocks in keyed.items():
             with pytest.raises(KeyError):
                 blocks[absent]
-        with pytest.raises(KeyError):
-            S.path_rows(absent, 0)
         iso = classification_isometry(2, 1, 2)
         with pytest.raises(KeyError):
             iso.blocks[(staircase(2, 0), staircase(1, 0), absent)]
@@ -675,15 +706,32 @@ class TestKeyedLayout:
             "general_cg": general_cg(staircase(2, 1, 0), staircase(2, 1, 0)),
             "classification_isometry": classification_isometry(2, 1, 2),
         }
-        for name, iso in isometries.items():
-            slices = _row_slices({k: v.shape[:-1] for k, v in iso.blocks.items()})
+        transforms = {
+            "schur_transform": schur_transform(3, 0, 2),
+            "iterated_cg": iterated_cg(staircase(2, 1, 0), (False, True)),
+        }
+        keyed = {name: (iso.matrix, iso.blocks) for name, iso in isometries.items()}
+        for name, t in transforms.items():
+            keyed[name] = (t.matrix, {label: s.rows for label, s in t.sectors.items()})
+        for name, (matrix, views) in keyed.items():
+            slices = _row_slices({k: v.shape[:-1] for k, v in views.items()})
             stops = [0] + [sl.stop for sl in slices.values()]
             assert [sl.start for sl in slices.values()] == stops[:-1], name
-            assert stops[-1] == iso.matrix.shape[0], name
-            for key, view in iso.blocks.items():
-                rows = iso.matrix[slices[key]]
+            assert stops[-1] == matrix.shape[0], name
+            for key, view in views.items():
+                rows = matrix[slices[key]]
                 assert np.shares_memory(view, rows), (name, key)
                 assert np.array_equal(view.reshape(rows.shape), rows), (name, key)
+        # a sector's slots are the same slice of the flat bijection of rows
+        # onto class columns
+        for name, t in transforms.items():
+            slot = np.empty(t.dim, dtype=np.intp)
+            for wb in t.weight_blocks:
+                slot[wb.rows] = wb.cols
+            slices = _row_slices({label: s.rows.shape[:2] for label, s in t.sectors.items()})
+            for label, s in t.sectors.items():
+                assert s.rows.shape == (s.p_dim, dim_gl_irrep(label), t.dim), (name, label)
+                assert np.array_equal(t.slots[label].reshape(-1), slot[slices[label]]), (name, label)
         S = schur_transform(3, 0, 2)
         layout = direct_sum_layout(S)
         assert list(layout) == list(S.sectors)
