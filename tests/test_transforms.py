@@ -341,6 +341,15 @@ class TestSchurTransform:
                         moved = np.einsum("ab,rbc->rac", P, heads)
                         assert np.linalg.norm(moved - heads) < 1e-10, (n, d, path, j)
 
+    @pytest.mark.parametrize("label,index", [((2, 0), 1), ((2, 0), 5)])
+    def test_path_rows_refuse_an_index_outside_the_sector(self, label, index):
+        # each sector of schur_transform(2, 0, 2) has one path, so its rows
+        # view has p_dim 1 on its first axis and refuses a path index past it
+        rows = schur_transform(2, 0, 2).sectors[staircase(*label)].rows
+        assert rows.shape[0] == 1
+        with pytest.raises(IndexError, match=f"index {index} .* size 1"):
+            rows[index]
+
     def test_row_index_inverts_paths(self):
         # sample-mode emission maps a drawn path key to its row block
         # through sector.path_of_key, a read-only array shared by every caller
