@@ -26,7 +26,6 @@ of the dual label with the dual_structure intertwiners.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -492,29 +491,31 @@ def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     Sm = schur_transform(m, 0, d)
     Sn = schur_transform(n, 0, d)
     D = d ** (m + n)
+    cg = {(lam, mu): general_cg(lam.dual(), mu).blocks for lam in Sm.sectors for mu in Sn.sectors}
+    # rows nest as (p_lam, p_mu, mult, q_gamma), columns as (in, out)
+    shapes = {
+        (lam, mu, g): (Sm.sectors[lam].p_dim, Sn.sectors[mu].p_dim, *G.shape[:2])
+        for (lam, mu), blocks in cg.items()
+        for g, G in blocks.items()
+    }
+    slices = _row_slices(shapes)
+    filled = next(reversed(slices.values())).stop
+    if filled != D:
+        raise RuntimeError(f"classification blocks fill {filled} of {D} rows")
     out = np.zeros((D, D), dtype=complex)
-    shapes = {}
-    offset = 0
     for lam, sl in Sm.sectors.items():
         # conjugate-lambda rows rotated to canonical dual-lambda coordinates
         Zl = dual_structure(lam)  # canonical(dual lam) -> conj-of-canonical(lam)
         L = Zl.conj().T @ sl.rows.conj()
         for mu, sn_ in Sn.sectors.items():
-            for g, G in general_cg(lam.dual(), mu).blocks.items():
-                shape = (sl.p_dim, sn_.p_dim, *G.shape[:2])
-                size = math.prod(shape)
-                # rows nest as (p_lam, p_mu, mult, q_gamma), columns as (in, out)
-                out[offset : offset + size, :] = np.einsum(
+            for g, G in cg[lam, mu].items():
+                out[slices[lam, mu, g]] = np.einsum(
                     "jgab,pax,qby->pqjgxy",
-                    G.reshape(*shape[2:], sl.q_dim, sn_.q_dim),
+                    G.reshape(*G.shape[:2], sl.q_dim, sn_.q_dim),
                     L,
                     sn_.rows,
                     optimize=True,
-                ).reshape(size, D)
-                shapes[(lam, mu, g)] = shape
-                offset += size
-    if offset != D:
-        raise RuntimeError(f"classification blocks fill {offset} of {D} rows")
+                ).reshape(-1, D)
     resid = np.linalg.norm(out @ out.conj().T - np.eye(D))
     if resid >= 1e-9:
         raise RuntimeError(f"classification isometry not unitary: {resid:.2e}")

@@ -42,6 +42,7 @@ import numpy as np
 from equichan.staircases import (
     Staircase,
     add_boxes,
+    check_count,
     dim_perm_irrep,
     empty_staircase,
     remove_boxes,
@@ -50,13 +51,18 @@ from equichan.staircases import (
 
 @dataclass(frozen=True)
 class GtPath:
-    """A sequence of staircases with k single-box additions then l removals."""
+    """A sequence of staircases with k single-box additions then l removals.
+
+    ``k`` and ``l`` are read as in ``staircases.check_count``.
+    """
 
     steps: tuple[Staircase, ...]
     k: int
     l: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", check_count("k", self.k))
+        object.__setattr__(self, "l", check_count("l", self.l))
         if len(self.steps) != self.k + self.l + 1:
             raise ValueError("path must have k + l + 1 staircases")
         # every step is a validated Staircase, so a single-box addition
@@ -113,10 +119,10 @@ def enumerate_paths(mu: Staircase, k: int, l: int) -> dict[Staircase, list[GtPat
     """All paths of k additions then l removals starting at mu, grouped by endpoint.
 
     Endpoints are ordered lexicographically descending; within an endpoint
-    the paths are in lexicographic order of their row sequences.
+    the paths are in lexicographic order of their row sequences.  ``k``
+    and ``l`` are read as in ``staircases.check_count``.
     """
-    if k < 0 or l < 0:
-        raise ValueError("need k, l >= 0")
+    k, l = check_count("k", k), check_count("l", l)
     partial = [(mu,)]
     for t in range(k + l):
         nxt = []

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from equichan.gtpaths import GtPath
 from equichan.staircases import (
     Staircase,
     dim_gl_irrep,
@@ -75,18 +74,17 @@ def _check_simple_generators(raising: np.ndarray, weights: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class IrrepRealization:
-    """An SU(d) irrep in its Gelfand-Tsetlin basis, with its tensor embedding.
+    """An SU(d) irrep in its Gelfand-Tsetlin basis.
 
     ``raising`` holds the raising operators E_{k,k+1} in the GT basis, shape
     (d-1, q, q); ``weights`` the integer weight of each basis vector.  The
     lowering operator E_{k+1,k} is the transpose of E_{k,k+1}, and E_kk is
     diag(weights[:, k]).  The basis is real and ordered by weight,
-    lexicographically descending, highest weight first.  ``factors`` lists
-    the sites of the embedding (False = C^d, True = conj C^d).
+    lexicographically descending, highest weight first.  Its embedding in
+    the tensor sites is ``transforms.canonical_embedding(label)``.
     """
 
     label: Staircase
-    factors: tuple[bool, ...]
     raising: np.ndarray
     weights: np.ndarray
 
@@ -104,24 +102,7 @@ class IrrepRealization:
         cartan = self.weights.T[:, :, None] * np.eye(self.dim)
         return np.concatenate([self.raising, self.raising.swapaxes(1, 2), cartan])
 
-    @functools.cached_property
-    def embedding(self) -> np.ndarray:
-        """Isometry from the irrep into the tensor space of ``factors``: the
-        GT-path isometry of ``canonical_path(label)`` (read-only)."""
-        # built on first access, never by canonical_realization: simple_cg of
-        # the label before gamma needs canonical_realization(gamma); and
-        # transforms imports this module, so the import waits for the call
-        from equichan.transforms import _path_isometry
-
-        g = self.label
-        V = _path_isometry(GtPath(tuple(canonical_path(g)), g.pos_size, g.neg_size))
-        V.flags.writeable = False
-        return V
-
     def validate(self) -> None:
-        V = self.embedding
-        if not np.linalg.norm(V.conj().T @ V - np.eye(self.dim)) < CONSTRUCTION_TOL:
-            raise ValueError("not an isometry")
         _check_simple_generators(self.raising, self.weights)
 
 
@@ -251,7 +232,7 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
 
     E_{k,k+1} raises one entry of row k by ``_raising_coefficient``, and the
     raising operators are checked against the Chevalley-Serre relations.
-    No eigensolver runs and no embedding is built.  Memoised per label.
+    No eigensolver runs.  Memoised per label.
     """
     d = gamma.d
     patterns = gt_patterns(gamma)
@@ -272,8 +253,7 @@ def canonical_realization(gamma: Staircase, /) -> IrrepRealization:
     _check_simple_generators(raising, weights)
     for arr in (raising, weights):
         arr.flags.writeable = False
-    factors = (False,) * gamma.pos_size + (True,) * gamma.neg_size
-    return IrrepRealization(gamma, factors, raising, weights)
+    return IrrepRealization(gamma, raising, weights)
 
 
 def check_intertwining(T: np.ndarray, legs: list[np.ndarray], gens_b: np.ndarray) -> None:

@@ -61,7 +61,6 @@ import numpy as np
 from equichan.channels import PSD_TOL, ExtremalSpec, _embed_trace_tensor
 from equichan.channels import check_finite_unit_trace, check_input
 from equichan.gtpaths import GtPath, _walk_many, enumerate_paths
-from equichan.realize import canonical_realization
 from equichan.staircases import (
     Staircase,
     box_label,
@@ -74,6 +73,7 @@ from equichan.transforms import (
     PathTransform,
     _emit_steps,
     _path_isometry,
+    canonical_embedding,
     schur_transform,
     simple_cg,
 )
@@ -356,9 +356,10 @@ def _path_superposition(
     step) is that path: its phase leaves the channel unchanged and no
     overlap is taken.  With several paths the embeddings E_a are
     ``channels._embed_trace_tensor`` at each basis vector e_a, Q_gamma_bar
-    traced.  For J the isometric embedding of gamma_bar's canonical
-    realization into the sites, Schur's lemma gives (1 (x) J) E_a =
-    sum_p a_p iota_p, a_p = tr(iota_p^dag (1 (x) J) E_a) / q_lam; that sum
+    traced.  For J = ``canonical_embedding(gamma_bar)``, the isometry of
+    gamma_bar's canonical realization into the sites, Schur's lemma gives
+    (1 (x) J) E_a = sum_p a_p iota_p,
+    a_p = tr(iota_p^dag (1 (x) J) E_a) / q_lam; that sum
     is built one path at a time and certified against (1 (x) J) E_a:
     RuntimeError if farther than SUPERPOSITION_TOL.  J is an isometry, so
     tracing E_a over Q_gamma_bar traces the certified superposition over
@@ -379,7 +380,7 @@ def _path_superposition(
     else:
         embeddings = np.ascontiguousarray(np.moveaxis(_embed_trace_tensor(lam, mu, gamma), -1, 0))
         c, _, q_lam = embeddings.shape
-        J = canonical_realization(gamma_bar).embedding
+        J = canonical_embedding(gamma_bar)
         # (1 (x) J) E_a: Q_gamma_bar, the inner row leg of E_a, embedded in the sites
         targets = np.matmul(J, embeddings.reshape(-1, J.shape[1], q_lam)).reshape(c, -1, q_lam)
         superposition = np.zeros_like(targets)

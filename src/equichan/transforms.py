@@ -2,7 +2,8 @@
 
 The simple CG transform decomposes (irrep) (x) C^d into single-box blocks
 in closed form (``realize.box_block``).  ``_path_isometry`` chains the
-adjoints of its blocks along one GT path; the iterated CG transform, and
+adjoints of its blocks along one GT path, and ``canonical_embedding`` is
+that chain along a label's canonical path; the iterated CG transform, and
 with it the (mixed) Schur transform, stacks the transposed isometries of
 every path of ``enumerate_paths``, so its permutation-register basis is
 indexed by paths.
@@ -229,7 +230,7 @@ class PathSector:
         return index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightBlock:
     """The rows and columns of a path transform that carry one torus weight.
 
@@ -343,6 +344,13 @@ def _path_isometry(path: GtPath) -> np.ndarray:
         (R,) = simple_cg(prev, dual).blocks[nxt]
         iso = (R.conj().T @ iso.reshape(R.shape[0], -1)).reshape(-1, q_end)
     return iso
+
+
+def canonical_embedding(label: Staircase) -> np.ndarray:
+    """Isometry from the canonical realization of ``label`` into its tensor
+    sites, label.pos_size defining then label.neg_size conjugate factors:
+    the GT-path isometry of ``canonical_path(label)``.  Real; not memoised."""
+    return _path_isometry(GtPath(tuple(canonical_path(label)), label.pos_size, label.neg_size))
 
 
 def iterated_cg(mu: Staircase, flags: Sequence[bool]) -> PathTransform:

@@ -528,14 +528,13 @@ def tensor_power_kron(U: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def group_element(real, U: np.ndarray) -> np.ndarray:
+def group_element(V: np.ndarray, label, U: np.ndarray) -> np.ndarray:
     """Image of U under a realized irrep: V^dag (U^(x k) (x) conj U^(x l)) V
-    for the embedding V of ``real``, with one leg per entry of
-    ``real.factors`` in that order (conj U on a conjugate leg)."""
+    for V the irrep's embedding in the sites of ``label``, k = label.pos_size
+    defining legs then l = label.neg_size conjugate legs (conj U)."""
     big = np.eye(1, dtype=complex)
-    for dual in real.factors:
+    for dual in (False,) * label.pos_size + (True,) * label.neg_size:
         big = np.kron(big, U.conj() if dual else U)
-    V = real.embedding
     return V.conj().T @ big @ V
 
 

@@ -42,7 +42,7 @@ from equichan.staircases import (
     staircase,
 )
 from equichan.suites import SWEEP_SHAPES, all_specs
-from equichan.transforms import schur_transform
+from equichan.transforms import canonical_embedding, schur_transform
 from equichan.verify import haar_unitary
 
 from oracles import (
@@ -552,8 +552,6 @@ class TestUssChannels:
         assert abs(np.trace(out) - 1.0) < 1e-12
 
     def test_product_state_lands_in_symmetric_block(self):
-        from equichan.realize import canonical_realization
-
         ch = uss_channel(2, 0, 2)
         v = np.zeros(4)
         v[0] = 1.0
@@ -562,7 +560,7 @@ class TestUssChannels:
         sub = out[blk, blk]
         assert abs(np.trace(sub) - 1.0) < 1e-12
         # the block state is the canonical-coordinate image of |00><00|
-        V = canonical_realization(staircase(2, 0)).embedding
+        V = canonical_embedding(staircase(2, 0))
         expected = V.conj().T @ np.outer(v, v) @ V
         assert np.linalg.norm(sub - expected) < 1e-10
 
@@ -678,8 +676,6 @@ class TestIrrepChannel:
         assert np.linalg.norm(ch.apply(X) - X) < 1e-10
 
     def test_cptp_and_equivariant(self, rng):
-        from equichan.realize import canonical_realization
-
         lam, mu, gamma = staircase(2, 0), staircase(1, 1), staircase(1, -1)
         if lr_coeff(lam.dual(), mu, gamma) < 1:
             pytest.skip("triple not admissible")
@@ -687,11 +683,10 @@ class TestIrrepChannel:
         rho = random_state(ch.in_dim, rng)
         out = ch.apply(rho)
         assert abs(np.trace(out) - 1.0) < 1e-10
-        rl = canonical_realization(lam)
-        rm = canonical_realization(mu)
+        Vl, Vm = canonical_embedding(lam), canonical_embedding(mu)
         for _ in range(5):
             U = haar_unitary(2, rng)
-            gl, gm = group_element(rl, U), group_element(rm, U)
+            gl, gm = group_element(Vl, lam, U), group_element(Vm, mu, U)
             left = ch.apply(gl @ rho @ gl.conj().T)
             right = gm @ out @ gm.conj().T
             assert np.linalg.norm(left - right) < 1e-8

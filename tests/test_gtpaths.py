@@ -68,6 +68,26 @@ class TestGtPath:
         with pytest.raises(ValueError, match=re.escape(msg)):
             GtPath(steps, k=k, l=l)
 
+    @pytest.mark.parametrize(
+        "steps,k,l,key",
+        [
+            ((staircase(1, 0),), -1, 1, "k"),
+            ((staircase(1, 0),), 1, -1, "l"),
+            ((staircase(0, 0), staircase(1, 0)), True, 0, "k"),
+            ((staircase(1, 0), staircase(0, 0)), 0, True, "l"),
+            ((staircase(0, 0), staircase(1, 0)), 1.0, 0, "k"),
+        ],
+    )
+    def test_rejects_bad_step_counts(self, steps, k, l, key):
+        # a negative count that still sums to len(steps) - 1, a bool, a float
+        with pytest.raises(ValueError, match=f"{key}="):
+            GtPath(steps, k=k, l=l)
+
+    def test_stores_counts_as_ints(self):
+        p = GtPath((staircase(0, 0), staircase(1, 0)), np.int64(1), np.int64(0))
+        assert type(p.k) is int and type(p.l) is int
+        assert p == GtPath((staircase(0, 0), staircase(1, 0)), 1, 0)
+
     def test_mixed_path(self):
         p = GtPath(
             (staircase(0, 0), staircase(1, 0), staircase(1, -1)), k=1, l=1
@@ -106,6 +126,13 @@ class TestEnumeratePaths:
         p = GtPath(steps, k=4, l=2)
         got = enumerate_paths(empty_staircase(4), 4, 2)
         assert p in got[staircase(2, 1, 0, -1)]
+
+    @pytest.mark.parametrize(
+        "k,l,key", [(True, 0, "k"), (0, True, "l"), (-1, 0, "k"), (0, -1, "l")]
+    )
+    def test_rejects_bad_step_counts(self, k, l, key):
+        with pytest.raises(ValueError, match=f"{key}="):
+            enumerate_paths(staircase(0, 0), k, l)
 
     def test_empty_based_counts_equal_syt(self):
         for d in (2, 3):

@@ -231,15 +231,15 @@ def test_tracer_names_exist():
     assert not missing, missing
 
 
-# The one import inside a library function: transforms imports realize at
-# its top, so IrrepRealization.embedding imports transforms._path_isometry
-# when first read.
-DEFERRED_IMPORTS = {("realize.py", "embedding")}
+# Imports allowed inside a library function, as (file, function) pairs.
+# There are none: every cycle between modules is broken by moving code, so
+# calling a library function never imports a module.
+DEFERRED_IMPORTS = set()
 
 
 def test_library_imports_at_module_top():
     # a library function imports nothing when called: every import sits at
-    # the top of its module, but for the one documented cycle break
+    # the top of its module
     found = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -251,6 +251,29 @@ def test_library_imports_at_module_top():
             if isinstance(node, (ast.Import, ast.ImportFrom))
         }
     assert found == DEFERRED_IMPORTS, sorted(found ^ DEFERRED_IMPORTS)
+
+
+def _package_imports(path):
+    """The equichan modules that the file at ``path`` imports, dotted."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = f"equichan.{node.module or ''}".rstrip(".") if node.level else node.module
+            if module == "equichan":
+                found |= {f"equichan.{alias.name}" for alias in node.names}
+            else:
+                found.add(module)
+    return {name for name in found if name.split(".")[0] == "equichan"}
+
+
+def test_realize_imports_only_staircases():
+    # the layering is staircases -> gtpaths, realize -> transforms: the
+    # GT-basis algebra builds on the labels alone, and the isometries that
+    # embed it in tensor sites live in transforms
+    path = Path(equichan.__file__).parent / "realize.py"
+    assert _package_imports(path) <= {"equichan.staircases"}, _package_imports(path)
 
 
 def test_no_scipy_imports():

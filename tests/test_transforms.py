@@ -1,5 +1,5 @@
 import operator
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from equichan.staircases import (
 )
 from equichan.transforms import (
     _row_slices,
+    canonical_embedding,
     general_cg,
     iterated_cg,
     permutation_operator,
@@ -284,7 +285,7 @@ class TestSchurTransform:
                     big = np.kron(big, U.conj())
                 block = np.zeros((dim, dim), dtype=complex)
                 for label, s in S.sectors.items():
-                    r = group_element(canonical_realization(s.label), U)
+                    r = group_element(canonical_embedding(s.label), s.label, U)
                     blk = np.kron(np.eye(s.p_dim), r)
                     block[slices[label], slices[label]] = blk
                 resid = np.linalg.norm(S.matrix @ big - block @ S.matrix)
@@ -494,14 +495,14 @@ class TestGeneralCg:
             (staircase(2, 1, 0), staircase(2, 1, 0), 2),
             (staircase(1, 0, -1), staircase(2, 1, 0), 2),
         ]:
-            a, b = canonical_realization(a_label), canonical_realization(b_label)
+            a, b = canonical_embedding(a_label), canonical_embedding(b_label)
             g = general_cg(a_label, b_label)
             assert max(len(copies) for copies in g.blocks.values()) == c
             for _ in range(3):
-                U = haar_unitary(a.d, rng)
-                prod = np.kron(group_element(a, U), group_element(b, U))
+                U = haar_unitary(a_label.d, rng)
+                prod = np.kron(group_element(a, a_label, U), group_element(b, b_label, U))
                 for label, copies in g.blocks.items():
-                    r = group_element(canonical_realization(label), U)
+                    r = group_element(canonical_embedding(label), label, U)
                     for rows in copies:
                         assert np.linalg.norm(rows @ prod - r @ rows) < 1e-12, (a_label, b_label)
             for label, copies in g.blocks.items():
@@ -601,7 +602,6 @@ class TestBuilderCache:
             "schur_transform": schur_transform(2, 1, 2).matrix,
             "path rows": schur_transform(2, 0, 2).sectors[staircase(1, 1)].rows[0],
             "slots": schur_transform(2, 0, 2).slots[staircase(1, 1)],
-            "embedding": real.embedding,
             "raising": real.raising,
             "weights": real.weights,
             "dual_structure": dual_structure(lam),
@@ -627,6 +627,17 @@ class TestBuilderCache:
             idx = (0,) * arr.ndim
             with pytest.raises(ValueError, match="read-only"):
                 arr[idx] = arr[idx]  # a no-op, were the write allowed
+
+    def test_weight_blocks_hash_and_compare_by_identity(self):
+        # a weight block holds arrays, so like the other cached records it
+        # hashes and compares as the object it is, not field by field
+        blocks = schur_transform(3, 0, 2).weight_blocks
+        assert len(set(blocks)) == len(blocks)
+        for wb in blocks:
+            assert hash(wb) == hash(wb)
+            assert wb == wb
+            assert wb != replace(wb)
+        assert blocks[0] != blocks[1]
 
     def test_cache_edit_fails_at_the_write(self):
         # the cached records are frozen and their mappings read-only, so
