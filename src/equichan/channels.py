@@ -455,7 +455,8 @@ def purity_spec(m: int, d: int) -> ExtremalSpec:
 
 @dataclass(frozen=True, eq=False)
 class ClassificationIsometry:
-    """The unitary bringing every symmetric Choi matrix to block form.
+    """The real orthogonal matrix bringing every symmetric Choi matrix to
+    block form: ``matrix`` is float64, D x D and read-only.
 
     ``blocks[(lam, mu, gamma)]`` is the read-only view of the triple's
     contiguous rows, shaped (p_lam, p_mu, mult, q_gamma, D); the views run
@@ -477,9 +478,13 @@ def classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     Block (lam, mu, gamma) is one contraction of the gamma rows of
     general_cg(dual lam, mu) with the conjugated lam rows of the m-site
     Schur transform, rotated by dual_structure(lam)^dag, and the mu rows of
-    the n-site one.  Bad arguments raise as in ``staircases.check_shape``;
-    the dense cap is checked on every call, the isometry itself is memoised
-    per (m, n, d).
+    the n-site one.  All three factors are real, so conjugation leaves the
+    lam rows as they are and the isometry is real orthogonal, float64;
+    complex numbers enter only with psi and the state.  It is certified
+    once, when built: RuntimeError unless its real Gram V V^T is within
+    1e-9 of the identity.  Bad arguments raise as in
+    ``staircases.check_shape``; the dense cap is checked on every call, the
+    isometry itself is memoised per (m, n, d).
     """
     m, n, d = check_shape(m, n, d)
     check_dense(d ** (m + n))
@@ -502,11 +507,12 @@ def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
     filled = next(reversed(slices.values())).stop
     if filled != D:
         raise RuntimeError(f"classification blocks fill {filled} of {D} rows")
-    out = np.zeros((D, D), dtype=complex)
+    out = np.zeros((D, D))
     for lam, sl in Sm.sectors.items():
-        # conjugate-lambda rows rotated to canonical dual-lambda coordinates
+        # conjugate-lambda rows (the real rows themselves) rotated to
+        # canonical dual-lambda coordinates
         Zl = dual_structure(lam)  # canonical(dual lam) -> conj-of-canonical(lam)
-        L = Zl.conj().T @ sl.rows.conj()
+        L = Zl.T @ sl.rows
         for mu, sn_ in Sn.sectors.items():
             for g, G in cg[lam, mu].items():
                 out[slices[lam, mu, g]] = np.einsum(
@@ -516,7 +522,9 @@ def _classification_isometry(m: int, n: int, d: int) -> ClassificationIsometry:
                     sn_.rows,
                     optimize=True,
                 ).reshape(-1, D)
-    resid = np.linalg.norm(out @ out.conj().T - np.eye(D))
+    gram = out @ out.T
+    gram.flat[:: D + 1] -= 1.0
+    resid = np.linalg.norm(gram)
     if resid >= 1e-9:
         raise RuntimeError(f"classification isometry not unitary: {resid:.2e}")
     return ClassificationIsometry(m, n, d, out, _row_views(out, shapes))
@@ -550,15 +558,21 @@ def block_decompose_choi(
 ) -> dict[tuple[Staircase, Staircase, Staircase], np.ndarray]:
     """Extract the multiplicity-space matrices of a symmetric Choi matrix.
 
-    Conjugates by the classification isometry, reads off one matrix per
-    (gamma, dual lambda, mu) by partial trace over the identity factors, and
-    verifies that rebuilding from the prescribed block structure reproduces
-    the input; if not, the channel is not in the symmetric set.
+    Conjugates by the real orthogonal classification isometry V, as V C V^T
+    in two real products on the ``view(float)`` of complex operands, with
+    no complex copy of V; reads off one matrix per (gamma, dual lambda, mu)
+    by partial trace over the identity factors, and verifies that
+    rebuilding from the prescribed block structure reproduces the input:
+    each rebuilt block is subtracted in place, and NotSymmetricError is
+    raised unless the norm of what is left is at most ``tol``.
     """
     iso = classification_isometry(choi.m, choi.n, choi.d)
-    Dmat = iso.matrix @ choi.matrix @ iso.matrix.conj().T
+    V = iso.matrix
+    # V C, then V (V C)^T = (V C V^T)^T written over V C and read transposed
+    work = (V @ np.ascontiguousarray(choi.matrix, dtype=complex).view(float)).view(complex)
+    np.matmul(V, np.ascontiguousarray(work.T).view(float), out=work.view(float))
+    Dmat = work.T
     out: dict[tuple[Staircase, Staircase, Staircase], np.ndarray] = {}
-    rebuilt = np.zeros_like(Dmat)
     slices = _row_slices({key: rows.shape[:-1] for key, rows in iso.blocks.items()})
     for (lam, mu, gamma), rows in iso.blocks.items():
         p_lam, p_mu, mult, q_gamma, _ = rows.shape
@@ -570,10 +584,10 @@ def block_decompose_choi(
         M = np.einsum("paqpbq->ab", six) / (p_lam * q_lam)
         out[(gamma, lam.dual(), mu)] = M
         scale = (q_lam / q_gamma) / dim_perm_irrep(mu)
-        rebuilt[sl, sl] = scale * np.einsum(
+        Dmat[sl, sl] -= scale * np.einsum(
             "pq,ab,cd->pacqbd", np.eye(p_lam * p_mu), M, np.eye(q_gamma)
         ).reshape(size, size)
-    resid = np.linalg.norm(Dmat - rebuilt)
+    resid = np.linalg.norm(Dmat)
     if resid > tol:
         raise NotSymmetricError(
             f"off-block or non-isotropic mass {resid:.2e} exceeds {tol:.2e}"
@@ -639,14 +653,16 @@ def _cg_restriction_tensor(lam: Staircase, mu: Staircase, gamma: Staircase):
 
     Returns K0 with K0[x, y, g, a] the matrix element of the restriction of
     the inverse CG transform on Q_duallam (x) Q_mu at (x, y; g, mult a).
+    The CG rows are real, so K0 is their transpose: a read-only float64
+    view of the cached ``general_cg`` rows, not a copy.
     """
     rows = general_cg(lam.dual(), mu).blocks.get(gamma)  # (c, qg, qlam*qmu)
     if rows is None:
         raise ValueError(f"gamma {gamma} does not occur in {lam.dual()} (x) {mu}")
     c, qg, _ = rows.shape
     q_lam, q_mu = dim_gl_irrep(lam), dim_gl_irrep(mu)
-    K0 = np.ascontiguousarray(rows.conj().transpose(2, 1, 0), dtype=complex)
-    return K0.reshape(q_lam, q_mu, qg, c), c, qg, q_lam, q_mu
+    K0 = rows.transpose(2, 1, 0).reshape(q_lam, q_mu, qg, c)
+    return K0, c, qg, q_lam, q_mu
 
 
 @functools.cache
@@ -657,16 +673,17 @@ def _embed_trace_tensor(lam: Staircase, mu: Staircase, gamma: Staircase) -> np.n
     inverse CG tensor with its dual-lam slot rotated to a conjugate-lam slot
     (dual_structure(lam)) and its conjugate-gamma slot to a canonical
     dual-gamma ket (dual_structure(gamma)^dag): contracting the last leg with
-    psi gives the embedding Q_lam -> Q_mu (x) Q_dualgamma.  Shape
+    psi gives the embedding Q_lam -> Q_mu (x) Q_dualgamma.  The CG rows and
+    both dual structures are real, so T is real: float64, shape
     (q_mu * q_gamma, q_lam, mult), read-only; memoised per label triple and
-    certified once, when built: RuntimeError unless T_a^dag T_b = delta_ab 1.
+    certified once, when built: RuntimeError unless T_a^T T_b = delta_ab 1.
     """
     K0, c, qg, q_lam, q_mu = _cg_restriction_tensor(lam, mu, gamma)
     Zl, Zg = dual_structure(lam), dual_structure(gamma)
-    T = np.einsum("zx,xyga,hg->yhza", Zl, K0, Zg.conj().T, optimize=True)
+    T = np.einsum("zx,xyga,hg->yhza", Zl, K0, Zg.T, optimize=True)
     T = np.ascontiguousarray(np.sqrt(q_lam / qg) * T.reshape(q_mu * qg, q_lam, c))
     M = T.reshape(-1, q_lam * c)  # columns (z, a)
-    resid = np.linalg.norm(M.conj().T @ M - np.eye(q_lam * c))
+    resid = np.linalg.norm(M.T @ M - np.eye(q_lam * c))
     if resid >= 1e-8:
         raise RuntimeError(f"embedding not isometric: {resid:.2e}")
     T.flags.writeable = False
@@ -712,14 +729,14 @@ def irrep_channel(
         Zl = dual_structure(lam)
         R = K0.reshape(q_lam * q_mu, qg * c)  # inverse CG restricted, as a matrix
         psi_proj = np.kron(np.eye(qg), np.outer(psi, psi.conj()))
-        Ccg = scale_lg * (R @ psi_proj @ R.conj().T)
-        conv = np.kron(Zl.conj().T, np.eye(q_mu))
-        C = conv.conj().T @ Ccg @ conv
+        Ccg = scale_lg * (R @ psi_proj @ R.T)
+        conv = np.kron(Zl.T, np.eye(q_mu))
+        C = conv.T @ Ccg @ conv
         return ChoiChannel(C, q_lam, q_mu)
 
     if form == "sandwich":
         Zlbar = dual_structure(lam.dual())
-        K3 = np.einsum("zx,xyga->zyga", Zlbar.conj().T, K0.conj())
+        K3 = np.einsum("zx,xyga->zyga", Zlbar.T, K0)  # K0 is real: its own conjugate
         iota3 = np.sqrt(q_mu / qg) * np.einsum("zyga,a->zgy", K3, psi.conj()).reshape(
             q_lam * qg, q_mu
         )

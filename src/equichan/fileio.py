@@ -44,6 +44,29 @@ def _real(value: Any, key: str) -> Real:
     return value
 
 
+def _string(value: Any, key: str) -> str:
+    """``value`` if it is a string, else ValueError naming ``key``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def _object(value: Any, key: str) -> dict:
+    """``value`` if it is a JSON object, else ValueError naming ``key`` and
+    the type found (not the value, which may be a whole matrix)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value: Any, key: str) -> list | tuple:
+    """``value`` if it is a JSON array, else ValueError naming ``key`` and
+    the type found."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _integers(values: Any, key: str) -> tuple[int, ...]:
     """The entries of the list ``values`` of integers, named ``key``."""
     if not isinstance(values, (list, tuple)):
@@ -82,6 +105,7 @@ def matrix_to_obj(M: np.ndarray) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
+    obj = _object(obj, "matrix")
     rows, cols = _integer(obj["rows"], "rows"), _integer(obj["cols"], "cols")
     for key, size in (("rows", rows), ("cols", cols)):
         if size < 0:
@@ -102,6 +126,7 @@ def choi_to_obj(choi: ChoiMatrix) -> dict:
 
 
 def choi_from_obj(obj: dict) -> ChoiMatrix:
+    obj = _object(obj, "choi")
     m, n, d = (_integer(obj[key], key) for key in "mnd")
     for key, value, least in (("m", m, 0), ("n", n, 0), ("d", d, 1)):
         if value < least:
@@ -127,8 +152,10 @@ def spec_to_obj(spec: ExtremalSpec) -> dict:
 
 
 def spec_from_obj(obj: dict) -> ExtremalSpec:
+    obj = _object(obj, "spec")
     assignments = {}
-    for a in obj["assignments"]:
+    for i, a in enumerate(_list(obj["assignments"], "assignments")):
+        a = _object(a, f"assignments[{i}]")
         lam, mu, gamma = (
             Staircase(_integers(a[key], key)) for key in ("lambda", "mu", "gamma")
         )
@@ -146,6 +173,8 @@ def path_to_obj(p: GtPath) -> list[list[int]]:
 
 
 def path_from_obj(obj: list[list[int]]) -> GtPath:
+    if not _list(obj, "path"):
+        raise ValueError("'path' must hold at least one staircase")
     steps = tuple(staircase_from_obj(row) for row in obj)
     sizes = [s.size for s in steps]
     k = int(np.argmax(sizes))
@@ -171,10 +200,12 @@ def report_to_obj(r: VerificationReport) -> dict:
 
 
 def report_from_obj(obj: dict) -> VerificationReport:
-    r = VerificationReport(obj["suite"], _integer(obj["seed"], "seed"))
-    for c in obj["cases"]:
+    obj = _object(obj, "report")
+    r = VerificationReport(_string(obj["suite"], "suite"), _integer(obj["seed"], "seed"))
+    for i, c in enumerate(_list(obj["cases"], "cases")):
+        c = _object(c, f"cases[{i}]")
         value, threshold = (_real(c[key], key) for key in ("value", "threshold"))
-        r.cases.append(CaseResult(c["id"], value, threshold))
+        r.cases.append(CaseResult(_string(c["id"], "id"), value, threshold))
     return r
 
 

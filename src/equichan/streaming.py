@@ -327,8 +327,8 @@ class _PathSuperposition(NamedTuple):
 
     ``embeddings[a]`` is the isometry Q_lam -> Q_mu (x) traced leg of the
     multiplicity basis vector e_a, shape (c, q_mu * dim traced, q_lam),
-    read-only; ``steps`` holds (CG kind, live dimension, on a site) per
-    embed step, in emission order.
+    real and read-only; ``steps`` holds (CG kind, live dimension, on a
+    site) per embed step, in emission order.
     """
 
     embeddings: np.ndarray

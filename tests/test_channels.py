@@ -361,6 +361,28 @@ class TestClassificationIsometryCap:
             classification_isometry(2, 2, 2)
 
 
+class TestClassificationIsometryCheck:
+    def test_is_real_orthogonal(self):
+        V = classification_isometry(2, 1, 3).matrix
+        assert V.dtype == np.float64
+        assert np.abs(V @ V.T - np.eye(len(V))).max() < 1e-12
+
+    def test_perturbed_rotation_is_not_unitary(self, monkeypatch):
+        # the unitarity test runs once, when the isometry is built
+        channels._classification_isometry.cache_clear()
+        def rotation(lam):
+            return dual_structure(lam) * (1 + 1e-6)
+
+        monkeypatch.setattr(channels, "dual_structure", rotation)
+        try:
+            with pytest.raises(RuntimeError, match="^classification isometry not unitary: "):
+                channels._classification_isometry(2, 1, 2)
+        finally:
+            monkeypatch.undo()
+            channels._classification_isometry.cache_clear()
+        assert classification_isometry(2, 1, 2).matrix.shape == (8, 8)
+
+
 class TestExtremalChoi:
     def test_identity_triple(self):
         lam = staircase(1, 0)

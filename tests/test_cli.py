@@ -513,6 +513,17 @@ class TestApps:
         assert captured.out == ""
         assert captured.err == f"error: need {key} >= {least}, got {key}={value}\n"
 
+    def test_non_object_state_is_usage_error(self, tmp_path, capsys):
+        # a JSON list where a matrix object belongs used to escape as a
+        # TypeError with a traceback and exit 1, the code of a failed check
+        f_state, f_spec = tmp_path / "state.json", tmp_path / "spec.json"
+        f_state.write_text("[1,2]\n")
+        fileio.save_json(fileio.spec_to_obj(symmetrization_spec(2, 2)), f_spec)
+        assert run(["simulate", "--spec", str(f_spec), "--state", str(f_state)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'matrix' must be an object, got list\n"
+
     def test_malformed_spec_is_usage_error(self, tmp_path, state_file, capsys):
         f_state, _ = state_file
         obj = fileio.spec_to_obj(symmetrization_spec(2, 2))

@@ -54,6 +54,18 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError, match=f"'{other}' must be non-negative, got -2"):
             fileio.matrix_from_obj(obj)
 
+    @pytest.mark.parametrize("reader,key", [
+        (fileio.matrix_from_obj, "matrix"),
+        (fileio.choi_from_obj, "choi"),
+    ])
+    @pytest.mark.parametrize(
+        "obj,found", [([1, 2], "list"), ("x", "str"), (3, "int"), (None, "NoneType")]
+    )
+    def test_rejects_non_object(self, reader, key, obj, found):
+        # a list used to raise TypeError, "list indices must be integers"
+        with pytest.raises(ValueError, match=f"^'{key}' must be an object, got {found}$"):
+            reader(obj)
+
     def test_rejects_nonfinite(self):
         M = np.array([[np.inf]])
         with pytest.raises(ValueError):
@@ -115,6 +127,28 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match=rf"'{key}\[1\]' must be an integer"):
             fileio.spec_from_obj(obj)
 
+    def test_rejects_non_object_spec(self):
+        with pytest.raises(ValueError, match="^'spec' must be an object, got list$"):
+            fileio.spec_from_obj([fileio.spec_to_obj(symmetrization_spec(2, 2))])
+
+    @pytest.mark.parametrize(
+        "value,found", [("(2,0)", "str"), ({}, "dict"), (5, "int")]
+    )
+    def test_rejects_non_list_assignments(self, value, found):
+        # a string used to be iterated and raise TypeError at its first character
+        obj = fileio.spec_to_obj(symmetrization_spec(2, 2))
+        obj["assignments"] = value
+        with pytest.raises(ValueError, match=f"^'assignments' must be a list, got {found}$"):
+            fileio.spec_from_obj(obj)
+
+    def test_rejects_non_object_assignment(self):
+        obj = fileio.spec_to_obj(symmetrization_spec(2, 2))
+        obj["assignments"].append([2, 0])
+        n = len(obj["assignments"]) - 1
+        message = rf"^'assignments\[{n}\]' must be an object, got list$"
+        with pytest.raises(ValueError, match=message):
+            fileio.spec_from_obj(obj)
+
     def test_rejects_repeated_lambda(self):
         # the second assignment of the same lambda used to replace the first
         obj = fileio.spec_to_obj(symmetrization_spec(2, 2))
@@ -167,6 +201,18 @@ class TestPathRoundTrip:
         assert back == p and (back.k, back.l) == (0, 1)
 
 
+    @pytest.mark.parametrize("obj,found", [(5, "int"), ({"steps": []}, "dict"), ("x", "str")])
+    def test_rejects_non_list(self, obj, found):
+        # 5 used to raise TypeError, "'int' object is not iterable"
+        with pytest.raises(ValueError, match=f"^'path' must be a list, got {found}$"):
+            fileio.path_from_obj(obj)
+
+    def test_rejects_empty(self):
+        # numpy used to raise "attempt to get argmax of an empty sequence"
+        with pytest.raises(ValueError, match="^'path' must hold at least one staircase$"):
+            fileio.path_from_obj([])
+
+
 class TestReportRoundTrip:
     def test_round_trip(self, tmp_path):
         r = VerificationReport("demo", 7)
@@ -206,6 +252,39 @@ class TestReportRoundTrip:
         obj = fileio.report_to_obj(r)
         obj["cases"][0][key] = bad
         with pytest.raises(ValueError, match=f"'{key}' must be a real number, got {bad!r}"):
+            fileio.report_from_obj(obj)
+
+    def test_rejects_non_object_report(self):
+        with pytest.raises(ValueError, match="^'report' must be an object, got list$"):
+            fileio.report_from_obj([])
+
+    @pytest.mark.parametrize("value", [3, None, ["demo"]], ids=["int", "null", "list"])
+    def test_rejects_non_string_suite(self, value):
+        # these used to load as the report's suite name
+        obj = fileio.report_to_obj(VerificationReport("demo", 7))
+        obj["suite"] = value
+        with pytest.raises(ValueError, match="^'suite' must be a string, got "):
+            fileio.report_from_obj(obj)
+
+    @pytest.mark.parametrize("value", [4, None, True], ids=["int", "null", "bool"])
+    def test_rejects_non_string_case_id(self, value):
+        r = VerificationReport("demo", 7)
+        r.add("case-a", 1e-12, 1e-8)
+        obj = fileio.report_to_obj(r)
+        obj["cases"][0]["id"] = value
+        with pytest.raises(ValueError, match=f"^'id' must be a string, got {value!r}$"):
+            fileio.report_from_obj(obj)
+
+    def test_rejects_non_list_cases(self):
+        obj = fileio.report_to_obj(VerificationReport("demo", 7))
+        obj["cases"] = {"id": "a", "value": 0, "threshold": 1}
+        with pytest.raises(ValueError, match="^'cases' must be a list, got dict$"):
+            fileio.report_from_obj(obj)
+
+    def test_rejects_non_object_case(self):
+        obj = fileio.report_to_obj(VerificationReport("demo", 7))
+        obj["cases"] = [["a", 0, 1]]
+        with pytest.raises(ValueError, match=r"^'cases\[0\]' must be an object, got list$"):
             fileio.report_from_obj(obj)
 
     def test_integer_case_numbers_load(self):

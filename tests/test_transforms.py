@@ -591,9 +591,15 @@ class TestBuilderCache:
             general_cg(staircase(1, 0), staircase(1, 0, 0))
 
     def test_cached_arrays_are_read_only(self):
-        from equichan.channels import classification_isometry
+        # and every array of transform coefficients is real float64; only
+        # the integer slots and weights are exempt from that
+        from equichan.channels import (
+            _cg_restriction_tensor,
+            _embed_trace_tensor,
+            classification_isometry,
+        )
 
-        lam = staircase(2, 1, 0)
+        lam, adjoint = staircase(2, 1, 0), staircase(1, 0, -1)
         real = canonical_realization(lam)
         arrays = {
             "simple_cg": simple_cg(lam, True).matrix,
@@ -606,6 +612,8 @@ class TestBuilderCache:
             "weights": real.weights,
             "dual_structure": dual_structure(lam),
             "classification_isometry": classification_isometry(1, 1, 2).matrix,
+            "embed-trace tensor": _embed_trace_tensor(lam, lam, adjoint),
+            "CG restriction tensor": _cg_restriction_tensor(lam, lam, adjoint)[0],
         }
         keyed = {
             "simple_cg": simple_cg(lam, True).blocks,
@@ -627,6 +635,8 @@ class TestBuilderCache:
             idx = (0,) * arr.ndim
             with pytest.raises(ValueError, match="read-only"):
                 arr[idx] = arr[idx]  # a no-op, were the write allowed
+            if "slots" not in name and name != "weights":
+                assert arr.dtype == np.float64, name
 
     def test_weight_blocks_hash_and_compare_by_identity(self):
         # a weight block holds arrays, so like the other cached records it
