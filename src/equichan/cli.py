@@ -4,7 +4,9 @@ Subcommands: classify (list extremal triples), simulate (apply a spec to a
 state, dense or streamed), sample (box removals or whole GT paths),
 estimate (resource tables), verify (invariant suites), apps (the three
 worked channels).  Exit codes: 0 success, 1 verification failure, 2 usage
-error or an input or output rejected by the state gate in ``channels``.
+error, an input or output rejected by the state gate in ``channels``, a
+file that cannot be read or written, or a dense dimension over the cap of
+``limits``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from equichan.channels import (
     extremal_choi,
 )
 from equichan.gtpaths import sample_gt_path, sample_remove_box, exact_removal_distribution
+from equichan.limits import ResourceError
 from equichan.staircases import Staircase
 from equichan.streaming import application_estimate, resource_estimate, streamed_apply
 from equichan.suites import SUITES, run_suite
@@ -91,13 +94,13 @@ def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.what == "path":
         for _ in range(args.count):
-            p = sample_gt_path(shape, rng, mode=args.mode)
+            p = sample_gt_path(shape, rng)
             print(json.dumps(fileio.path_to_obj(p)))
         return 0
     exact = exact_removal_distribution(shape)
     counts: dict[Staircase, int] = {}
     for _ in range(args.count):
-        mu = sample_remove_box(shape, rng, mode=args.mode)
+        mu = sample_remove_box(shape, rng)
         counts[mu] = counts.get(mu, 0) + 1
     print(f"{'shape':<16}{'count':>9}{'frequency':>12}{'exact':>12}")
     for mu in exact.support():
@@ -210,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     sa = sub.add_parser("sample", help="sample box removals or GT paths")
     sa.add_argument("--shape", required=True, help="comma-separated partition, e.g. 3,1")
     sa.add_argument("--what", choices=["box", "path"], default="box")
-    sa.add_argument("--mode", choices=["alg1", "alg3"], default="alg3")
     sa.add_argument("--count", type=int, default=10_000)
     sa.add_argument("--seed", type=int, default=0)
     sa.set_defaults(func=_cmd_sample)
@@ -257,7 +259,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,22 +7,20 @@ sampling a single box removal with probability proportional to the
 dimension of the smaller irrep, which the hook walk does without computing
 any dimensions.
 
-Two equivalent walks are provided: ``alg1`` walks on the boxes of the Young
-diagram itself (pick a uniformly random box, then repeatedly jump to a
-uniformly random box strictly to the right in the same row or strictly
-below in the same column, until a corner is reached); ``alg3`` walks on the
-squashed diagram in which maximal rectangles of equal rows/columns are
-contracted to single weighted cells, which needs only O(r) random draws for
-r distinct row lengths.  Note: the while-loop condition of the box-walk is
-interpreted as moves within the same row or the same column only; the
-squashed variant and the worked removal example pin this down.
-
-Each walk's moves are written once.  ``_box_moves`` is the box walk's move
-rule, read both by the sampler, which takes index ``int(u * n)`` among n
-equally likely boxes, and by the exact recursion ``_dp_boxes``.  The
-memoised ``_walk_table``s are the squashed walk: the samplers walk them, and
-``next_step_distribution(lam, "alg3")`` reads its exact distribution off the
-same table, so the exact identity certifies the tables that are walked.
+The samplers run the squashed hook walk: the diagram with maximal
+rectangles of equal rows/columns contracted to single weighted cells,
+which needs only O(r) random draws for r distinct row lengths.  The
+memoised ``_walk_table``s are that walk: the samplers walk them, and
+``next_step_distribution(lam, "alg3")`` reads its exact distribution off
+the same tables, so the exact identity certifies the tables that are
+walked.  The box walk on the Young diagram itself (pick a uniformly
+random box, then repeatedly jump to a uniformly random box strictly to
+the right in the same row or strictly below in the same column, until a
+corner is reached) is kept only as its exact recursion ``_dp_boxes``
+over the move rule ``_box_moves``: ``next_step_distribution(lam,
+"alg1")``, which certifies the paper's Algorithm 1.  Its while-loop
+condition is read as moves within the same row or the same column only;
+the squashed walk and the worked removal example pin this down.
 
 All probabilities are exact rationals; floating point enters only at the
 final inverse-CDF draw.
@@ -168,20 +166,6 @@ def _box_moves(rows: list[int], i: int, j: int) -> list[tuple[int, int]]:
     return right + below
 
 
-def _walk_boxes(rows: list[int], draws) -> int:
-    """Box walk on the Young diagram with given row lengths.
-
-    ``draws`` yields uniform [0,1) numbers, one per decision, and each
-    decision among n equally likely boxes takes index ``int(u * n)``.
-    Returns the 0-based row index of the removable corner the walk ends on.
-    """
-    boxes = [(i, j) for i, r in enumerate(rows) for j in range(r)]
-    i, j = boxes[int(next(draws) * len(boxes))]
-    while options := _box_moves(rows, i, j):
-        i, j = options[int(next(draws) * len(options))]
-    return i
-
-
 def _squash(rows: list[int]) -> tuple[list[int], list[int], list[int], list[int]]:
     """Contract equal rows and columns of a Young diagram.
 
@@ -273,7 +257,7 @@ def _walk(
     ``limit`` removals, or all of them down to the empty shape when
     ``limit`` is None, taking one uniform number per decision from the
     iterator ``draws``.  Each decision is the strict inverse-CDF comparison
-    of the box walk: one draw u, one ``bisect_right`` of u * total on the
+    of a linear scan: one draw u, one ``bisect_right`` of u * total on the
     cumulative weights of the current move of the memoised
     ``_walk_table``, and one index into its targets.  Totals are integers
     below 2**53, so u < 1 gives u * total < total and the bisection never
@@ -439,43 +423,16 @@ def _walk_many(
     return [keys[a:b] for a, b in edges], [used[a:b] for a, b in edges]
 
 
-def _remove_rows(
-    lam: Staircase, rng, mode: str, limit: int | None = None
-) -> tuple[int, ...]:
-    """Rows the hook walks of the given mode remove boxes from, in path order.
+def sample_remove_box(lam: Staircase, rng: np.random.Generator) -> Staircase:
+    """Sample mu from lam by removing one box via the squashed hook walk.
 
-    Walks from the partition lam down to the empty shape, or for ``limit``
-    removals, drawing from ``rng.random`` one uniform number per decision:
-    alg3 in one ``_walk`` over the memoised tables, alg1 one box walk per
-    removal.
-    """
-    draws = iter(rng.random, None)
-    rows = tuple(e for e in lam.entries if e > 0)
-    if mode == "alg3":
-        return _walk(rows, draws, limit)[0]
-    if mode != "alg1":
-        raise ValueError(f"unknown mode {mode!r}")
-    removed: list[int] = []
-    while rows and len(removed) != limit:
-        i = _walk_boxes(list(rows), draws)
-        removed.append(i)
-        rows = _shrink(rows, i)
-    removed.reverse()
-    return tuple(removed)
-
-
-def sample_remove_box(
-    lam: Staircase, rng: np.random.Generator, mode: str = "alg3"
-) -> Staircase:
-    """Sample mu from lam by removing one box via a hook walk.
-
-    The result is distributed as exact_removal_distribution(lam).  ``mode``
-    selects the box walk ("alg1") or the squashed weighted walk ("alg3");
-    the two are isomorphic.
+    The result is distributed as exact_removal_distribution(lam).  One
+    ``_walk`` with ``limit=1``, drawing one ``rng.random()`` per decision.
     """
     if not lam.is_partition or lam.size == 0:
         raise ValueError("need a nonempty partition")
-    (row,) = _remove_rows(lam, rng, mode, limit=1)
+    rows = tuple(e for e in lam.entries if e > 0)
+    (row,), _ = _walk(rows, iter(rng.random, None), limit=1)
     return lam.bump(row, -1)
 
 
@@ -542,28 +499,24 @@ def _walk_ends(node: tuple, memo: dict[int, dict[int, Fraction]]) -> dict[int, F
     return memo[id(node)]
 
 
-def sample_gt_rows(
-    lam: Staircase, rng: np.random.Generator, mode: str = "alg3"
-) -> tuple[int, ...]:
+def sample_gt_rows(lam: Staircase, rng: np.random.Generator) -> tuple[int, ...]:
     """Row sequence of a uniformly random GT path from the empty staircase to lam.
 
     Repeatedly removes a hook-walk-sampled box from the partition lam down
     to the empty shape and returns the rows in the order the path adds
-    them (``GtPath.row_sequence``).  alg3 walks the whole path in one
-    ``_walk`` over the walk-ready tables of ``_walk_table`` (memoised per
-    row tuple; each decision is one bisection and one index, and each stop
-    names the row tuple its removal leaves), drawing one ``rng.random()``
-    per decision, so the draws and their number are those of one walk per
-    removal.
+    them (``GtPath.row_sequence``).  The whole path is one ``_walk`` over
+    the walk-ready tables of ``_walk_table`` (memoised per row tuple; each
+    decision is one bisection and one index, and each stop names the row
+    tuple its removal leaves), drawing one ``rng.random()`` per decision,
+    so the draws and their number are those of one walk per removal.
     """
     if not lam.is_partition:
         raise ValueError("need a partition")
-    return _remove_rows(lam, rng, mode)
+    rows = tuple(e for e in lam.entries if e > 0)
+    return _walk(rows, iter(rng.random, None))[0]
 
 
-def sample_gt_path(
-    lam: Staircase, rng: np.random.Generator, mode: str = "alg3"
-) -> GtPath:
+def sample_gt_path(lam: Staircase, rng: np.random.Generator) -> GtPath:
     """Uniformly random GT path from the empty staircase up to the partition lam.
 
     Repeatedly removes a hook-walk-sampled box down to the empty shape and
@@ -572,7 +525,7 @@ def sample_gt_path(
     at the end.
     """
     steps = [empty_staircase(lam.d)]
-    for i in sample_gt_rows(lam, rng, mode=mode):
+    for i in sample_gt_rows(lam, rng):
         steps.append(steps[-1].bump(i, 1))
     return GtPath(tuple(steps), k=lam.size, l=0)
 

@@ -67,6 +67,7 @@ from equichan.staircases import (
     check_count,
     check_shape,
     dim_gl_irrep,
+    empty_staircase,
     partitions_of,
 )
 from equichan.transforms import (
@@ -201,10 +202,12 @@ def _absorb_phase(
     """Feed input sites through simple CG transforms, decohering the labels.
 
     Every streamed run enters here, so this is where ``channels.check_input``
-    tests the input.  Returns subnormalized block states per final label.
-    The emulator array for label nu at step t has shape (q_nu * d^(m-t))^2
-    and carries the not yet consumed sites; the algorithm's own live
-    registers are only Q (x) one site.
+    tests the input.  Returns subnormalized block states per final label;
+    with m = 0 that is the 1 x 1 state on the empty label, with no step
+    recorded and ``ledger.r`` left at 0.  The emulator array for label nu
+    at step t has shape (q_nu * d^(m-t))^2 and carries the not yet
+    consumed sites; the algorithm's own live registers are only Q (x) one
+    site.
 
     Each step contracts the CG matrix C on the (q_nu * d) tensor legs of
     the block and never forms C (x) 1 on the unconsumed sites: for each
@@ -221,8 +224,10 @@ def _absorb_phase(
     """
     rho = np.asarray(rho)
     check_input(rho, d**m)
-    box = box_label(d)
-    sigma: dict[Staircase, np.ndarray] = {box: np.ascontiguousarray(rho, dtype=complex)}
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    if m == 0:
+        return {empty_staircase(d): rho}
+    sigma: dict[Staircase, np.ndarray] = {box_label(d): rho}
     schedule.append(ScheduleStep("absorb", ("Q", "in:1"), d))
     ledger.r = max(ledger.r, 1)
     for t in range(2, m + 1):

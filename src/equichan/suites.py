@@ -265,7 +265,7 @@ def suite_sampling(seed: int = 1) -> VerificationReport:
         counts: dict[Staircase, int] = {}
         ntrials = 100_000
         for _ in range(ntrials):
-            mu = sample_remove_box(shape, rng, mode="alg3")
+            mu = sample_remove_box(shape, rng)
             counts[mu] = counts.get(mu, 0) + 1
         report.add(f"tv {shape}", tv_distance(counts, exact), 0.01)
     return report

@@ -172,37 +172,6 @@ class RowRng:
         return next(self._draws)
 
 
-def box_walk_row(rows: list[int], draws) -> int:
-    """Row the box hook walk removes a box from, by explicit loops.
-
-    The walk starts on a uniformly random box of the Young diagram with
-    these row lengths and jumps to a uniformly random box strictly to the
-    right in the same row or strictly below in the same column, right
-    options first, until it reaches a corner; ``draws`` yields one uniform
-    number per decision, each turned into an index by a linear inverse-CDF
-    scan over equal weights.  Returns the 0-based row of the corner.
-    """
-
-    def pick(weights, u):
-        target = u * sum(weights)
-        acc = 0
-        for idx, w in enumerate(weights):
-            acc += w
-            if target < acc:
-                return idx
-        return len(weights) - 1
-
-    boxes = [(i, j) for i, r in enumerate(rows) for j in range(r)]
-    i, j = boxes[pick([1] * len(boxes), next(draws))]
-    while True:
-        right = [(i, jj) for jj in range(j + 1, rows[i])]
-        below = [(ii, j) for ii in range(i + 1, len(rows)) if rows[ii] > j]
-        options = right + below
-        if not options:
-            return i
-        i, j = options[pick([1] * len(options), next(draws))]
-
-
 def squashed_walk_row(rows: list[int], draws) -> int:
     """Row the squashed hook walk removes a box from, by explicit loops.
 

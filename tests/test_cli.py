@@ -89,6 +89,19 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: --mode sample needs --stream; the dense route is exact\n"
 
+    def test_dense_cap_is_usage_error(self, tmp_path, state_file, monkeypatch, capsys):
+        # exit 1 means a verification case failed; the cap is not one
+        f_state, _ = state_file
+        f_spec = tmp_path / "spec.json"
+        fileio.save_json(fileio.spec_to_obj(symmetrization_spec(2, 2)), f_spec)
+        monkeypatch.setenv("EQUICHAN_MAX_DENSE", "8")
+        assert run(["simulate", "--spec", str(f_spec), "--state", str(f_state)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: dense dimension 16 exceeds cap 8; raise EQUICHAN_MAX_DENSE to override\n"
+        )
+
     def test_dense_prints_output_record(self, tmp_path, state_file, capsys):
         f_state, rho = state_file
         spec = symmetrization_spec(2, 2)
@@ -223,12 +236,20 @@ def test_every_route_gives_one_error_for_a_bad_input(case, route, tmp_path, caps
 
 class TestSample:
     def test_box_frequencies(self, capsys):
-        assert run(["sample", "--shape", "3,1", "--mode", "alg3",
-                    "--count", "2000", "--seed", "7"]) == 0
+        assert run(["sample", "--shape", "3,1", "--count", "2000", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "total variation vs exact" in out
         tv = float(out.strip().splitlines()[-1].split(":")[1])
         assert tv < 0.05
+
+    def test_mode_option_is_gone(self, capsys):
+        # the sampler runs the one squashed walk; --mode is an argparse usage error
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--shape", "3,1", "--mode", "alg3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --mode alg3" in captured.err
 
     def test_paths_newline_delimited(self, capsys):
         assert run(["sample", "--shape", "2,1", "--what", "path",
@@ -406,6 +427,24 @@ class TestApps:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["apps", "symmetrize", "--state", str(tmp_path / "nope.json"),
                     "-m", "2", "-d", "2"]) == 2
+
+    def test_directory_as_state_is_usage_error(self, tmp_path, capsys):
+        # exit 1 means a verification case failed; a file-system error is not one
+        assert run(["apps", "symmetrize", "--state", str(tmp_path),
+                    "-m", "2", "-d", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Is a directory" in captured.err
+
+    def test_directory_as_out_is_usage_error(self, tmp_path, state_file, capsys):
+        f_state, _ = state_file
+        assert run(["apps", "symmetrize", "--state", str(f_state), "-m", "2", "-d", "2",
+                    "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Is a directory" in captured.err
 
     @pytest.mark.parametrize("app", ["clone", "purify"])
     def test_sample_mode_outside_symmetrize_is_usage_error(self, app, tmp_path, capsys):

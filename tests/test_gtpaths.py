@@ -1,10 +1,11 @@
+import inspect
 import itertools
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import CountingRng, RowRng, box_walk_row, squashed_walk_row
+from oracles import CountingRng, squashed_walk_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,21 +204,22 @@ class TestWalkDistributions:
                     got = next_step_distribution(lam, mode=mode)
                     assert got.probs == exact.probs, (lam, mode)
 
+    @pytest.mark.parametrize("mode", ["alg1", "alg3"])
+    def test_worked_diagram_matches_exact(self, mode):
+        # the 13-box diagram of the worked walk, past the m <= 8 sweep
+        lam = staircase(5, 3, 3, 2)
+        got = next_step_distribution(lam, mode=mode)
+        assert got.probs == exact_removal_distribution(lam).probs
+
 
 class TestSampleRemoveBox:
-    def test_worked_walk_alg1(self):
-        # lam = (5,3,3,2): box (1,2) -> (3,2) -> (3,3) in 1-based coordinates,
-        # i.e. start at index 1 of 13 boxes, then option 4 of 6, then 0 of 2.
-        rng = FakeRng([1.5 / 13, 4.5 / 6, 0.25])
-        got = sample_remove_box(staircase(5, 3, 3, 2), rng, mode="alg1")
-        assert got == staircase(5, 3, 2, 2)
-
     def test_worked_walk_alg3(self):
-        # same walk on the squashed diagram: cells (1,1) -> (2,1) -> (2,2)
-        # in 1-based coordinates; start weights v*w = (2,1,2, 4,2, 2) sum 13,
+        # lam = (5,3,3,2), whose box walk (1,2) -> (3,2) -> (3,3) is, on the
+        # squashed diagram, cells (1,1) -> (2,1) -> (2,2) in 1-based
+        # coordinates; start weights v*w = (2,1,2, 4,2, 2) sum 13,
         # then move weights (w2,w3,v2,v3) = (1,2,2,1), then (w2,v3) = (1,1).
         rng = FakeRng([0.5 / 13, 0.7, 0.25])
-        got = sample_remove_box(staircase(5, 3, 3, 2), rng, mode="alg3")
+        got = sample_remove_box(staircase(5, 3, 3, 2), rng)
         assert got == staircase(5, 3, 2, 2)
 
     def test_single_row_any_randomness(self, rng):
@@ -230,7 +232,7 @@ class TestSampleRemoveBox:
         n = 100_000
         counts = {mu: 0 for mu in exact.support()}
         for _ in range(n):
-            counts[sample_remove_box(lam, rng, mode="alg3")] += 1
+            counts[sample_remove_box(lam, rng)] += 1
         tv = 0.5 * sum(
             abs(counts[mu] / n - float(exact[mu])) for mu in exact.support()
         )
@@ -246,7 +248,7 @@ class TestSampleRemoveBox:
                 rows = [e for e in lam.entries if e > 0]
                 for seed in range(40):
                     rng = CountingRng(np.random.default_rng(seed))
-                    got = sample_remove_box(lam, rng, mode="alg3")  # type: ignore[arg-type]
+                    got = sample_remove_box(lam, rng)  # type: ignore[arg-type]
                     ref_rng = CountingRng(np.random.default_rng(seed))
                     row = squashed_walk_row(rows, iter(ref_rng.random, None))
                     assert got == lam.bump(row, -1), (lam, seed)
@@ -264,7 +266,7 @@ class TestSampleRemoveBox:
                 for shift in range(4):
                     values = [((shift + t) % 4) / 4 for t in range(4 * m + 4)]
                     rng = FakeRng(values)
-                    got = sample_remove_box(lam, rng, mode="alg3")
+                    got = sample_remove_box(lam, rng)
                     ref = FakeRng(values)
                     row = squashed_walk_row(rows, iter(ref.random, None))
                     assert got == lam.bump(row, -1), (lam, shift)
@@ -293,38 +295,6 @@ class TestSampleRemoveBox:
                     got = sample_gt_rows(lam, rng)
                     assert got == _reference_removals(rows, iter(ref.random, None))
                     assert len(rng.values) == len(ref.values), (lam, pattern)
-
-    def test_alg1_matches_reference_box_walk_draw_for_draw(self):
-        # the box walk removes the rows the loop walk of tests/oracles.py
-        # removes with the same number of draws, for one removal and for
-        # whole paths, on every partition of size 1..10 with at most 5 rows:
-        # 40 seeds each, dyadic draws that land exactly on a cumulative
-        # weight, and u = nextafter(1, 0), which must take the last option.
-        # A removal from m boxes makes at most m decisions, so a path of
-        # at most 10 boxes takes at most 55 uniforms.
-        top = float(np.nextafter(1.0, 0.0))
-        patterns = [(0.0, 0.25, 0.5, 0.75), (0.5, 0.75, 0.0, 0.25), (top,), (0.0, top)]
-        streams = [np.random.default_rng(seed).random(55) for seed in range(40)]
-        streams += [np.resize(pattern, 55) for pattern in patterns]
-        walks = 0
-        for m in range(1, 11):
-            for lam in partitions_of(m, min(m, 5)):
-                rows = [e for e in lam.entries if e > 0]
-                for uniforms in streams:
-                    # a whole path's first removal takes the draws of one removal
-                    ref = RowRng(uniforms)
-                    draws = iter(ref.random, None)
-                    row = box_walk_row(rows, draws)
-                    first = (lam.bump(row, -1), ref.count)
-                    rest = _reference_removals(_left(tuple(rows), row), draws, box_walk_row)
-                    rng = RowRng(uniforms)
-                    got = sample_remove_box(lam, rng, mode="alg1")  # type: ignore[arg-type]
-                    assert (got, rng.count) == first, lam
-                    rng = RowRng(uniforms)
-                    got = sample_gt_rows(lam, rng, mode="alg1")  # type: ignore[arg-type]
-                    assert (got, rng.count) == (rest + (row,), ref.count), lam
-                    walks += 1
-        assert walks == 4928
 
     def test_whole_path_walk_matches_reference_removals(self):
         # sample_gt_rows walks a whole path in one loop over the memoised
@@ -394,14 +364,6 @@ class TestSampleRemoveBox:
                     stops.add(cell)
         assert stops == {(0, (4, 3, 3, 2)), (2, (5, 3, 2, 2)), (3, (5, 3, 3, 1))}
 
-    def test_alg1_empirical(self, rng):
-        lam = staircase(2, 1)
-        counts = {}
-        for _ in range(20_000):
-            mu = sample_remove_box(lam, rng, mode="alg1")
-            counts[mu] = counts.get(mu, 0) + 1
-        assert abs(counts[staircase(2, 0)] / 20_000 - 0.5) < 0.02
-
 
 def _left(rows, i):
     """Row lengths left when a box is removed from row i."""
@@ -416,12 +378,12 @@ def _reference_rows(rows, seed):
     return ref.count, removed
 
 
-def _reference_removals(rows, draws, walk=squashed_walk_row):
-    """Row sequence of repeated removals by ``walk`` on ``draws``."""
+def _reference_removals(rows, draws):
+    """Row sequence of repeated squashed_walk_row removals on ``draws``."""
     rows = list(rows)
     removed = []
     while rows:
-        i = walk(rows, draws)
+        i = squashed_walk_row(rows, draws)
         removed.append(i)
         rows[i] -= 1
         rows = [r for r in rows if r > 0]
@@ -482,25 +444,26 @@ class TestSampleGtPath:
             pvalue = chi2.sf(stat, dof)
             assert pvalue > 1e-3
 
-    @pytest.mark.parametrize("mode", ["alg1", "alg3"])
-    def test_rows_are_the_path_draw_for_draw(self, mode):
+    def test_rows_are_the_path_draw_for_draw(self):
         # sample_gt_rows walks on row tuples with the draws sample_gt_path uses
         for lam in partitions_of(6, 3) + [staircase(4, 2, 1)]:
             for seed in range(5):
                 a = CountingRng(np.random.default_rng(seed))
                 b = CountingRng(np.random.default_rng(seed))
-                path = sample_gt_path(lam, a, mode=mode)  # type: ignore[arg-type]
-                rows = sample_gt_rows(lam, b, mode=mode)  # type: ignore[arg-type]
+                path = sample_gt_path(lam, a)  # type: ignore[arg-type]
+                rows = sample_gt_rows(lam, b)  # type: ignore[arg-type]
                 assert path.end == lam and rows == path.row_sequence()
                 assert a.count == b.count
 
     def test_bad_arguments(self, rng):
         with pytest.raises(ValueError, match="partition"):
             sample_gt_rows(staircase(1, -1), rng)
-        with pytest.raises(ValueError, match="mode"):
-            sample_gt_rows(staircase(2, 1), rng, mode="alg2")
-        with pytest.raises(ValueError, match="mode"):
-            sample_gt_path(staircase(2, 1), rng, mode="alg2")
+
+    def test_samplers_take_no_walk_mode(self):
+        # the samplers run the one squashed walk; only next_step_distribution
+        # reads a mode, to certify both walks exactly
+        for sampler in (sample_remove_box, sample_gt_rows, sample_gt_path):
+            assert tuple(inspect.signature(sampler).parameters) == ("lam", "rng")
 
     def test_draw_budget(self):
         # O(m * rows) uniform draws per sampled path

@@ -32,6 +32,7 @@ from equichan.staircases import (
     box_label,
     dim_gl_irrep,
     dim_perm_irrep,
+    empty_staircase,
     partitions_of,
     staircase,
 )
@@ -386,6 +387,31 @@ class TestStreamedApply:
             ledgers.setdefault((spec.m, spec.n), ledger)
         assert ledgers[(3, 1)].num_inverse_cg == 1
         assert ledgers[(3, 3)].r_prime == 1
+
+    def test_no_input_sites(self, schedules):
+        # m = 0: nothing is absorbed, the 1 x 1 state sits on the empty label
+        # and the middle and emission phases run as for m >= 1
+        rho = np.eye(1)
+        nspecs = 0
+        for d in (2, 3):
+            ledger, steps = ResourceLedger(), []
+            sigma = _absorb_phase(rho, 0, d, ledger, steps)
+            assert list(sigma) == [empty_staircase(d)]
+            assert sigma[empty_staircase(d)].dtype == complex
+            assert steps == [] and ledger.r == 0
+            for n in range(4):
+                for spec in all_specs(0, n, d):
+                    out, ledger = streamed_apply(spec, rho)
+                    assert np.abs(out - extremal_choi(spec).apply(rho)).max() < 1e-12
+                    ops = [s.op for s in schedules[-1]]
+                    assert "absorb" not in ops
+                    assert ops.count("emit") == max(n - 1, 0)
+                    sites = [r for s in schedules[-1] for r in s.registers]
+                    assert not any(r.startswith("in:") for r in sites)
+                    assert ledger.r == 0 and ledger.num_simple_cg == 0
+                    assert ledger.r_prime == spec.triple(empty_staircase(d)).mu.length
+                    nspecs += 1
+        assert nspecs == 13
 
     def test_schedule_validator_catches_violations(self):
         bad = [ScheduleStep("absorb", ("Q", "in:2"), 4)]
