@@ -68,36 +68,51 @@ def check_input(rho: np.ndarray, dim: int) -> None:
     """ValueError unless rho is a finite dim x dim matrix whose trace and
     rho^dag - rho are within STATE_TOL of 1 and 0; positivity is not tested.
 
-    rho is read through ``np.asarray``.  Finiteness comes first, as every
-    comparison with a NaN is False.  The squared Frobenius norm of
-    A = rho^dag - rho is summed over the pairs (I, J), I <= J, of square
-    tiles of edge HERMITICITY_BAND, in one reused tile buffer: A is
-    anti-Hermitian, so tile (J, I) of A has the norm of tile (I, J), and
-    the off-diagonal pairs are weighted by 2, the diagonal tiles by 1.
-    The test never holds a dim x dim copy of rho.
+    rho is read through ``np.asarray``.  The tests run in the order
+    finiteness, shape, trace, Hermiticity, as every comparison with a NaN
+    is False, and a rho of the right shape is read once.  The squared
+    Frobenius norm of A = rho^dag - rho is summed over the pairs (I, J),
+    I <= J, of square tiles of edge HERMITICITY_BAND, in one reused tile
+    buffer: A is anti-Hermitian, so tile (J, I) of A has the norm of tile
+    (I, J), and the off-diagonal pairs are weighted by 2, the diagonal
+    tiles by 1.  The test never holds a dim x dim copy of rho.  Every
+    entry lies in one tile pair, so a NaN or inf entry makes the sum
+    non-finite: rho is scanned for non-finite entries only when its shape
+    is wrong or the sum or the trace is not finite.  A finite rho whose
+    squares overflow passes that scan and gets the trace or Hermiticity
+    message.
     """
     rho = np.asarray(rho)
-    if not np.isfinite(rho).all():
-        raise ValueError("input has non-finite entries")
-    if rho.shape != (dim, dim):
+    # np.isfinite refuses object entries with TypeError before any other test
+    if rho.shape != (dim, dim) or rho.dtype.hasobject:
+        _check_finite_input(rho)
         raise ValueError(f"input shape {rho.shape}, expected {(dim, dim)}")
-    trace = np.trace(rho)
-    if abs(trace - 1.0) > STATE_TOL:
-        raise ValueError(f"input trace {trace:.6g}, expected 1")
     buf = np.empty(min(HERMITICITY_BAND, dim) ** 2, dtype=rho.dtype)
     starts = range(0, dim, HERMITICITY_BAND)
     squared = 0.0
-    for i in starts:
-        rows = slice(i, min(i + HERMITICITY_BAND, dim))
-        for j in starts[i // HERMITICITY_BAND :]:
-            cols = slice(j, min(j + HERMITICITY_BAND, dim))
-            # tile (I, J) of rho^dag - rho
-            tile = buf[: (rows.stop - i) * (cols.stop - j)].reshape(rows.stop - i, -1)
-            np.conjugate(rho[cols, rows].T, out=tile)
-            tile -= rho[rows, cols]
-            squared += (1 if i == j else 2) * np.vdot(tile, tile).real
-    if np.sqrt(squared) > STATE_TOL:
-        raise ValueError("input is not Hermitian")
+    # a NaN or inf entry makes its tile's vdot, and so the sum, non-finite
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in starts:
+            rows = slice(i, min(i + HERMITICITY_BAND, dim))
+            for j in starts[i // HERMITICITY_BAND :]:
+                cols = slice(j, min(j + HERMITICITY_BAND, dim))
+                # tile (I, J) of rho^dag - rho
+                tile = buf[: (rows.stop - i) * (cols.stop - j)].reshape(rows.stop - i, -1)
+                np.conjugate(rho[cols, rows].T, out=tile)
+                tile -= rho[rows, cols]
+                squared += (1 if i == j else 2) * np.vdot(tile, tile).real
+        trace = np.trace(rho)
+        if not (np.isfinite(squared) and np.isfinite(trace)):
+            _check_finite_input(rho)
+        if abs(trace - 1.0) > STATE_TOL:
+            raise ValueError(f"input trace {trace:.6g}, expected 1")
+        if np.sqrt(squared) > STATE_TOL:
+            raise ValueError("input is not Hermitian")
+
+
+def _check_finite_input(rho: np.ndarray) -> None:
+    if not np.isfinite(rho).all():
+        raise ValueError("input has non-finite entries")
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -109,12 +124,6 @@ def _check_unit_trace(X: np.ndarray) -> None:
     tr = np.trace(X)
     if abs(tr - 1.0) >= 1e-10:
         raise ValueError(f"output trace {tr}, expected 1")
-
-
-def check_finite_unit_trace(X: np.ndarray) -> None:
-    """ValueError unless the output X has finite entries and trace 1 within 1e-10."""
-    _check_finite(X)
-    _check_unit_trace(X)
 
 
 def check_state(X: np.ndarray) -> None:

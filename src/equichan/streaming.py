@@ -37,9 +37,11 @@ draws the GT paths of up to CHUNK trajectories at once, by vectorized hook
 walks over flattened walk tables (``_draw_paths``), each trajectory on its
 own row of uniforms: one loop walks every label of a batch, and a
 memoised integer array per sector maps the drawn path keys to paths.
-Emission also certifies the output on its irrep sectors (the sector
-floor) and the executor then tests its entries and trace, so it returns
-a state or raises ValueError.
+Emission also certifies the output on its irrep sectors: its positivity
+by the sector floor, and its finiteness by the finite norms of the
+sector blocks, falling back to a dense scan only when a norm is not
+finite.  The executor then reads the trace off the output's diagonal, so
+it returns a state or raises ValueError.
 
 Costs that the streaming model leaves symbolic (gate synthesis accuracy and
 its log-power overhead) stay symbolic here: reports carry the factor
@@ -59,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from equichan.channels import PSD_TOL, ExtremalSpec, _embed_trace_tensor
-from equichan.channels import check_finite_unit_trace, check_input
+from equichan.channels import _check_finite, _check_unit_trace, check_input
 from equichan.gtpaths import GtPath, _walk_many, enumerate_paths
 from equichan.staircases import (
     Staircase,
@@ -269,9 +271,10 @@ def streamed_apply(
     must be an int >= 1 and ``seed`` an int >= 0, neither a bool (exact
     mode draws nothing and ignores ``seed``), ``rho`` must pass
     ``channels.check_input`` (positivity is not checked), the emission
-    phase certifies the output's positivity on its irrep sectors, with the
-    threshold and message of ``channels.check_state``, and
-    ``check_finite_unit_trace`` tests it last.
+    phase certifies the output's positivity and finiteness on its irrep
+    sectors, with the thresholds and messages of ``channels.check_state``,
+    and ``channels._check_unit_trace`` tests its trace last, on its
+    diagonal.
     """
     m, n, d = spec.m, spec.n, spec.d
     if mode not in ("exact", "sample"):
@@ -287,7 +290,7 @@ def streamed_apply(
     out = _emission_phase(
         tau, n, d, ledger, schedule, mode=mode, seed=seed, trajectories=trajectories
     )
-    check_finite_unit_trace(out)
+    _check_unit_trace(out)
     validate_schedule(schedule)
     ledger.count(schedule)
     return out, ledger
@@ -455,6 +458,15 @@ def _emission_phase(
     Raises ValueError("output not positive semidefinite: ...") when the
     floor is at or below -PSD_TOL, the threshold and message of the dense
     test ``channels.check_state``.
+
+    Finiteness is certified by the Frobenius norms of the tau_mu, taken
+    anyway to skip the weightless blocks.  A finite norm bounds every
+    entry of its block below sqrt(float max), about 1.3e154, and S is
+    real orthogonal, so no product or sum of the sector matmul or the
+    class GEMMs can overflow or make a NaN: when every norm is finite, so
+    is the output, and it is not scanned.  Otherwise the output is
+    scanned densely after the floor test, by ``channels._check_finite``,
+    which raises ValueError("output has non-finite entries").
     """
     out_dim = d**n
     for j in range(n, 1, -1):
@@ -468,8 +480,11 @@ def _emission_phase(
     out = np.empty((out_dim, out_dim), dtype=complex)
     filled = np.zeros(out_dim, dtype=bool)
     floor = np.inf
+    finite = True
     for mu, blk in tau.items():
-        if np.linalg.norm(blk) < WEIGHTLESS_NORM:
+        norm = np.linalg.norm(blk)
+        finite = finite and np.isfinite(norm)
+        if norm < WEIGHTLESS_NORM:
             continue
         sector = S.sectors[mu]
         p, q = sector.p_dim, sector.q_dim
@@ -497,6 +512,8 @@ def _emission_phase(
         else:
             # the right side is gathered before the class's rows are written
             out_re[wb.cols] = wb.matrix[live].T @ out_re[wb.cols[live]]
+    if not finite:
+        _check_finite(out)
     return out
 
 
@@ -597,12 +614,14 @@ def resource_estimate(
     sides; (k, l) are the middle-phase path steps.  The polylog synthesis
     factor stays symbolic in every row.  (m, n, d) are read through
     ``check_shape``, then r, r_prime, k and l in turn: ValueError names the
-    first that is a bool or no integer, or k or l if negative.
+    first that is a bool or no integer, or k or l if negative.  r and
+    r_prime must lie in [1, d], except that r = 0 is allowed when m = 0
+    and r_prime = 0 when n = 0, the counts a streamed run records there.
     """
     m, n, d = check_shape(m, n, d)
     r, r_prime = check_count("r", r, least=None), check_count("r_prime", r_prime, least=None)
     k, l = check_count("k", k), check_count("l", l)
-    if not (1 <= r <= d and 1 <= r_prime <= d):
+    if not (min(m, 1) <= r <= d and min(n, 1) <= r_prime <= d):
         raise ValueError("need 1 <= r, r_prime <= d")
 
     r_mid = min(d, max(r, r_prime) + k)

@@ -544,3 +544,31 @@ def full_generators(real) -> np.ndarray:
                 gens[i, j] = real.raising[i]
             gens[j, i] = gens[i, j].T
     return gens
+
+
+def check_input_two_pass(rho, dim: int, tol: float = 1e-8, band: int = 64) -> None:
+    """The input gate in two passes, the reference of ``channels.check_input``:
+    a dense finiteness scan first, then the shape, the trace within tol of
+    1, and |rho^dag - rho| within tol, summed over the tile pairs (I, J),
+    I <= J, of edge band, the off-diagonal pairs weighted by 2."""
+    rho = np.asarray(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("input has non-finite entries")
+    if rho.shape != (dim, dim):
+        raise ValueError(f"input shape {rho.shape}, expected {(dim, dim)}")
+    trace = np.trace(rho)
+    if abs(trace - 1.0) > tol:
+        raise ValueError(f"input trace {trace:.6g}, expected 1")
+    buf = np.empty(min(band, dim) ** 2, dtype=rho.dtype)
+    starts = range(0, dim, band)
+    squared = 0.0
+    for i in starts:
+        rows = slice(i, min(i + band, dim))
+        for j in starts[i // band :]:
+            cols = slice(j, min(j + band, dim))
+            tile = buf[: (rows.stop - i) * (cols.stop - j)].reshape(rows.stop - i, -1)
+            np.conjugate(rho[cols, rows].T, out=tile)
+            tile -= rho[rows, cols]
+            squared += (1 if i == j else 2) * np.vdot(tile, tile).real
+    if np.sqrt(squared) > tol:
+        raise ValueError("input is not Hermitian")

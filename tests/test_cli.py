@@ -292,6 +292,12 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert "absorb" in out
 
+    def test_general_takes_zero_registers_without_sites(self, capsys):
+        # r = 0 is what a streamed run with m = 0 records
+        assert run(["estimate", "-m", "0", "-n", "2", "-d", "2", "-r", "0",
+                    "--r-prime", "1"]) == 0
+        assert "emit" in capsys.readouterr().out
+
     @pytest.mark.parametrize("task", ["symmetrize", "clone", "purify"])
     def test_m_below_one_is_usage_error(self, task, capsys):
         assert run(["estimate", "--task", task, "-m", "0", "-n", "3", "-d", "2"]) == 2

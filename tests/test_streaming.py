@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import equichan
 import equichan.channels as channels
 import equichan.streaming as streaming
+from equichan.apps import clone, symmetrize
 
 from equichan.channels import (
     STATE_TOL,
@@ -63,6 +65,7 @@ from equichan.transforms import (
 from oracles import (
     RowRng,
     absorb_kron,
+    check_input_two_pass,
     choi_channel_defects,
     embed_trace_base,
     emit_dense,
@@ -894,6 +897,138 @@ class TestEmissionPhase:
         _check_emission_against_dense(tau, n, d, "exact")
 
 
+class TestFiniteCertificate:
+    """Emission certifies the output's finiteness by the finite norms of the
+    tau_mu and scans the output densely only when a norm is not finite; it
+    must decide every run as the dense scan after emission does."""
+
+    @staticmethod
+    def _scans(monkeypatch):
+        """Spy on the dense output scan: the shapes of the arrays it sees."""
+        shapes = []
+        check_finite = streaming._check_finite
+
+        def spy(X):
+            shapes.append(X.shape)
+            check_finite(X)
+
+        monkeypatch.setattr(streaming, "_check_finite", spy)
+        return shapes
+
+    @staticmethod
+    def _outcome(call):
+        """The exception type and message of call(), or its output bytes
+        and whatever else it returns."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                out, *rest = call()
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                return type(exc), str(exc)
+        return out.tobytes(), *rest
+
+    def _dense(self, call, monkeypatch):
+        """The outcome of call() with emission's scan off and the whole
+        output scanned before its trace is tested."""
+        with monkeypatch.context() as mp:
+            mp.setattr(streaming, "_check_finite", lambda X: None)
+            mp.setattr(
+                streaming,
+                "_check_unit_trace",
+                lambda X: (channels._check_finite(X), channels._check_unit_trace(X)),
+            )
+            return self._outcome(call)
+
+    def test_finite_runs_never_scan_the_output(self, monkeypatch, rng):
+        rho = random_state(729, rng)
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi /= np.linalg.norm(psi)
+        small = random_state(32, rng)
+
+        def runs():
+            symmetrize(rho, 6, 3)
+            clone(psi, 2, 6, 3)
+            symmetrize(small, 5, 2, mode="sample", seed=1, trajectories=50)
+
+        runs()  # warm the caches
+        shapes = self._scans(monkeypatch)
+        runs()
+        assert shapes == []
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    @pytest.mark.parametrize("m,d", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("value", [1e160, 1e300, 1.7e308])
+    def test_huge_inputs_agree_with_dense_scan(self, value, m, d, mode, monkeypatch):
+        # Hermitian trace-1 inputs with one huge off-diagonal pair: some
+        # tau_mu has a norm that is not finite
+        spec, dim = symmetrization_spec(m, d), d**m
+        for pair in ((0, 1), (0, dim - 1), (1, dim - 2)):
+            rho = np.eye(dim, dtype=complex) / dim
+            rho[pair] = rho[pair[::-1]] = value
+            ledger = ResourceLedger()
+            with np.errstate(over="ignore", invalid="ignore"):
+                tau = _middle_phase(spec, _absorb_phase(rho, m, d, ledger, []), ledger, [])
+                assert not all(np.isfinite(np.linalg.norm(b)) for b in tau.values())
+
+            def run():
+                return streamed_apply(spec, rho, mode=mode, seed=3, trajectories=20)
+
+            assert self._outcome(run) == self._dense(run, monkeypatch), pair
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_fallback_scan_agrees_with_dense_scan(self, m, monkeypatch):
+        # every spec (m, 3, 2) on inputs with one pair at 1e300 or 1.7e308:
+        # some of these pass the sector floor with a norm that is not
+        # finite, so emission scans the output itself
+        dim = 2**m
+        shapes = self._scans(monkeypatch)
+        for spec in all_specs(m, 3, 2):
+            for value in (1e300, 1.7e308):
+                for pair in ((0, 1), (1, dim - 2), (0, dim - 1)):
+                    if pair[0] == pair[1]:
+                        continue
+                    rho = np.eye(dim, dtype=complex) / dim
+                    rho[pair] = rho[pair[::-1]] = value
+
+                    def run():
+                        return streamed_apply(spec, rho)
+
+                    assert self._outcome(run) == self._dense(run, monkeypatch)
+        assert shapes and set(shapes) == {(8, 8)}
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1, np.inf)])
+    def test_non_finite_tau_reaches_the_output_only_by_emission(
+        self, value, mode, monkeypatch, rng
+    ):
+        # a 1 x 1 block tau_(2,2) holding NaN or inf passes the sector
+        # floor, whose eigenvalue is then NaN or +inf; the fallback scan
+        # must refuse the output
+        n, d = 4, 2
+        tau = _symmetrization_tau(n, d, rng)
+        lam = staircase(2, 2)
+        assert tau[lam].shape == (1, 1)
+        tau[lam] = np.full((1, 1), value, dtype=complex)
+
+        def run():
+            return (
+                _emission_phase(
+                    tau, n, d, ResourceLedger(), [], mode=mode, seed=3, trajectories=20
+                ),
+            )
+
+        shapes = self._scans(monkeypatch)
+        got = self._outcome(run)
+        assert got == (ValueError, "output has non-finite entries")
+        assert shapes == [(16, 16)]
+        with monkeypatch.context() as mp, np.errstate(invalid="ignore"):
+            mp.setattr(streaming, "_check_finite", lambda X: None)
+            out = _emission_phase(
+                tau, n, d, ResourceLedger(), [], mode=mode, seed=3, trajectories=20
+            )
+        with pytest.raises(ValueError, match="^output has non-finite entries$"):
+            channels._check_finite(out)
+
+
 # Run by a fresh interpreter, with and without -O: the finiteness check is
 # an exception, which python -O keeps.
 NON_FINITE_CASES = (
@@ -1061,6 +1196,65 @@ def test_input_check_holds_no_dense_copy(rng):
     assert peak < rho.nbytes / 4, peak
 
 
+def _gate_outcome(gate, rho, dim, warn):
+    """(exception type, message) of gate(rho, dim), or None if it passes;
+    warnings are raised as errors when warn is "error"."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        try:
+            gate(rho, dim)
+        except Exception as exc:  # the type is compared as well as the message
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("dim", [4, 65, 130, 729])
+def test_one_pass_gate_matches_two_pass_oracle(dim, rng):
+    # check_input reads rho once and scans it for non-finite entries only
+    # when the Hermiticity sum or the trace is not finite; every input must
+    # get the two-pass gate's exception and message, with no warning
+    rho = random_state(dim, rng)
+    last = dim - 1
+    places = {
+        "corners": [[(0, 0)], [(0, last)], [(last, 0)], [(last, last)]],
+        "diagonal": [[(dim // 2, dim // 2)]],
+        "mirrored": [[(1, last - 1), (last - 1, 1)]],
+        "last-partial-tile": [[(last, last - 1)]],
+    }
+    cases = {}
+    for value in (np.nan, np.inf, -np.inf, complex(np.inf, 1), 1e160, 1e200, 1e300, 1.8e308):
+        for where, entry_sets in places.items():
+            for entries in entry_sets:
+                bad = rho.copy()
+                for k, entry in enumerate(entries):
+                    bad[entry] = np.conj(value) if k else value
+                cases[f"{value} {where} {entries[0]}"] = (bad, dim)
+    trace_20 = 20 * rho
+    trace_20[0, last] = np.inf
+    nan_shape = random_state(dim + 1, rng)
+    nan_shape[0, 0] = np.nan
+    nan_single = rho.astype(np.complex64)
+    nan_single[last, 0] = np.nan
+    cases.update(
+        {
+            "trace 20 and inf": (trace_20, dim),
+            "wrong shape": (random_state(dim + 1, rng), dim),
+            "wrong shape, NaN": (nan_shape, dim),
+            "1-D": (rho[0], dim),
+            "complex64": (rho.astype(np.complex64), dim),
+            "complex64, NaN": (nan_single, dim),
+            "object": (rho.astype(object), dim),
+        }
+    )
+    seen = set()
+    for name, (bad, n) in cases.items():
+        want = _gate_outcome(check_input_two_pass, bad, n, "ignore")
+        assert _gate_outcome(check_input, bad, n, "error") == want, name
+        seen.add(want and want[1].split(" ")[1])
+    # every decision is met: accepted, non-finite, shape, trace, Hermiticity
+    assert seen >= {None, "has", "shape", "trace", "is"}, seen
+
+
 def _warm_peak(call):
     """Peak tracemalloc memory of call() on warm caches: of a second call."""
     call()
@@ -1184,6 +1378,22 @@ class TestResourceEstimate:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             resource_estimate(4, 4, 2, 5, 1, 0, 0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_accepts_the_register_counts_of_runs_without_sites(self, d):
+        # a run with no input sites records r = 0 and one with no output
+        # sites r_prime = 0; both used to be refused
+        recorded = set()
+        for m, n in [(0, k) for k in range(4)] + [(k, 0) for k in range(1, 4)]:
+            rho = np.eye(d**m) / d**m
+            for spec in all_specs(m, n, d):
+                _, ledger = streamed_apply(spec, rho)
+                resource_estimate(m, n, d, ledger.r, ledger.r_prime, 0, 0)
+                recorded.add((ledger.r, ledger.r_prime))
+        assert {(0, 0), (0, 1), (2, 0)} <= recorded
+        for r, r_prime in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="^need 1 <= r, r_prime <= d$"):
+                resource_estimate(1, 1, d, r, r_prime, 0, 0)
 
     @pytest.mark.parametrize("d", [0, -2])
     def test_rejects_d_below_one_by_name(self, d):
