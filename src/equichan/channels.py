@@ -134,21 +134,27 @@ def check_state(X: np.ndarray) -> None:
     with a NaN is False; then positivity, where the Hermitian part H of X
     must have its smallest eigenvalue above -PSD_TOL: exactly when the
     Cholesky factorization of H + PSD_TOL * 1, built in one C-ordered
-    buffer, exists (the eigenvalues of H are computed only when it fails,
-    for the message); the unit trace last.
+    buffer with X and X^dag halved before they are added, exists and is
+    finite (the eigenvalues of H are computed only when it is not, for
+    the message); the unit trace last.
     """
     _check_finite(X)
     shifted = np.empty_like(X, dtype=np.result_type(X, np.float64), order="C")
     np.conjugate(X.T, out=shifted)
-    shifted += X
+    # halved before the sum, which then cannot overflow
     shifted *= 0.5
+    shifted += X / 2
     np.einsum("ii->i", shifted)[:] += PSD_TOL
     try:
-        np.linalg.cholesky(shifted)
+        # a factorization that overflowed, which the complex Cholesky
+        # routine can return without an error, has a non-finite diagonal
+        factored = np.isfinite(np.linalg.cholesky(shifted).diagonal()).all()
     except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh((X + X.conj().T) / 2).min()
+        factored = False
+    if not factored:
+        lowest = np.linalg.eigvalsh(X / 2 + X.conj().T / 2).min()
         if lowest <= -PSD_TOL:
-            raise ValueError(f"output not positive semidefinite: {lowest:.2e}") from None
+            raise ValueError(f"output not positive semidefinite: {lowest:.2e}")
     _check_unit_trace(X)
 
 
@@ -728,7 +734,7 @@ def irrep_channel(
         raise ValueError("psi must be normalized")
     if form == "embed-trace":
         q_lam, q_mu = dim_gl_irrep(lam), dim_gl_irrep(mu)
-        V = np.tensordot(_embed_trace_tensor(lam, mu, gamma), psi, 1).reshape(q_mu, -1, q_lam)
+        V = (_embed_trace_tensor(lam, mu, gamma).reshape(-1, c) @ psi).reshape(q_mu, -1, q_lam)
         return KrausChannel(list(V.transpose(1, 0, 2)), q_lam, q_mu)
 
     K0, c, qg, q_lam, q_mu = _cg_restriction_tensor(lam, mu, gamma)
@@ -787,7 +793,8 @@ def factored_channel(spec: ExtremalSpec) -> ChoiMatrix:
         t = spec.triple(lam)
         mu_sector = Sn.sectors[t.mu]
         C = mu_sector.rows.conj() / np.sqrt(mu_sector.p_dim)
-        iota = np.tensordot(_embed_trace_tensor(lam, t.mu, t.gamma), t.psi, 1)
+        T = _embed_trace_tensor(lam, t.mu, t.gamma)
+        iota = T.reshape(-1, T.shape[-1]) @ t.psi
         K = iota.reshape(C.shape[1], -1, s.q_dim).transpose(1, 0, 2)  # K[h] = K_h
         KA = np.matmul(K[:, None], s.rows)  # (h, i, q_mu, in)
         # row (j, h, i) is (C_j K_h A_i)^T flattened, indexed (in, out)

@@ -283,21 +283,23 @@ class _FlatWalk(NamedTuple):
 
     ``start`` holds each label's start node, the start move of its own
     table, or -1 for an empty label.  A move node has its cumulative
-    weights in a row of ``cum`` padded with +inf, their sum in ``total``
-    and the nodes it moves to in the same row of ``targets``; its ``row``
-    is -1 and its ``after`` its own number.  A stop node has the 0-based
-    row its corner removal takes in ``row`` and the start node of the
-    table that removal leaves in ``after``, or -1 once the diagram is
-    empty.  So a walker that has decided on a node goes on from ``after``
-    of it, whether the node is a move or a stop.
+    weights in a column of ``cum``, shaped (width, nodes) and padded with
+    +inf, their sum in ``total`` and its ``row`` -1.  A stop node has the
+    0-based row its corner removal takes in ``row``.  The successor tables
+    are flat and column-major like ``cum``: the decision ``pick`` at move
+    ``node`` reads entry ``pick * nodes + node``, where ``next_row`` holds
+    the ``row`` of the node it moves to and ``next_node`` the node a
+    walker goes on from: the move itself again, the start move of the
+    table that a stop's removal leaves, or -1 once the diagram is empty.
+    Every array is read-only.
     """
 
     start: np.ndarray
     cum: np.ndarray
     total: np.ndarray
-    targets: np.ndarray
     row: np.ndarray
-    after: np.ndarray
+    next_row: np.ndarray
+    next_node: np.ndarray
 
 
 @functools.cache
@@ -308,10 +310,13 @@ def _flat_walk(labels: tuple[tuple[int, ...], ...]) -> _FlatWalk:
     its cells in order; the targets of a move are the cell objects of the
     same table, which ``node`` maps to their numbers.  Tables are numbered
     as the diagrams are first met, breadth first from the labels in order,
-    so a diagram below several labels is flattened once.  Unlike a walk,
-    this builds the table of every diagram inside the labels, at most
-    prod(r + 1) per label; sample mode flattens only the labels of a Schur
-    transform it has built.  Memoised per tuple of labels.
+    so a diagram below several labels is flattened once.  Each column of
+    ``cum`` and of the successor tables is one node, so that a step of
+    ``_walk_many`` reads one contiguous row of them per decision index.
+    Unlike a walk, this builds the table of every diagram inside the
+    labels, at most prod(r + 1) per label; sample mode flattens only the
+    labels of a Schur transform it has built.  Memoised per tuple of
+    labels, with every array read-only.
     """
     start: dict[tuple[int, ...], int] = {}
     order: list[tuple[int, ...]] = []
@@ -341,20 +346,24 @@ def _flat_walk(labels: tuple[tuple[int, ...], ...]) -> _FlatWalk:
             meet(left)
             stops.append((node[id(cell)], corner, start.get(left, -1)))
     width = max((len(c) for _, _, c, _ in moves), default=0)
-    cum = np.full((size, width), np.inf)
+    cum = np.full((width, size), np.inf)
     total = np.zeros(size)
-    targets = np.zeros((size, width), dtype=np.intp)
+    targets = np.zeros((width, size), dtype=np.intp)
     row = np.full(size, -1, dtype=np.intp)
+    # a walker goes on from a move itself and from a stop to what is left
     after = np.arange(size, dtype=np.intp)
     for at, to, c, t in moves:
-        cum[at, : len(c)] = c
+        cum[: len(c), at] = c
         total[at] = t
-        targets[at, : len(to)] = to
+        targets[: len(to), at] = to
     for at, r, nxt in stops:
         row[at] = r
         after[at] = nxt
     first = np.array([start.get(rows, -1) for rows in labels], dtype=np.intp)
-    return _FlatWalk(first, cum, total, targets, row, after)
+    flat = _FlatWalk(first, cum, total, row, row[targets.ravel()], after[targets.ravel()])
+    for array in flat:
+        array.flags.writeable = False
+    return flat
 
 
 def _walk_many(
@@ -369,10 +378,12 @@ def _walk_many(
     distinct row length after it.  All walkers, of every label, walk the
     tables of ``_flat_walk(labels)``, so the loop runs as many steps as the
     longest walk.  Every walker still walking makes one decision per step,
-    all at the same column of their rows: each gathers its node's
-    cumulative weights, counts those at or below u * total and gathers the
-    target by that count.  The count is ``bisect_right`` on the same float
-    product, so each walker removes the rows and uses the number of
+    all at the same column of their rows: each gathers its node's column
+    of cumulative weights and counts those at or below u * total, one
+    count over the leading axis for all walkers, and then takes the row
+    and the next node of that decision from the flat successor tables at
+    ``pick * nodes + node``.  The count is ``bisect_right`` on the same
+    float product, so each walker removes the rows and uses the number of
     uniforms of ``_walk(rows, iter(row))``.  Returns, per label, each
     walker's path as an integer key, sum_j r_j len(rows)^j over the rows
     r_j the path adds in order, and the number of uniforms each walker
@@ -387,6 +398,7 @@ def _walk_many(
                 f" got {block.shape[1]}"
             )
     flat = _flat_walk(labels)
+    nodes = len(flat.row)
     counts = [len(block) for block in uniforms]
     widths = np.repeat([block.shape[1] for block in uniforms], counts)
     draws = np.concatenate([block.ravel() for block in uniforms])
@@ -403,15 +415,15 @@ def _walk_many(
     while live.size:
         u = draws[first + col]
         col += 1
-        # np.take gathers the rows of cum in less time than cum[node]
-        pick = (np.take(flat.cum, node, axis=0) <= (u * flat.total[node])[:, None]).sum(1)
-        node = flat.targets[node, pick]
-        removed = flat.row[node]
+        # the count runs over the short leading axis of the gathered columns
+        pick = (np.take(flat.cum, node, axis=1) <= u * flat.total[node]).sum(0)
+        at = pick * nodes + node
+        removed = np.take(flat.next_row, at)
         stop = removed >= 0
         # the walk removes the path's last row first, so the first row
         # removed ends up the most significant digit of the key
         key = np.where(stop, key * base + removed, key)
-        node = flat.after[node]
+        node = np.take(flat.next_node, at)
         done = node < 0
         if done.any():
             keys[live[done]] = key[done]

@@ -314,7 +314,7 @@ def _middle_phase(
     tau: dict[Staircase, np.ndarray] = {}
     aux_counter = count(1)
     for lam, blk in sigma.items():
-        if np.linalg.norm(blk) < WEIGHTLESS_NORM:
+        if _block_norm(blk) < WEIGHTLESS_NORM:
             continue
         t = spec.triple(lam)
         ledger.r_prime = max(ledger.r_prime, t.mu.length)
@@ -323,11 +323,22 @@ def _middle_phase(
             aux = (f"aux:{next(aux_counter)}",) if on_site else ()
             schedule.append(ScheduleStep("embed", ("Q", *aux, "path"), live, cg))
         # iota' = sum_a psi_a E_a; tr_traced(iota' blk iota'^dag) in two GEMMs
-        emb = np.tensordot(t.psi, sup.embeddings, 1)
+        c, *shape = sup.embeddings.shape
+        emb = (t.psi @ sup.embeddings.reshape(c, -1)).reshape(shape)
         q_mu = dim_gl_irrep(t.mu)
         out = (emb @ blk).reshape(q_mu, -1) @ emb.reshape(q_mu, -1).conj().T
         tau[t.mu] = tau.get(t.mu, 0) + out
     return tau
+
+
+def _block_norm(blk: np.ndarray) -> float:
+    """The Frobenius norm of a block, inf with no warning when it overflows.
+
+    An infinite norm is a result, not an error: the middle phase keeps the
+    block, and emission then scans its output for non-finite entries.
+    """
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(blk)
 
 
 class _PathSuperposition(NamedTuple):
@@ -454,7 +465,8 @@ def _emission_phase(
     over the filled paths a together with zeros.  The sector floor, the
     minimum of w_a lambda_min(H_mu) over the filled paths of each sector
     with weight, is therefore its smallest eigenvalue whenever that is
-    negative; one ``eigvalsh`` of at most q_mu x q_mu per sector finds it.
+    negative; one ``eigvalsh`` of at most q_mu x q_mu per sector finds it,
+    on H_mu formed as tau_mu/2 + tau_mu^dag/2, a sum that cannot overflow.
     Raises ValueError("output not positive semidefinite: ...") when the
     floor is at or below -PSD_TOL, the threshold and message of the dense
     test ``channels.check_state``.
@@ -482,7 +494,7 @@ def _emission_phase(
     floor = np.inf
     finite = True
     for mu, blk in tau.items():
-        norm = np.linalg.norm(blk)
+        norm = _block_norm(blk)
         finite = finite and np.isfinite(norm)
         if norm < WEIGHTLESS_NORM:
             continue
@@ -500,7 +512,7 @@ def _emission_phase(
         out.real[dest] = X[:, :q]
         out.imag[dest] = X[:, q:]
         filled[dest] = True
-        lowest = np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0]
+        lowest = np.linalg.eigvalsh(blk / 2 + blk.conj().T / 2)[0]
         floor = min(floor, (weights * lowest).min())
     if floor <= -PSD_TOL:
         raise ValueError(f"output not positive semidefinite: {floor:.2e}")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from equichan.channels import (
 )
 from equichan.staircases import dim_gl_irrep, partitions_of, staircase, sym_dim
 from equichan.streaming import streamed_apply
+from equichan.suites import all_specs
 from equichan.transforms import permutation_operator
 from equichan.verify import haar_unitary
 
@@ -641,6 +643,37 @@ class TestSectorCertificate:
             assert dense is None
         elif size == "large":
             assert dense.startswith("output not positive semidefinite: -")
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_dense_check_refuses_an_overflowing_hermitian_part(self, dtype):
+        # X + X^dag overflows here; halved before the sum, the Hermitian
+        # part is X, with eigenvalues -+1.7e308.  The complex Cholesky
+        # routine returns a factor with NaN on its diagonal, not an error
+        X = np.array([[0.5, 1.7e308], [1.7e308, 0.5]], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match=r"^output not positive semidefinite: -1\.70e\+308$"
+            ):
+                check_state(X)
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_sector_floor_refuses_an_overflowing_block(self, mode, monkeypatch):
+        # tau's block holds 1.7e308 off its diagonal, so tau + tau^dag would
+        # overflow and make the floor NaN, which the comparison lets pass;
+        # the floor refuses it as the dense test refuses the same output
+        spec = all_specs(1, 3, 2)[3]
+        rho = np.array([[0.5, 1.7e308], [1.7e308, 0.5]], dtype=complex)
+        kwargs = dict(mode=mode, seed=1, trajectories=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            certified = _rejection(lambda: streamed_apply(spec, rho, **kwargs))
+            monkeypatch.setattr(streaming, "PSD_TOL", np.inf)
+            raw, _ = streamed_apply(spec, rho, **kwargs)
+            monkeypatch.undo()
+            dense = _rejection(lambda: check_state(raw))
+        assert certified == dense
+        assert dense.startswith("output not positive semidefinite: -")
 
     def test_threshold_is_psd_tol(self, rng):
         # a floor just below -PSD_TOL is rejected and one just above it is

@@ -577,6 +577,17 @@ class TestWalkMany:
 
         assert _flat_walk(((5, 3, 3, 2),)) is _flat_walk(((5, 3, 3, 2),))
 
+    def test_flat_tables_are_read_only(self):
+        # every later walk of the same labels reads the memoised tables
+        from equichan.gtpaths import _flat_walk
+
+        flat = _flat_walk(((3, 1), (2, 2), ()))
+        for name, arr in zip(flat._fields, flat):
+            assert not arr.flags.writeable, name
+            idx = (0,) * arr.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                arr[idx] = arr[idx]  # a no-op, were the write allowed
+
 
 @st.composite
 def small_partitions(draw):
