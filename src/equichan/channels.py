@@ -120,6 +120,24 @@ def _check_finite(X: np.ndarray) -> None:
         raise ValueError("output has non-finite entries")
 
 
+def _hermitian_floor(X: np.ndarray) -> float:
+    """The smallest eigenvalue of the Hermitian part H = X/2 + X^dag/2.
+
+    X and X^dag are halved before they are added, so the sum cannot
+    overflow.  LAPACK's norm of H overflows when a complex entry's modulus
+    passes the float maximum, and ``eigvalsh`` then returns NaN; a finite H
+    is then halved once more, which is exact for normal floats, and its
+    floor doubled, to -inf past the float maximum.  A non-finite H keeps
+    its NaN.
+    """
+    H = X / 2 + X.conj().T / 2
+    lowest = np.linalg.eigvalsh(H)[0]
+    if np.isnan(lowest) and np.isfinite(H).all():
+        with np.errstate(over="ignore"):
+            lowest = 2 * np.linalg.eigvalsh(H / 2)[0]
+    return lowest
+
+
 def _check_unit_trace(X: np.ndarray) -> None:
     tr = np.trace(X)
     if abs(tr - 1.0) >= 1e-10:
@@ -152,7 +170,7 @@ def check_state(X: np.ndarray) -> None:
     except np.linalg.LinAlgError:
         factored = False
     if not factored:
-        lowest = np.linalg.eigvalsh(X / 2 + X.conj().T / 2).min()
+        lowest = _hermitian_floor(X)
         if lowest <= -PSD_TOL:
             raise ValueError(f"output not positive semidefinite: {lowest:.2e}")
     _check_unit_trace(X)

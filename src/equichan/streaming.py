@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from equichan.channels import PSD_TOL, ExtremalSpec, _embed_trace_tensor
-from equichan.channels import _check_finite, _check_unit_trace, check_input
+from equichan.channels import _check_finite, _check_unit_trace, _hermitian_floor, check_input
 from equichan.gtpaths import GtPath, _walk_many, enumerate_paths
 from equichan.staircases import (
     Staircase,
@@ -466,7 +466,9 @@ def _emission_phase(
     minimum of w_a lambda_min(H_mu) over the filled paths of each sector
     with weight, is therefore its smallest eigenvalue whenever that is
     negative; one ``eigvalsh`` of at most q_mu x q_mu per sector finds it,
-    on H_mu formed as tau_mu/2 + tau_mu^dag/2, a sum that cannot overflow.
+    by ``channels._hermitian_floor``, on H_mu formed as tau_mu/2 +
+    tau_mu^dag/2, a sum that cannot overflow, and halved once more when
+    LAPACK's norm of it overflows.
     Raises ValueError("output not positive semidefinite: ...") when the
     floor is at or below -PSD_TOL, the threshold and message of the dense
     test ``channels.check_state``.
@@ -512,7 +514,7 @@ def _emission_phase(
         out.real[dest] = X[:, :q]
         out.imag[dest] = X[:, q:]
         filled[dest] = True
-        lowest = np.linalg.eigvalsh(blk / 2 + blk.conj().T / 2)[0]
+        lowest = _hermitian_floor(blk)
         floor = min(floor, (weights * lowest).min())
     if floor <= -PSD_TOL:
         raise ValueError(f"output not positive semidefinite: {floor:.2e}")

@@ -675,6 +675,27 @@ class TestSectorCertificate:
         assert certified == dense
         assert dense.startswith("output not positive semidefinite: -")
 
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_floor_refuses_an_entry_past_the_float_maximum(self, mode):
+        # the off-diagonal modulus, sqrt(2) * 1.7e308, passes the float
+        # maximum, so LAPACK's norm of the Hermitian part overflows and
+        # eigvalsh returns NaN, which a comparison lets pass; halved once
+        # more, the part's floor is -inf, in the sector floor and the dense
+        # test alike
+        spec = all_specs(1, 3, 2)[3]
+        v = complex(1.7e308, 1.7e308)
+        rho = np.array([[0.5, v], [v.conjugate(), 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: streamed_apply(spec, rho, mode=mode, seed=1, trajectories=50),
+                lambda: check_state(rho),
+            ):
+                with pytest.raises(
+                    ValueError, match=r"^output not positive semidefinite: -inf$"
+                ):
+                    call()
+
     def test_threshold_is_psd_tol(self, rng):
         # a floor just below -PSD_TOL is rejected and one just above it is
         # accepted, as by the dense test check_state

@@ -1012,16 +1012,14 @@ class TestFiniteCertificate:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_fallback_scan_agrees_with_dense_scan(self, m, monkeypatch):
-        # every spec (m, 3, 2) on inputs with one pair at 1e300 or 1.7e308:
-        # at m = 2 some of these pass the sector floor with a norm that is
-        # not finite, so emission scans the output itself; at m = 1 and 3
-        # the only ones that did were not positive semidefinite, and the
-        # floor refuses them since it no longer overflows
+        # every spec (m, 3, 2) on inputs with one pair at 1e300, 1.7e308
+        # or the float maximum: some of these pass the sector floor with a
+        # norm that is not finite, so emission scans the output itself
         dim = 2**m
         shapes = self._scans(monkeypatch)
         for spec in all_specs(m, 3, 2):
-            for value in (1e300, 1.7e308):
-                for pair in ((0, 1), (1, dim - 2), (0, dim - 1)):
+            for value in (1e300, 1.7e308, np.finfo(float).max):
+                for pair in ((0, 1), (1, dim - 2), (0, dim - 1), (dim // 4, dim // 2)):
                     rho = np.eye(dim, dtype=complex) / dim
                     rho[pair] = rho[pair[::-1]] = value
 
@@ -1029,7 +1027,7 @@ class TestFiniteCertificate:
                         return streamed_apply(spec, rho)
 
                     assert self._outcome(run) == self._dense(run, monkeypatch)
-        assert bool(shapes) == (m == 2) and set(shapes) <= {(8, 8)}
+        assert shapes and set(shapes) == {(8, 8)}
 
     @pytest.mark.parametrize("mode", ["exact", "sample"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1, np.inf)])
